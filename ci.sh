@@ -22,6 +22,23 @@ cargo test -q
 echo "== cargo test --workspace -q"
 cargo test --workspace -q
 
+echo "== ledger builds against the workspace (a drifted signature fails here, not in a benchmark run)"
+CARGO_TARGET_DIR=target/ledger cargo build --release --offline --locked --quiet \
+  --manifest-path benchmark/Cargo.toml
+
+echo "== request-path oracles, each by exact name (a mistyped filter runs nothing and must fail)"
+run_named() { # <integration test target of cpm-serve> <exact test name>
+  cargo test -p cpm-serve --test "$1" -- --exact "$2" 2>&1 | tee "$ORACLE_LOG"
+  grep -q "^test $2 \.\.\. ok\$" "$ORACLE_LOG" || { echo "test $2 did not run and pass"; exit 1; }
+}
+ORACLE_LOG="$(mktemp)"
+run_named golden golden_corpus_is_reproduced_byte_for_byte
+run_named golden both_framings_and_both_engines_return_identical_payloads
+run_named golden mutated_requests_always_get_a_structured_answer
+run_named alloc_gate warm_predict_and_select_allocate_a_small_constant
+run_named alloc_gate a_plan_hit_adds_only_the_output_line_to_parse_and_lookup
+rm -f "$ORACLE_LOG"
+
 echo "== drift loop tests"
 cargo test -p cpm-drift -q
 

@@ -20,7 +20,10 @@
 //!   performance model implements.
 //! * [`sweep`] — message-size sweeps used by the figures of the evaluation
 //!   section.
+//! * [`canon`] — the canonical content hash behind cluster fingerprints
+//!   and workload-trace hashes.
 
+pub mod canon;
 pub mod error;
 pub mod matrix;
 pub mod rank;
@@ -30,6 +33,7 @@ pub mod traits;
 pub mod tree;
 pub mod units;
 
+pub use canon::canonical_hash;
 pub use error::CpmError;
 pub use matrix::SymMatrix;
 pub use rank::{pairs, triplets, Rank};

@@ -224,6 +224,9 @@ impl DriftMonitor {
                     return None;
                 }
                 let r = obs.seconds / pred - 1.0;
+                if !r.is_finite() {
+                    return None;
+                }
                 let (i, j) = (src.idx().min(dst.idx()), src.idx().max(dst.idx()));
                 let idx = link_idx(self.n, i, j);
                 let alarm = self.links[idx].push(r, &self.cfg)?;
@@ -235,6 +238,9 @@ impl DriftMonitor {
                     return None;
                 }
                 let r = obs.seconds / pred - 1.0;
+                if !r.is_finite() {
+                    return None;
+                }
                 let alarm = self.threshold.push(r, &self.cfg)?;
                 Some(DriftEvent {
                     scope: DriftScope::ThresholdRegion,

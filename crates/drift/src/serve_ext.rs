@@ -20,7 +20,7 @@ use std::sync::Arc;
 use cpm_core::rank::Rank;
 use cpm_obs::{Counter, Gauge};
 use cpm_serve::service::{ClusterRef, Service, Verb};
-use cpm_serve::{LineHandler, ServeError};
+use cpm_serve::{Fields, LineHandler, Response, ServeError};
 use parking_lot::Mutex;
 use serde_json::Value;
 
@@ -135,7 +135,7 @@ impl DriftService {
         Ok(f(monitors.get_mut(fp).expect("just inserted")))
     }
 
-    fn handle_observe(&self, v: &Value) -> SResult<Value> {
+    fn handle_observe(&self, v: &Value, w: &mut Response) -> SResult<()> {
         let fp = str_field(v, "fingerprint")?;
         let m = u64_field(v, "m")?;
         let seconds = f64_field(v, "seconds")?;
@@ -160,14 +160,13 @@ impl DriftService {
                 ])
             })
             .collect();
-        Ok(obj(vec![
-            ("fingerprint", Value::Str(fp.to_string())),
-            ("events", Value::Seq(events)),
-            ("staleness", Value::F64(staleness)),
-        ]))
+        w.str("fingerprint", fp);
+        w.value("events", &Value::Seq(events));
+        w.f64("staleness", staleness);
+        Ok(())
     }
 
-    fn handle_status(&self, v: &Value) -> SResult<Value> {
+    fn handle_status(&self, v: &Value, w: &mut Response) -> SResult<()> {
         let fp = str_field(v, "fingerprint")?;
         let report = self.with_monitor(fp, |mon| mon.staleness())?;
         let links: Vec<Value> = report
@@ -183,65 +182,51 @@ impl DriftService {
                 ])
             })
             .collect();
-        Ok(obj(vec![
-            ("fingerprint", Value::Str(fp.to_string())),
-            ("observations", Value::U64(report.observations)),
-            ("staleness", Value::F64(report.overall)),
-            ("links", Value::Seq(links)),
-            ("threshold", score_json(&report.threshold)),
-        ]))
-    }
-
-    fn drift_verb(v: &Value) -> Option<Verb> {
-        match v.get("verb").and_then(Value::as_str) {
-            Some("observe") => Some(Verb::Observe),
-            Some("drift-status") => Some(Verb::DriftStatus),
-            _ => None,
-        }
+        w.str("fingerprint", fp);
+        w.u64("observations", report.observations);
+        w.f64("staleness", report.overall);
+        w.value("links", &Value::Seq(links));
+        w.value("threshold", &score_json(&report.threshold));
+        Ok(())
     }
 }
 
 impl LineHandler for DriftService {
     fn handle_line(&self, line: &str) -> (String, bool) {
         let start = std::time::Instant::now();
-        let Some(v) = serde_json::from_str::<Value>(line).ok() else {
-            // Not even JSON: the core protocol owns the error reporting.
-            return self.service.handle_line(line);
-        };
-        let Some(verb) = Self::drift_verb(&v) else {
-            // Not a drift verb: the core protocol owns the response
-            // (including id echo and its own latency attribution).
-            return self.service.handle_line(line);
+        // A scan, not a parse: every line that is not a drift verb —
+        // malformed ones included — goes to the core protocol untouched,
+        // which owns its response (id echo, latency attribution, errors).
+        let scanned = Fields::scan(line).ok();
+        let verb = match scanned.as_ref().and_then(Fields::verb).as_deref() {
+            Some("observe") => Verb::Observe,
+            Some("drift-status") => Verb::DriftStatus,
+            _ => return self.service.handle_line(line),
         };
         // Mirror the core protocol's request-id handling so drift-verb
         // spans and responses are attributable the same way.
-        let id = cpm_serve::client_id(&v);
+        let id = scanned.and_then(|fields| fields.client_id());
         let _ctx = cpm_obs::ctx::with_request(
             cpm_obs::next_request_id(),
             id.as_ref().map(cpm_serve::id_tag).unwrap_or_default(),
         );
+        let mut w = Response::ok(&id);
         let outcome = {
             let mut sp = cpm_obs::span("serve.request");
             sp.field_str("verb", verb.as_str());
-            match verb {
-                Verb::Observe => self.handle_observe(&v),
-                _ => self.handle_status(&v),
-            }
+            // The drift verbs read a handful of their own fields: a tree
+            // of the (already validated) line is the simple way to them.
+            serde_json::from_str::<Value>(line)
+                .map_err(|e| bad(format!("bad json: {e}")))
+                .and_then(|v| match verb {
+                    Verb::Observe => self.handle_observe(&v, &mut w),
+                    _ => self.handle_status(&v, &mut w),
+                })
         };
-        let mut value = match outcome {
-            Ok(Value::Map(mut entries)) => {
-                entries.insert(0, ("ok".to_string(), Value::Bool(true)));
-                Value::Map(entries)
-            }
-            Ok(other) => other,
-            Err(e) => obj(vec![
-                ("ok", Value::Bool(false)),
-                ("error", Value::Str(e.to_string())),
-            ]),
+        let text = match outcome {
+            Ok(()) => w.finish(),
+            Err(e) => Response::error(&id, e),
         };
-        cpm_serve::echo_id(&mut value, &id);
-        let text = serde_json::to_string(&value)
-            .unwrap_or_else(|_| "{\"ok\":false,\"error\":\"serialization failure\"}".to_string());
         let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
         self.service.metrics().record_verb_latency(verb, ns);
         (text, false)
@@ -346,6 +331,31 @@ mod tests {
         );
         assert_eq!(ok_flag(&v), Some(false));
         assert!(matches!(v.get("id"), Some(Value::Str(s)) if s == "d-10"));
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    /// `1e999` parses as infinity. Such a measurement carries no
+    /// residual: it is answered (it used to panic the worker inside the
+    /// residual statistics) and raises nothing.
+    #[test]
+    fn non_finite_observations_are_answered_not_fatal() {
+        let (dir, ds, fp) = drift_service("nonfinite");
+        for (seconds, kind) in [
+            ("1e999", "\"p2p\",\"src\":0,\"dst\":1"),
+            ("1e308", "\"gather\",\"root\":0"),
+        ] {
+            let (text, _) = ds.handle_line(&format!(
+                "{{\"verb\":\"observe\",\"id\":\"d-inf\",\"fingerprint\":\"{fp}\",\"kind\":{kind},\
+                 \"m\":16384,\"seconds\":{seconds}}}"
+            ));
+            assert_eq!(
+                text,
+                format!(
+                    "{{\"ok\":true,\"id\":\"d-inf\",\"fingerprint\":\"{fp}\",\"events\":[],\
+                     \"staleness\":0.0}}"
+                )
+            );
+        }
         let _ = std::fs::remove_dir_all(dir);
     }
 

@@ -26,12 +26,12 @@ use std::sync::Arc;
 use cpm_obs::{Counter, Gauge, Histogram};
 use cpm_reactor::{ClientConfig, ClientPool};
 use cpm_serve::service::Verb;
-use cpm_serve::{LineHandler, ParamSet, ServeError, Service};
+use cpm_serve::{Fields, LineHandler, ParamSet, Response, ServeError, Service};
 use serde_json::Value;
 
 use crate::map::{FleetMap, NodeInfo};
 use crate::ring::Ring;
-use crate::util::{obj, resolve_addr, SResult};
+use crate::util::{append_members, field, obj, resolve_addr, SResult};
 
 /// Per-peer replication state: a pooled connection plus push/ack
 /// accounting, all registered in the node's unified metrics registry.
@@ -145,25 +145,11 @@ impl Replicator {
             // peer's install spans appear as children in merged fleet
             // dumps. The recorder-off path keeps the single shared
             // line untouched.
-            let traced_line = if sp.span_id() != 0 {
-                let (trace_id, _) = cpm_obs::ctx::trace_current();
-                Some(format!(
-                    "{{\"ctx\":{{\"trace\":\"{}\",\"parent\":\"{}\"}},{}",
-                    cpm_obs::wire::hex16(trace_id),
-                    cpm_obs::wire::hex16(sp.span_id()),
-                    &line[1..]
-                ))
-            } else {
-                None
-            };
+            let traced_line = crate::util::with_ctx(&line, sp.span_id());
             peer.pushed.inc();
             let push_start = std::time::Instant::now();
             match peer.pool.call(traced_line.as_deref().unwrap_or(&line)) {
-                Ok(resp)
-                    if serde_json::from_str::<Value>(&resp)
-                        .map(|v| v.get("ok") == Some(&Value::Bool(true)))
-                        .unwrap_or(false) =>
-                {
+                Ok(resp) if field(&resp, "ok") == Some("true") => {
                     peer.acked.inc();
                 }
                 _ => {
@@ -259,38 +245,29 @@ impl FleetNode {
         &self.service
     }
 
-    fn handle_install(&self, v: &Value) -> SResult<Value> {
-        let set = v
-            .get("set")
+    fn handle_install(&self, line: &str, w: &mut Response) -> SResult<()> {
+        let set = field(line, "set")
             .ok_or_else(|| ServeError::Protocol("missing field \"set\"".into()))?;
-        let set_json =
-            serde_json::to_string(set).map_err(|e| ServeError::Protocol(e.to_string()))?;
         let ps: ParamSet =
-            serde_json::from_str(&set_json).map_err(|e| ServeError::Protocol(e.to_string()))?;
+            serde_json::from_str(set).map_err(|e| ServeError::Protocol(e.to_string()))?;
         let (current, applied) = self.service.install(ps)?;
         if applied {
             self.installs.inc();
         } else {
             self.installs_stale.inc();
         }
-        Ok(obj(vec![
-            ("fingerprint", Value::Str(current.fingerprint.clone())),
-            ("param_version", Value::U64(current.param_version)),
-            ("applied", Value::Bool(applied)),
-        ]))
+        w.str("fingerprint", &current.fingerprint);
+        w.u64("param_version", current.param_version);
+        w.bool("applied", applied);
+        Ok(())
     }
 
-    fn handle_info(&self) -> Value {
-        obj(vec![
-            ("node", Value::Str(self.name.clone())),
-            ("role", Value::Str("fleet-node".into())),
-            ("nodes", Value::U64(self.map.nodes.len() as u64)),
-            (
-                "replication",
-                Value::U64(self.map.effective_replication() as u64),
-            ),
-            ("vnodes", Value::U64(self.map.vnodes as u64)),
-        ])
+    fn handle_info(&self, w: &mut Response) {
+        w.str("node", &self.name);
+        w.str("role", "fleet-node");
+        w.u64("nodes", self.map.nodes.len() as u64);
+        w.u64("replication", self.map.effective_replication() as u64);
+        w.u64("vnodes", self.map.vnodes as u64);
     }
 
     /// The `fleet` section injected into JSON `stats` responses.
@@ -334,33 +311,27 @@ impl FleetNode {
     }
 
     /// Delegates `stats` to the wrapped handler and splices the fleet
-    /// section into the JSON response. Text-format stats need no help:
-    /// the `cpm_fleet_*` metrics live in the same unified registry the
-    /// exposition renders.
+    /// section onto the end of the JSON response. Text-format stats need
+    /// no help: the `cpm_fleet_*` metrics live in the same unified
+    /// registry the exposition renders.
     fn handle_stats(&self, line: &str) -> (String, bool) {
-        let (text, shutdown) = self.inner.handle_line(line);
-        let Ok(Value::Map(mut entries)) = serde_json::from_str::<Value>(&text) else {
-            return (text, shutdown);
-        };
-        // Text-format stats wrap the exposition in {"text": ...}; leave
-        // those untouched.
-        if entries.iter().any(|(k, _)| k == "text") {
-            return (text, shutdown);
+        let (mut text, shutdown) = self.inner.handle_line(line);
+        // Every JSON answer has `"ok"`; the text exposition travels in
+        // `"text"`.
+        if field(&text, "ok").is_some() && field(&text, "text").is_none() {
+            if let Ok(fleet) = serde_json::to_string(&self.fleet_section()) {
+                append_members(&mut text, &format!("\"fleet\":{fleet}"));
+            }
         }
-        entries.push(("fleet".to_string(), self.fleet_section()));
-        let text = serde_json::to_string(&Value::Map(entries)).unwrap_or(text);
         (text, shutdown)
     }
 
     /// Shard-aware `estimate`: owners estimate (and fan out), everyone
     /// else refuses with the owner list so the caller can re-aim.
-    fn check_estimate_ownership(&self, v: &Value) -> SResult<()> {
-        let config = v
-            .get("config")
-            .ok_or_else(|| ServeError::Protocol("estimate requires \"config\"".into()))?;
-        let config_json =
-            serde_json::to_string(config).map_err(|e| ServeError::Protocol(e.to_string()))?;
-        let fp = cpm_serve::fingerprint_json(&config_json)?;
+    fn check_estimate_ownership(&self, config: Option<&str>) -> SResult<()> {
+        let config =
+            config.ok_or_else(|| ServeError::Protocol("estimate requires \"config\"".into()))?;
+        let fp = cpm_serve::fingerprint_json(config)?;
         let owners = self.ring.owners(&fp, self.map.effective_replication());
         if owners.iter().any(|o| *o == self.name) {
             return Ok(());
@@ -384,9 +355,9 @@ impl FleetNode {
     /// `"raw":true` keeps the old single-node machine-readable dump
     /// (and is what the fan-out itself uses, so collection never
     /// recurses).
-    fn handle_trace(&self, v: &Value) -> String {
-        let id = cpm_serve::client_id(v);
-        let last = v.get("last").and_then(Value::as_u64).map(|n| n as usize);
+    fn handle_trace(&self, fields: &Fields) -> String {
+        let id = fields.client_id();
+        let last = crate::util::last_of(fields);
         let raw_line = crate::util::raw_trace_line(last);
         let mut nodes = vec![(self.name.clone(), crate::util::own_records(last))];
         let mut missing = Vec::new();
@@ -403,59 +374,41 @@ impl FleetNode {
             }
         }
         let total: usize = nodes.iter().map(|(_, r)| r.len()).sum();
-        let mut value = obj(vec![
-            ("ok", Value::Bool(true)),
-            ("nodes", Value::U64(nodes.len() as u64)),
-            ("records", Value::U64(total as u64)),
-            ("missing", Value::Seq(missing)),
-            ("trace", cpm_obs::chrome::chrome_trace_fleet(&nodes)),
-        ]);
-        cpm_serve::echo_id(&mut value, &id);
-        serde_json::to_string(&value).unwrap_or_else(|_| "{\"ok\":false}".to_string())
-    }
-
-    fn fleet_verb(v: &Value) -> Option<Verb> {
-        match v.get("verb").and_then(Value::as_str) {
-            Some("fleet-install") => Some(Verb::FleetInstall),
-            Some("fleet-info") => Some(Verb::FleetInfo),
-            _ => None,
-        }
+        let mut w = Response::ok(&id);
+        w.u64("nodes", nodes.len() as u64);
+        w.u64("records", total as u64);
+        w.value("missing", &Value::Seq(missing));
+        w.value("trace", &cpm_obs::chrome::chrome_trace_fleet(&nodes));
+        w.finish()
     }
 }
 
 impl LineHandler for FleetNode {
     fn handle_line(&self, line: &str) -> (String, bool) {
         let start = std::time::Instant::now();
-        let Ok(v) = serde_json::from_str::<Value>(line) else {
+        // One scan tells this node what it needs (the verb, the routing
+        // fields); whatever it does not answer itself goes on as text.
+        let Ok(fields) = Fields::scan(line) else {
             return self.inner.handle_line(line);
         };
-        match v.get("verb").and_then(Value::as_str) {
+        let verb = match fields.verb().as_deref() {
             Some("stats") => return self.handle_stats(line),
-            Some("trace") if v.get("raw") != Some(&Value::Bool(true)) => {
-                return (self.handle_trace(&v), false);
+            Some("trace") if fields.raw != Some("true") => {
+                return (self.handle_trace(&fields), false);
             }
             Some("estimate") => {
-                if let Err(e) = self.check_estimate_ownership(&v) {
-                    let id = cpm_serve::client_id(&v);
-                    let mut value = obj(vec![
-                        ("ok", Value::Bool(false)),
-                        ("error", Value::Str(e.to_string())),
-                    ]);
-                    cpm_serve::echo_id(&mut value, &id);
-                    let text = serde_json::to_string(&value)
-                        .unwrap_or_else(|_| "{\"ok\":false}".to_string());
-                    return (text, false);
-                }
-                return self.inner.handle_line(line);
+                return match self.check_estimate_ownership(fields.config) {
+                    Ok(()) => self.inner.handle_line(line),
+                    Err(e) => (Response::error(&fields.client_id(), e), false),
+                };
             }
-            _ => {}
-        }
-        let Some(verb) = Self::fleet_verb(&v) else {
-            return self.inner.handle_line(line);
+            Some("fleet-install") => Verb::FleetInstall,
+            Some("fleet-info") => Verb::FleetInfo,
+            _ => return self.inner.handle_line(line),
         };
         // Mirror the core protocol's request-id handling so fleet-verb
         // spans and responses are attributable the same way.
-        let id = cpm_serve::client_id(&v);
+        let id = fields.client_id();
         let _ctx = cpm_obs::ctx::with_request(
             cpm_obs::next_request_id(),
             id.as_ref().map(cpm_serve::id_tag).unwrap_or_default(),
@@ -463,31 +416,26 @@ impl LineHandler for FleetNode {
         // Join the caller's distributed trace (a replicating leader
         // stamps its pushes) or root a fresh one, so install spans link
         // back across nodes in merged fleet dumps.
-        let (trace_id, parent_span) =
-            cpm_serve::trace_ctx(&v).unwrap_or_else(|| (cpm_obs::ctx::next_span_id(), 0));
+        let (trace_id, parent_span) = fields
+            .trace_ctx()
+            .unwrap_or_else(|| (cpm_obs::ctx::next_span_id(), 0));
         let _tctx = cpm_obs::ctx::with_trace(trace_id, parent_span);
+        let mut w = Response::ok(&id);
         let outcome = {
             let mut sp = cpm_obs::span("serve.request");
             sp.field_str("verb", verb.as_str());
             match verb {
-                Verb::FleetInstall => self.handle_install(&v),
-                _ => Ok(self.handle_info()),
+                Verb::FleetInstall => self.handle_install(line, &mut w),
+                _ => {
+                    self.handle_info(&mut w);
+                    Ok(())
+                }
             }
         };
-        let mut value = match outcome {
-            Ok(Value::Map(mut entries)) => {
-                entries.insert(0, ("ok".to_string(), Value::Bool(true)));
-                Value::Map(entries)
-            }
-            Ok(other) => other,
-            Err(e) => obj(vec![
-                ("ok", Value::Bool(false)),
-                ("error", Value::Str(e.to_string())),
-            ]),
+        let text = match outcome {
+            Ok(()) => w.finish(),
+            Err(e) => Response::error(&id, e),
         };
-        cpm_serve::echo_id(&mut value, &id);
-        let text = serde_json::to_string(&value)
-            .unwrap_or_else(|_| "{\"ok\":false,\"error\":\"serialization failure\"}".to_string());
         let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
         self.service.metrics().record_verb_latency(verb, ns);
         (text, false)

@@ -3,10 +3,12 @@
 //! The [`Router`] owns no parameter sets. It hashes each request's
 //! cluster fingerprint onto the ring, forwards the line to the owning
 //! node over a pooled connection, and relays the response untouched —
-//! the fast path is parse-route-relay with zero re-serialization while
-//! the flight recorder is off; with recording on, each forward attempt
-//! re-serializes once to stamp its span as the downstream trace parent
-//! (see `call_chain`). Failure handling is where the value is:
+//! the fast path is scan-route-relay: the line is scanned for its routing
+//! fields, never parsed into a tree, and forwarded as received; with the
+//! flight recorder on, each forward attempt splices its span in front as
+//! the downstream trace parent (see `call_chain`). Batches and stale
+//! flags are spliced the same way, from spans of the original bytes.
+//! Failure handling is where the value is:
 //!
 //! - per-upstream connect/read timeouts (the pool's [`ClientConfig`]);
 //! - bounded retry with exponential backoff on one upstream, then
@@ -26,12 +28,12 @@ use std::time::Duration;
 
 use cpm_obs::{Counter, Histogram, MetricsRegistry};
 use cpm_reactor::{ClientConfig, ClientPool};
-use cpm_serve::LineHandler;
+use cpm_serve::{Fields, LineHandler, Response};
 use serde_json::Value;
 
 use crate::map::{FleetMap, NodeInfo};
 use crate::ring::Ring;
-use crate::util::{obj, resolve_addr};
+use crate::util::{append_members, field, obj, resolve_addr};
 
 /// Router tuning.
 #[derive(Clone, Debug)]
@@ -148,18 +150,16 @@ impl Router {
         &self.registry
     }
 
-    /// The routing key of one request value: an explicit
-    /// `"fingerprint"`, else the fingerprint of the embedded
-    /// `"config"`.
-    fn routing_key(v: &Value) -> Result<String, String> {
-        if let Some(fp) = v.get("fingerprint").and_then(Value::as_str) {
-            return Ok(fp.to_string());
+    /// The routing key of one request: an explicit `"fingerprint"`, else
+    /// the fingerprint of the embedded `"config"`.
+    fn routing_key(fields: &Fields) -> Result<String, String> {
+        if let Some(fp) = fields.fingerprint.and_then(serde_json::raw_str) {
+            return Ok(fp.into_owned());
         }
-        if let Some(config) = v.get("config") {
-            let json = serde_json::to_string(config).map_err(|e| e.to_string())?;
-            return cpm_serve::fingerprint_json(&json).map_err(|e| e.to_string());
+        if let Some(config) = fields.config {
+            return cpm_serve::fingerprint_json(config).map_err(|e| e.to_string());
         }
-        Err("request carries neither \"fingerprint\" nor \"config\"".into())
+        Err(NO_ROUTING_KEY.into())
     }
 
     /// Upstream indices of a key's owner chain, leader first.
@@ -171,22 +171,16 @@ impl Router {
             .collect()
     }
 
-    /// Calls `v` (pre-serialized as `line`) down an owner chain with
-    /// per-upstream retry and backoff. Returns the raw response and the
-    /// chain rank that served it (0 = leader).
+    /// Calls `line` down an owner chain with per-upstream retry and
+    /// backoff. Returns the raw response and the chain rank that served
+    /// it (0 = leader).
     ///
     /// While the flight recorder is enabled, every attempt opens its own
-    /// `router.forward` span and the forwarded line is re-serialized
-    /// with that span stamped as the downstream trace parent — so
-    /// retries and failovers each appear as distinct child hops in a
-    /// merged fleet trace. With recording off the raw line is relayed
-    /// verbatim (the zero-re-serialization fast path).
-    fn call_chain(
-        &self,
-        chain: &[usize],
-        v: &Value,
-        line: &str,
-    ) -> Result<(String, usize), String> {
+    /// `router.forward` span and the forwarded line carries that span as
+    /// the downstream trace parent — so retries and failovers each appear
+    /// as distinct child hops in a merged fleet trace. With recording off
+    /// the line is relayed verbatim.
+    fn call_chain(&self, chain: &[usize], line: &str) -> Result<(String, usize), String> {
         let mut first = true;
         let mut last_err = "no owners".to_string();
         for (rank, &ui) in chain.iter().enumerate() {
@@ -203,14 +197,7 @@ impl Router {
                 // index in the map stands in for its name.
                 let mut sp = cpm_obs::span("router.forward");
                 sp.field_u64("upstream", ui as u64);
-                let traced_line = if sp.span_id() != 0 {
-                    let mut fv = v.clone();
-                    let (trace_id, _) = cpm_obs::ctx::trace_current();
-                    cpm_serve::inject_trace_ctx(&mut fv, trace_id, sp.span_id());
-                    serde_json::to_string(&fv).ok()
-                } else {
-                    None
-                };
+                let traced_line = crate::util::with_ctx(line, sp.span_id());
                 match up.pool.call(traced_line.as_deref().unwrap_or(line)) {
                     Ok(resp) => {
                         up.forwards.inc();
@@ -229,216 +216,135 @@ impl Router {
 
     /// Marks a follower-served success response `"stale"` and names the
     /// serving replica. Error responses relay unchanged.
-    fn flag_stale(&self, resp: String, rank: usize, chain: &[usize]) -> String {
-        if rank == 0 {
-            return resp;
+    fn flag_stale(&self, resp: &mut String, rank: usize, chain: &[usize]) {
+        if rank > 0 && field(resp, "ok") == Some("true") {
+            self.stale_reads.inc();
+            let served_by = serde_json::to_string(&self.upstreams[chain[rank]].info.name)
+                .expect("a string serializes");
+            append_members(resp, &format!("\"stale\":true,\"served_by\":{served_by}"));
         }
-        let Ok(Value::Map(mut entries)) = serde_json::from_str::<Value>(&resp) else {
-            return resp;
-        };
-        if !entries
-            .iter()
-            .any(|(k, v)| k == "ok" && *v == Value::Bool(true))
-        {
-            return resp;
-        }
-        self.stale_reads.inc();
-        let served_by = self.upstreams[chain[rank]].info.name.clone();
-        entries.push(("stale".to_string(), Value::Bool(true)));
-        entries.push(("served_by".to_string(), Value::Str(served_by)));
-        serde_json::to_string(&Value::Map(entries)).unwrap_or(resp)
-    }
-
-    fn error_response(id: &Option<Value>, msg: &str) -> String {
-        let mut value = obj(vec![
-            ("ok", Value::Bool(false)),
-            ("error", Value::Str(msg.to_string())),
-        ]);
-        // The forwarding path keeps the protocol's contract: even a
-        // synthesized upstream-failure response echoes the request id.
-        cpm_serve::echo_id(&mut value, id);
-        serde_json::to_string(&value).unwrap_or_else(|_| "{\"ok\":false}".to_string())
     }
 
     /// Routes one single-key request (everything except batch/local
     /// verbs).
-    fn route_single(&self, v: &Value, line: &str, id: &Option<Value>) -> String {
-        let key = match Self::routing_key(v) {
+    fn route_single(&self, fields: &Fields, line: &str, id: &Option<Value>) -> String {
+        let key = match Self::routing_key(fields) {
             Ok(k) => k,
-            Err(e) => return Self::error_response(id, &e),
+            Err(e) => return Response::error(id, e),
         };
         let chain = self.owner_chain(&key);
-        match self.call_chain(&chain, v, line) {
-            Ok((resp, rank)) => self.flag_stale(resp, rank, &chain),
-            Err(e) => Self::error_response(id, &format!("shard unavailable for {key}: {e}")),
+        match self.call_chain(&chain, line) {
+            Ok((mut resp, rank)) => {
+                self.flag_stale(&mut resp, rank, &chain);
+                resp
+            }
+            // The forwarding path keeps the protocol's contract: even a
+            // synthesized upstream-failure response echoes the request id.
+            Err(e) => Response::error(id, format!("shard unavailable for {key}: {e}")),
         }
     }
 
     /// Splits a batch by owner chain, forwards per-shard sub-batches,
-    /// and splices the responses back in request order. A group whose
-    /// owners are all down yields per-item error responses (echoing
-    /// each item's id) without failing the rest of the batch.
-    fn route_batch(&self, v: &Value, id: &Option<Value>) -> String {
-        let Some(Value::Seq(items)) = v.get("requests") else {
-            return Self::error_response(id, "batch requires a \"requests\" array");
+    /// and splices the responses back in request order — items and
+    /// sub-responses both travel as spans of the bytes received, never
+    /// re-encoded. A group whose owners are all down yields per-item
+    /// error responses (echoing each item's id) without failing the rest
+    /// of the batch.
+    fn route_batch(&self, fields: &Fields, id: &Option<Value>) -> String {
+        let Some(items) = fields.requests.and_then(serde_json::raw_elements) else {
+            return Response::error(id, "batch requires a \"requests\" array");
         };
         if items.is_empty() {
-            return Self::error_response(id, "batch is empty");
+            return Response::error(id, "batch is empty");
         }
         // Group item indices by owner chain so every group shares one
         // leader and one failover order.
         let mut groups: Vec<(Vec<usize>, Vec<usize>)> = Vec::new(); // (chain, item indices)
-        let mut keyed: Vec<Option<String>> = Vec::with_capacity(items.len());
+        let mut merged: Vec<String> = vec![String::new(); items.len()];
+        let item_id = |i: usize| Fields::scan(items[i]).ok().and_then(|f| f.client_id());
         for (i, item) in items.iter().enumerate() {
-            match Self::routing_key(item) {
+            match Fields::scan(item)
+                .map_err(|_| NO_ROUTING_KEY.to_string())
+                .and_then(|f| Self::routing_key(&f))
+            {
                 Ok(key) => {
                     let chain = self.owner_chain(&key);
                     match groups.iter_mut().find(|(c, _)| *c == chain) {
                         Some((_, idxs)) => idxs.push(i),
                         None => groups.push((chain, vec![i])),
                     }
-                    keyed.push(Some(key));
                 }
-                Err(_) => keyed.push(None),
-            }
-        }
-        let mut merged: Vec<Option<Value>> = vec![None; items.len()];
-        for (i, key) in keyed.iter().enumerate() {
-            if key.is_none() {
-                let item_id = cpm_serve::client_id(&items[i]);
-                let mut e = obj(vec![
-                    ("ok", Value::Bool(false)),
-                    (
-                        "error",
-                        Value::Str(
-                            "request carries neither \"fingerprint\" nor \"config\"".to_string(),
-                        ),
-                    ),
-                ]);
-                cpm_serve::echo_id(&mut e, &item_id);
-                merged[i] = Some(e);
+                Err(e) => merged[i] = Response::error(&item_id(i), e),
             }
         }
         for (chain, idxs) in &groups {
-            let sub = Value::Map(vec![
-                ("verb".to_string(), Value::Str("batch".to_string())),
-                (
-                    "requests".to_string(),
-                    Value::Seq(idxs.iter().map(|&i| items[i].clone()).collect()),
-                ),
-            ]);
-            let sub_line = match serde_json::to_string(&sub) {
-                Ok(l) => l,
-                Err(e) => return Self::error_response(id, &e.to_string()),
-            };
-            match self.call_chain(chain, &sub, &sub_line) {
+            let group: Vec<&str> = idxs.iter().map(|&i| items[i]).collect();
+            let sub_line = format!("{{\"verb\":\"batch\",\"requests\":[{}]}}", group.join(","));
+            match self.call_chain(chain, &sub_line) {
                 Ok((resp, rank)) => {
-                    let responses = serde_json::from_str::<Value>(&resp)
-                        .ok()
-                        .and_then(|rv| match rv.get("responses") {
-                            Some(Value::Seq(rs)) => Some(rs.clone()),
-                            _ => None,
-                        })
+                    let responses = field(&resp, "responses")
+                        .and_then(serde_json::raw_elements)
                         .unwrap_or_default();
                     for (slot, &i) in idxs.iter().enumerate() {
-                        let mut item_resp = responses.get(slot).cloned().unwrap_or_else(|| {
-                            obj(vec![
-                                ("ok", Value::Bool(false)),
-                                (
-                                    "error",
-                                    Value::Str("upstream returned a short batch".to_string()),
-                                ),
-                            ])
-                        });
-                        if rank > 0 {
-                            if let Value::Map(entries) = &mut item_resp {
-                                if entries
-                                    .iter()
-                                    .any(|(k, v)| k == "ok" && *v == Value::Bool(true))
-                                {
-                                    self.stale_reads.inc();
-                                    entries.push(("stale".to_string(), Value::Bool(true)));
-                                    entries.push((
-                                        "served_by".to_string(),
-                                        Value::Str(self.upstreams[chain[rank]].info.name.clone()),
-                                    ));
-                                }
+                        merged[i] = match responses.get(slot) {
+                            Some(r) => {
+                                let mut r = r.to_string();
+                                self.flag_stale(&mut r, rank, chain);
+                                r
                             }
-                        }
-                        merged[i] = Some(item_resp);
+                            None => Response::error(&None, "upstream returned a short batch"),
+                        };
                     }
                 }
                 Err(e) => {
                     for &i in idxs {
-                        let item_id = cpm_serve::client_id(&items[i]);
-                        let mut err = obj(vec![
-                            ("ok", Value::Bool(false)),
-                            ("error", Value::Str(format!("shard unavailable: {e}"))),
-                        ]);
-                        cpm_serve::echo_id(&mut err, &item_id);
-                        merged[i] = Some(err);
+                        merged[i] = Response::error(&item_id(i), format!("shard unavailable: {e}"));
                     }
                 }
             }
         }
-        let responses: Vec<Value> = merged
-            .into_iter()
-            .map(|r| r.expect("every batch slot filled"))
-            .collect();
-        let mut value = obj(vec![
-            ("ok", Value::Bool(true)),
-            ("count", Value::U64(responses.len() as u64)),
-            ("responses", Value::Seq(responses)),
-        ]);
-        cpm_serve::echo_id(&mut value, id);
-        serde_json::to_string(&value).unwrap_or_else(|_| "{\"ok\":false}".to_string())
+        let mut w = Response::ok(id);
+        w.u64("count", merged.len() as u64);
+        w.raw("responses", &format!("[{}]", merged.join(",")));
+        w.finish()
     }
 
     /// Local `stats`: the router's own counters (`format: "text"`
     /// renders the Prometheus exposition of its registry).
-    fn handle_stats(&self, v: &Value, id: &Option<Value>) -> String {
-        let mut value = if v.get("format").and_then(Value::as_str) == Some("text") {
-            obj(vec![
-                ("ok", Value::Bool(true)),
-                ("text", Value::Str(self.registry.exposition())),
-            ])
-        } else {
-            let upstreams: Vec<Value> = self
-                .upstreams
-                .iter()
-                .map(|u| {
-                    obj(vec![
-                        ("name", Value::Str(u.info.name.clone())),
-                        ("addr", Value::Str(u.info.addr.clone())),
-                        ("forwards", Value::U64(u.forwards.get())),
-                        ("errors", Value::U64(u.errors.get())),
-                    ])
-                })
-                .collect();
-            obj(vec![
-                ("ok", Value::Bool(true)),
-                ("role", Value::Str("router".to_string())),
-                ("nodes", Value::U64(self.map.nodes.len() as u64)),
-                (
-                    "replication",
-                    Value::U64(self.map.effective_replication() as u64),
-                ),
-                ("retries", Value::U64(self.retries.get())),
-                ("stale_reads", Value::U64(self.stale_reads.get())),
-                ("failures", Value::U64(self.failures.get())),
-                ("upstreams", Value::Seq(upstreams)),
-            ])
-        };
-        cpm_serve::echo_id(&mut value, id);
-        serde_json::to_string(&value).unwrap_or_else(|_| "{\"ok\":false}".to_string())
+    fn handle_stats(&self, fields: &Fields, id: &Option<Value>) -> String {
+        let mut w = Response::ok(id);
+        if fields.format.and_then(serde_json::raw_str).as_deref() == Some("text") {
+            w.str("text", &self.registry.exposition());
+            return w.finish();
+        }
+        let upstreams: Vec<Value> = self
+            .upstreams
+            .iter()
+            .map(|u| {
+                obj(vec![
+                    ("name", Value::Str(u.info.name.clone())),
+                    ("addr", Value::Str(u.info.addr.clone())),
+                    ("forwards", Value::U64(u.forwards.get())),
+                    ("errors", Value::U64(u.errors.get())),
+                ])
+            })
+            .collect();
+        w.str("role", "router");
+        w.u64("nodes", self.map.nodes.len() as u64);
+        w.u64("replication", self.map.effective_replication() as u64);
+        w.u64("retries", self.retries.get());
+        w.u64("stale_reads", self.stale_reads.get());
+        w.u64("failures", self.failures.get());
+        w.value("upstreams", &Value::Seq(upstreams));
+        w.finish()
     }
 
     /// The fleet trace collector: fans a raw flight-recorder dump out
     /// to every member, merges the dumps (plus the router's own records)
     /// into one multi-process Chrome trace with cross-node flow arrows,
     /// and reports how many nodes answered.
-    fn collect_trace(&self, v: &Value, id: &Option<Value>) -> String {
-        let last = v.get("last").and_then(Value::as_u64).map(|n| n as usize);
+    fn collect_trace(&self, fields: &Fields, id: &Option<Value>) -> String {
+        let last = crate::util::last_of(fields);
         let raw_line = crate::util::raw_trace_line(last);
         let mut nodes: Vec<(String, Vec<cpm_obs::OwnedRecord>)> =
             vec![("router".to_string(), crate::util::own_records(last))];
@@ -456,55 +362,47 @@ impl Router {
             }
         }
         let records: usize = nodes.iter().map(|(_, r)| r.len()).sum();
-        let mut value = obj(vec![
-            ("ok", Value::Bool(true)),
-            ("nodes", Value::U64(nodes.len() as u64)),
-            ("records", Value::U64(records as u64)),
-            ("missing", Value::Seq(missing)),
-            ("trace", cpm_obs::chrome::chrome_trace_fleet(&nodes)),
-        ]);
-        cpm_serve::echo_id(&mut value, id);
-        serde_json::to_string(&value).unwrap_or_else(|_| "{\"ok\":false}".to_string())
+        let mut w = Response::ok(id);
+        w.u64("nodes", nodes.len() as u64);
+        w.u64("records", records as u64);
+        w.value("missing", &Value::Seq(missing));
+        w.value("trace", &cpm_obs::chrome::chrome_trace_fleet(&nodes));
+        w.finish()
     }
 
     fn handle_info(&self, id: &Option<Value>) -> String {
-        let mut value = obj(vec![
-            ("ok", Value::Bool(true)),
-            ("role", Value::Str("router".to_string())),
-            ("nodes", Value::U64(self.map.nodes.len() as u64)),
-            (
-                "replication",
-                Value::U64(self.map.effective_replication() as u64),
-            ),
-            ("vnodes", Value::U64(self.map.vnodes as u64)),
-        ]);
-        cpm_serve::echo_id(&mut value, id);
-        serde_json::to_string(&value).unwrap_or_else(|_| "{\"ok\":false}".to_string())
+        let mut w = Response::ok(id);
+        w.str("role", "router");
+        w.u64("nodes", self.map.nodes.len() as u64);
+        w.u64("replication", self.map.effective_replication() as u64);
+        w.u64("vnodes", self.map.vnodes as u64);
+        w.finish()
     }
 
     fn handle(&self, line: &str) -> (String, bool) {
         let start = std::time::Instant::now();
-        let Ok(v) = serde_json::from_str::<Value>(line) else {
-            return (
-                Self::error_response(&None, "request is not valid JSON"),
-                false,
-            );
+        let fields = match Fields::scan(line) {
+            Ok(fields) => fields,
+            // Valid JSON that is no object has no fields, hence no verb.
+            Err(_) if serde_json::scan_object(line, |_, _| ()).is_ok() => Fields::default(),
+            Err(_) => return (Response::error(&None, "request is not valid JSON"), false),
         };
-        let id = cpm_serve::client_id(&v);
+        let id = fields.client_id();
         let _ctx = cpm_obs::ctx::with_request(
             cpm_obs::next_request_id(),
             id.as_ref().map(cpm_serve::id_tag).unwrap_or_default(),
         );
         // Join the caller's trace or root a fresh one; forwarded lines
         // carry this id so member spans merge into the same trace.
-        let (trace_id, parent_span) =
-            cpm_serve::trace_ctx(&v).unwrap_or_else(|| (cpm_obs::ctx::next_span_id(), 0));
+        let (trace_id, parent_span) = fields
+            .trace_ctx()
+            .unwrap_or_else(|| (cpm_obs::ctx::next_span_id(), 0));
         let _tctx = cpm_obs::ctx::with_trace(trace_id, parent_span);
-        let verb = v.get("verb").and_then(Value::as_str).unwrap_or("");
+        let verb = fields.verb().unwrap_or_default();
         let mut sp = cpm_obs::span("router.request");
         sp.field_str(
             "verb",
-            match verb {
+            match &*verb {
                 "predict" => "predict",
                 "select" => "select",
                 "estimate" => "estimate",
@@ -520,32 +418,26 @@ impl Router {
                 _ => "other",
             },
         );
-        let out = match verb {
-            "" => (Self::error_response(&id, "missing verb"), false),
-            "stats" => (self.handle_stats(&v, &id), false),
+        let out = match &*verb {
+            "" => (Response::error(&id, "missing verb"), false),
+            "stats" => (self.handle_stats(&fields, &id), false),
             "fleet-info" => (self.handle_info(&id), false),
             "shutdown" => {
-                let mut value = obj(vec![
-                    ("ok", Value::Bool(true)),
-                    ("shutting_down", Value::Bool(true)),
-                ]);
-                cpm_serve::echo_id(&mut value, &id);
-                (
-                    serde_json::to_string(&value).unwrap_or_else(|_| "{\"ok\":true}".to_string()),
-                    true,
-                )
+                let mut w = Response::ok(&id);
+                w.bool("shutting_down", true);
+                (w.finish(), true)
             }
-            "batch" => (self.route_batch(&v, &id), false),
-            "trace" => (self.collect_trace(&v, &id), false),
+            "batch" => (self.route_batch(&fields, &id), false),
+            "trace" => (self.collect_trace(&fields, &id), false),
             "fleet-install" => (
-                Self::error_response(&id, "fleet-install is node-to-node, not routable"),
+                Response::error(&id, "fleet-install is node-to-node, not routable"),
                 false,
             ),
             "predict" | "select" | "estimate" | "plan" | "history" | "observe" | "drift-status" => {
-                (self.route_single(&v, line, &id), false)
+                (self.route_single(&fields, line, &id), false)
             }
             other => (
-                Self::error_response(&id, &format!("unknown verb {other:?}")),
+                Response::error(&id, format!("unknown verb {other:?}")),
                 false,
             ),
         };
@@ -554,6 +446,8 @@ impl Router {
         out
     }
 }
+
+const NO_ROUTING_KEY: &str = "request carries neither \"fingerprint\" nor \"config\"";
 
 impl LineHandler for Router {
     fn handle_line(&self, line: &str) -> (String, bool) {

@@ -19,6 +19,51 @@ pub fn obj(entries: Vec<(&str, Value)>) -> Value {
     )
 }
 
+/// The first top-level member `key` of a JSON object, as written; `None`
+/// when `text` is not a JSON object or has no such member.
+pub fn field<'a>(text: &'a str, key: &str) -> Option<&'a str> {
+    let mut found = None;
+    serde_json::scan_object(text, |k, raw| {
+        if found.is_none() && k == key {
+            found = Some(raw);
+        }
+    })
+    .ok()?;
+    found
+}
+
+/// Appends already rendered members (`"k":v,"k":v`) to a rendered,
+/// non-empty JSON object.
+pub fn append_members(object: &mut String, members: &str) {
+    object.truncate(object.trim_end().len() - 1);
+    object.push(',');
+    object.push_str(members);
+    object.push('}');
+}
+
+/// `line` — a non-empty JSON object — with the current trace and
+/// `parent_span` put first as its `"ctx"`, where they override any
+/// context the line already carries (the first occurrence of a key
+/// counts). `None` while nothing is being traced: relay `line` itself.
+pub fn with_ctx(line: &str, parent_span: u64) -> Option<String> {
+    let (trace_id, _) = cpm_obs::ctx::trace_current();
+    if parent_span == 0 || trace_id == 0 {
+        return None;
+    }
+    Some(format!(
+        "{{\"ctx\":{{\"trace\":\"{}\",\"parent\":\"{}\"}},{}",
+        cpm_obs::wire::hex16(trace_id),
+        cpm_obs::wire::hex16(parent_span),
+        line.trim_start().strip_prefix('{')?
+    ))
+}
+
+/// The `"last"` bound of a `trace` request (newest N records), if any.
+pub fn last_of(fields: &cpm_serve::Fields) -> Option<usize> {
+    let n = serde_json::raw_number(fields.last?)?.as_u64()?;
+    Some(n as usize)
+}
+
 /// Resolves a `host:port` string to its first socket address.
 pub fn resolve_addr(addr: &str) -> Result<SocketAddr, String> {
     addr.to_socket_addrs()

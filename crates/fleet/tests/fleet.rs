@@ -464,3 +464,62 @@ fn stats_text_is_a_valid_prometheus_exposition_covering_fleet() {
     handle.shutdown();
     let _ = std::fs::remove_dir_all(&tmp);
 }
+
+/// A node whose answer cannot be written as JSON (a stored parameter
+/// that reads back as infinity) still names the request in its
+/// `"serialization failure"` fallback — relayed reads pipeline, so an
+/// id-less line would be unmatchable — and the node's own `estimate`
+/// gate and fleet verbs echo ids through the same writer.
+#[test]
+fn member_fallbacks_and_refusals_echo_the_client_id() {
+    use cpm_fleet::FleetNode;
+    use cpm_serve::{LineHandler, Service};
+    use std::sync::Arc;
+
+    let tmp = temp_dir("nonfinite");
+    let map = FleetMap::new(&["127.0.0.1:1".to_string()], 1, 64);
+    let member = |service: Arc<Service>| {
+        let inner: Arc<dyn LineHandler> = Arc::clone(&service) as Arc<dyn LineHandler>;
+        FleetNode::new(
+            service,
+            inner,
+            map.clone(),
+            "node-0",
+            ClientConfig::default(),
+        )
+        .unwrap()
+    };
+    let (config, fp) = tenant(53);
+    let first = Arc::new(Service::open(&tmp, test_service_cfg(5)).unwrap());
+    let (text, _) = member(Arc::clone(&first)).handle_line(&estimate_line(&config_json(&config)));
+    assert!(text.starts_with("{\"ok\":true,"), "{text}");
+    // Poison the stored LMO `C[0]` and load it into a fresh member.
+    let path = first.registry().path_for(&fp);
+    let mut stored = std::fs::read_to_string(&path).unwrap();
+    let start = stored.find("\"c\": [").expect("lmo.c in the store") + "\"c\": [".len();
+    let end = start + stored[start..].find(',').unwrap();
+    stored.replace_range(start..end, "1e999");
+    std::fs::write(&path, stored).unwrap();
+    drop(first);
+    let node = member(Arc::new(Service::open(&tmp, test_service_cfg(5)).unwrap()));
+
+    let (text, _) = node.handle_line(&predict_line(&fp, "nf-7"));
+    assert_eq!(
+        text,
+        "{\"ok\":false,\"id\":\"nf-7\",\"error\":\"serialization failure\"}"
+    );
+    let (text, _) = node.handle_line("{\"verb\":\"fleet-info\",\"id\":8}");
+    assert_eq!(
+        text,
+        "{\"ok\":true,\"id\":8,\"node\":\"node-0\",\"role\":\"fleet-node\",\"nodes\":1,\
+         \"replication\":1,\"vnodes\":64}"
+    );
+    let (text, _) = node.handle_line("{\"verb\":\"fleet-install\",\"id\":\"i-9\"}");
+    assert_eq!(
+        text,
+        "{\"ok\":false,\"id\":\"i-9\",\"error\":\"protocol error: missing field \\\"set\\\"\"}"
+    );
+    let (text, _) = node.handle_line("{\"verb\":\"estimate\",\"id\":[1],\"config\":7,\"id\":2}");
+    assert!(text.starts_with("{\"ok\":false,\"error\":"), "{text}");
+    let _ = std::fs::remove_dir_all(&tmp);
+}

@@ -33,8 +33,7 @@ pub mod server;
 pub mod service;
 
 pub use protocol::{
-    client_id, echo_id, handle_line, id_tag, inject_trace_ctx, parse_request, parse_request_value,
-    trace_ctx, BatchItem, Request, MAX_BATCH,
+    handle_line, id_tag, parse_request, BatchItem, Fields, Request, Response, MAX_BATCH,
 };
 pub use registry::{
     fingerprint, fingerprint_json, Lineage, ParamSet, Registry, ResidualSummary, Result,

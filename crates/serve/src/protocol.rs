@@ -60,13 +60,27 @@
 //! its own trace root with a fresh trace id. The binary framing carries
 //! the same JSON payload, so the context propagates identically on both
 //! wires.
+//!
+//! # The request path
+//!
+//! No JSON tree is built for a request or for its response. A line is
+//! *scanned* once ([`Fields::scan`]): the vendored parser validates it and
+//! yields the top-level members as borrowed spans of the line. The typed
+//! [`Request`] is decoded from those spans in place; only a sub-document
+//! a verb really consumes is parsed into a tree — `config`, `trace`, and
+//! nothing else. The answer is streamed by a [`Response`] straight into
+//! the output line. Wrappers around the core protocol (drift, fleet node,
+//! router) use the same two pieces, so every hop scans and none re-parses.
+
+use std::borrow::Cow;
+use std::fmt::{self, Write as _};
 
 use cpm_cluster::ClusterConfig;
 use serde_json::Value;
 
 use crate::registry::{Result, ServeError};
 use crate::service::{
-    Algorithm, ClusterRef, Collective, Fidelity, ModelKind, Query, Service, Verb,
+    render_members, Algorithm, ClusterRef, Collective, Fidelity, ModelKind, Query, Service, Verb,
 };
 
 /// A parsed request.
@@ -174,188 +188,278 @@ fn bad(msg: impl Into<String>) -> ServeError {
     ServeError::Protocol(msg.into())
 }
 
-fn str_field<'a>(v: &'a Value, key: &str) -> Result<&'a str> {
-    v.get(key)
-        .and_then(Value::as_str)
+macro_rules! request_fields {
+    ($($key:ident),+) => {
+        /// The top-level members of one request object the protocol reads,
+        /// each as the span of the line holding its value — exactly as
+        /// written, undecoded. Of a repeated key the first occurrence
+        /// counts; members under any other key are validated and ignored.
+        #[derive(Clone, Copy, Debug, Default)]
+        pub struct Fields<'a> {
+            $(
+                #[doc = concat!("The `\"", stringify!($key), "\"` member.")]
+                pub $key: Option<&'a str>,
+            )+
+        }
+
+        impl<'a> Fields<'a> {
+            fn slot(&mut self, key: &str) -> Option<&mut Option<&'a str>> {
+                match key {
+                    $(stringify!($key) => Some(&mut self.$key),)+
+                    _ => None,
+                }
+            }
+        }
+    };
+}
+
+request_fields!(
+    verb,
+    id,
+    ctx,
+    config,
+    fingerprint,
+    model,
+    collective,
+    algorithm,
+    m,
+    root,
+    fidelity,
+    trace,
+    requests,
+    format,
+    last,
+    raw
+);
+
+/// A required string field.
+fn text<'a>(raw: Option<&'a str>, key: &str) -> Result<Cow<'a, str>> {
+    raw.and_then(serde_json::raw_str)
         .ok_or_else(|| bad(format!("missing or non-string field {key:?}")))
 }
 
-fn u64_field(v: &Value, key: &str) -> Result<u64> {
-    v.get(key)
-        .and_then(Value::as_u64)
+/// A string field that may be absent.
+fn optional_text<'a>(raw: Option<&'a str>, key: &str) -> Result<Option<Cow<'a, str>>> {
+    raw.map(|raw| {
+        serde_json::raw_str(raw).ok_or_else(|| bad(format!("field {key:?} must be a string")))
+    })
+    .transpose()
+}
+
+fn as_u64(raw: &str) -> Option<u64> {
+    serde_json::raw_number(raw)?.as_u64()
+}
+
+/// A required non-negative integer field.
+fn uint(raw: Option<&str>, key: &str) -> Result<u64> {
+    raw.and_then(as_u64)
         .ok_or_else(|| bad(format!("missing or non-integer field {key:?}")))
 }
 
-fn root_field(v: &Value) -> Result<u32> {
-    match v.get("root") {
-        None => Ok(0),
-        Some(r) => r
-            .as_u64()
-            .and_then(|x| u32::try_from(x).ok())
-            .ok_or_else(|| bad("field \"root\" must be a small non-negative integer")),
+impl<'a> Fields<'a> {
+    /// Scans one request: validates the whole text as JSON and records
+    /// where the protocol's fields are, building no tree.
+    pub fn scan(text: &'a str) -> Result<Fields<'a>> {
+        let mut fields = Fields::default();
+        let is_object = serde_json::scan_object(text, |key, raw| {
+            if let Some(slot @ None) = fields.slot(&key) {
+                *slot = Some(raw);
+            }
+        })
+        .map_err(|e| bad(format!("bad json: {e}")))?;
+        if !is_object {
+            return Err(bad("request must be a json object"));
+        }
+        Ok(fields)
     }
-}
 
-fn cluster_field(v: &Value) -> Result<ClusterRef> {
-    match (v.get("config"), v.get("fingerprint")) {
-        (Some(cfg), None) => {
-            let config: ClusterConfig = serde_json::from_value(cfg.clone())
-                .map_err(|e| bad(format!("bad \"config\": {e}")))?;
-            Ok(ClusterRef::Config(Box::new(config)))
+    /// The request's `"verb"`, when it is a string.
+    pub fn verb(&self) -> Option<Cow<'a, str>> {
+        self.verb.and_then(serde_json::raw_str)
+    }
+
+    /// The scalar client `"id"` (string or integer), if present. An id
+    /// of any other type is not an id and is not echoed.
+    pub fn client_id(&self) -> Option<Value> {
+        let raw = self.id?;
+        match serde_json::raw_str(raw) {
+            Some(s) => Some(Value::Str(s.into_owned())),
+            None => serde_json::raw_number(raw).filter(|n| !matches!(n, Value::F64(_))),
         }
-        (None, Some(fp)) => {
-            let fp = fp
-                .as_str()
-                .ok_or_else(|| bad("field \"fingerprint\" must be a string"))?;
-            Ok(ClusterRef::Fingerprint(fp.to_string()))
+    }
+
+    /// The wire trace context: `"ctx": {"trace": "<hex16>", "parent":
+    /// "<hex16>"}`. Returns `(trace id, parent span id)`; `None` when
+    /// absent or malformed (a bad context is ignored rather than failing
+    /// the request — tracing is best-effort).
+    pub fn trace_ctx(&self) -> Option<(u64, u64)> {
+        let (mut trace, mut parent) = (None, None);
+        serde_json::scan_object(self.ctx?, |key, raw| match &*key {
+            "trace" if trace.is_none() => trace = Some(raw),
+            "parent" if parent.is_none() => parent = Some(raw),
+            _ => {}
+        })
+        .ok()?;
+        let hex16 = |raw: Option<&str>| {
+            raw.and_then(serde_json::raw_str)
+                .and_then(|s| cpm_obs::wire::parse_hex16(&s))
+        };
+        Some((hex16(trace)?, hex16(parent).unwrap_or(0)))
+    }
+
+    fn cluster(&self) -> Result<ClusterRef> {
+        match (self.config, self.fingerprint) {
+            (Some(cfg), None) => serde_json::from_str::<ClusterConfig>(cfg)
+                .map(|config| ClusterRef::Config(Box::new(config)))
+                .map_err(|e| bad(format!("bad \"config\": {e}"))),
+            (None, Some(fp)) => serde_json::raw_str(fp)
+                .map(|fp| ClusterRef::Fingerprint(fp.into_owned()))
+                .ok_or_else(|| bad("field \"fingerprint\" must be a string")),
+            (Some(_), Some(_)) => Err(bad("supply either \"config\" or \"fingerprint\", not both")),
+            (None, None) => Err(bad("missing cluster: supply \"config\" or \"fingerprint\"")),
         }
-        (Some(_), Some(_)) => Err(bad("supply either \"config\" or \"fingerprint\", not both")),
-        (None, None) => Err(bad("missing cluster: supply \"config\" or \"fingerprint\"")),
+    }
+
+    fn root(&self) -> Result<u32> {
+        match self.root {
+            None => Ok(0),
+            Some(raw) => as_u64(raw)
+                .and_then(|x| u32::try_from(x).ok())
+                .ok_or_else(|| bad("field \"root\" must be a small non-negative integer")),
+        }
+    }
+
+    /// Decodes the typed request. Fields are checked in a fixed order, so
+    /// a request wrong in several ways always reports the same one.
+    pub fn parse(&self) -> Result<Request> {
+        match &*text(self.verb, "verb")? {
+            "predict" => Ok(Request::Predict {
+                cluster: self.cluster()?,
+                query: Query {
+                    model: ModelKind::parse(&text(self.model, "model")?)?,
+                    collective: Collective::parse(&text(self.collective, "collective")?)?,
+                    algorithm: Algorithm::parse(&text(self.algorithm, "algorithm")?)?,
+                    m: uint(self.m, "m")?,
+                    root: self.root()?,
+                },
+            }),
+            "select" => Ok(Request::Select {
+                cluster: self.cluster()?,
+                model: ModelKind::parse(&text(self.model, "model")?)?,
+                collective: Collective::parse(&text(self.collective, "collective")?)?,
+                m: uint(self.m, "m")?,
+                root: self.root()?,
+            }),
+            "estimate" => {
+                let ClusterRef::Config(config) = self.cluster()? else {
+                    return Err(bad("estimate requires an embedded \"config\""));
+                };
+                Ok(Request::Estimate { config })
+            }
+            "plan" => {
+                // The hierarchical model is not one of the registry's
+                // flat parameter families — it is derived per request
+                // from an embedded hierarchical config.
+                let (model, hier) = match optional_text(self.model, "model")?.as_deref() {
+                    None => (ModelKind::Lmo, false),
+                    Some("lmo-hier") => (ModelKind::Lmo, true),
+                    Some(s) => (ModelKind::parse(s)?, false),
+                };
+                let fidelity = match optional_text(self.fidelity, "fidelity")? {
+                    None => Fidelity::Analytic,
+                    Some(s) => Fidelity::parse(&s)?,
+                };
+                let trace = self.trace.ok_or_else(|| bad("missing field \"trace\""))?;
+                // The one sub-document `plan` consumes whole: a tree.
+                let trace = serde_json::parse(trace)
+                    .map_err(|e| e.to_string())
+                    .and_then(|v| cpm_workload::Trace::from_value(&v).map_err(|e| e.to_string()))
+                    .map_err(|e| bad(format!("bad \"trace\": {e}")))?;
+                Ok(Request::Plan {
+                    cluster: self.cluster()?,
+                    model,
+                    hier,
+                    fidelity,
+                    trace: Box::new(trace),
+                })
+            }
+            "batch" => {
+                let items = self
+                    .requests
+                    .and_then(serde_json::raw_elements)
+                    .ok_or_else(|| bad("batch needs a \"requests\" array"))?;
+                if items.is_empty() {
+                    return Err(bad("batch \"requests\" must not be empty"));
+                }
+                if items.len() > MAX_BATCH {
+                    return Err(bad(format!(
+                        "batch of {} requests exceeds the limit of {MAX_BATCH}",
+                        items.len()
+                    )));
+                }
+                let requests = items
+                    .iter()
+                    .enumerate()
+                    .map(|(i, item)| {
+                        // An element goes the way of a whole line.
+                        let nth = |e: ServeError| bad(format!("batch request {i}: {e}"));
+                        let fields = Fields::scan(item).map_err(nth)?;
+                        match fields.parse().map_err(nth)? {
+                            request @ (Request::Predict { .. }
+                            | Request::Select { .. }
+                            | Request::Plan { .. }) => Ok(BatchItem {
+                                id: fields.client_id(),
+                                request,
+                            }),
+                            _ => Err(bad(format!(
+                                "batch request {i}: only predict|select|plan may be batched"
+                            ))),
+                        }
+                    })
+                    .collect::<Result<Vec<BatchItem>>>()?;
+                Ok(Request::Batch { requests })
+            }
+            "history" => Ok(Request::History {
+                fingerprint: text(self.fingerprint, "fingerprint")?.into_owned(),
+            }),
+            "stats" => {
+                let text = match self.format.map(serde_json::raw_str) {
+                    None => false,
+                    Some(Some(s)) if s == "json" => false,
+                    Some(Some(s)) if s == "text" => true,
+                    Some(_) => return Err(bad("field \"format\" must be \"json\" or \"text\"")),
+                };
+                Ok(Request::Stats { text })
+            }
+            "trace" => {
+                let last = match self.last {
+                    None => None,
+                    Some(raw) => Some(
+                        as_u64(raw)
+                            .and_then(|x| usize::try_from(x).ok())
+                            .filter(|&x| x > 0)
+                            .ok_or_else(|| bad("field \"last\" must be a positive integer"))?,
+                    ),
+                };
+                let raw = match self.raw {
+                    None | Some("false") => false,
+                    Some("true") => true,
+                    Some(_) => return Err(bad("field \"raw\" must be a boolean")),
+                };
+                Ok(Request::Trace { last, raw })
+            }
+            "shutdown" => Ok(Request::Shutdown),
+            other => Err(bad(format!(
+                "unknown verb {other:?} (expected predict|select|estimate|plan|batch|\
+                 history|stats|trace|shutdown)"
+            ))),
+        }
     }
 }
 
 /// Parses one request line.
 pub fn parse_request(line: &str) -> Result<Request> {
-    let v: Value = serde_json::from_str(line).map_err(|e| bad(format!("bad json: {e}")))?;
-    parse_request_value(&v)
-}
-
-/// Parses one request object (already decoded JSON) — the entry point
-/// batch elements share with top-level lines.
-pub fn parse_request_value(v: &Value) -> Result<Request> {
-    if !matches!(v, Value::Map(_)) {
-        return Err(bad("request must be a json object"));
-    }
-    match str_field(v, "verb")? {
-        "predict" => Ok(Request::Predict {
-            cluster: cluster_field(v)?,
-            query: Query {
-                model: ModelKind::parse(str_field(v, "model")?)?,
-                collective: Collective::parse(str_field(v, "collective")?)?,
-                algorithm: Algorithm::parse(str_field(v, "algorithm")?)?,
-                m: u64_field(v, "m")?,
-                root: root_field(v)?,
-            },
-        }),
-        "select" => Ok(Request::Select {
-            cluster: cluster_field(v)?,
-            model: ModelKind::parse(str_field(v, "model")?)?,
-            collective: Collective::parse(str_field(v, "collective")?)?,
-            m: u64_field(v, "m")?,
-            root: root_field(v)?,
-        }),
-        "estimate" => {
-            let ClusterRef::Config(config) = cluster_field(v)? else {
-                return Err(bad("estimate requires an embedded \"config\""));
-            };
-            Ok(Request::Estimate { config })
-        }
-        "plan" => {
-            let (model, hier) = match v.get("model") {
-                None => (ModelKind::Lmo, false),
-                Some(m) => {
-                    let s = m
-                        .as_str()
-                        .ok_or_else(|| bad("field \"model\" must be a string"))?;
-                    // The hierarchical model is not one of the registry's
-                    // flat parameter families — it is derived per request
-                    // from an embedded hierarchical config.
-                    if s == "lmo-hier" {
-                        (ModelKind::Lmo, true)
-                    } else {
-                        (ModelKind::parse(s)?, false)
-                    }
-                }
-            };
-            let fidelity = match v.get("fidelity") {
-                None => Fidelity::Analytic,
-                Some(f) => Fidelity::parse(
-                    f.as_str()
-                        .ok_or_else(|| bad("field \"fidelity\" must be a string"))?,
-                )?,
-            };
-            let trace = v
-                .get("trace")
-                .ok_or_else(|| bad("missing field \"trace\""))?;
-            let trace = cpm_workload::Trace::from_value(trace)
-                .map_err(|e| bad(format!("bad \"trace\": {e}")))?;
-            Ok(Request::Plan {
-                cluster: cluster_field(v)?,
-                model,
-                hier,
-                fidelity,
-                trace: Box::new(trace),
-            })
-        }
-        "batch" => {
-            let Some(Value::Seq(items)) = v.get("requests") else {
-                return Err(bad("batch needs a \"requests\" array"));
-            };
-            if items.is_empty() {
-                return Err(bad("batch \"requests\" must not be empty"));
-            }
-            if items.len() > MAX_BATCH {
-                return Err(bad(format!(
-                    "batch of {} requests exceeds the limit of {MAX_BATCH}",
-                    items.len()
-                )));
-            }
-            let requests = items
-                .iter()
-                .enumerate()
-                .map(|(i, item)| {
-                    let req = parse_request_value(item)
-                        .map_err(|e| bad(format!("batch request {i}: {e}")))?;
-                    match req {
-                        Request::Predict { .. } | Request::Select { .. } | Request::Plan { .. } => {
-                            Ok(BatchItem {
-                                id: client_id(item),
-                                request: req,
-                            })
-                        }
-                        _ => Err(bad(format!(
-                            "batch request {i}: only predict|select|plan may be batched"
-                        ))),
-                    }
-                })
-                .collect::<Result<Vec<BatchItem>>>()?;
-            Ok(Request::Batch { requests })
-        }
-        "history" => Ok(Request::History {
-            fingerprint: str_field(v, "fingerprint")?.to_string(),
-        }),
-        "stats" => {
-            let text = match v.get("format") {
-                None => false,
-                Some(Value::Str(s)) if s == "json" => false,
-                Some(Value::Str(s)) if s == "text" => true,
-                Some(_) => return Err(bad("field \"format\" must be \"json\" or \"text\"")),
-            };
-            Ok(Request::Stats { text })
-        }
-        "trace" => {
-            let last = match v.get("last") {
-                None => None,
-                Some(n) => Some(
-                    n.as_u64()
-                        .and_then(|x| usize::try_from(x).ok())
-                        .filter(|&x| x > 0)
-                        .ok_or_else(|| bad("field \"last\" must be a positive integer"))?,
-                ),
-            };
-            let raw = match v.get("raw") {
-                None => false,
-                Some(Value::Bool(b)) => *b,
-                Some(_) => return Err(bad("field \"raw\" must be a boolean")),
-            };
-            Ok(Request::Trace { last, raw })
-        }
-        "shutdown" => Ok(Request::Shutdown),
-        other => Err(bad(format!(
-            "unknown verb {other:?} (expected predict|select|estimate|plan|batch|\
-             history|stats|trace|shutdown)"
-        ))),
-    }
+    Fields::scan(line)?.parse()
 }
 
 /// Upper bound on the number of requests in one `batch`. Keeps a single
@@ -372,81 +476,147 @@ fn obj(entries: Vec<(&str, Value)>) -> Value {
     )
 }
 
-/// Extracts a scalar client `"id"` (string or integer) from a request
-/// object, if present.
-pub fn client_id(v: &Value) -> Option<Value> {
-    match v.get("id") {
-        Some(id @ (Value::Str(_) | Value::U64(_) | Value::I64(_))) => Some(id.clone()),
-        _ => None,
-    }
-}
-
 /// The flight-recorder tag of a client id (its textual form, truncated
 /// to the 16 bytes stored inline in recorder slots).
 pub fn id_tag(id: &Value) -> [u8; 16] {
+    /// The first 20 bytes written — room for any 64-bit integer.
+    struct Short([u8; 20], usize);
+    impl fmt::Write for Short {
+        fn write_str(&mut self, s: &str) -> fmt::Result {
+            let n = s.len().min(self.0.len() - self.1);
+            self.0[self.1..self.1 + n].copy_from_slice(&s.as_bytes()[..n]);
+            self.1 += n;
+            Ok(())
+        }
+    }
     match id {
         Value::Str(s) => cpm_obs::ctx::tag16(s),
-        other => cpm_obs::ctx::tag16(&serde_json::to_string(other).unwrap_or_default()),
-    }
-}
-
-/// Echoes the client id into a response object, right after `"ok"`.
-pub fn echo_id(value: &mut Value, id: &Option<Value>) {
-    if let (Value::Map(entries), Some(id)) = (value, id) {
-        let at = usize::from(entries.first().is_some_and(|(k, _)| k == "ok"));
-        entries.insert(at, ("id".to_string(), id.clone()));
-    }
-}
-
-/// Extracts the wire trace context from a request object: `"ctx":
-/// {"trace": "<hex16>", "parent": "<hex16>"}`. Returns `(trace id,
-/// parent span id)`; `None` when absent or malformed (a bad context is
-/// ignored rather than failing the request — tracing is best-effort).
-pub fn trace_ctx(v: &Value) -> Option<(u64, u64)> {
-    let ctx = v.get("ctx")?;
-    let trace = ctx
-        .get("trace")
-        .and_then(Value::as_str)
-        .and_then(cpm_obs::wire::parse_hex16)?;
-    let parent = ctx
-        .get("parent")
-        .and_then(Value::as_str)
-        .and_then(cpm_obs::wire::parse_hex16)
-        .unwrap_or(0);
-    Some((trace, parent))
-}
-
-/// Injects (or replaces) the wire trace context on a request object —
-/// what a relay hop does before forwarding, so downstream spans parent
-/// to the relay's own span.
-pub fn inject_trace_ctx(v: &mut Value, trace_id: u64, parent_span: u64) {
-    if trace_id == 0 {
-        return;
-    }
-    let ctx = obj(vec![
-        ("trace", Value::Str(cpm_obs::wire::hex16(trace_id))),
-        ("parent", Value::Str(cpm_obs::wire::hex16(parent_span))),
-    ]);
-    if let Value::Map(entries) = v {
-        if let Some(slot) = entries.iter_mut().find(|(k, _)| k == "ctx") {
-            slot.1 = ctx;
-        } else {
-            entries.push(("ctx".to_string(), ctx));
+        number => {
+            let mut digits = Short([0; 20], 0);
+            let _ = serde::json::write_value(&mut digits, number);
+            cpm_obs::ctx::tag16(std::str::from_utf8(&digits.0[..digits.1]).unwrap_or(""))
         }
     }
 }
 
-/// Executes a request against the service, producing the response body
-/// (without the `"ok"` field — [`handle_line`] adds it).
-pub fn respond(service: &Service, req: &Request) -> Result<Value> {
+/// Streams one response object into the line that carries it: the
+/// `{"ok":…` head with the echoed client id, then each field as it is
+/// known. Field order is the order of the calls.
+///
+/// JSON cannot carry a non-finite number. If one is written, the whole
+/// response is withdrawn and [`Response::finish`] answers `{"ok":false,
+/// "id":…,"error":"serialization failure"}` in its place.
+pub struct Response<'a> {
+    id: &'a Option<Value>,
+    out: String,
+    failed: bool,
+}
+
+impl<'a> Response<'a> {
+    fn start(ok: bool, id: &'a Option<Value>) -> Response<'a> {
+        let mut response = Response {
+            id,
+            // Room for a whole `predict` or `select` answer.
+            out: String::with_capacity(192),
+            failed: false,
+        };
+        response.open(ok, id);
+        response
+    }
+
+    /// Opens a success response echoing `id`.
+    pub fn ok(id: &'a Option<Value>) -> Response<'a> {
+        Response::start(true, id)
+    }
+
+    /// A complete error response echoing `id`.
+    pub fn error(id: &Option<Value>, msg: impl fmt::Display) -> String {
+        let mut response = Response::start(false, id);
+        response.str("error", &msg.to_string());
+        response.finish()
+    }
+
+    fn open(&mut self, ok: bool, id: &Option<Value>) {
+        self.out
+            .push_str(if ok { "{\"ok\":true" } else { "{\"ok\":false" });
+        if let Some(id) = id {
+            self.value("id", id);
+        }
+    }
+
+    fn key(&mut self, key: &str) {
+        self.out.push(',');
+        let _ = serde::json::write_str(&mut self.out, key);
+        self.out.push(':');
+    }
+
+    /// Appends a string field.
+    pub fn str(&mut self, key: &str, v: &str) {
+        self.key(key);
+        let _ = serde::json::write_str(&mut self.out, v);
+    }
+
+    /// Appends an integer field.
+    pub fn u64(&mut self, key: &str, v: u64) {
+        self.key(key);
+        let _ = write!(self.out, "{v}");
+    }
+
+    /// Appends a float field, in the shortest form that round-trips.
+    pub fn f64(&mut self, key: &str, v: f64) {
+        self.value(key, &Value::F64(v));
+    }
+
+    /// Appends a boolean field.
+    pub fn bool(&mut self, key: &str, v: bool) {
+        self.key(key);
+        self.out.push_str(if v { "true" } else { "false" });
+    }
+
+    /// Appends a field holding a JSON tree — for the verbs whose answers
+    /// are built as one.
+    pub fn value(&mut self, key: &str, v: &Value) {
+        self.key(key);
+        self.failed |= serde_json::write_value(&mut self.out, v).is_err();
+    }
+
+    /// Appends a field whose value is already JSON text.
+    pub fn raw(&mut self, key: &str, json: &str) {
+        self.key(key);
+        self.out.push_str(json);
+    }
+
+    /// Appends already rendered members (`"k":v,"k":v`).
+    pub fn members(&mut self, rendered: &str) {
+        if !rendered.is_empty() {
+            // Room for the separator and the closing brace too: a large
+            // body then grows the line once, not twice.
+            self.out.reserve(rendered.len() + 2);
+            self.out.push(',');
+            self.out.push_str(rendered);
+        }
+    }
+
+    /// Closes the object and returns the line.
+    pub fn finish(mut self) -> String {
+        if self.failed {
+            return Response::error(self.id, "serialization failure");
+        }
+        self.out.push('}');
+        self.out
+    }
+}
+
+/// Executes a request against the service, streaming the response fields
+/// into `w` (whose `"ok"` head the caller has written). On an error
+/// whatever was written is the caller's to discard.
+fn respond(service: &Service, req: &Request, w: &mut Response) -> Result<()> {
     match req {
         Request::Predict { cluster, query } => {
             let p = service.predict(cluster, query)?;
-            Ok(obj(vec![
-                ("seconds", Value::F64(p.seconds)),
-                ("fingerprint", Value::Str(p.fingerprint)),
-                ("cached", Value::Bool(p.cached)),
-            ]))
+            w.f64("seconds", p.seconds);
+            w.str("fingerprint", &p.fingerprint);
+            w.bool("cached", p.cached);
         }
         Request::Select {
             cluster,
@@ -457,20 +627,16 @@ pub fn respond(service: &Service, req: &Request) -> Result<Value> {
         } => {
             let (choice, linear, binomial) =
                 service.select(cluster, *model, *collective, *m, *root)?;
-            Ok(obj(vec![
-                ("algorithm", Value::Str(choice.as_str().to_string())),
-                ("linear_seconds", Value::F64(linear)),
-                ("binomial_seconds", Value::F64(binomial)),
-            ]))
+            w.str("algorithm", choice.as_str());
+            w.f64("linear_seconds", linear);
+            w.f64("binomial_seconds", binomial);
         }
         Request::Estimate { config } => {
             let ps = service.param_set(&ClusterRef::Config(config.clone()))?;
-            Ok(obj(vec![
-                ("fingerprint", Value::Str(ps.fingerprint.clone())),
-                ("n", Value::U64(ps.n() as u64)),
-                ("runs", Value::U64(ps.runs as u64)),
-                ("virtual_cost_seconds", Value::F64(ps.virtual_cost)),
-            ]))
+            w.str("fingerprint", &ps.fingerprint);
+            w.u64("n", ps.n() as u64);
+            w.u64("runs", ps.runs as u64);
+            w.f64("virtual_cost_seconds", ps.virtual_cost);
         }
         Request::Plan {
             cluster,
@@ -484,24 +650,13 @@ pub fn respond(service: &Service, req: &Request) -> Result<Value> {
             } else {
                 service.plan(cluster, trace, *model)?
             };
-            let mut entries = vec![
-                ("fingerprint".to_string(), Value::Str(planned.fingerprint)),
-                (
-                    "param_version".to_string(),
-                    Value::U64(planned.param_version),
-                ),
-                (
-                    "fidelity".to_string(),
-                    Value::Str(Fidelity::Analytic.as_str().to_string()),
-                ),
-                ("cached".to_string(), Value::Bool(planned.cached)),
-            ];
-            // Splice in the plan body (model, trace_hash, makespan, per-op
-            // schedule, per-phase breakdown).
-            if let Value::Map(body) = planned.plan.to_value() {
-                entries.extend(body);
-            }
-            Ok(Value::Map(entries))
+            w.str("fingerprint", &planned.fingerprint);
+            w.u64("param_version", planned.param_version);
+            w.str("fidelity", Fidelity::Analytic.as_str());
+            w.bool("cached", planned.cached);
+            // The plan body (model, trace_hash, makespan, per-op schedule,
+            // per-phase breakdown), rendered when the plan was evaluated.
+            w.members(&planned.body);
         }
         Request::Plan {
             cluster,
@@ -510,20 +665,15 @@ pub fn respond(service: &Service, req: &Request) -> Result<Value> {
             ..
         } => {
             let (report, fingerprint) = service.plan_des(cluster, trace)?;
-            let mut entries = vec![
-                ("fingerprint".to_string(), Value::Str(fingerprint)),
-                (
-                    "fidelity".to_string(),
-                    Value::Str(Fidelity::Des.as_str().to_string()),
-                ),
-                ("trace_hash".to_string(), Value::Str(trace.hash())),
-            ];
-            // Splice in the replay body (makespan, message/event counters,
-            // observed per-op windows).
-            if let Value::Map(body) = report.to_value() {
-                entries.extend(body);
+            w.str("fingerprint", &fingerprint);
+            w.str("fidelity", Fidelity::Des.as_str());
+            w.str("trace_hash", &trace.hash());
+            // The replay body (makespan, message/event counters, observed
+            // per-op windows).
+            match render_members(&report.to_value()) {
+                Ok(body) => w.members(&body),
+                Err(_) => w.failed = true,
             }
-            Ok(Value::Map(entries))
         }
         Request::History { fingerprint } => {
             let history = service.registry().history(fingerprint)?;
@@ -550,48 +700,42 @@ pub fn respond(service: &Service, req: &Request) -> Result<Value> {
                     obj(entry)
                 })
                 .collect();
-            Ok(obj(vec![
-                ("fingerprint", Value::Str(fingerprint.clone())),
-                ("versions", Value::Seq(versions)),
-            ]))
+            w.str("fingerprint", fingerprint);
+            w.value("versions", &Value::Seq(versions));
         }
         Request::Batch { requests } => {
-            let responses: Vec<Value> = requests
-                .iter()
-                .map(|item| {
-                    // A sub-request with its own id gets its own request
-                    // context, so its spans (and the echoed sub-response
-                    // id) are attributable to that id; without one it
-                    // inherits the enclosing batch's context.
-                    let _ctx = item.id.as_ref().map(|id| {
-                        cpm_obs::ctx::with_request(cpm_obs::next_request_id(), id_tag(id))
-                    });
-                    let mut sp = cpm_obs::span("serve.subrequest");
-                    sp.field_str("verb", item.request.verb().as_str());
-                    let start = std::time::Instant::now();
-                    let body = respond(service, &item.request);
-                    service
-                        .metrics()
-                        .record_verb_latency(item.request.verb(), elapsed_ns(start));
-                    let mut value = match body {
-                        Ok(Value::Map(mut entries)) => {
-                            entries.insert(0, ("ok".to_string(), Value::Bool(true)));
-                            Value::Map(entries)
-                        }
-                        Ok(other) => other,
-                        Err(e) => obj(vec![
-                            ("ok", Value::Bool(false)),
-                            ("error", Value::Str(e.to_string())),
-                        ]),
-                    };
-                    echo_id(&mut value, &item.id);
-                    value
-                })
-                .collect();
-            Ok(obj(vec![
-                ("count", Value::U64(responses.len() as u64)),
-                ("responses", Value::Seq(responses)),
-            ]))
+            w.u64("count", requests.len() as u64);
+            w.key("responses");
+            w.out.push('[');
+            for (i, item) in requests.iter().enumerate() {
+                if i > 0 {
+                    w.out.push(',');
+                }
+                // A sub-request with its own id gets its own request
+                // context, so its spans (and the echoed sub-response
+                // id) are attributable to that id; without one it
+                // inherits the enclosing batch's context.
+                let _ctx = item
+                    .id
+                    .as_ref()
+                    .map(|id| cpm_obs::ctx::with_request(cpm_obs::next_request_id(), id_tag(id)));
+                let mut sp = cpm_obs::span("serve.subrequest");
+                sp.field_str("verb", item.request.verb().as_str());
+                let start = std::time::Instant::now();
+                let mark = w.out.len();
+                w.open(true, &item.id);
+                let outcome = respond(service, &item.request, w);
+                service
+                    .metrics()
+                    .record_verb_latency(item.request.verb(), elapsed_ns(start));
+                if let Err(e) = outcome {
+                    w.out.truncate(mark);
+                    w.open(false, &item.id);
+                    w.str("error", &e.to_string());
+                }
+                w.out.push('}');
+            }
+            w.out.push(']');
         }
         Request::Trace { last, raw } => {
             let recorder = cpm_obs::Recorder::global();
@@ -601,6 +745,8 @@ pub fn respond(service: &Service, req: &Request) -> Result<Value> {
                     records.drain(..records.len() - last);
                 }
             }
+            w.u64("recorded", recorder.recorded());
+            w.u64("dropped", recorder.dropped());
             if *raw {
                 // The fleet collector's per-node form: records themselves,
                 // ready to merge into a multi-process Chrome trace.
@@ -608,26 +754,14 @@ pub fn respond(service: &Service, req: &Request) -> Result<Value> {
                     .iter()
                     .map(|r| cpm_obs::OwnedRecord::from(r).to_value())
                     .collect();
-                return Ok(obj(vec![
-                    ("recorded", Value::U64(recorder.recorded())),
-                    ("dropped", Value::U64(recorder.dropped())),
-                    ("records", Value::Seq(raw)),
-                ]));
+                w.value("records", &Value::Seq(raw));
+            } else {
+                w.u64("records", records.len() as u64);
+                w.value("trace", &cpm_obs::chrome::chrome_trace(&records));
             }
-            Ok(obj(vec![
-                ("recorded", Value::U64(recorder.recorded())),
-                ("dropped", Value::U64(recorder.dropped())),
-                ("records", Value::U64(records.len() as u64)),
-                ("trace", cpm_obs::chrome::chrome_trace(&records)),
-            ]))
         }
-        Request::Stats { text } => {
-            if *text {
-                return Ok(obj(vec![(
-                    "text",
-                    Value::Str(service.metrics().exposition()),
-                )]));
-            }
+        Request::Stats { text: true } => w.str("text", &service.metrics().exposition()),
+        Request::Stats { text: false } => {
             let s = service.metrics().snapshot();
             let latency: Vec<(String, Value)> = service
                 .metrics()
@@ -646,23 +780,22 @@ pub fn respond(service: &Service, req: &Request) -> Result<Value> {
                     )
                 })
                 .collect();
-            Ok(obj(vec![
-                ("hits", Value::U64(s.hits)),
-                ("misses", Value::U64(s.misses)),
-                ("plan_hits", Value::U64(s.plan_hits)),
-                ("plan_misses", Value::U64(s.plan_misses)),
-                ("estimations", Value::U64(s.estimations)),
-                ("registry_loads", Value::U64(s.registry_loads)),
-                ("republishes", Value::U64(s.republishes)),
-                ("predict_count", Value::U64(s.predict_count)),
-                ("predict_ns_mean", Value::F64(s.predict_ns_mean)),
-                ("predict_ns_max", Value::U64(s.predict_ns_max)),
-                ("stored", Value::U64(service.registry().len() as u64)),
-                ("latency", Value::Map(latency)),
-            ]))
+            w.u64("hits", s.hits);
+            w.u64("misses", s.misses);
+            w.u64("plan_hits", s.plan_hits);
+            w.u64("plan_misses", s.plan_misses);
+            w.u64("estimations", s.estimations);
+            w.u64("registry_loads", s.registry_loads);
+            w.u64("republishes", s.republishes);
+            w.u64("predict_count", s.predict_count);
+            w.f64("predict_ns_mean", s.predict_ns_mean);
+            w.u64("predict_ns_max", s.predict_ns_max);
+            w.u64("stored", service.registry().len() as u64);
+            w.value("latency", &Value::Map(latency));
         }
-        Request::Shutdown => Ok(obj(vec![("shutting_down", Value::Bool(true))])),
+        Request::Shutdown => w.bool("shutting_down", true),
     }
+    Ok(())
 }
 
 fn elapsed_ns(start: std::time::Instant) -> u64 {
@@ -680,8 +813,8 @@ fn elapsed_ns(start: std::time::Instant) -> u64 {
 /// invalid.
 pub fn handle_line(service: &Service, line: &str) -> (String, bool) {
     let start = std::time::Instant::now();
-    let decoded: std::result::Result<Value, _> = serde_json::from_str(line);
-    let id = decoded.as_ref().ok().and_then(client_id);
+    let scanned = Fields::scan(line);
+    let id = scanned.as_ref().ok().and_then(Fields::client_id);
     // One server-side request id per line, tagged with the client id so
     // trace dumps attribute every span below to it.
     let _ctx = cpm_obs::ctx::with_request(
@@ -691,47 +824,29 @@ pub fn handle_line(service: &Service, line: &str) -> (String, bool) {
     // Distributed-tracing context: adopt the wire's `(trace, parent)`
     // when the request carried one, otherwise this request becomes its
     // own trace root with a fresh trace id. Every span below inherits it.
-    let (trace_id, parent_span) = decoded
+    let (trace_id, parent_span) = scanned
         .as_ref()
         .ok()
-        .and_then(trace_ctx)
+        .and_then(Fields::trace_ctx)
         .unwrap_or_else(|| (cpm_obs::ctx::next_span_id(), 0));
     let _tctx = cpm_obs::ctx::with_trace(trace_id, parent_span);
-    // The request span covers shape validation, execution and response
-    // serialization — everything attributed to this verb's latency
-    // histogram except the raw JSON decode above.
+    // The request span covers field decoding, execution and response
+    // writing — everything attributed to this verb's latency histogram
+    // except the scan above.
     let mut sp = cpm_obs::span("serve.request");
-    let req = match &decoded {
-        Ok(v) => parse_request_value(v),
-        Err(e) => Err(bad(format!("bad json: {e}"))),
-    };
     let mut verb = None;
-    let (body, shutdown) = match req {
+    let (text, shutdown) = match scanned.and_then(|fields| fields.parse()) {
         Ok(req) => {
             verb = Some(req.verb());
             sp.field_str("verb", req.verb().as_str());
-            let shutdown = matches!(req, Request::Shutdown);
-            match respond(service, &req) {
-                Ok(body) => (Ok(body), shutdown),
-                Err(e) => (Err(e), false),
+            let mut w = Response::ok(&id);
+            match respond(service, &req, &mut w) {
+                Ok(()) => (w.finish(), matches!(req, Request::Shutdown)),
+                Err(e) => (Response::error(&id, e), false),
             }
         }
-        Err(e) => (Err(e), false),
+        Err(e) => (Response::error(&id, e), false),
     };
-    let mut value = match body {
-        Ok(Value::Map(mut entries)) => {
-            entries.insert(0, ("ok".to_string(), Value::Bool(true)));
-            Value::Map(entries)
-        }
-        Ok(other) => other,
-        Err(e) => obj(vec![
-            ("ok", Value::Bool(false)),
-            ("error", Value::Str(e.to_string())),
-        ]),
-    };
-    echo_id(&mut value, &id);
-    let text = serde_json::to_string(&value)
-        .unwrap_or_else(|_| "{\"ok\":false,\"error\":\"serialization failure\"}".to_string());
     drop(sp);
     if let Some(verb) = verb {
         service
@@ -851,25 +966,90 @@ mod tests {
     }
 
     #[test]
-    fn trace_context_parses_and_injects() {
-        let v: Value = serde_json::from_str(
-            "{\"verb\":\"stats\",\"ctx\":{\"trace\":\"00000000000000ab\",\
-             \"parent\":\"00000000000000cd\"}}",
-        )
-        .unwrap();
-        assert_eq!(trace_ctx(&v), Some((0xab, 0xcd)));
+    fn trace_context_is_read_from_the_scan() {
+        fn ctx(line: &str) -> Option<(u64, u64)> {
+            Fields::scan(line).unwrap().trace_ctx()
+        }
+        assert_eq!(
+            ctx(
+                "{\"verb\":\"stats\",\"ctx\":{\"trace\":\"00000000000000ab\",\
+                 \"parent\":\"00000000000000cd\"}}"
+            ),
+            Some((0xab, 0xcd))
+        );
+        assert_eq!(
+            ctx("{\"ctx\":{\"trace\":\"ab\"}}"),
+            Some((0xab, 0)),
+            "the parent is optional"
+        );
         // Absent / malformed contexts are ignored, not errors.
-        let plain: Value = serde_json::from_str("{\"verb\":\"stats\"}").unwrap();
-        assert_eq!(trace_ctx(&plain), None);
-        let rot: Value =
-            serde_json::from_str("{\"verb\":\"stats\",\"ctx\":{\"trace\":\"zz\"}}").unwrap();
-        assert_eq!(trace_ctx(&rot), None);
-        // Injection adds the context, and re-injection replaces it.
-        let mut fwd = plain.clone();
-        inject_trace_ctx(&mut fwd, 0xab, 0x11);
-        assert_eq!(trace_ctx(&fwd), Some((0xab, 0x11)));
-        inject_trace_ctx(&mut fwd, 0xab, 0x22);
-        assert_eq!(trace_ctx(&fwd), Some((0xab, 0x22)));
+        assert_eq!(ctx("{\"verb\":\"stats\"}"), None);
+        assert_eq!(ctx("{\"ctx\":{\"trace\":\"zz\"}}"), None);
+        assert_eq!(ctx("{\"ctx\":\"00000000000000ab\"}"), None);
+        // Of a repeated key the first occurrence counts, at both levels.
+        assert_eq!(
+            ctx("{\"ctx\":{\"trace\":\"1\",\"trace\":\"2\"},\"ctx\":{\"trace\":\"3\"}}"),
+            Some((1, 0))
+        );
+    }
+
+    #[test]
+    fn client_ids_are_scalars_only() {
+        fn id(line: &str) -> Option<Value> {
+            Fields::scan(line).unwrap().client_id()
+        }
+        assert_eq!(id("{\"id\":\"a\\u0062\"}"), Some(Value::Str("ab".into())));
+        assert_eq!(id("{\"id\":7}"), Some(Value::U64(7)));
+        assert_eq!(id("{\"id\":-7}"), Some(Value::I64(-7)));
+        for not_an_id in ["1.5", "1e3", "null", "true", "[1]", "{\"a\":1}"] {
+            assert_eq!(id(&format!("{{\"id\":{not_an_id}}}")), None, "{not_an_id}");
+        }
+        assert_eq!(&id_tag(&Value::I64(-7))[..3], b"-7\0");
+        assert_eq!(&id_tag(&Value::U64(u64::MAX))[..], b"1844674407370955");
+        assert_eq!(
+            &id_tag(&Value::Str("r\u{e9}sum\u{e9}".into()))[..9],
+            "r\u{e9}sum\u{e9}\0".as_bytes()
+        );
+    }
+
+    #[test]
+    fn responses_stream_in_call_order_and_withdraw_on_non_finite_floats() {
+        let id = Some(Value::Str("q\"1".into()));
+        let mut w = Response::ok(&id);
+        w.f64("seconds", 1e-7);
+        w.str("name", "a\nb");
+        w.u64("n", 4);
+        w.bool("cached", false);
+        w.value("list", &Value::Seq(vec![Value::Null, Value::F64(2.0)]));
+        w.raw("spliced", "{\"x\":1}");
+        w.members("\"k\":1,\"l\":[2]");
+        w.members("");
+        assert_eq!(
+            w.finish(),
+            "{\"ok\":true,\"id\":\"q\\\"1\",\"seconds\":1e-7,\"name\":\"a\\nb\",\"n\":4,\
+             \"cached\":false,\"list\":[null,2.0],\"spliced\":{\"x\":1},\"k\":1,\"l\":[2]}"
+        );
+        assert_eq!(Response::ok(&None).finish(), "{\"ok\":true}");
+        assert_eq!(
+            Response::error(&Some(Value::I64(-3)), "no"),
+            "{\"ok\":false,\"id\":-3,\"error\":\"no\"}"
+        );
+        // The fallback keeps the client id (it used to drop it).
+        for poison in [f64::NAN, f64::INFINITY] {
+            let mut w = Response::ok(&id);
+            w.u64("n", 4);
+            w.f64("seconds", poison);
+            assert_eq!(
+                w.finish(),
+                "{\"ok\":false,\"id\":\"q\\\"1\",\"error\":\"serialization failure\"}"
+            );
+        }
+        let mut w = Response::ok(&None);
+        w.value("deep", &Value::Seq(vec![Value::F64(f64::NEG_INFINITY)]));
+        assert_eq!(
+            w.finish(),
+            "{\"ok\":false,\"error\":\"serialization failure\"}"
+        );
     }
 
     #[test]

@@ -66,32 +66,6 @@ impl From<io::Error> for ServeError {
 /// Shorthand for results carrying a [`ServeError`].
 pub type Result<T> = std::result::Result<T, ServeError>;
 
-/// Canonicalizes a JSON value: map keys sorted recursively, so two
-/// serializations that differ only in field order hash identically.
-fn canonicalize(v: Value) -> Value {
-    match v {
-        Value::Map(mut entries) => {
-            for (_, val) in entries.iter_mut() {
-                let owned = std::mem::replace(val, Value::Null);
-                *val = canonicalize(owned);
-            }
-            entries.sort_by(|a, b| a.0.cmp(&b.0));
-            Value::Map(entries)
-        }
-        Value::Seq(items) => Value::Seq(items.into_iter().map(canonicalize).collect()),
-        other => other,
-    }
-}
-
-/// FNV-1a over `bytes`, from an arbitrary offset basis.
-fn fnv1a(bytes: &[u8], mut hash: u64) -> u64 {
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    hash
-}
-
 /// The stable fingerprint of a cluster configuration: 128 bits, hex.
 ///
 /// Computed over the canonical JSON form (sorted keys, compact separators,
@@ -99,8 +73,7 @@ fn fnv1a(bytes: &[u8], mut hash: u64) -> u64 {
 /// and field reordering, and changes whenever any parameter that affects
 /// the simulated cluster changes.
 pub fn fingerprint(config: &ClusterConfig) -> String {
-    let value = serde_json::to_value(config).expect("config serializes");
-    fingerprint_value(value)
+    cpm_core::canonical_hash(&serde_json::to_value(config).expect("config serializes"))
 }
 
 /// Fingerprints a config given as raw JSON text, without requiring it to
@@ -112,17 +85,7 @@ pub fn fingerprint(config: &ClusterConfig) -> String {
 pub fn fingerprint_json(json: &str) -> Result<String> {
     let value: Value =
         serde_json::from_str(json).map_err(|e| ServeError::Protocol(e.to_string()))?;
-    Ok(fingerprint_value(value))
-}
-
-fn fingerprint_value(value: Value) -> String {
-    let canonical = serde_json::to_string(&canonicalize(value)).expect("value serializes");
-    let lo = fnv1a(canonical.as_bytes(), 0xcbf2_9ce4_8422_2325);
-    let hi = fnv1a(
-        canonical.as_bytes(),
-        0xcbf2_9ce4_8422_2325 ^ 0x9e37_79b9_7f4a_7c15,
-    );
-    format!("{hi:016x}{lo:016x}")
+    Ok(cpm_core::canonical_hash(&value))
 }
 
 /// Residual statistics of observations against a parameter set, recorded

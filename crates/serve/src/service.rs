@@ -747,12 +747,44 @@ struct PlanKey {
     trace_hash: String,
 }
 
+/// One plan-cache entry: the plan and its rendered response body live and
+/// die together, so whatever evicts or invalidates the one drops the other.
+struct CachedPlan {
+    plan: Arc<Plan>,
+    body: Arc<str>,
+    /// Last-use tick, for LRU eviction.
+    tick: u64,
+}
+
+/// Renders the members of a JSON object — `"k":v,"k":v`, the object's
+/// text less its braces — the form [`crate::protocol::Response::members`]
+/// splices into a response.
+pub(crate) fn render_members(
+    object: &serde_json::Value,
+) -> std::result::Result<String, serde_json::Error> {
+    let text = serde_json::to_string(object)?;
+    let members = text.strip_prefix('{').and_then(|t| t.strip_suffix('}'));
+    Ok(members.unwrap_or_default().to_string())
+}
+
+/// Renders a plan's response body (see [`PlannedWorkload::body`]).
+fn render_plan(plan: &Plan) -> Result<Arc<str>> {
+    render_members(&plan.to_value())
+        .map(Arc::from)
+        .map_err(|e| ServeError::Protocol(format!("plan failed: {e}")))
+}
+
 /// A served workload plan (the serve-layer wrapper around
 /// [`cpm_workload::Plan`]).
 #[derive(Clone, Debug)]
 pub struct PlannedWorkload {
     /// The critical-path plan (shared with the plan cache).
     pub plan: Arc<Plan>,
+    /// The plan as the `plan` verb answers it: the members of
+    /// [`Plan::to_value`] as JSON text (`"model":…` to the last member, no
+    /// braces), rendered once when the plan was evaluated and shared with
+    /// the plan cache, so a cache hit copies bytes instead of re-rendering.
+    pub body: Arc<str>,
     /// Fingerprint of the cluster the plan is for.
     pub fingerprint: String,
     /// Parameter-set version the plan was evaluated against.
@@ -776,7 +808,7 @@ pub struct Service {
     params: RwLock<HashMap<String, Arc<ParamSet>>>,
     inflight: Mutex<HashMap<String, Arc<Inflight>>>,
     shards: Vec<Mutex<Shard>>,
-    plans: Mutex<HashMap<PlanKey, (Arc<Plan>, u64)>>,
+    plans: Mutex<HashMap<PlanKey, CachedPlan>>,
     plan_tick: AtomicU64,
     metrics: Metrics,
     publish_hook: RwLock<Option<PublishHook>>,
@@ -995,10 +1027,11 @@ impl Service {
         };
         let tick = self.plan_tick.fetch_add(1, Ordering::Relaxed) + 1;
         if let Some(slot) = self.plans.lock().get_mut(&key) {
-            slot.1 = tick;
+            slot.tick = tick;
             self.metrics.plan_hits.inc();
             return Ok(PlannedWorkload {
-                plan: Arc::clone(&slot.0),
+                plan: Arc::clone(&slot.plan),
+                body: Arc::clone(&slot.body),
                 fingerprint: key.fp,
                 param_version: key.param_version,
                 trace_hash: key.trace_hash,
@@ -1013,6 +1046,7 @@ impl Service {
         };
         let (plan, profile) = cpm_workload::plan_profiled(trace, &models.get(model.workload()))
             .map_err(|e| ServeError::Protocol(format!("plan failed: {e}")))?;
+        let body = render_plan(&plan)?;
         // Counted only once the evaluation succeeded, so error paths are
         // not misreported as plan-cache misses.
         self.metrics.plan_misses.inc();
@@ -1021,11 +1055,16 @@ impl Service {
         let plan = Arc::new(plan);
         {
             let mut plans = self.plans.lock();
-            plans.insert(key.clone(), (Arc::clone(&plan), tick));
+            let entry = CachedPlan {
+                plan: Arc::clone(&plan),
+                body: Arc::clone(&body),
+                tick,
+            };
+            plans.insert(key.clone(), entry);
             if plans.len() > PLAN_CAPACITY {
                 if let Some(victim) = plans
                     .iter()
-                    .min_by_key(|(_, (_, t))| *t)
+                    .min_by_key(|(_, entry)| entry.tick)
                     .map(|(k, _)| k.clone())
                 {
                     plans.remove(&victim);
@@ -1034,6 +1073,7 @@ impl Service {
         }
         Ok(PlannedWorkload {
             plan,
+            body,
             fingerprint: key.fp,
             param_version: key.param_version,
             trace_hash: key.trace_hash,
@@ -1074,6 +1114,7 @@ impl Service {
         self.metrics.observe_plan_profile(&profile);
         self.metrics.observe_plan_critical(&plan);
         Ok(PlannedWorkload {
+            body: render_plan(&plan)?,
             plan: Arc::new(plan),
             fingerprint: cluster.resolve_fingerprint(),
             param_version: 0,
@@ -1135,7 +1176,7 @@ impl Service {
             None => self.params.read().get(&fp).map(|p| p.n()).unwrap_or(0),
         };
         let mut key = CacheKey {
-            fp: fp.clone(),
+            fp,
             model: q.model,
             collective: q.collective,
             algorithm: q.algorithm,
@@ -1147,7 +1188,7 @@ impl Service {
             self.metrics.hits.inc();
             return Ok(Prediction {
                 seconds,
-                fingerprint: fp,
+                fingerprint: key.fp,
                 cached: true,
             });
         }
@@ -1158,12 +1199,13 @@ impl Service {
         // bad queries do not inflate the miss rate.
         self.metrics.misses.inc();
         key.n = ps.n();
+        let fingerprint = key.fp.clone();
         self.shard_of(&key)
             .lock()
             .put(key, seconds, self.cfg.cache_capacity_per_shard);
         Ok(Prediction {
             seconds,
-            fingerprint: fp,
+            fingerprint,
             cached: false,
         })
     }

@@ -261,3 +261,62 @@ fn request_spans_cover_most_of_the_recorded_verb_latency() {
     );
     let _ = std::fs::remove_dir_all(store);
 }
+
+/// JSON cannot carry a non-finite number, so an answer holding one is
+/// withdrawn for `"serialization failure"` — which used to forget the
+/// client id, leaving a pipelining client unable to match the response.
+#[test]
+fn serialization_failure_fallback_echoes_the_client_id() {
+    use cpm_serve::LineHandler;
+
+    let (store, service) = open_service("nonfinite");
+    let fp = primed_fingerprint(&service, 47);
+    // Poison the stored set: the first LMO `C` becomes 1e999, which the
+    // parser reads as infinity. A fresh service over the same store loads
+    // it, and every LMO prediction through that node is infinite.
+    let path = service.registry().path_for(&fp);
+    let mut text = std::fs::read_to_string(&path).unwrap();
+    let start = text.find("\"c\": [").expect("lmo.c in the store") + "\"c\": [".len();
+    let end = start + text[start..].find(',').unwrap();
+    text.replace_range(start..end, "1e999");
+    std::fs::write(&path, text).unwrap();
+    drop(service);
+    let cfg = ServiceConfig::default();
+    let handler: Arc<dyn LineHandler> = Arc::new(Service::open(&store, cfg).unwrap());
+
+    let predict = |id: &str| {
+        format!(
+            "{{\"verb\":\"predict\",\"id\":{id},\"fingerprint\":\"{fp}\",\"model\":\"lmo\",\
+             \"collective\":\"scatter\",\"algorithm\":\"linear\",\"m\":1024}}"
+        )
+    };
+    let (text, shutdown) = handler.handle_line(&predict("\"nf-1\""));
+    assert!(!shutdown);
+    assert_eq!(
+        text,
+        "{\"ok\":false,\"id\":\"nf-1\",\"error\":\"serialization failure\"}"
+    );
+    let (text, _) = handler.handle_line(&predict("-12"));
+    assert_eq!(
+        text,
+        "{\"ok\":false,\"id\":-12,\"error\":\"serialization failure\"}"
+    );
+    // One poisoned element withdraws the whole batch line — with its id.
+    let batch = format!(
+        "{{\"verb\":\"batch\",\"id\":\"nf-b\",\"requests\":[{},{}]}}",
+        predict("1").replace("\"lmo\"", "\"hockney\""),
+        predict("2")
+    );
+    let (text, _) = handler.handle_line(&batch);
+    assert_eq!(
+        text,
+        "{\"ok\":false,\"id\":\"nf-b\",\"error\":\"serialization failure\"}"
+    );
+    // The other model families never touch the poisoned parameter.
+    let (text, _) = handler.handle_line(&predict("3").replace("\"lmo\"", "\"hockney\""));
+    assert!(
+        text.starts_with("{\"ok\":true,\"id\":3,\"seconds\":"),
+        "{text}"
+    );
+    let _ = std::fs::remove_dir_all(store);
+}

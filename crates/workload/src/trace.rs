@@ -410,19 +410,12 @@ impl Trace {
 
     /// The stable 128-bit trace hash, hex-encoded.
     ///
-    /// Computed over the canonical JSON of [`Trace::to_value`] with the
-    /// same double-FNV-1a construction as the `cpm-serve` registry
-    /// fingerprint, so it is invariant under field reordering and under
-    /// the JSON-lines vs single-object representation.
+    /// The [`cpm_core::canonical_hash`] of [`Trace::to_value`] — the
+    /// construction the `cpm-serve` registry fingerprint uses — so it is
+    /// invariant under field reordering and under the JSON-lines vs
+    /// single-object representation.
     pub fn hash(&self) -> String {
-        let canonical =
-            serde_json::to_string(&canonicalize(self.to_value())).expect("trace serializes");
-        let lo = fnv1a(canonical.as_bytes(), 0xcbf2_9ce4_8422_2325);
-        let hi = fnv1a(
-            canonical.as_bytes(),
-            0xcbf2_9ce4_8422_2325 ^ 0x9e37_79b9_7f4a_7c15,
-        );
-        format!("{hi:016x}{lo:016x}")
+        cpm_core::canonical_hash(&self.to_value())
     }
 
     /// Checks that the trace is executable: at least two processes, all
@@ -509,32 +502,6 @@ impl Trace {
         }
         out
     }
-}
-
-/// Canonicalizes a JSON value: map keys sorted recursively (mirrors the
-/// `cpm-serve` registry fingerprint so both hash families behave alike).
-fn canonicalize(v: Value) -> Value {
-    match v {
-        Value::Map(mut entries) => {
-            for (_, val) in entries.iter_mut() {
-                let owned = std::mem::replace(val, Value::Null);
-                *val = canonicalize(owned);
-            }
-            entries.sort_by(|a, b| a.0.cmp(&b.0));
-            Value::Map(entries)
-        }
-        Value::Seq(items) => Value::Seq(items.into_iter().map(canonicalize).collect()),
-        other => other,
-    }
-}
-
-/// FNV-1a over `bytes`, from an arbitrary offset basis.
-fn fnv1a(bytes: &[u8], mut hash: u64) -> u64 {
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    hash
 }
 
 #[cfg(test)]
