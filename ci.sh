@@ -33,7 +33,7 @@ run_named() { # <integration test target of cpm-serve> <exact test name>
 }
 ORACLE_LOG="$(mktemp)"
 run_named golden golden_corpus_is_reproduced_byte_for_byte
-run_named golden both_framings_and_both_engines_return_identical_payloads
+run_named golden both_framings_return_identical_payloads
 run_named golden mutated_requests_always_get_a_structured_answer
 run_named alloc_gate warm_predict_and_select_allocate_a_small_constant
 run_named alloc_gate a_plan_hit_adds_only_the_output_line_to_parse_and_lookup
@@ -89,17 +89,13 @@ grep -q '"thread_name"' "$WL_TMP/replay16.json"
 diff -u "$WL_TMP/run16_plain.json" "$WL_TMP/run16_traced.json" \
   || { echo "DES recording changed the replayed timings"; exit 1; }
 
-echo "== reactor engine tests (event loop, framing, pipelining, idle reaping)"
+echo "== reactor tests (event loop, framing, pipelining, idle reaping, handler-panic isolation)"
 cargo test -p cpm-reactor -q
 cargo test -p cpm-serve --test reactor -q
 
-echo "== serve loadgen smoke (pool speedup, tracing overhead, exposition grammar)"
-./target/release/loadgen --clients 4 --requests 60 --workers 2 \
-  --out "$WL_TMP/serve_load.json" --require-speedup 1.0 --obs-overhead-max 5.0
-
-echo "== reactor loadgen gate (pipelined, reactor > 3x pool at equal workers)"
+echo "== serve loadgen gate (pipelined in-order answers, tracing overhead, exposition grammar)"
 ./target/release/loadgen --clients 16 --requests 150 --workers 2 --pipeline 8 \
-  --out "$WL_TMP/serve_reactor.json" --require-speedup 3.0 --obs-overhead-max 5.0
+  --out "$WL_TMP/serve_load.json" --obs-overhead-max 5.0
 
 echo "== fleet tests (ring rebalancing proptest, replication, leader failover)"
 cargo test -p cpm-fleet -q
@@ -113,8 +109,12 @@ grep -q '"errors": 0' "$WL_TMP/fleet_load.json"
 echo "== fleet trace smoke (one traced request; merged dump spans >=2 distinct nodes)"
 ./target/release/loadgen --trace-fleet 3
 
-echo "== trace CLI smoke (reactor engine: query over both wires, trace dump)"
-"$CPM" serve --store "$WL_TMP/trace-store" --addr 127.0.0.1:0 --engine reactor \
+echo "== the --engine knob is gone (strict flag allowlist: exit 2)"
+"$CPM" serve --engine pool >/dev/null 2>&1 && rc=0 || rc=$?
+[ "$rc" -eq 2 ] || { echo "cpm serve --engine pool exited $rc, want 2"; exit 1; }
+
+echo "== trace CLI smoke (query over both wires, trace dump)"
+"$CPM" serve --store "$WL_TMP/trace-store" --addr 127.0.0.1:0 \
   >"$WL_TMP/serve.log" 2>&1 &
 SERVE_PID=$!
 for _ in $(seq 1 50); do
@@ -161,7 +161,7 @@ echo "== hierarchical walkthrough (README 'Hierarchical clusters', live server)"
 "$CPM" workload gen --kind train --nodes 32 --m 64K --out "$WL_TMP/train32.jsonl" >/dev/null
 "$CPM" workload predict --trace "$WL_TMP/train32.jsonl" --model lmo-hier --nodes 4 --cores 8 \
   | grep '"algorithm": "two-phase"' >/dev/null
-"$CPM" serve --store "$WL_TMP/hier-store" --addr 127.0.0.1:0 --engine reactor \
+"$CPM" serve --store "$WL_TMP/hier-store" --addr 127.0.0.1:0 \
   >"$WL_TMP/hier-serve.log" 2>&1 &
 HIER_PID=$!
 for _ in $(seq 1 50); do

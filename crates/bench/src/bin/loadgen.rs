@@ -1,25 +1,21 @@
-//! Load generator for the cpm-serve server (both engines) and the
-//! cpm-fleet router.
+//! Load generator for the cpm-serve server and the cpm-fleet router.
+//!
+//! It measures what only a many-client driver can: the flight
+//! recorder's cost under load, the metrics exposition of a loaded
+//! server, and fleet failover. Throughput and latency over time are the
+//! ledger's job (`benchmark/`, workloads `serve_hot` and `fleet_mix`).
 //!
 //! Three modes:
 //!
-//! **Closed-loop** (default): spins up an in-process server, primes the
-//! prediction cache, then drives K concurrent clients doing synchronous
-//! request/response round trips against it — once with
-//! `--baseline-workers` (default 1, the old serial server) and once with
-//! `--workers` — and reports throughput, client-side latency quantiles
-//! (from merged per-client [`LogHistogram`]s), the server's own per-verb
-//! latency stats, and the concurrent-over-baseline speedup. Results are
-//! persisted as JSON (default `bench_results/serve_load.json`).
-//! `--engine pool|reactor` selects the serving engine for both runs.
-//!
-//! **Pipelined** (`--pipeline DEPTH`): every client keeps DEPTH requests
-//! in flight on one connection (open-window pipelining with tagged ids,
-//! responses asserted in order) and the run compares the worker-pool
-//! engine against the reactor at *equal* `--workers` — the scenario the
-//! event loop exists for: many more connections than cores. Results go
-//! to `bench_results/serve_reactor.json` by default, and
-//! `--require-speedup X` gates reactor-over-pool throughput.
+//! **Single server** (default): spins up an in-process server on
+//! `--workers` event-loop shards, primes the prediction cache, then
+//! drives K concurrent clients against it, each keeping `--pipeline
+//! DEPTH` tagged requests in flight on one connection (default 1: a
+//! synchronous request/response loop) and asserting the responses come
+//! back in request order. Reports throughput, client-side latency
+//! quantiles (from merged per-client [`LogHistogram`]s) and the server's
+//! own per-verb latency stats, persisted as JSON (default
+//! `bench_results/serve_load.json`).
 //!
 //! **Fleet** (`--tenants N`): spins up an in-process cpm-fleet — 3 nodes
 //! by default (`--fleet`), replication 2 (`--replication`), one router —
@@ -46,25 +42,22 @@
 //!
 //! ```text
 //! loadgen [--clients K] [--requests N] [--workers W]
-//!         [--baseline-workers B] [--engine pool|reactor]
-//!         [--pipeline DEPTH] [--out PATH] [--require-speedup X]
+//!         [--pipeline DEPTH] [--think-us T] [--out PATH]
 //!         [--obs-overhead-max PCT]
 //!         [--tenants N] [--zipf S] [--fleet NODES] [--replication R]
 //!         [--kill-node IDX] [--p99-max-ms X]
 //!         [--trace-fleet NODES]
 //! ```
 //!
-//! With `--require-speedup X` the exit code is 1 unless the measured
-//! speedup is strictly greater than `X` — the CI smoke gate.
-//!
-//! With `--obs-overhead-max PCT` the concurrent configuration is re-run
+//! With `--obs-overhead-max PCT` the single-server run is repeated
 //! with the flight recorder disabled and enabled (several interleaved
 //! trials per mode, best-of-N throughput each) and the exit code is 1 if
 //! tracing costs more than PCT percent of throughput.
 //!
-//! Every run also fetches `stats format:text` and validates it against
-//! the Prometheus exposition grammar ([`cpm_obs::validate_exposition`]),
-//! so a malformed metrics rendering fails the smoke gate too.
+//! Every single-server run also fetches `stats format:text` and
+//! validates it against the Prometheus exposition grammar
+//! ([`cpm_obs::validate_exposition`]), so a malformed metrics rendering
+//! fails the smoke gate too.
 
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Write};
@@ -76,7 +69,7 @@ use cpm_cluster::{ClusterConfig, ClusterSpec};
 use cpm_estimate::EstimateConfig;
 use cpm_fleet::{serve_router, FleetMap, FleetNode, Router, RouterConfig, RouterHandle};
 use cpm_reactor::ClientConfig;
-use cpm_serve::{Engine, LineHandler, Server, ServerHandle, Service, ServiceConfig};
+use cpm_serve::{LineHandler, Server, ServerHandle, Service, ServiceConfig};
 use cpm_stats::LogHistogram;
 use serde::Serialize;
 use serde_json::Value;
@@ -89,12 +82,9 @@ struct Args {
     clients: usize,
     requests: usize,
     workers: usize,
-    baseline_workers: usize,
-    engine: Engine,
     pipeline: usize,
     think_us: u64,
     out: Option<std::path::PathBuf>,
-    require_speedup: Option<f64>,
     obs_overhead_max: Option<f64>,
     tenants: usize,
     zipf: f64,
@@ -108,9 +98,7 @@ struct Args {
 fn usage() -> ! {
     eprintln!(
         "usage: loadgen [--clients K] [--requests N] [--workers W]\n\
-         \x20              [--baseline-workers B] [--engine pool|reactor]\n\
-         \x20              [--pipeline DEPTH] [--think-us T]\n\
-         \x20              [--out PATH] [--require-speedup X]\n\
+         \x20              [--pipeline DEPTH] [--think-us T] [--out PATH]\n\
          \x20              [--obs-overhead-max PCT]\n\
          \x20              [--tenants N] [--zipf S] [--fleet NODES]\n\
          \x20              [--replication R] [--kill-node IDX] [--p99-max-ms X]\n\
@@ -124,12 +112,9 @@ fn parse_args() -> Args {
         clients: 8,
         requests: 200,
         workers: 8,
-        baseline_workers: 1,
-        engine: Engine::Pool,
-        pipeline: 0,
+        pipeline: 1,
         think_us: 200,
         out: None,
-        require_speedup: None,
         obs_overhead_max: None,
         tenants: 0,
         zipf: 1.1,
@@ -146,16 +131,9 @@ fn parse_args() -> Args {
             "--clients" => args.clients = value.parse().unwrap_or_else(|_| usage()),
             "--requests" => args.requests = value.parse().unwrap_or_else(|_| usage()),
             "--workers" => args.workers = value.parse().unwrap_or_else(|_| usage()),
-            "--baseline-workers" => {
-                args.baseline_workers = value.parse().unwrap_or_else(|_| usage())
-            }
-            "--engine" => args.engine = Engine::parse(&value).unwrap_or_else(|_| usage()),
             "--pipeline" => args.pipeline = value.parse().unwrap_or_else(|_| usage()),
             "--think-us" => args.think_us = value.parse().unwrap_or_else(|_| usage()),
             "--out" => args.out = Some(value.into()),
-            "--require-speedup" => {
-                args.require_speedup = Some(value.parse().unwrap_or_else(|_| usage()))
-            }
             "--obs-overhead-max" => {
                 args.obs_overhead_max = Some(value.parse().unwrap_or_else(|_| usage()))
             }
@@ -169,7 +147,7 @@ fn parse_args() -> Args {
             _ => usage(),
         }
     }
-    if args.clients == 0 || args.requests == 0 || args.workers == 0 {
+    if args.clients == 0 || args.requests == 0 || args.workers == 0 || args.pipeline == 0 {
         usage();
     }
     if args.tenants > 0 && (args.fleet == 0 || args.replication == 0) {
@@ -183,17 +161,9 @@ fn parse_args() -> Args {
     args
 }
 
-fn engine_name(engine: Engine) -> &'static str {
-    match engine {
-        Engine::Pool => "pool",
-        Engine::Reactor => "reactor",
-    }
-}
-
 /// Client- and server-side view of one timed run.
 #[derive(Serialize)]
 struct RunResult {
-    engine: &'static str,
     workers: usize,
     wall_seconds: f64,
     throughput_rps: f64,
@@ -206,7 +176,7 @@ struct RunResult {
     server_predict_p99_ns: u64,
 }
 
-/// Tracing-on vs tracing-off throughput of the concurrent configuration.
+/// Tracing-on vs tracing-off throughput of the same run.
 #[derive(Serialize)]
 struct ObsOverhead {
     off_rps: f64,
@@ -214,34 +184,19 @@ struct ObsOverhead {
     overhead_pct: f64,
 }
 
+/// Report of the single-server mode.
 #[derive(Serialize)]
-struct LoadReport {
-    clients: usize,
-    requests_per_client: usize,
-    think_us: u64,
-    sizes: Vec<u64>,
-    baseline: RunResult,
-    concurrent: RunResult,
-    speedup: f64,
-    obs_overhead: Option<ObsOverhead>,
-}
-
-/// Report of the pipelined pool-vs-reactor comparison.
-#[derive(Serialize)]
-struct ReactorReport {
+struct ServeReport {
     clients: usize,
     requests_per_client: usize,
     pipeline: usize,
     think_us: u64,
-    workers: usize,
     sizes: Vec<u64>,
-    pool: RunResult,
-    reactor: RunResult,
-    speedup: f64,
+    run: RunResult,
     obs_overhead: Option<ObsOverhead>,
 }
 
-fn start_server(store: &std::path::Path, workers: usize, engine: Engine) -> ServerHandle {
+fn start_server(store: &std::path::Path, workers: usize) -> ServerHandle {
     let cfg = ServiceConfig {
         est: EstimateConfig {
             reps: 1,
@@ -253,7 +208,6 @@ fn start_server(store: &std::path::Path, workers: usize, engine: Engine) -> Serv
     Server::bind(service, "127.0.0.1:0")
         .expect("bind")
         .workers(workers)
-        .engine(engine)
         .spawn()
 }
 
@@ -272,13 +226,6 @@ fn request(addr: SocketAddr, line: &str) -> Value {
     serde_json::from_str(response.trim_end()).expect("response json")
 }
 
-fn predict_line(fp: &str, m: u64) -> String {
-    format!(
-        "{{\"verb\":\"predict\",\"fingerprint\":\"{fp}\",\"model\":\"lmo\",\
-         \"collective\":\"scatter\",\"algorithm\":\"binomial\",\"m\":{m}}}"
-    )
-}
-
 fn predict_line_tagged(fp: &str, m: u64, id: &str) -> String {
     format!(
         "{{\"verb\":\"predict\",\"id\":\"{id}\",\"fingerprint\":\"{fp}\",\"model\":\"lmo\",\
@@ -295,16 +242,12 @@ fn quantile_ns(stats: &Value, verb: &str, q: &str) -> u64 {
         .unwrap_or(0)
 }
 
-/// Starts a `workers`-wide `engine` server over `store`, estimates the
+/// Starts a `workers`-shard server over `store`, estimates the
 /// canonical cluster (idempotent — the registry persists across runs)
 /// and primes every message size so the timed phase is warm. Returns the
 /// handle and the cluster fingerprint.
-fn primed_server(
-    store: &std::path::Path,
-    workers: usize,
-    engine: Engine,
-) -> (ServerHandle, String) {
-    let server = start_server(store, workers, engine);
+fn primed_server(store: &std::path::Path, workers: usize) -> (ServerHandle, String) {
+    let server = start_server(store, workers);
     let addr = server.addr();
     let config = ClusterConfig::ideal(ClusterSpec::homogeneous(4), 31);
     let est = request(
@@ -321,7 +264,7 @@ fn primed_server(
         .expect("fingerprint")
         .to_string();
     for m in SIZES {
-        let primed = request(addr, &predict_line(&fp, m));
+        let primed = request(addr, &predict_line_tagged(&fp, m, "prime"));
         assert_eq!(primed.get("ok"), Some(&Value::Bool(true)), "{primed:?}");
     }
     (server, fp)
@@ -332,7 +275,6 @@ fn primed_server(
 /// [`RunResult`].
 fn finish_run(
     mut server: ServerHandle,
-    engine: Engine,
     workers: usize,
     wall: f64,
     total_requests: usize,
@@ -353,7 +295,6 @@ fn finish_run(
 
     let h = merged.snapshot();
     RunResult {
-        engine: engine_name(engine),
         workers,
         wall_seconds: wall,
         throughput_rps: total_requests as f64 / wall,
@@ -367,93 +308,24 @@ fn finish_run(
     }
 }
 
-/// One timed closed-loop run against `engine` with `workers` threads (or
-/// shards) over `store`.
-///
-/// Clients are closed-loop with `think_us` of think time between round
-/// trips — the standard load-generator model of a client that does some
-/// work (or crosses a network) between requests. It is what makes the
-/// worker pool measurable at all on a small machine: a serial server is
-/// held hostage by an idle connection, a pool thinks in parallel.
+/// One timed run: every client keeps up to `depth` tagged requests in
+/// flight on a single connection (depth 1 is the synchronous
+/// request/response loop) and asserts that responses come back in
+/// request order (the protocol guarantee the reactor's in-order state
+/// machine exists to keep). Latency is measured per request from its
+/// own send instant, so queueing inside the window is visible in the
+/// quantiles. Clients sleep `think_us` between responses — the standard
+/// load-generator model of a client that does some work (or crosses a
+/// network) between requests.
 fn run_load(
     store: &std::path::Path,
-    engine: Engine,
-    workers: usize,
-    clients: usize,
-    requests: usize,
-    think_us: u64,
-) -> RunResult {
-    let (server, fp) = primed_server(store, workers, engine);
-    let addr = server.addr();
-
-    // Timed phase: every client is a synchronous request/response loop
-    // over one connection, recording round-trip latency locally. Lines
-    // are pre-rendered with their newline so each request is one write
-    // (one TCP segment — no Nagle/delayed-ACK stalls).
-    let lines: Arc<Vec<String>> = Arc::new(
-        SIZES
-            .iter()
-            .map(|&m| format!("{}\n", predict_line(&fp, m)))
-            .collect(),
-    );
-    let barrier = Arc::new(Barrier::new(clients + 1));
-    let threads: Vec<_> = (0..clients)
-        .map(|_| {
-            let lines = Arc::clone(&lines);
-            let barrier = Arc::clone(&barrier);
-            std::thread::spawn(move || {
-                let stream = TcpStream::connect(addr).expect("connect");
-                let _ = stream.set_nodelay(true);
-                let mut writer = stream.try_clone().expect("clone");
-                let mut reader = BufReader::new(stream);
-                let hist = LogHistogram::new();
-                let mut response = String::new();
-                barrier.wait();
-                for i in 0..requests {
-                    let line = &lines[i % lines.len()];
-                    let t = Instant::now();
-                    writer.write_all(line.as_bytes()).expect("write");
-                    response.clear();
-                    assert!(
-                        reader.read_line(&mut response).expect("read") > 0,
-                        "lost response"
-                    );
-                    hist.record(u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX));
-                    assert!(response.starts_with("{\"ok\":true"), "{response}");
-                    if think_us > 0 {
-                        std::thread::sleep(std::time::Duration::from_micros(think_us));
-                    }
-                }
-                hist
-            })
-        })
-        .collect();
-    barrier.wait();
-    let t0 = Instant::now();
-    let merged = LogHistogram::new();
-    for t in threads {
-        merged.merge_from(&t.join().expect("client panicked"));
-    }
-    let wall = t0.elapsed().as_secs_f64();
-    finish_run(server, engine, workers, wall, clients * requests, &merged)
-}
-
-/// One timed pipelined run: every client keeps up to `depth` tagged
-/// requests in flight on a single connection and asserts that responses
-/// come back in request order (the protocol guarantee the reactor's
-/// in-order state machine exists to keep). Latency is measured per
-/// request from its own send instant, so queueing inside the window is
-/// visible in the quantiles.
-fn run_pipelined(
-    store: &std::path::Path,
-    engine: Engine,
     workers: usize,
     clients: usize,
     requests: usize,
     depth: usize,
     think_us: u64,
 ) -> RunResult {
-    let (server, fp) = primed_server(store, workers, engine);
+    let (server, fp) = primed_server(store, workers);
     let addr = server.addr();
 
     let fp = Arc::new(fp);
@@ -521,14 +393,13 @@ fn run_pipelined(
         merged.merge_from(&t.join().expect("client panicked"));
     }
     let wall = t0.elapsed().as_secs_f64();
-    finish_run(server, engine, workers, wall, clients * requests, &merged)
+    finish_run(server, workers, wall, clients * requests, &merged)
 }
 
-fn print_run(tag: &str, r: &RunResult) {
+fn print_run(r: &RunResult) {
     println!(
-        "{tag:<10} engine={:<7} workers={:<2} wall={:.3}s throughput={:.0} req/s \
+        "workers={:<2} wall={:.3}s throughput={:.0} req/s \
          client p50/p95/p99={:.1}/{:.1}/{:.1}µs server predict p50={:.1}µs",
-        r.engine,
         r.workers,
         r.wall_seconds,
         r.throughput_rps,
@@ -579,17 +450,6 @@ fn write_report<T: Serialize>(out: &std::path::Path, report: &T) {
     println!("wrote {}", out.display());
 }
 
-/// Exits 1 unless `speedup > required` (when a gate was requested).
-fn gate_speedup(speedup: f64, required: Option<f64>) {
-    if let Some(required) = required {
-        if speedup <= required {
-            eprintln!("FAIL: speedup {speedup:.2}x is not > {required:.2}x");
-            std::process::exit(1);
-        }
-        println!("ok: speedup {speedup:.2}x > {required:.2}x");
-    }
-}
-
 /// Exits 1 if the measured tracing overhead exceeds the gate.
 fn gate_obs(max: Option<f64>, obs: Option<&ObsOverhead>) {
     if let (Some(max), Some(obs)) = (max, obs) {
@@ -604,17 +464,16 @@ fn gate_obs(max: Option<f64>, obs: Option<&ObsOverhead>) {
     }
 }
 
-/// Pipelined pool-vs-reactor comparison at equal `--workers`.
-fn main_pipelined(args: &Args, store: &std::path::Path) {
+/// One server, one run, plus the tracing-overhead trials when gated.
+fn main_serve(args: &Args, store: &std::path::Path) {
     println!(
         "loadgen: {} clients x {} requests, pipeline depth {}, {}µs think time, \
-         pool vs reactor at {} workers, warm cache, sizes {:?}",
-        args.clients, args.requests, args.pipeline, args.think_us, args.workers, SIZES
+         warm cache, sizes {:?}",
+        args.clients, args.requests, args.pipeline, args.think_us, SIZES
     );
-    let run = |engine| {
-        run_pipelined(
+    let run = || {
+        run_load(
             store,
-            engine,
             args.workers,
             args.clients,
             args.requests,
@@ -622,87 +481,19 @@ fn main_pipelined(args: &Args, store: &std::path::Path) {
             args.think_us,
         )
     };
-    let pool = run(Engine::Pool);
-    print_run("pool", &pool);
-    let reactor = run(Engine::Reactor);
-    print_run("reactor", &reactor);
-    let speedup = reactor.throughput_rps / pool.throughput_rps;
-    println!(
-        "speedup: {speedup:.2}x (reactor over pool at {} workers)",
-        args.workers
-    );
-    let obs_overhead = args
-        .obs_overhead_max
-        .map(|_| measure_obs_overhead(|| run(Engine::Reactor)));
+    let result = run();
+    print_run(&result);
+    // The server is in-process, so the global recorder toggle reaches it
+    // directly.
+    let obs_overhead = args.obs_overhead_max.map(|_| measure_obs_overhead(run));
 
-    let report = ReactorReport {
+    let report = ServeReport {
         clients: args.clients,
         requests_per_client: args.requests,
         pipeline: args.pipeline,
         think_us: args.think_us,
-        workers: args.workers,
         sizes: SIZES.to_vec(),
-        pool,
-        reactor,
-        speedup,
-        obs_overhead,
-    };
-    let out = args
-        .out
-        .clone()
-        .unwrap_or_else(|| cpm_bench::results_dir().join("serve_reactor.json"));
-    write_report(&out, &report);
-    gate_speedup(speedup, args.require_speedup);
-    gate_obs(args.obs_overhead_max, report.obs_overhead.as_ref());
-}
-
-/// Closed-loop baseline-vs-concurrent comparison on one engine.
-fn main_closed_loop(args: &Args, store: &std::path::Path) {
-    println!(
-        "loadgen: {} clients x {} requests, {}µs think time, {} engine, \
-         warm cache, sizes {:?}",
-        args.clients,
-        args.requests,
-        args.think_us,
-        engine_name(args.engine),
-        SIZES
-    );
-    let run = |workers| {
-        run_load(
-            store,
-            args.engine,
-            workers,
-            args.clients,
-            args.requests,
-            args.think_us,
-        )
-    };
-    let baseline = run(args.baseline_workers);
-    print_run("baseline", &baseline);
-    let concurrent = run(args.workers);
-    print_run("concurrent", &concurrent);
-
-    let speedup = concurrent.throughput_rps / baseline.throughput_rps;
-    println!(
-        "speedup: {speedup:.2}x ({} workers over {})",
-        concurrent.workers, baseline.workers
-    );
-
-    // Tracing overhead: the same concurrent configuration with the
-    // flight recorder off, then on (the server is in-process, so the
-    // global recorder toggle reaches it directly).
-    let obs_overhead = args
-        .obs_overhead_max
-        .map(|_| measure_obs_overhead(|| run(args.workers)));
-
-    let report = LoadReport {
-        clients: args.clients,
-        requests_per_client: args.requests,
-        think_us: args.think_us,
-        sizes: SIZES.to_vec(),
-        baseline,
-        concurrent,
-        speedup,
+        run: result,
         obs_overhead,
     };
     let out = args
@@ -710,7 +501,6 @@ fn main_closed_loop(args: &Args, store: &std::path::Path) {
         .clone()
         .unwrap_or_else(|| cpm_bench::results_dir().join("serve_load.json"));
     write_report(&out, &report);
-    gate_speedup(speedup, args.require_speedup);
     gate_obs(args.obs_overhead_max, report.obs_overhead.as_ref());
 }
 
@@ -755,13 +545,10 @@ impl Zipf {
     }
 }
 
-/// Starts an in-process fleet: `nodes` reactor-engine servers wrapped in
-/// [`FleetNode`] handlers over one shard map, plus the router in front.
-/// Listeners are bound first so every address is known before any
-/// handler (which embeds the map) is built. The reactor engine matters
-/// here: fleet peers park pooled connections on every node, and the
-/// thread-per-connection pool engine would pin a worker per parked
-/// connection.
+/// Starts an in-process fleet: `nodes` servers wrapped in [`FleetNode`]
+/// handlers over one shard map, plus the router in front. Listeners are
+/// bound first so every address is known before any handler (which
+/// embeds the map) is built.
 fn start_fleet(
     store: &std::path::Path,
     nodes: usize,
@@ -800,7 +587,6 @@ fn start_fleet(
             .expect("fleet node");
             Server::from_listener(service, node, listener)
                 .expect("server")
-                .engine(Engine::Reactor)
                 .workers(2)
                 .spawn()
         })
@@ -1167,10 +953,8 @@ fn main() {
         main_trace_fleet(nodes, &store);
     } else if args.tenants > 0 {
         main_fleet(&args, &store);
-    } else if args.pipeline > 0 {
-        main_pipelined(&args, &store);
     } else {
-        main_closed_loop(&args, &store);
+        main_serve(&args, &store);
     }
     let _ = std::fs::remove_dir_all(&store);
 }

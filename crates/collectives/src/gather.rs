@@ -44,7 +44,7 @@ pub fn binomial_gather(c: &mut Comm<'_>, tree: &BinomialTree, m: Bytes) {
         let _ = c.recv(child);
     }
     if let Some(parent) = tree.parent_of(me) {
-        c.send(parent, tree.subtree_size(me) * m);
+        c.send(parent, tree.subtree_size(me).saturating_mul(m));
     }
 }
 

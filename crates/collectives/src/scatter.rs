@@ -43,7 +43,7 @@ pub fn binomial_scatter(c: &mut Comm<'_>, tree: &BinomialTree, m: Bytes) {
         let _ = c.recv(parent);
     }
     for (child, blocks) in tree.children_of(me) {
-        c.send(child, blocks * m);
+        c.send(child, blocks.saturating_mul(m));
     }
 }
 

@@ -23,16 +23,15 @@
 use std::collections::VecDeque;
 
 /// One queued event: its total-order key plus the pool slot holding the
-/// payload. Ordering is `(ticks, fuzz, tie, seq)` — virtual time first,
-/// then the (normally zero) schedule-fuzz hash, then the caller's
-/// tie-break key, then insertion order. With fuzzing off the order is
-/// exactly time-then-tie-then-FIFO; with fuzzing on, same-tick events
-/// permute deterministically per seed while time order is untouched.
+/// payload. Ordering is `(ticks, fuzz, seq)` — virtual time first, then
+/// the (normally zero) schedule-fuzz hash, then insertion order. With
+/// fuzzing off the order is exactly time-then-FIFO; with fuzzing on,
+/// same-tick events permute deterministically per seed while time order
+/// is untouched.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) struct Entry {
     pub ticks: u64,
     pub fuzz: u64,
-    pub tie: u64,
     pub seq: u64,
     pub slot: u32,
 }
@@ -206,7 +205,6 @@ mod tests {
         Entry {
             ticks,
             fuzz: 0,
-            tie: 0,
             seq,
             slot: seq as u32,
         }

@@ -46,7 +46,7 @@ enum Sched {
 pub type PopObserver<K, E> = Box<dyn FnMut(&K, &E)>;
 
 /// A discrete-event scheduler: schedule `(time, payload)` pairs, pop
-/// them back in deterministic `(time, fuzz, tie, insertion)` order.
+/// them back in deterministic `(time, fuzz, insertion)` order.
 ///
 /// Payloads live in a slot pool, so the steady-state schedule/pop cycle
 /// allocates nothing. The queue is a calendar queue that self-monitors
@@ -56,11 +56,10 @@ pub type PopObserver<K, E> = Box<dyn FnMut(&K, &E)>;
 /// # Determinism
 ///
 /// Same schedule calls in the same order always pop in the same order.
-/// Events at equal times order by the `tie` key passed to
-/// [`Engine::schedule_keyed`] (components use their stable id), then by
-/// insertion order. [`Engine::with_fuzz`] inserts a seeded hash *before*
-/// the tie key, deterministically permuting same-time events per seed
-/// while leaving time order untouched — an order-dependence detector.
+/// Events at equal times pop in insertion order. [`Engine::with_fuzz`]
+/// inserts a seeded hash *before* the insertion number, deterministically
+/// permuting same-time events per seed while leaving time order
+/// untouched — an order-dependence detector.
 pub struct Engine<K: DesTime, E> {
     pool: Pool<(K, E)>,
     sched: Sched,
@@ -125,16 +124,9 @@ impl<K: DesTime, E> Engine<K, E> {
         self.observer = None;
     }
 
-    /// Schedules `event` at `at` with tie key 0 (pure FIFO among
-    /// same-time events when not fuzzing).
-    #[inline]
+    /// Schedules `event` at `at` (pure FIFO among same-time events when
+    /// not fuzzing).
     pub fn schedule(&mut self, at: K, event: E) {
-        self.schedule_keyed(at, 0, event);
-    }
-
-    /// Schedules `event` at `at`; among same-time events, lower `tie`
-    /// pops first (insertion order breaks remaining ties).
-    pub fn schedule_keyed(&mut self, at: K, tie: u64, event: E) {
         let seq = self.seq;
         self.seq += 1;
         self.scheduled += 1;
@@ -146,7 +138,6 @@ impl<K: DesTime, E> Engine<K, E> {
         let entry = Entry {
             ticks: at.ticks(),
             fuzz,
-            tie,
             seq,
             slot,
         };
@@ -265,16 +256,6 @@ mod tests {
         e.schedule(3, "b");
         let order: Vec<&str> = std::iter::from_fn(|| e.pop()).map(|(_, v)| v).collect();
         assert_eq!(order, ["a", "b", "c", "d"]);
-    }
-
-    #[test]
-    fn tie_key_orders_before_insertion() {
-        let mut e: Engine<u64, u32> = Engine::new();
-        e.schedule_keyed(7, 2, 20);
-        e.schedule_keyed(7, 0, 0);
-        e.schedule_keyed(7, 1, 10);
-        let order: Vec<u32> = std::iter::from_fn(|| e.pop()).map(|(_, v)| v).collect();
-        assert_eq!(order, [0, 10, 20]);
     }
 
     #[test]

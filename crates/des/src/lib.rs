@@ -14,9 +14,8 @@
 //! * **Pooled payloads** — event payloads park in recycled slab slots,
 //!   so the steady-state schedule/fire cycle allocates nothing; the
 //!   pool's high-water mark is exported so benches can assert it.
-//! * **Deterministic tie-breaking** — same-time events order by an
-//!   explicit tie key (components use their stable [`ComponentId`]),
-//!   then insertion order. Replays are bit-identical by construction.
+//! * **Deterministic tie-breaking** — same-time events pop in
+//!   insertion order. Replays are bit-identical by construction.
 //! * **Seeded schedule fuzzing** — [`Engine::with_fuzz`] permutes
 //!   same-time events deterministically per seed without touching time
 //!   order, turning "does the answer depend on tie order?" into a
@@ -26,8 +25,6 @@
 //!   kernel uses for DES timeline capture). Observation never changes
 //!   scheduling, and an engine without an observer pays one branch per
 //!   pop.
-//! * **[`Component`]/[`System`]** — a `next_tick`/`tick` component model
-//!   for simulations structured as independent clocked entities.
 //!
 //! [`EngineStats`] exposes scheduled/fired counts, pool high water, and
 //! calendar health so downstream crates can feed the unified metrics
@@ -37,11 +34,9 @@
 #![forbid(unsafe_code)]
 
 mod calendar;
-mod component;
 mod engine;
 mod key;
 mod pool;
 
-pub use component::{Component, ComponentId, System};
 pub use engine::{Engine, EngineStats, PopObserver};
 pub use key::{DesTime, Seconds};

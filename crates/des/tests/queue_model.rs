@@ -13,41 +13,38 @@ use proptest::prelude::*;
 #[derive(Clone, Debug)]
 enum Op {
     /// Schedule at `base + offset` where `base` slides with pops.
-    Push {
-        offset: u64,
-        tie: u64,
-    },
+    Push(u64),
     Pop,
 }
 
 fn op_strategy(max_offset: u64) -> impl Strategy<Value = Op> {
-    (0u32..5, 0..max_offset + 1, 0u64..4).prop_map(|(choice, offset, tie)| {
+    (0u32..5, 0..max_offset + 1).prop_map(|(choice, offset)| {
         if choice < 3 {
-            Op::Push { offset, tie }
+            Op::Push(offset)
         } else {
             Op::Pop
         }
     })
 }
 
-/// Reference model: (ticks, tie, seq) in a binary heap — the exact total
-/// order the engine promises when fuzzing is off.
+/// Reference model: (ticks, seq) in a binary heap — the exact total order
+/// the engine promises when fuzzing is off.
 fn run_against_model(ops: Vec<Op>, scale: u64) {
     let mut engine: Engine<u64, u64> = Engine::new();
-    let mut model: BinaryHeap<Reverse<(u64, u64, u64)>> = BinaryHeap::new();
+    let mut model: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
     let mut seq = 0u64;
     let mut now = 0u64;
     for op in ops {
         match op {
-            Op::Push { offset, tie } => {
+            Op::Push(offset) => {
                 let at = now.saturating_add(offset.saturating_mul(scale));
-                engine.schedule_keyed(at, tie, seq);
-                model.push(Reverse((at, tie, seq)));
+                engine.schedule(at, seq);
+                model.push(Reverse((at, seq)));
                 seq += 1;
             }
             Op::Pop => {
                 let got = engine.pop();
-                let want = model.pop().map(|Reverse((at, _, s))| (at, s));
+                let want = model.pop().map(|Reverse(entry)| entry);
                 assert_eq!(got, want);
                 if let Some((at, _)) = got {
                     now = at;
@@ -55,8 +52,8 @@ fn run_against_model(ops: Vec<Op>, scale: u64) {
             }
         }
     }
-    while let Some(Reverse((at, _, s))) = model.pop() {
-        assert_eq!(engine.pop(), Some((at, s)));
+    while let Some(Reverse(entry)) = model.pop() {
+        assert_eq!(engine.pop(), Some(entry));
     }
     assert_eq!(engine.pop(), None);
     assert!(engine.is_empty());

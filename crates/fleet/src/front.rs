@@ -3,56 +3,19 @@
 //! The router is pure request/response state, so it plugs straight
 //! into the reactor's [`cpm_reactor::Handler`] seam and gets both wire
 //! framings (JSON-lines and length-prefixed binary), pipelining, and
-//! idle reaping for free — the same engine the nodes themselves can
-//! run on.
+//! idle reaping for free — the same engine the nodes themselves run on.
 
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::net::TcpListener;
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 use crate::router::Router;
 
-/// Controls a router serving on background threads. Dropping the
-/// handle stops the router.
-pub struct RouterHandle {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    thread: Option<JoinHandle<()>>,
-}
-
-impl RouterHandle {
-    /// The bound address.
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Waits for the router to stop on its own (a `shutdown` verb from
-    /// a client stops the reactor), without initiating a stop.
-    pub fn join(&mut self) {
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
-    }
-
-    /// Signals the reactor to stop and joins it (idempotent).
-    pub fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        // Wake the acceptor so it notices the flag.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
-    }
-}
-
-impl Drop for RouterHandle {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
+/// Controls a router serving on background threads: the reactor's own
+/// running-handle (`addr`, `shutdown`, `join`). Dropping it stops the
+/// router.
+pub type RouterHandle = cpm_reactor::Running;
 
 /// Starts `router` on the reactor over `listener` with `shards`
 /// event-loop threads. Connection and frame telemetry lands in the
@@ -64,7 +27,6 @@ pub fn serve_router(
     shards: usize,
     idle_timeout: Option<Duration>,
 ) -> io::Result<RouterHandle> {
-    let addr = listener.local_addr()?;
     let registry = router.registry();
     let telemetry = cpm_reactor::Telemetry {
         connections_active: Some(registry.gauge(
@@ -84,18 +46,9 @@ pub fn serve_router(
         )),
     };
     let cfg = cpm_reactor::Config {
-        shards: shards.max(1),
+        shards,
         idle_timeout,
         ..cpm_reactor::Config::default()
     };
-    let stop = Arc::new(AtomicBool::new(false));
-    let run_stop = Arc::clone(&stop);
-    let thread = std::thread::spawn(move || {
-        let _ = cpm_reactor::run(listener, router, cfg, telemetry, run_stop);
-    });
-    Ok(RouterHandle {
-        addr,
-        stop,
-        thread: Some(thread),
-    })
+    cpm_reactor::spawn(listener, router, cfg, telemetry)
 }

@@ -12,7 +12,7 @@ use cpm_cluster::{ClusterConfig, ClusterSpec};
 use cpm_estimate::EstimateConfig;
 use cpm_fleet::{FleetMap, FleetNode};
 use cpm_reactor::ClientConfig;
-use cpm_serve::{Engine, LineHandler, Server, ServerHandle, Service, ServiceConfig};
+use cpm_serve::{LineHandler, Server, ServerHandle, Service, ServiceConfig};
 use serde_json::Value;
 
 /// Service config tuned for tests: one estimation repetition, seeded.
@@ -89,12 +89,8 @@ pub fn start_fleet(tmp: &Path, n: usize, replication: usize) -> Fleet {
             ClientConfig::default(),
         )
         .expect("fleet node");
-        // Reactor engine: fleet peers park pooled connections on every
-        // node (router pool + replication pools), and the pool engine
-        // would pin a worker thread per parked connection.
         let server = Server::from_listener(Arc::clone(&service), node, listener)
             .expect("server")
-            .engine(Engine::Reactor)
             .workers(2);
         services.push(service);
         handles.push(server.spawn());

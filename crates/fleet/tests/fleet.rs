@@ -523,3 +523,31 @@ fn member_fallbacks_and_refusals_echo_the_client_id() {
     assert!(text.starts_with("{\"ok\":false,\"error\":"), "{text}");
     let _ = std::fs::remove_dir_all(&tmp);
 }
+
+/// The router's handle is the reactor's: `shutdown` signals every
+/// shard's waker, so with idle client connections parked on both shards
+/// it returns well inside the reactor's 500 ms fallback tick.
+#[test]
+fn router_shutdown_returns_promptly_with_idle_connections_open() {
+    let tmp = temp_dir("router-prompt");
+    let fleet = start_fleet(&tmp, 2, 2);
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let router = Router::new(fleet.map.clone(), RouterConfig::default()).unwrap();
+    let mut handle = serve_router(listener, router, 2, None).unwrap();
+    // A round trip each proves the connections are adopted by their
+    // shards before the clock starts.
+    let mut idle: Vec<LineClient> = (0..8).map(|_| LineClient::connect(handle.addr())).collect();
+    for client in &mut idle {
+        assert!(is_ok(&client.call("{\"verb\":\"stats\"}")));
+    }
+    let t = std::time::Instant::now();
+    handle.shutdown();
+    let took = t.elapsed();
+    assert!(took < Duration::from_millis(250), "shutdown took {took:?}");
+    assert!(
+        !include_str!("../src/front.rs").contains("TcpStream::connect"),
+        "the router wakes its shards by eventfd, not by connecting to itself"
+    );
+    drop(idle);
+    let _ = std::fs::remove_dir_all(&tmp);
+}

@@ -54,7 +54,7 @@ pub fn binomial_recursive<M: PointToPoint + ?Sized>(
         let Some((&(first, blocks), rest)) = children.split_first() else {
             return 0.0;
         };
-        let send = model.p2p(root, first, blocks * block);
+        let send = model.p2p(root, first, blocks.saturating_mul(block));
         let child_children = tree.children_of(first);
         let t_child = subtree(model, tree, first, &child_children, block);
         let t_rest = subtree(model, tree, root, rest, block);

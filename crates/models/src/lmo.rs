@@ -282,7 +282,7 @@ impl LmoExtended {
             let mut send_end = 0.0;
             let mut completion = 0.0f64;
             for (child, blocks) in tree.children_of(root) {
-                let bytes = (blocks * block) as f64;
+                let bytes = blocks.saturating_mul(block) as f64;
                 send_end += model.c[root.idx()] + bytes * model.t[root.idx()];
                 let delivered = send_end
                     + *model.l.get(root, child)

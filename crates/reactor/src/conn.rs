@@ -18,6 +18,7 @@
 //! arbitrary partial reads and writes; production uses `TcpStream`.
 
 use std::io::{ErrorKind, Read, Write};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
 use crate::frame::{encode_response, Decoder, Framing, Msg};
@@ -204,7 +205,14 @@ impl<S: Read + Write> Conn<S> {
                         self.frames.json -= 1;
                         continue;
                     }
-                    let (response, shutdown) = handler.handle(&payload);
+                    // A panicking handler costs its own request, not the
+                    // shard thread under it (and with it every connection
+                    // the shard multiplexes — on shard 0, the listener).
+                    let answer = catch_unwind(AssertUnwindSafe(|| handler.handle(&payload)));
+                    let (response, shutdown) = answer.unwrap_or_else(|_| {
+                        cpm_obs::instant("reactor.handler_panic", "", 0);
+                        ("{\"ok\":false,\"error\":\"internal error\"}".into(), false)
+                    });
                     encode_response(framing, &response, &mut self.wbuf);
                     if shutdown {
                         *stop = true;

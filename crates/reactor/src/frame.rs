@@ -23,8 +23,8 @@
 /// First byte of a connection that selects binary framing.
 pub const BINARY_PREAMBLE: u8 = 0x00;
 
-/// Default upper bound on one payload, bytes. Mirrors the serve line
-/// reader's 1 MiB bound so both framings accept the same requests.
+/// Default upper bound on one payload, bytes, in either framing
+/// (`cpm_serve::MAX_LINE` is this constant).
 pub const MAX_PAYLOAD: usize = 1 << 20;
 
 /// Largest oversized binary frame the decoder will skip to stay

@@ -5,20 +5,21 @@
 //! listener and runs the **shared accept loop**: accepted sockets are
 //! dealt round-robin across shards, crossing threads through a mutexed
 //! hand-off queue plus an eventfd wake. Every other wake-up is also an
-//! eventfd: shutdown (the `stop` flag raised by a handled request, by
-//! [`run`]'s caller, or by a dummy connect to the listener) and
-//! connection hand-off share the same waker.
+//! eventfd: shutdown (the `stop` flag raised by a handled request or by
+//! [`Running::shutdown`]) and connection hand-off share the same waker.
 //!
-//! Shutdown drains like the worker pool: each shard answers every
-//! request whose bytes it has already received, flushes the responses
-//! (reverting the socket to blocking with a bounded write timeout so a
-//! stalled peer cannot wedge the drain), and only then closes.
+//! Shutdown drains: no new connection is admitted, each shard answers
+//! every request whose bytes it has already received, flushes the
+//! responses (reverting the socket to blocking with a bounded write
+//! timeout so a stalled peer cannot wedge the drain), and only then
+//! closes.
 
 use std::io::ErrorKind;
-use std::net::{TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::conn::{Conn, Status};
@@ -27,7 +28,7 @@ use crate::poll::{Events, Interest, Poll, Token};
 use crate::sys::EventFd;
 use crate::Handler;
 
-/// Tuning for a [`run`] call.
+/// Tuning for a [`spawn`] call.
 #[derive(Clone)]
 pub struct Config {
     /// Event-loop shards (threads). Clamped to at least 1.
@@ -111,22 +112,68 @@ const FALLBACK_TICK: Duration = Duration::from_millis(500);
 /// final responses before giving up on that peer.
 const DRAIN_WRITE_TIMEOUT: Duration = Duration::from_secs(1);
 
-/// Runs the reactor on the calling thread until `stop` is observed
-/// true, spawning `cfg.shards - 1` helper shard threads and joining
-/// them before returning. The caller keeps the only other reference to
-/// `stop`; raising it plus any listener wake (e.g. a dummy connect)
-/// stops the loop; a handled request returning shutdown stops it from
-/// inside.
-pub fn run(
+/// Raises the stop flag and signals every shard's waker, so each event
+/// loop leaves `epoll_wait` at once and drains.
+fn signal_stop(stop: &AtomicBool, shared: &[ShardShared]) {
+    stop.store(true, Ordering::SeqCst);
+    for s in shared {
+        s.waker.wake();
+    }
+}
+
+/// A reactor serving on background threads. Dropping it stops the
+/// reactor.
+pub struct Running {
+    addr: SocketAddr,
+    stop: Arc<AtomicBool>,
+    shared: Arc<Vec<ShardShared>>,
+    thread: Option<JoinHandle<()>>,
+}
+
+impl Running {
+    /// The address clients should connect to.
+    pub fn addr(&self) -> SocketAddr {
+        self.addr
+    }
+
+    /// Requests a graceful stop and blocks until every shard has drained
+    /// and been joined. Idempotent.
+    pub fn shutdown(&mut self) {
+        signal_stop(&self.stop, &self.shared);
+        self.join();
+    }
+
+    /// Waits for the reactor to stop on its own (a handled request that
+    /// asked for shutdown), without initiating a stop.
+    pub fn join(&mut self) {
+        if let Some(t) = self.thread.take() {
+            let _ = t.join();
+        }
+    }
+}
+
+impl Drop for Running {
+    fn drop(&mut self) {
+        self.shutdown();
+    }
+}
+
+/// Starts the reactor over `listener` on `cfg.shards` background
+/// threads, one event loop each. Everything that can fail (the epoll
+/// instances, the wakers, the listener registration) is set up before
+/// the first thread starts, so an `Ok` means every shard is serving. A
+/// handled request returning shutdown stops the reactor from inside;
+/// [`Running::shutdown`] stops it from outside.
+pub fn spawn(
     listener: TcpListener,
     handler: Arc<dyn Handler>,
     cfg: Config,
     telemetry: Telemetry,
-    stop: Arc<AtomicBool>,
-) -> std::io::Result<()> {
-    let shards = cfg.shards.max(1);
+) -> std::io::Result<Running> {
+    let addr = listener.local_addr()?;
+    listener.set_nonblocking(true)?;
     let shared: Arc<Vec<ShardShared>> = Arc::new(
-        (0..shards)
+        (0..cfg.shards.max(1))
             .map(|_| {
                 Ok(ShardShared {
                     waker: EventFd::new()?,
@@ -135,39 +182,49 @@ pub fn run(
             })
             .collect::<std::io::Result<_>>()?,
     );
-    listener.set_nonblocking(true)?;
-    let helpers: Vec<_> = (1..shards)
+    let stop = Arc::new(AtomicBool::new(false));
+    let mut listener = Some(listener); // shard 0 takes it
+    let mut shards = (0..shared.len())
         .map(|id| {
-            let handler = Arc::clone(&handler);
-            let shared = Arc::clone(&shared);
-            let stop = Arc::clone(&stop);
-            let cfg = cfg.clone();
-            let telemetry = telemetry.clone();
-            std::thread::spawn(move || {
-                let _ = Shard::new(id, None, handler, cfg, telemetry, shared, stop)
-                    .and_then(Shard::run);
-            })
+            Shard::new(
+                id,
+                listener.take(),
+                Arc::clone(&handler),
+                cfg.clone(),
+                telemetry.clone(),
+                Arc::clone(&shared),
+                Arc::clone(&stop),
+            )
         })
-        .collect();
-    let result = Shard::new(
-        0,
-        Some(listener),
-        handler,
-        cfg,
-        telemetry,
-        Arc::clone(&shared),
-        Arc::clone(&stop),
-    )
-    .and_then(Shard::run);
-    // Shard 0 only exits on stop; make sure the helpers see it too.
-    stop.store(true, Ordering::SeqCst);
-    for s in shared.iter() {
-        s.waker.wake();
-    }
-    for h in helpers {
-        let _ = h.join();
-    }
-    result
+        .collect::<std::io::Result<Vec<_>>>()?
+        .into_iter();
+    let first = shards.next().expect("at least one shard");
+    let thread = {
+        let (stop, shared) = (Arc::clone(&stop), Arc::clone(&shared));
+        std::thread::spawn(move || {
+            let helpers: Vec<_> = shards
+                .map(|shard| {
+                    std::thread::spawn(move || {
+                        let _ = shard.run();
+                    })
+                })
+                .collect();
+            // Shard 0 only exits on stop (or a failed `epoll_wait`, which
+            // ends serving just the same): make sure the helpers see it,
+            // and join them before this thread's exit reports "stopped".
+            let _ = first.run();
+            signal_stop(&stop, &shared);
+            for h in helpers {
+                let _ = h.join();
+            }
+        })
+    };
+    Ok(Running {
+        addr,
+        stop,
+        shared,
+        thread: Some(thread),
+    })
 }
 
 struct Shard {
@@ -238,10 +295,7 @@ impl Shard {
             // stragglers opportunistically so none wait a full tick.
             self.adopt_injected(&mut stop_requested);
             if stop_requested {
-                self.stop.store(true, Ordering::SeqCst);
-                for s in self.shared.iter() {
-                    s.waker.wake();
-                }
+                signal_stop(&self.stop, &self.shared);
             }
             if self.stop.load(Ordering::SeqCst) {
                 self.drain_all();
@@ -279,7 +333,7 @@ impl Shard {
             match l.accept() {
                 Ok((stream, _)) => {
                     if stopping {
-                        continue; // drained on close; likely the wake connect
+                        continue; // refused: dropped here, closed
                     }
                     let target = self.next_shard % self.shared.len();
                     self.next_shard = self.next_shard.wrapping_add(1);
@@ -388,8 +442,8 @@ impl Shard {
     /// responses (blocking, bounded), close everything.
     fn drain_all(&mut self) {
         // Connections still in the hand-off queue were never served;
-        // dropping them is the same contract as the pool's acceptor
-        // refusing connections after stop.
+        // dropping them is the same contract as the acceptor refusing
+        // connections after stop.
         self.shared[self.id].inject.lock().unwrap().clear();
         let handler = Arc::clone(&self.handler);
         let telemetry = self.telemetry.clone();

@@ -4,8 +4,8 @@
 //!
 //! Content-addresses cluster specifications into a persistent parameter
 //! registry, serves batched predictions from an estimate-once cache, and
-//! exposes the whole pipeline over a JSON-lines TCP protocol handled by
-//! a bounded worker pool.
+//! exposes the whole pipeline over a JSON-lines (or length-prefixed
+//! binary) TCP protocol served by the `cpm-reactor` event loop.
 //!
 //! Layering:
 //!
@@ -17,13 +17,13 @@
 //! - [`protocol`] — the JSON-lines request/response vocabulary, including
 //!   the `batch` verb (many requests per round trip) and the extended
 //!   `stats` verb (latency quantiles, text exposition);
-//! - [`server`] — a std-only TCP server with two engines behind one
-//!   protocol seam: a bounded worker pool (thread per live connection)
-//!   and the `cpm-reactor` epoll event loop (all connections
-//!   multiplexed over `workers` shards, pipelined, backpressured).
-//!   Both negotiate JSON-lines or binary length-prefixed framing from
-//!   the connection's first byte, enforce an idle-connection timeout,
-//!   isolate errors per connection, and drain gracefully on shutdown.
+//! - [`server`] — the TCP server: the protocol seam ([`LineHandler`])
+//!   on the `cpm-reactor` epoll event loop (all connections multiplexed
+//!   over `workers` shards, pipelined, backpressured), which negotiates
+//!   JSON-lines or binary length-prefixed framing from the connection's
+//!   first byte, enforces the request size bound and an idle-connection
+//!   timeout, isolates errors per request and per connection, and drains
+//!   gracefully on shutdown.
 
 #![warn(missing_docs)]
 
@@ -41,7 +41,6 @@ pub use registry::{
 };
 pub use server::{
     Engine, LineHandler, Server, ServerHandle, DEFAULT_IDLE_TIMEOUT, DEFAULT_WORKERS, MAX_LINE,
-    POLL_INTERVAL,
 };
 pub use service::{
     Algorithm, ClusterRef, Collective, Fidelity, Metrics, MetricsSnapshot, ModelKind,

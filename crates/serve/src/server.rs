@@ -1,41 +1,38 @@
-//! The TCP server over [`Service`], std-only networking, with two
-//! serving engines behind one protocol seam ([`LineHandler`]).
+//! The TCP server over [`Service`]: the protocol seam ([`LineHandler`])
+//! plugged into the one serving engine, the `cpm-reactor` event loop.
 //!
-//! **Pool** ([`Engine::Pool`]): one acceptor thread pushes accepted
-//! sockets into an MPMC channel, and `workers` pool threads pull
-//! connections and serve them to completion — up to `workers`
-//! connections are in flight at once, later ones queue. Simple and
-//! fair, but a mostly-idle connection still pins a whole thread.
+//! `workers` epoll event-loop shards multiplex *all* connections, with
+//! pipelined in-order request handling and write-buffer backpressure —
+//! hundreds of mostly-idle clients cost a few file descriptors, not
+//! threads. Everything about the wire lives in `cpm-reactor` and nowhere
+//! else: a connection negotiates its framing by its first byte (anything
+//! but `0x00` is JSON lines, `0x00` selects the binary length-prefixed
+//! framing, see `cpm_reactor::frame`); requests are bounded at
+//! [`MAX_LINE`]; a connection that delivers no *complete* request for
+//! the idle timeout ([`DEFAULT_IDLE_TIMEOUT`], anti-slowloris) is closed.
+//! Errors are isolated per request and per connection: a malformed
+//! request or a panicking handler gets an `{"ok": false}` response, an
+//! I/O error drops only that connection.
 //!
-//! **Reactor** ([`Engine::Reactor`]): `workers` epoll event-loop shards
-//! (see `cpm-reactor`) multiplex *all* connections, with pipelined
-//! in-order request handling and write-buffer backpressure. Hundreds of
-//! mostly-idle clients cost a few file descriptors, not threads.
-//!
-//! Both engines negotiate the wire framing per connection by its first
-//! byte: anything but `0x00` is JSON lines, `0x00` selects the binary
-//! length-prefixed framing (see `cpm_reactor::frame`). Both enforce the
-//! same 1 MiB request bound and the idle-connection timeout
-//! ([`DEFAULT_IDLE_TIMEOUT`], anti-slowloris: the clock only resets on
-//! a *complete* request). Errors are isolated per connection: a
-//! malformed request gets an `{"ok": false}` response, an I/O error
-//! drops only that connection.
+//! A shard answers its connections' requests one at a time, so a request
+//! that computes for long — a cold `estimate`, a `des`-fidelity `plan` —
+//! occupies its shard for its duration and the other connections of that
+//! shard wait behind it (the other shards keep serving). That is the
+//! whole head-of-line story; there is no offload pool.
 //!
 //! Shutdown — via the `shutdown` verb or [`ServerHandle::shutdown`] — is
-//! graceful and deterministic in both engines: no new connections are
-//! admitted, every request whose bytes already reached the server is
-//! fully processed and its response written, then connections close and
-//! every serving thread is joined before the listener drops.
+//! graceful and deterministic: no new connections are admitted, every
+//! request whose bytes already reached the server is fully processed and
+//! its response written, then connections close and every shard thread
+//! is joined before the listener drops. [`ServerHandle`] is the
+//! reactor's own running-handle plus the [`Service`]; the fleet router's
+//! handle is the same type without the service.
 
-use std::io::{BufRead, BufReader, ErrorKind, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::net::{SocketAddr, TcpListener};
 use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use cpm_reactor::frame::BINARY_PREAMBLE;
-use cpm_reactor::{encode_response, Decoder, Framing, Msg, Telemetry};
+use cpm_reactor::Telemetry;
 
 use crate::protocol::handle_line;
 use crate::registry::Result;
@@ -59,63 +56,51 @@ impl LineHandler for Service {
     }
 }
 
-/// Default size of the connection worker pool.
+/// Default number of event-loop shards.
 pub const DEFAULT_WORKERS: usize = 8;
-
-/// How often a blocked worker polls the stop flag while waiting for the
-/// next request line on an idle connection. Bounds shutdown latency.
-pub const POLL_INTERVAL: Duration = Duration::from_millis(20);
 
 /// Default idle-connection timeout: a connection that has not delivered
 /// a *complete* request in this long is closed. Trickling bytes without
 /// finishing a request (slowloris) does not reset the clock.
 pub const DEFAULT_IDLE_TIMEOUT: Duration = Duration::from_secs(30);
 
-/// Which serving engine drives connections. See the module docs.
+/// Upper bound on one request, bytes (the line without its newline, or
+/// the binary frame's payload): the reactor's own limit, under the name
+/// the protocol layer knows it by. A longer request gets a structured
+/// protocol error instead of growing the connection's buffer without
+/// bound, and the connection stays open.
+pub const MAX_LINE: usize = cpm_reactor::frame::MAX_PAYLOAD;
+
+/// The serving engine. There is one; this enum and [`Server::engine`]
+/// remain only because `benchmark/` (which a PR may not edit alongside
+/// other code) still names them, and go with the next benchmark PR.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Engine {
-    /// Thread-per-connection worker pool (bounded, queueing).
-    Pool,
-    /// Sharded epoll event loop (`cpm-reactor`), multiplexing all
-    /// connections over `workers` shards.
+    /// The sharded epoll event loop (`cpm-reactor`).
     Reactor,
 }
 
-impl Engine {
-    /// Parses the wire/CLI name (`pool|reactor`).
-    pub fn parse(s: &str) -> std::result::Result<Engine, String> {
-        match s {
-            "pool" => Ok(Engine::Pool),
-            "reactor" => Ok(Engine::Reactor),
-            other => Err(format!("unknown engine {other:?} (expected pool|reactor)")),
-        }
-    }
-}
-
 /// A bound server, not yet running. Call [`Server::spawn`] to start the
-/// acceptor and worker pool. Dropping a [`ServerHandle`] stops the server.
+/// event loop. Dropping a [`ServerHandle`] stops the server.
 pub struct Server {
     service: Arc<Service>,
     handler: Arc<dyn LineHandler>,
     listener: TcpListener,
     addr: SocketAddr,
-    stop: Arc<AtomicBool>,
     workers: usize,
-    engine: Engine,
     idle_timeout: Option<Duration>,
 }
 
-/// Controls a server running on background threads.
+/// Controls a server running on background threads: the reactor's
+/// running-handle, plus the service behind the server.
 pub struct ServerHandle {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    accept_thread: Option<JoinHandle<()>>,
+    running: cpm_reactor::Running,
     service: Arc<Service>,
 }
 
 impl Server {
     /// Binds to `addr` (use port 0 for an ephemeral port), speaking the
-    /// core protocol with [`DEFAULT_WORKERS`] pool threads.
+    /// core protocol on [`DEFAULT_WORKERS`] shards.
     pub fn bind(service: Arc<Service>, addr: &str) -> Result<Server> {
         let handler: Arc<dyn LineHandler> = Arc::clone(&service) as Arc<dyn LineHandler>;
         Self::bind_with(service, handler, addr)
@@ -147,25 +132,20 @@ impl Server {
             handler,
             listener,
             addr,
-            stop: Arc::new(AtomicBool::new(false)),
             workers: DEFAULT_WORKERS,
-            engine: Engine::Pool,
             idle_timeout: Some(DEFAULT_IDLE_TIMEOUT),
         })
     }
 
-    /// Sets the worker-pool size: how many connections are served
-    /// concurrently (pool engine) or how many event-loop shards run
-    /// (reactor engine). `workers = 1` reproduces the old serial server
-    /// (useful as a benchmarking baseline). Clamped to at least 1.
+    /// Sets how many event-loop shards (threads) multiplex the
+    /// connections. Clamped to at least 1.
     pub fn workers(mut self, workers: usize) -> Server {
         self.workers = workers.max(1);
         self
     }
 
-    /// Selects the serving engine (default: [`Engine::Pool`]).
-    pub fn engine(mut self, engine: Engine) -> Server {
-        self.engine = engine;
+    /// Does nothing: see [`Engine`].
+    pub fn engine(self, _: Engine) -> Server {
         self
     }
 
@@ -183,56 +163,36 @@ impl Server {
         self.addr
     }
 
-    /// Starts the serving engine on background threads and returns a
-    /// handle.
+    /// Starts the event loop on background threads and returns a handle.
+    ///
+    /// # Panics
+    /// Panics when the kernel refuses the reactor its epoll instances or
+    /// eventfds (descriptor exhaustion at start-up): there is no server
+    /// to hand back.
     pub fn spawn(self) -> ServerHandle {
-        let Server {
-            service,
-            handler,
-            listener,
-            addr,
-            stop,
-            workers,
-            engine,
-            idle_timeout,
-        } = self;
+        let metrics = self.service.metrics();
         let telemetry = Telemetry {
-            connections_active: Some(service.metrics().connections_active().clone()),
-            frames_json: Some(service.metrics().frames_json().clone()),
-            frames_binary: Some(service.metrics().frames_binary().clone()),
+            connections_active: Some(metrics.connections_active().clone()),
+            frames_json: Some(metrics.frames_json().clone()),
+            frames_binary: Some(metrics.frames_binary().clone()),
         };
-        let accept_stop = Arc::clone(&stop);
-        let accept_thread = std::thread::spawn(move || match engine {
-            Engine::Pool => accept_loop(
-                listener,
-                handler,
-                accept_stop,
-                workers,
-                idle_timeout,
-                telemetry,
-            ),
-            Engine::Reactor => {
-                let cfg = cpm_reactor::Config {
-                    shards: workers,
-                    idle_timeout,
-                    ..cpm_reactor::Config::default()
-                };
-                let handler: Arc<dyn cpm_reactor::Handler> = Arc::new(ReactorLines(handler));
-                let _ = cpm_reactor::run(listener, handler, cfg, telemetry, accept_stop);
-            }
-        });
+        let cfg = cpm_reactor::Config {
+            shards: self.workers,
+            idle_timeout: self.idle_timeout,
+            ..cpm_reactor::Config::default()
+        };
+        let handler: Arc<dyn cpm_reactor::Handler> = Arc::new(ReactorLines(self.handler));
+        let running = cpm_reactor::spawn(self.listener, handler, cfg, telemetry)
+            .expect("start the reactor (epoll and eventfd creation)");
         ServerHandle {
-            addr,
-            stop,
-            accept_thread: Some(accept_thread),
-            service,
+            running,
+            service: self.service,
         }
     }
 }
 
 /// Adapts the serve-layer [`LineHandler`] to the reactor's
-/// payload-handler seam, so both engines share one protocol
-/// implementation (request-id propagation, spans, per-verb latency).
+/// payload-handler seam.
 struct ReactorLines(Arc<dyn LineHandler>);
 
 impl cpm_reactor::Handler for ReactorLines {
@@ -241,381 +201,10 @@ impl cpm_reactor::Handler for ReactorLines {
     }
 }
 
-/// The accept loop: admits connections into the worker-pool queue, and on
-/// stop drains the pool (joining every worker) **before** returning —
-/// i.e. before the listener it owns is closed.
-fn accept_loop(
-    listener: TcpListener,
-    handler: Arc<dyn LineHandler>,
-    stop: Arc<AtomicBool>,
-    workers: usize,
-    idle_timeout: Option<Duration>,
-    telemetry: Telemetry,
-) {
-    let (tx, rx) = crossbeam::channel::unbounded::<TcpStream>();
-    let addr = listener.local_addr().ok();
-    let pool: Vec<JoinHandle<()>> = (0..workers)
-        .map(|_| {
-            let rx = rx.clone();
-            let handler = Arc::clone(&handler);
-            let stop = Arc::clone(&stop);
-            let telemetry = telemetry.clone();
-            std::thread::spawn(move || {
-                while let Ok(stream) = rx.recv() {
-                    if let Some(g) = &telemetry.connections_active {
-                        g.inc();
-                    }
-                    // Per-connection isolation: an I/O error here kills
-                    // only this connection, not the worker.
-                    let _ = serve_connection(
-                        stream,
-                        handler.as_ref(),
-                        &stop,
-                        addr,
-                        idle_timeout,
-                        &telemetry,
-                    );
-                    if let Some(g) = &telemetry.connections_active {
-                        g.dec();
-                    }
-                    if stop.load(Ordering::SeqCst) {
-                        break;
-                    }
-                }
-            })
-        })
-        .collect();
-    drop(rx);
-    for conn in listener.incoming() {
-        if stop.load(Ordering::SeqCst) {
-            break;
-        }
-        let Ok(stream) = conn else { continue };
-        if tx.send(stream).is_err() {
-            break; // every worker exited (shutdown already in progress)
-        }
-    }
-    // Drain: dropping the sender disconnects idle workers; busy workers
-    // finish any request already received, observe the stop flag at their
-    // next poll tick, and exit. Join them all before the listener drops.
-    drop(tx);
-    for w in pool {
-        let _ = w.join();
-    }
-}
-
-/// Upper bound on one request line, bytes (newline excluded). A line
-/// longer than this gets a structured protocol error instead of growing
-/// the connection's buffer without bound, and the connection stays open.
-pub const MAX_LINE: usize = 1 << 20;
-
-/// A request line the protocol cannot accept: too long, or not UTF-8.
-enum BadLine {
-    TooLong(usize),
-    NotUtf8,
-}
-
-/// Reads one `\n`-terminated line of at most [`MAX_LINE`] bytes.
-///
-/// Returns `Ok(None)` at clean EOF, when `stop` is raised while the
-/// connection is idle (no partial line buffered) — the shutdown drain
-/// path — **or** when `deadline` passes without a complete line. The
-/// deadline fires even mid-line: it is the idle-connection timeout,
-/// whose clock only resets on complete requests, so a trickling sender
-/// (slowloris) is closed rather than waited on. A request whose bytes
-/// are already in flight during shutdown is still read to completion.
-/// An oversized or non-UTF-8 line yields `Err(BadLine)` after consuming
-/// the offending line entirely, so the protocol stream stays aligned
-/// and the connection can keep serving.
-fn read_bounded_line(
-    reader: &mut BufReader<TcpStream>,
-    stop: &AtomicBool,
-    deadline: Option<Instant>,
-) -> std::io::Result<Option<std::result::Result<String, BadLine>>> {
-    let mut buf: Vec<u8> = Vec::new();
-    let mut dropped = 0usize; // bytes discarded once the line overflows
-    loop {
-        let chunk = match reader.fill_buf() {
-            Ok(c) => c,
-            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            // The read timeout tick: close idle connections on stop or
-            // past the idle deadline, otherwise keep waiting (for the
-            // rest of a partial line too — its sender is mid-write and
-            // owed a response... until the idle deadline says otherwise).
-            Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-                if stop.load(Ordering::SeqCst) && buf.is_empty() && dropped == 0 {
-                    return Ok(None);
-                }
-                if deadline.is_some_and(|d| Instant::now() >= d) {
-                    cpm_obs::instant("serve.idle_close", "buffered", buf.len() as u64);
-                    return Ok(None);
-                }
-                continue;
-            }
-            Err(e) => return Err(e),
-        };
-        if chunk.is_empty() {
-            // EOF. A clean close mid-line drops the partial line.
-            return Ok(if buf.is_empty() || dropped > 0 {
-                None
-            } else {
-                Some(finish_line(buf))
-            });
-        }
-        let (take, terminated) = match chunk.iter().position(|b| *b == b'\n') {
-            Some(i) => (i + 1, true),
-            None => (chunk.len(), false),
-        };
-        if dropped > 0 || buf.len() + take - usize::from(terminated) > MAX_LINE {
-            // Overflow: stop accumulating, but keep draining to the
-            // newline so the next request parses from a clean boundary.
-            dropped += take + buf.len();
-            buf.clear();
-            reader.consume(take);
-            if terminated {
-                return Ok(Some(Err(BadLine::TooLong(dropped))));
-            }
-            continue;
-        }
-        buf.extend_from_slice(&chunk[..take]);
-        reader.consume(take);
-        if terminated {
-            buf.pop(); // the newline
-            return Ok(Some(finish_line(buf)));
-        }
-    }
-}
-
-fn finish_line(mut buf: Vec<u8>) -> std::result::Result<String, BadLine> {
-    if buf.last() == Some(&b'\r') {
-        buf.pop();
-    }
-    String::from_utf8(buf).map_err(|_| BadLine::NotUtf8)
-}
-
-/// Serves one connection until client EOF, shutdown drain, or idle
-/// timeout. Every fully received request is answered before the
-/// connection closes. The first byte negotiates the framing: `0x00`
-/// hands the connection to the binary loop, anything else stays on
-/// JSON lines.
-fn serve_connection(
-    stream: TcpStream,
-    handler: &dyn LineHandler,
-    stop: &AtomicBool,
-    listen_addr: Option<SocketAddr>,
-    idle_timeout: Option<Duration>,
-    telemetry: &Telemetry,
-) -> std::io::Result<()> {
-    // The timeout turns blocked reads into stop-flag polls; see
-    // read_bounded_line. Nagle would hold our small response segments
-    // hostage to the peer's delayed ACKs — this is a request/response
-    // protocol, so turn it off.
-    stream.set_read_timeout(Some(POLL_INTERVAL))?;
-    let _ = stream.set_nodelay(true);
-    let mut writer = stream.try_clone()?;
-    let mut reader = BufReader::new(stream);
-    let mut deadline = idle_timeout.map(|t| Instant::now() + t);
-
-    // Framing negotiation: peek the first byte without consuming it.
-    let first = loop {
-        match reader.fill_buf() {
-            Ok([]) => return Ok(()), // EOF before any request
-            Ok(chunk) => break chunk[0],
-            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-                if stop.load(Ordering::SeqCst) {
-                    return Ok(());
-                }
-                if deadline.is_some_and(|d| Instant::now() >= d) {
-                    cpm_obs::instant("serve.idle_close", "buffered", 0);
-                    return Ok(());
-                }
-            }
-            Err(e) => return Err(e),
-        }
-    };
-    if first == BINARY_PREAMBLE {
-        reader.consume(1);
-        return serve_connection_binary(
-            reader,
-            writer,
-            handler,
-            stop,
-            listen_addr,
-            idle_timeout,
-            telemetry,
-        );
-    }
-
-    while let Some(line) = read_bounded_line(&mut reader, stop, deadline)? {
-        let (mut response, shutdown) = match line {
-            Ok(line) => {
-                if line.trim().is_empty() {
-                    // Blank lines are keep-alive noise, not requests:
-                    // they don't count as frames or reset the idle clock.
-                    continue;
-                }
-                if let Some(c) = &telemetry.frames_json {
-                    c.inc();
-                }
-                handler.handle_line(&line)
-            }
-            // Bad lines never reach the protocol layer, so leave a
-            // flight-recorder marker here (no client id is recoverable
-            // from an unparseable line).
-            Err(BadLine::TooLong(len)) => {
-                cpm_obs::instant("serve.bad_line.too_long", "bytes", len as u64);
-                if let Some(c) = &telemetry.frames_json {
-                    c.inc();
-                }
-                (
-                    format!(
-                        "{{\"ok\":false,\"error\":\"request line too long \
-                         ({len} bytes, limit {MAX_LINE})\"}}"
-                    ),
-                    false,
-                )
-            }
-            Err(BadLine::NotUtf8) => {
-                cpm_obs::instant("serve.bad_line.not_utf8", "", 0);
-                if let Some(c) = &telemetry.frames_json {
-                    c.inc();
-                }
-                (
-                    "{\"ok\":false,\"error\":\"request line is not valid utf-8\"}".to_string(),
-                    false,
-                )
-            }
-        };
-        // A complete request arrived: the idle clock restarts.
-        deadline = idle_timeout.map(|t| Instant::now() + t);
-        // One write per response: a split write of payload then newline is
-        // two small segments, and Nagle + delayed ACK can park the second
-        // one for tens of milliseconds.
-        response.push('\n');
-        writer.write_all(response.as_bytes())?;
-        writer.flush()?;
-        if shutdown {
-            stop.store(true, Ordering::SeqCst);
-            // Wake the acceptor so it observes the stop flag; the other
-            // workers observe it at their next poll tick.
-            wake_acceptor(listen_addr);
-            break;
-        }
-        if stop.load(Ordering::SeqCst) {
-            break; // drain: another connection requested shutdown
-        }
-    }
-    Ok(())
-}
-
-/// The binary-framed sibling of the JSON-lines loop above: `u32` LE
-/// length-prefixed JSON payloads both ways (the preamble byte is
-/// already consumed). Shares the reactor's incremental [`Decoder`] so
-/// both engines enforce identical framing rules.
-#[allow(clippy::too_many_arguments)]
-fn serve_connection_binary(
-    mut reader: BufReader<TcpStream>,
-    mut writer: TcpStream,
-    handler: &dyn LineHandler,
-    stop: &AtomicBool,
-    listen_addr: Option<SocketAddr>,
-    idle_timeout: Option<Duration>,
-    telemetry: &Telemetry,
-) -> std::io::Result<()> {
-    let mut dec = Decoder::with_framing(Framing::Binary, MAX_LINE);
-    let mut deadline = idle_timeout.map(|t| Instant::now() + t);
-    let mut out = Vec::new();
-    loop {
-        while let Some(msg) = dec.next_msg() {
-            if let Some(c) = &telemetry.frames_binary {
-                c.inc();
-            }
-            deadline = idle_timeout.map(|t| Instant::now() + t);
-            out.clear();
-            let (response, shutdown, fatal) = match msg {
-                Msg::Payload(payload) => {
-                    let (response, shutdown) = handler.handle_line(&payload);
-                    (response, shutdown, false)
-                }
-                Msg::TooLong(len) => {
-                    cpm_obs::instant("serve.bad_frame.too_long", "bytes", len as u64);
-                    (
-                        format!(
-                            "{{\"ok\":false,\"error\":\"request frame too long \
-                             ({len} bytes, limit {MAX_LINE})\"}}"
-                        ),
-                        false,
-                        false,
-                    )
-                }
-                Msg::NotUtf8 => {
-                    cpm_obs::instant("serve.bad_frame.not_utf8", "", 0);
-                    (
-                        "{\"ok\":false,\"error\":\"request is not valid utf-8\"}".to_string(),
-                        false,
-                        false,
-                    )
-                }
-                Msg::Corrupt(len) => {
-                    cpm_obs::instant("serve.bad_frame.corrupt", "bytes", len as u64);
-                    (
-                        format!(
-                            "{{\"ok\":false,\"error\":\"unrecoverable frame length \
-                             {len}; closing connection\"}}"
-                        ),
-                        false,
-                        true,
-                    )
-                }
-            };
-            encode_response(Framing::Binary, &response, &mut out);
-            writer.write_all(&out)?;
-            writer.flush()?;
-            if shutdown {
-                stop.store(true, Ordering::SeqCst);
-                wake_acceptor(listen_addr);
-                return Ok(());
-            }
-            if fatal || stop.load(Ordering::SeqCst) {
-                return Ok(());
-            }
-        }
-        match reader.fill_buf() {
-            Ok([]) => return Ok(()), // EOF
-            Ok(chunk) => {
-                dec.push(chunk);
-                let n = chunk.len();
-                reader.consume(n);
-            }
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-                // Shutdown drain: an incomplete frame is abandoned (its
-                // sender never finished it), matching the JSON path's
-                // idle-close-on-stop semantics.
-                if stop.load(Ordering::SeqCst) && dec.pending() == 0 {
-                    return Ok(());
-                }
-                if deadline.is_some_and(|d| Instant::now() >= d) {
-                    cpm_obs::instant("serve.idle_close", "buffered", dec.pending() as u64);
-                    return Ok(());
-                }
-            }
-            Err(e) => return Err(e),
-        }
-    }
-}
-
-fn wake_acceptor(listen_addr: Option<SocketAddr>) {
-    if let Some(addr) = listen_addr {
-        let _ = TcpStream::connect(addr);
-    }
-}
-
 impl ServerHandle {
     /// The address clients should connect to.
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.running.addr()
     }
 
     /// The service behind the server (shared).
@@ -623,29 +212,14 @@ impl ServerHandle {
         &self.service
     }
 
-    /// Requests a graceful shutdown and blocks until the acceptor has
-    /// drained and joined every worker. Idempotent.
+    /// Requests a graceful shutdown and blocks until every shard has
+    /// drained and been joined. Idempotent.
     pub fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        // Unblock `accept` with a throwaway connection.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
+        self.running.shutdown();
     }
 
     /// Waits for the server to stop on its own (e.g. a `shutdown` verb).
     pub fn join(&mut self) {
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
-    }
-}
-
-impl Drop for ServerHandle {
-    fn drop(&mut self) {
-        if self.accept_thread.is_some() {
-            self.shutdown();
-        }
+        self.running.join();
     }
 }

@@ -1,4 +1,4 @@
-//! Concurrency tests of the worker-pool server: many clients issuing
+//! Concurrency tests of the server: many clients issuing
 //! interleaved cache hits and misses with no lost or duplicated
 //! responses, protocol-error isolation under concurrent load, the
 //! `batch` verb against individually-issued requests, per-verb latency
@@ -321,7 +321,7 @@ fn shutdown_under_load_drains_admitted_requests() {
     assert!(ok(&bye), "{bye:?}");
     assert_eq!(bye.get("shutting_down"), Some(&Value::Bool(true)));
 
-    // The acceptor joins every worker before releasing the listener.
+    // Every shard is joined before the listener is released.
     server.join();
 
     for t in clients {

@@ -4,9 +4,9 @@
 //! protocol this one replaced: lines alternate request, response — the
 //! request exactly as sent, the response exactly as that implementation
 //! answered a fresh service fed the corpus in order. The tests here hold
-//! the protocol to it byte for byte, hold both wire framings and both
-//! engines to the in-process answers, and throw seeded mutations of the
-//! corpus at `handle_line`.
+//! the protocol to it byte for byte, hold both wire framings to the
+//! in-process answers, and throw seeded mutations of the corpus at
+//! `handle_line`.
 //!
 //! The `stats` verb reports timings, so its responses are compared with
 //! every number masked. The flight recorder is switched off for the whole
@@ -23,7 +23,7 @@ use std::sync::Arc;
 use cpm_cluster::{ClusterConfig, ClusterSpec};
 use cpm_estimate::EstimateConfig;
 use cpm_serve::{
-    handle_line, Engine, LineHandler, Server, ServerHandle, Service, ServiceConfig, MAX_BATCH,
+    handle_line, LineHandler, Server, ServerHandle, Service, ServiceConfig, MAX_BATCH,
 };
 use serde_json::Value;
 
@@ -97,6 +97,19 @@ fn corpus_requests() -> Vec<String> {
                      \"m\":65536,\"root\":1}}"
                 ));
             }
+        }
+    }
+    // The largest `m` the protocol admits: the binomial block products
+    // saturate, so every model still answers with a finite time, the
+    // same one in debug and release builds.
+    for model in ["lmo", "hockney", "loggp", "plogp"] {
+        for collective in ["scatter", "gather"] {
+            c.push(format!(
+                "{{\"verb\":\"predict\",\"id\":\"huge-{model}-{collective}\",\
+                 \"fingerprint\":\"{fp}\",\"model\":\"{model}\",\
+                 \"collective\":\"{collective}\",\"algorithm\":\"binomial\",\
+                 \"m\":18446744073709551615}}"
+            ));
         }
     }
     // Field-level errors, in the order the parser checks them.
@@ -526,11 +539,10 @@ fn golden_corpus_is_reproduced_byte_for_byte() {
     let _ = std::fs::remove_dir_all(dir);
 }
 
-fn start(tag: &str, engine: Engine) -> (PathBuf, ServerHandle) {
+fn start(tag: &str) -> (PathBuf, ServerHandle) {
     let (dir, service) = fresh_service(tag);
     let handle = Server::bind(service, "127.0.0.1:0")
         .unwrap()
-        .engine(engine)
         .workers(2)
         .spawn();
     (dir, handle)
@@ -569,11 +581,11 @@ fn over_the_wire(handle: &ServerHandle, requests: &[&str], binary: bool) -> Vec<
     responses
 }
 
-/// JSON-lines vs binary framing, pool vs reactor: four servers, each fed
-/// the corpus in order on one connection, must answer with the payloads
-/// `handle_line` produces in process.
+/// JSON-lines vs binary framing: two servers, each fed the corpus in
+/// order on one connection, must answer with the payloads `handle_line`
+/// produces in process.
 #[test]
-fn both_framings_and_both_engines_return_identical_payloads() {
+fn both_framings_return_identical_payloads() {
     let corpus = golden_corpus();
     // The line framing treats a blank line as keep-alive noise and cannot
     // carry it as a request; everything else goes over every wire.
@@ -589,18 +601,16 @@ fn both_framings_and_both_engines_return_identical_payloads() {
         .collect();
     let _ = std::fs::remove_dir_all(dir);
 
-    for (engine, name) in [(Engine::Pool, "pool"), (Engine::Reactor, "reactor")] {
-        for binary in [false, true] {
-            let tag = format!("wire-{name}-{binary}");
-            let (dir, mut handle) = start(&tag, engine);
-            let got = over_the_wire(&handle, &requests, binary);
-            for ((req, got), want) in requests.iter().zip(&got).zip(&reference) {
-                assert_eq!(&comparable(req, got), want, "{tag}: {req}");
-            }
-            // The corpus ends in `shutdown`: the server stops by itself.
-            handle.join();
-            let _ = std::fs::remove_dir_all(dir);
+    for binary in [false, true] {
+        let tag = format!("wire-{binary}");
+        let (dir, mut handle) = start(&tag);
+        let got = over_the_wire(&handle, &requests, binary);
+        for ((req, got), want) in requests.iter().zip(&got).zip(&reference) {
+            assert_eq!(&comparable(req, got), want, "{tag}: {req}");
         }
+        // The corpus ends in `shutdown`: the server stops by itself.
+        handle.join();
+        let _ = std::fs::remove_dir_all(dir);
     }
 }
 

@@ -379,8 +379,6 @@ fn oversized_and_non_utf8_lines_get_structured_errors_not_dropped_connections() 
     let v: Value = serde_json::from_str(response.trim_end()).unwrap();
     assert!(ok(&v), "{v:?}");
 
-    // Close our side before shutdown: the server joins per-connection
-    // workers, which only unblock at client EOF.
     drop(writer);
     drop(reader);
     server.shutdown();

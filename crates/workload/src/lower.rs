@@ -138,7 +138,7 @@ pub fn lower(trace: &Trace, choices: &[Option<Algorithm>]) -> Lowered {
             }
             OpKind::Scatter { root, m } => match choice.unwrap_or(Algorithm::Linear) {
                 Algorithm::Binomial => {
-                    lower_binomial(&mut e, n, *root, |blocks| blocks * m);
+                    lower_binomial(&mut e, n, *root, |blocks| blocks.saturating_mul(*m));
                     Some(Algorithm::Binomial)
                 }
                 _ => {
@@ -285,7 +285,7 @@ fn lower_binomial_up(e: &mut Emitter, n: usize, root: Rank, m: Bytes, combine_se
             let bytes = if combine_secs > 0.0 {
                 m
             } else {
-                tree.subtree_size(me) * m
+                tree.subtree_size(me).saturating_mul(m)
             };
             e.send(me, parent, bytes);
         }

@@ -170,14 +170,13 @@ statistics over --reps repetitions.",
             "seed",
             "reps",
             "workers",
-            "engine",
             "idle-timeout-ms",
             "fleet",
             "node",
         ],
         help: "\
 USAGE: cpm serve [--store DIR] [--addr HOST:PORT] [--seed N] [--reps N]
-                 [--workers N] [--engine pool|reactor] [--idle-timeout-ms MS]
+                 [--workers N] [--idle-timeout-ms MS]
                  [--fleet MAP.json --node NAME]
 
 Runs the prediction service: a TCP server backed by a fingerprinted
@@ -187,15 +186,16 @@ queries — across restarts — are served from the store and an in-memory
 prediction cache. --addr defaults to 127.0.0.1:7971 (use port 0 for an
 ephemeral port); --seed and --reps configure the estimation runs.
 
---engine picks the serving engine. `pool` (default) serves up to
---workers connections concurrently on dedicated threads; --workers 1
-restores serial serving. `reactor` multiplexes ALL connections over
---workers epoll event-loop shards with pipelined request handling —
-choose it when many mostly-idle clients stay connected. Both engines
-speak JSON lines or the length-prefixed binary framing, negotiated by
-the first byte of each connection (see `cpm query --wire binary`), and
-close connections idle for --idle-timeout-ms (default 30000; only a
-complete request resets the clock; 0 disables).
+One serving engine: --workers (default 8) epoll event-loop shards
+multiplex ALL connections, each answering its connections' pipelined
+requests in order, so many mostly-idle clients cost file descriptors, not
+threads. --workers is the number of requests computed at once, not a
+connection limit; a long request (a cold estimate) holds its shard, and
+the connections sharing that shard, for its duration. The server speaks
+JSON lines or the length-prefixed binary framing, negotiated by the first
+byte of each connection (see `cpm query --wire binary`), and closes
+connections idle for --idle-timeout-ms (default 30000; only a complete
+request resets the clock; 0 disables).
 
 The server speaks the drift-extended protocol: beyond the core verbs it
 accepts `observe` (ingest a measured transfer time into the drift
@@ -209,9 +209,7 @@ tenants this node does not own on the map's consistent-hash ring,
 synchronously replicates every published parameter set to the tenant's
 follower nodes (`fleet-install`), and reports role, ownership ranges and
 per-peer replication lag in a `fleet` stats section. --addr should be
-this node's address in the map. Prefer --engine reactor in a fleet:
-peers park pooled connections on every node, and the pool engine pins a
-worker thread per parked connection.",
+this node's address in the map.",
         run: cmd_serve,
     },
     CommandSpec {
@@ -242,10 +240,11 @@ tenant fingerprint on the map's ring), with pooled upstream connections,
 bounded retry with backoff, and failover to a replica when the leader is
 down — follower-served responses are flagged `\"stale\": true` with
 `\"served_by\"` naming the replica. Batches are split by owner and the
-responses spliced back in request order. Runs on the reactor engine
-(--shards event loops, default 2) and speaks both wire framings. `stats`
-returns router-side counters (forwards, retries, stale reads, failures;
---format text for the Prometheus exposition); `shutdown` stops it.",
+responses spliced back in request order. Runs on the same event loop as
+`cpm serve` (--shards event loops, default 2) and speaks both wire
+framings. `stats` returns router-side counters (forwards, retries, stale
+reads, failures; --format text for the Prometheus exposition); `shutdown`
+stops it.",
         run: cmd_fleet_route,
     },
     CommandSpec {
@@ -308,7 +307,7 @@ non-zero if any element failed.
 --wire selects the framing: `jsonl` (default) sends newline-terminated
 JSON; `binary` opens with a 0x00 preamble and frames the same JSON
 payloads with u32 little-endian length prefixes both ways — useful to
-smoke-test the binary protocol against either serve engine.",
+smoke-test the binary protocol.",
         run: cmd_query,
     },
     CommandSpec {
@@ -1036,10 +1035,6 @@ fn cmd_serve(opts: &Opts) -> Result<(), String> {
     if workers == 0 {
         return Err("--workers must be at least 1".into());
     }
-    let engine = match opts.get("engine").map(String::as_str) {
-        None => cpm::serve::Engine::Pool,
-        Some(raw) => cpm::serve::Engine::parse(raw).map_err(|e| format!("--engine: {e}"))?,
-    };
     let idle_timeout = match opts.get("idle-timeout-ms") {
         None => Some(cpm::serve::DEFAULT_IDLE_TIMEOUT),
         Some(raw) => {
@@ -1085,14 +1080,9 @@ fn cmd_serve(opts: &Opts) -> Result<(), String> {
     let server = Server::bind_with(service, handler, addr)
         .map_err(|e| e.to_string())?
         .workers(workers)
-        .engine(engine)
         .idle_timeout(idle_timeout);
-    let engine_name = match engine {
-        cpm::serve::Engine::Pool => "pool",
-        cpm::serve::Engine::Reactor => "reactor",
-    };
     println!(
-        "cpm-serve listening on {} (engine {engine_name}, {workers} worker(s), \
+        "cpm-serve listening on {} ({workers} event-loop shard(s), \
          drift verbs enabled{fleet_note})",
         server.addr()
     );
