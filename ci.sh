@@ -26,17 +26,24 @@ echo "== ledger builds against the workspace (a drifted signature fails here, no
 CARGO_TARGET_DIR=target/ledger cargo build --release --offline --locked --quiet \
   --manifest-path benchmark/Cargo.toml
 
-echo "== request-path oracles, each by exact name (a mistyped filter runs nothing and must fail)"
-run_named() { # <integration test target of cpm-serve> <exact test name>
-  cargo test -p cpm-serve --test "$1" -- --exact "$2" 2>&1 | tee "$ORACLE_LOG"
-  grep -q "^test $2 \.\.\. ok\$" "$ORACLE_LOG" || { echo "test $2 did not run and pass"; exit 1; }
+echo "== oracles, each by exact name (a mistyped filter runs nothing and must fail)"
+run_named() { # <exact test name> <cargo test arguments that select its target>
+  local name="$1"; shift
+  cargo test "$@" -- --exact "$name" 2>&1 | tee "$ORACLE_LOG"
+  grep -q "^test $name \.\.\. ok\$" "$ORACLE_LOG" || { echo "test $name did not run and pass"; exit 1; }
 }
 ORACLE_LOG="$(mktemp)"
-run_named golden golden_corpus_is_reproduced_byte_for_byte
-run_named golden both_framings_return_identical_payloads
-run_named golden mutated_requests_always_get_a_structured_answer
-run_named alloc_gate warm_predict_and_select_allocate_a_small_constant
-run_named alloc_gate a_plan_hit_adds_only_the_output_line_to_parse_and_lookup
+run_named golden_corpus_is_reproduced_byte_for_byte -p cpm-serve --test golden
+run_named both_framings_return_identical_payloads -p cpm-serve --test golden
+run_named mutated_requests_always_get_a_structured_answer -p cpm-serve --test golden
+run_named warm_predict_and_select_allocate_a_small_constant -p cpm-serve --test alloc_gate
+run_named a_plan_hit_adds_only_the_output_line_to_parse_and_lookup -p cpm-serve --test alloc_gate
+# One machine: a plan is a replay on the model's parameters, to the bit.
+run_named plan_equals_replay_bit_for_bit_on_the_ideal_paper_cluster -p cpm-workload --test accuracy
+# The kernel asserts where the old planner computed garbage: degenerate
+# parameters are clamped, never a panic, in optimized builds too.
+run_named degenerate_parameter_sets_plan_as_their_clamped_selves -p cpm-serve --test golden
+run_named degenerate_parameter_sets_plan_as_their_clamped_selves -p cpm-serve --test golden --release
 rm -f "$ORACLE_LOG"
 
 echo "== drift loop tests"
@@ -44,9 +51,6 @@ cargo test -p cpm-drift -q
 
 echo "== drift ingest bench (smoke)"
 cargo bench -p cpm-bench --bench drift -- --test
-
-echo "== workload plan bench (smoke)"
-cargo bench -p cpm-bench --bench workload -- --test
 
 echo "== flight-recorder bench (smoke + <100ns/record gate)"
 cargo bench -p cpm-bench --bench obs -- --test

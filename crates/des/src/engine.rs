@@ -245,7 +245,7 @@ fn splitmix64(x: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::key::Seconds;
+    use cpm_core::time::Time;
 
     #[test]
     fn pops_in_time_then_fifo_order() {
@@ -260,13 +260,13 @@ mod tests {
 
     #[test]
     fn steady_state_allocates_no_new_slots() {
-        let mut e: Engine<Seconds, [u8; 64]> = Engine::new();
+        let mut e: Engine<Time, [u8; 64]> = Engine::new();
         for i in 0..64 {
-            e.schedule(Seconds::new(i as f64), [0u8; 64]);
+            e.schedule(Time::from_secs(i as f64), [0u8; 64]);
         }
         for i in 0..100_000 {
             let (t, ev) = e.pop().unwrap();
-            e.schedule(Seconds::new(t.secs() + 1.0 + (i % 7) as f64), ev);
+            e.schedule(Time::from_secs(t.secs() + 1.0 + (i % 7) as f64), ev);
         }
         assert_eq!(e.stats().pool_slots, 64);
     }

@@ -5,10 +5,9 @@
 //! made on the tick image, so the mapping must be injective and monotone
 //! over the values a simulation actually schedules. For IEEE-754 doubles
 //! that mapping is free: the bit pattern of a non-negative finite `f64`
-//! orders exactly like its value, which is why both [`cpm_core::Time`]
-//! (the netsim kernel's clock) and [`Seconds`] (the analytic planner's
-//! raw `f64` clock) can share one queue implementation without
-//! quantization — two distinct timestamps never collapse onto one tick.
+//! orders exactly like its value, which is why [`cpm_core::Time`] (the
+//! netsim kernel's clock) schedules without quantization — two distinct
+//! timestamps never collapse onto one tick.
 
 use cpm_core::time::Time;
 
@@ -32,40 +31,6 @@ impl DesTime for Time {
         let s = self.secs();
         debug_assert!(s >= 0.0, "event times must be non-negative, got {s}");
         s.to_bits()
-    }
-}
-
-/// A raw `f64` number of seconds as a scheduling key (the analytic
-/// planner's clock). Construction asserts the value is finite and
-/// non-negative, which makes the bit-pattern ordering exact.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Seconds(f64);
-
-impl Seconds {
-    /// Wraps a non-negative finite number of seconds.
-    ///
-    /// # Panics
-    /// Panics when `secs` is negative, NaN, or infinite.
-    #[inline]
-    pub fn new(secs: f64) -> Self {
-        assert!(
-            secs.is_finite() && secs >= 0.0,
-            "scheduling key must be finite and non-negative, got {secs}"
-        );
-        Seconds(secs)
-    }
-
-    /// The wrapped value in seconds.
-    #[inline]
-    pub fn secs(self) -> f64 {
-        self.0
-    }
-}
-
-impl DesTime for Seconds {
-    #[inline]
-    fn ticks(&self) -> u64 {
-        self.0.to_bits()
     }
 }
 
@@ -94,24 +59,11 @@ mod tests {
         ];
         for w in xs.windows(2) {
             assert!(
-                Seconds::new(w[0]).ticks() < Seconds::new(w[1]).ticks(),
+                Time::from_secs(w[0]).ticks() < Time::from_secs(w[1]).ticks(),
                 "{} vs {}",
                 w[0],
                 w[1]
             );
         }
-    }
-
-    #[test]
-    fn time_ticks_match_seconds_ticks() {
-        for s in [0.0, 1e-6, 0.125, 3.25] {
-            assert_eq!(Time::from_secs(s).ticks(), Seconds::new(s).ticks());
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "non-negative")]
-    fn negative_seconds_rejected() {
-        let _ = Seconds::new(-1.0);
     }
 }

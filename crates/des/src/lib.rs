@@ -1,14 +1,14 @@
 //! cpm-des — the unified discrete-event simulation engine.
 //!
 //! One scheduler core backs every event loop in the workspace: the
-//! netsim kernel, the vmpi runner's script executor, and the workload
-//! planner's analytic machine all schedule through [`Engine`] instead of
+//! netsim kernel schedules through [`Engine`], and the vmpi runner's
+//! script executor and the workload planner run on that kernel instead of
 //! maintaining private `BinaryHeap`s. The pieces:
 //!
 //! * **Calendar queue** (Brown 1988) — O(1) amortized insert/extract on
 //!   the banded timestamp distributions simulations produce, with
 //!   self-monitoring and a `BinaryHeap` fallback for pathological
-//!   spreads. Keys are any [`DesTime`]: `u64` ticks, [`Seconds`], or
+//!   spreads. Keys are any [`DesTime`]: `u64` ticks or
 //!   [`cpm_core::Time`] (f64 seconds map order-preservingly onto ticks
 //!   via their IEEE-754 bit patterns — no quantization).
 //! * **Pooled payloads** — event payloads park in recycled slab slots,
@@ -39,4 +39,4 @@ mod key;
 mod pool;
 
 pub use engine::{Engine, EngineStats, PopObserver};
-pub use key::{DesTime, Seconds};
+pub use key::DesTime;

@@ -7,7 +7,8 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use cpm_des::{Engine, Seconds};
+use cpm_core::time::Time;
+use cpm_des::Engine;
 use proptest::prelude::*;
 
 #[derive(Clone, Debug)]
@@ -77,11 +78,11 @@ proptest! {
 
     #[test]
     fn seconds_keys_match_model(times in proptest::collection::vec(0u32..1_000_000, 1..300)) {
-        let mut engine: Engine<Seconds, usize> = Engine::new();
+        let mut engine: Engine<Time, usize> = Engine::new();
         let mut model: Vec<(u64, usize)> = Vec::new();
         for (i, t) in times.iter().enumerate() {
             let secs = *t as f64 * 1.3e-7;
-            engine.schedule(Seconds::new(secs), i);
+            engine.schedule(Time::from_secs(secs), i);
             model.push((secs.to_bits(), i));
         }
         model.sort();

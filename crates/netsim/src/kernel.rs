@@ -214,13 +214,13 @@ enum Status {
 /// How the kernel drives a rank: a channel to a dedicated OS thread (the
 /// general programming model), or an in-kernel script interpreter (the
 /// threadless fast path for straight-line replay programs).
-pub(crate) enum ProcPort {
+pub(crate) enum ProcPort<'c> {
     Thread(Sender<Grant>),
-    Script(ScriptProc),
+    Script(ScriptProc<'c>),
 }
 
-struct ProcState {
-    port: ProcPort,
+struct ProcState<'c> {
+    port: ProcPort<'c>,
     status: Status,
     local: Time,
     pending_recv: Option<(Option<Rank>, Option<Tag>)>,
@@ -242,9 +242,9 @@ pub(crate) struct KernelOut {
 
 /// Runs scripted programs through the kernel (no rank threads; the dummy
 /// syscall channel is never used because no `ProcPort::Thread` exists).
-pub(crate) fn run_scripts_kernel(
-    cluster: &SimCluster,
-    scripts: Vec<ScriptProc>,
+pub(crate) fn run_scripts_kernel<'c>(
+    cluster: &'c SimCluster,
+    scripts: Vec<ScriptProc<'c>>,
     traced: bool,
 ) -> Result<KernelOut> {
     let (_sys_tx, sys_rx) = unbounded::<(ProcId, Syscall)>();
@@ -258,7 +258,7 @@ struct Kernel<'c> {
     msgs: Vec<MsgState>,
     /// Delivered-but-unreceived messages per process, in delivery order.
     mailbox: Vec<Vec<MsgId>>,
-    procs: Vec<ProcState>,
+    procs: Vec<ProcState<'c>>,
     tx_free: Vec<Time>,
     rx_free: Vec<Time>,
     ingress_free: Vec<Time>,
@@ -302,7 +302,7 @@ struct Kernel<'c> {
 impl<'c> Kernel<'c> {
     fn new(
         cl: &'c SimCluster,
-        ports: Vec<ProcPort>,
+        ports: Vec<ProcPort<'c>>,
         sys_rx: Receiver<(ProcId, Syscall)>,
         traced: bool,
     ) -> Self {
@@ -674,11 +674,14 @@ impl<'c> Kernel<'c> {
             done
         } else {
             let mut extra = 0.0;
-            let other_sources = self.active_src[j]
-                .iter()
-                .enumerate()
-                .any(|(s, &c)| s != i && c > 0);
-            if self.cl.profile.is_medium(view.bytes) && other_sources {
+            // The size test first: the scan over sources is O(n) and only
+            // a medium message can escalate.
+            if self.cl.profile.is_medium(view.bytes)
+                && self.active_src[j]
+                    .iter()
+                    .enumerate()
+                    .any(|(s, &c)| s != i && c > 0)
+            {
                 // Incast: concurrent inbound medium flows from distinct
                 // sources can trip a TCP retransmission stall.
                 let pr = self.cl.profile.escalation_probability(view.bytes);

@@ -3,13 +3,16 @@
 //! The thread-based programming model ([`crate::simulate`]) spawns one OS
 //! thread per rank and round-trips a channel per syscall — perfect for
 //! expressing arbitrary algorithms, but the context switches cap it at a
-//! few hundred ranks. Workload replay doesn't need arbitrary code: after
-//! lowering, every rank is a straight-line sequence of send/recv/compute/
-//! barrier primitives. [`run_script`] interprets such sequences directly
-//! inside the kernel's event loop — no threads, no channels, no per-event
-//! allocation — with *identical* event semantics and therefore identical
-//! virtual timings. This is what makes 1000-rank replay a subsecond
-//! operation instead of a thread-pool stress test.
+//! few hundred ranks. Workload planning and replay don't need arbitrary
+//! code: after lowering, every rank is a straight-line sequence of
+//! send/recv/compute/barrier primitives. [`run_script`] interprets such
+//! sequences directly inside the kernel's event loop — no threads, no
+//! channels, no per-event allocation, the programs borrowed from the
+//! caller rather than copied — with *identical* event semantics and
+//! therefore identical virtual timings. This is what makes 1000-rank
+//! replay a subsecond operation instead of a thread-pool stress test, and
+//! [`ScriptOp`] is the one send/recv/compute/barrier vocabulary of the
+//! workspace: `cpm-workload` lowers straight into it.
 
 use cpm_core::error::Result;
 use cpm_core::rank::Rank;
@@ -68,16 +71,17 @@ pub struct ScriptOutcome {
     pub des_events: Option<DesEventCounts>,
 }
 
-/// Kernel-side interpreter state for one scripted rank.
-pub(crate) struct ScriptProc {
-    ops: Vec<ScriptOp>,
+/// Kernel-side interpreter state for one scripted rank. The program is
+/// borrowed from the caller for the length of the run.
+pub(crate) struct ScriptProc<'a> {
+    ops: &'a [ScriptOp],
     pc: usize,
     started: bool,
     pub(crate) windows: Vec<(f64, f64)>,
 }
 
-impl ScriptProc {
-    pub(crate) fn new(ops: Vec<ScriptOp>) -> Self {
+impl<'a> ScriptProc<'a> {
+    pub(crate) fn new(ops: &'a [ScriptOp]) -> Self {
         let windows = vec![(0.0, 0.0); ops.len()];
         ScriptProc {
             ops,
@@ -157,10 +161,7 @@ fn run_script_inner(
         "need one script per rank ({})",
         cluster.n()
     );
-    let scripts = programs
-        .iter()
-        .map(|ops| ScriptProc::new(ops.clone()))
-        .collect();
+    let scripts = programs.iter().map(|ops| ScriptProc::new(ops)).collect();
     let out = run_scripts_kernel(cluster, scripts, traced)?;
     Ok(ScriptOutcome {
         windows: out.windows,

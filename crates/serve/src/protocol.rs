@@ -115,8 +115,8 @@ pub enum Request {
     Plan {
         /// The cluster to plan against.
         cluster: ClusterRef,
-        /// Model family the critical-path machine charges costs under
-        /// (analytic fidelity only).
+        /// Model family whose parameters the plan runs on (analytic
+        /// fidelity only).
         model: ModelKind,
         /// `true` when the request named the hierarchical model
         /// (`"model":"lmo-hier"`): the plan is evaluated under per-level

@@ -157,6 +157,13 @@ impl ParamSet {
     /// Runs the full estimation pipeline for `config`: LMO (with gather
     /// empirics), heterogeneous Hockney, LogGP and PLogP.
     pub fn estimate(config: &ClusterConfig, est: &EstimateConfig) -> Result<ParamSet> {
+        // `SimCluster::new` asserts this; a request must not reach it.
+        if !(config.noise_rel.is_finite() && config.noise_rel >= 0.0) {
+            return Err(ServeError::Protocol(format!(
+                "config.noise_rel must be finite and non-negative, got {}",
+                config.noise_rel
+            )));
+        }
         let sim = SimCluster::from_config(config);
         let err = |e: cpm_core::error::CpmError| ServeError::Estimation(e.to_string());
         let lmo = estimate_lmo_full(&sim, est).map_err(err)?;

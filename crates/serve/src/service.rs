@@ -306,6 +306,19 @@ impl Inflight {
     }
 }
 
+/// The leader of a single-flight estimation. However it leaves — return,
+/// error or unwind (the reactor catches a handler panic and keeps
+/// serving) — the marker goes and the waiters wake to re-check, so a
+/// failed estimate costs its own request, never the fingerprint.
+struct Lead<'a>(&'a Service, &'a str, &'a Inflight);
+
+impl Drop for Lead<'_> {
+    fn drop(&mut self) {
+        self.0.inflight.lock().remove(self.1);
+        self.2.finish();
+    }
+}
+
 /// A protocol verb, as tracked by the per-verb latency histograms.
 ///
 /// Covers the core vocabulary plus the drift-extension verbs so one
@@ -906,6 +919,7 @@ impl Service {
                 state.wait();
                 continue;
             }
+            let lead = Lead(self, &fp, &state);
             self.metrics.estimations.inc();
             // Publish (persist + version) before exposing in memory so a
             // restarted service finds it and lineage has a real parent.
@@ -917,8 +931,7 @@ impl Service {
                 self.metrics.stored.set(self.registry.len() as u64);
                 self.params.write().insert(fp.clone(), Arc::new(ps.clone()));
             }
-            self.inflight.lock().remove(&fp);
-            state.finish();
+            drop(lead);
             let outcome = outcome.map(Arc::new);
             if let Ok(ps) = &outcome {
                 self.notify_publish(ps);

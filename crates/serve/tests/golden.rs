@@ -23,7 +23,8 @@ use std::sync::Arc;
 use cpm_cluster::{ClusterConfig, ClusterSpec};
 use cpm_estimate::EstimateConfig;
 use cpm_serve::{
-    handle_line, LineHandler, Server, ServerHandle, Service, ServiceConfig, MAX_BATCH,
+    handle_line, ClusterRef, LineHandler, ModelKind, ParamSet, Server, ServerHandle, Service,
+    ServiceConfig, MAX_BATCH,
 };
 use serde_json::Value;
 
@@ -671,5 +672,111 @@ fn mutated_requests_always_get_a_structured_answer() {
         }
     }
     assert!(answered > 5000, "{answered}");
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// Degenerate parameters never panic the planner. The plan runs on the
+/// simulator's kernel, whose clock is finite and never runs backwards,
+/// where the planner it replaced silently computed garbage — so there is
+/// one documented clamp between a model and the machine: a parameter that
+/// would charge a negative or NaN duration charges zero, an absurdly large
+/// one `1e200` s. Seeded from the corpus's own estimated sets (in range:
+/// untouched), then bent one parameter at a time — through the registry
+/// and `handle_line` for the values JSON can carry, through
+/// `cpm_workload::plan` for NaN and the infinities.
+#[test]
+fn degenerate_parameter_sets_plan_as_their_clamped_selves() {
+    let (dir, service) = fresh_service("degenerate");
+    let config = ClusterConfig::ideal(ClusterSpec::homogeneous(4), 17);
+    let good = service
+        .param_set(&ClusterRef::Config(Box::new(config)))
+        .unwrap();
+    let trace = cpm_workload::gen::canonical("train", 4, 8192, 1).unwrap();
+    let trace_json = serde_json::to_string(&trace.to_value()).unwrap();
+    let all = [
+        ModelKind::Lmo,
+        ModelKind::Hockney,
+        ModelKind::Loggp,
+        ModelKind::Plogp,
+    ];
+    // Publishes `ps` as the fingerprint's next version and returns what
+    // the plan verb then answers under `model`, from "model" on (the
+    // head differs by `param_version` only).
+    let served = |ps: ParamSet, model: &str| {
+        service.republish(ps, &all).unwrap();
+        let line = format!(
+            "{{\"verb\":\"plan\",\"fingerprint\":\"{}\",\"model\":\"{model}\",\
+             \"trace\":{trace_json}}}",
+            good.fingerprint
+        );
+        let (answer, _) = handle_line(&service, &line);
+        assert!(answer.starts_with("{\"ok\":true"), "{model}: {answer}");
+        answer[answer.find("\"model\":").unwrap()..].to_string()
+    };
+    for model in ["lmo", "hockney", "loggp", "plogp"] {
+        assert!(served((*good).clone(), model).contains("\"makespan_seconds\":"));
+    }
+
+    // Each bent set plans exactly as the same set with the parameter
+    // clamped by hand.
+    const I: cpm_core::Rank = cpm_core::Rank(0);
+    const J: cpm_core::Rank = cpm_core::Rank(1);
+    type Bend = fn(&mut ParamSet, f64);
+    let bent: [(&str, f64, f64, Bend); 4] = [
+        ("lmo", -1e-3, 0.0, |ps, v| ps.lmo.l.set(I, J, v)),
+        ("lmo", -1e6, f64::INFINITY, |ps, v| ps.lmo.beta.set(I, J, v)),
+        ("lmo", -4e-5, 0.0, |ps, v| ps.lmo.c[2] = v),
+        ("lmo", 1e300, 1e200, |ps, v| ps.lmo.t[3] = v),
+    ];
+    for (model, degenerate, clamped, bend) in bent {
+        let plan_with = |value: f64| {
+            let mut ps = (*good).clone();
+            bend(&mut ps, value);
+            ps
+        };
+        if clamped.is_finite() {
+            assert_eq!(
+                served(plan_with(degenerate), model),
+                served(plan_with(clamped), model),
+                "{model} bent to {degenerate}"
+            );
+        } else {
+            // JSON cannot carry the hand-clamped infinity.
+            let planned = |ps: ParamSet| {
+                cpm_workload::plan(&trace, &cpm_workload::PlanModel::Lmo(ps.lmo)).unwrap()
+            };
+            assert_eq!(planned(plan_with(degenerate)), planned(plan_with(clamped)));
+            served(plan_with(degenerate), model);
+        }
+    }
+    // Under a whole-transfer model the duration is `T(src, dst, M)`, not
+    // a parameter: a Hockney fit whose α makes it negative on one pair
+    // charges that pair nothing and still answers.
+    let mut ps = (*good).clone();
+    ps.hockney.alpha.set(I, J, -1.0);
+    served(ps, "hockney");
+
+    // What JSON cannot carry: NaN plans as zero, +∞ as the cap.
+    for (value, clamped) in [(f64::NAN, 0.0), (f64::INFINITY, 1e200)] {
+        let planned = |t1: f64| {
+            let mut lmo = good.lmo.clone();
+            lmo.t[1] = t1;
+            cpm_workload::plan(&trace, &cpm_workload::PlanModel::Lmo(lmo)).unwrap()
+        };
+        assert_eq!(planned(value), planned(clamped), "t[1] = {value}");
+    }
+    // An overflowing combine time is the trace's fault, and an error.
+    let mut overflowing = trace.clone();
+    for op in &mut overflowing.ops {
+        if let cpm_workload::OpKind::Reduce { gamma, .. } = &mut op.kind {
+            *gamma = 1e305;
+        }
+    }
+    let model = cpm_workload::PlanModel::Lmo(good.lmo.clone());
+    let err = cpm_workload::plan(&overflowing, &model).unwrap_err();
+    assert!(
+        matches!(&err, cpm_workload::WorkloadError::Invalid(m) if m.contains("gamma")),
+        "{err}"
+    );
     let _ = std::fs::remove_dir_all(dir);
 }

@@ -469,3 +469,112 @@ fn hier_plan_selects_two_phase_and_bad_fidelity_errors() {
     server.shutdown();
     let _ = std::fs::remove_dir_all(&store);
 }
+
+/// Sends one request line and returns the parsed response, failing the
+/// test instead of hanging when no answer arrives within a second.
+fn request_within_a_second(addr: SocketAddr, line: &str) -> Value {
+    let stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(1)))
+        .unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    writer.write_all(line.as_bytes()).unwrap();
+    writer.write_all(b"\n").unwrap();
+    let mut response = String::new();
+    BufReader::new(stream)
+        .read_line(&mut response)
+        .unwrap_or_else(|e| panic!("no answer within 1 s to {line}: {e}"));
+    serde_json::from_str(response.trim_end()).unwrap()
+}
+
+/// `handle_line` on a thread of its own, so a wedged fingerprint fails the
+/// test after a second instead of hanging it. `Err` is a handler panic.
+fn handle_line_within_a_second(service: &Arc<Service>, line: &str) -> Result<String, ()> {
+    let (tx, rx) = std::sync::mpsc::channel();
+    let (service, line) = (Arc::clone(service), line.to_string());
+    std::thread::spawn(move || {
+        let answer = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            cpm_serve::handle_line(&service, &line).0
+        }));
+        let _ = tx.send(answer.map_err(drop));
+    });
+    rx.recv_timeout(std::time::Duration::from_secs(1))
+        .expect("the request was answered within 1 s")
+}
+
+/// A negative or non-finite `noise_rel` used to panic in `SimCluster::new`
+/// with the fingerprint's single-flight marker still in place, so the
+/// next request for it waited forever. It is a structured error now, the
+/// same one every time, in process and over the wire.
+#[test]
+fn a_bad_noise_rel_is_a_structured_error_every_time() {
+    let store = std::env::temp_dir().join(format!("cpm-serve-noise-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&store);
+    let mut server = start_server(&store);
+    for noise_rel in ["-1", "-1e-9"] {
+        let config = ClusterConfig::ideal(ClusterSpec::homogeneous(4), 11);
+        let config_json = serde_json::to_string(&config)
+            .unwrap()
+            .replace("\"noise_rel\":0.0", &format!("\"noise_rel\":{noise_rel}"));
+        assert!(
+            config_json.contains(&format!("\"noise_rel\":{noise_rel}")),
+            "{config_json}"
+        );
+        let line = format!("{{\"verb\":\"estimate\",\"config\":{config_json}}}");
+        for _ in 0..2 {
+            let answer = handle_line_within_a_second(server.service(), &line)
+                .expect("a structured error, not a panic");
+            assert!(answer.contains("\"ok\":false"), "{answer}");
+            assert!(answer.contains("noise_rel"), "{answer}");
+        }
+        for _ in 0..2 {
+            let answer = request_within_a_second(server.addr(), &line);
+            assert_eq!(answer.get("ok"), Some(&Value::Bool(false)));
+            let msg = answer.get("error").and_then(Value::as_str).unwrap();
+            assert!(msg.contains("noise_rel"), "{msg}");
+        }
+    }
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&store);
+}
+
+/// An estimate that panics (here: a level tree that does not cover the
+/// cluster, which `SimCluster::with_topology` asserts) costs that request
+/// and nothing else: the leader's single-flight marker is removed on
+/// unwind, so the next request for the same fingerprint is answered —
+/// here by failing the same way — instead of waiting on it forever.
+#[test]
+fn a_panicking_estimate_releases_its_fingerprint() {
+    let store = std::env::temp_dir().join(format!("cpm-serve-unwind-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&store);
+    let mut server = start_server(&store);
+    let config = ClusterConfig {
+        spec: ClusterSpec::homogeneous(6),
+        ..ClusterConfig::hierarchical(2, 2, 3)
+    };
+    let line = format!(
+        "{{\"verb\":\"estimate\",\"config\":{}}}",
+        serde_json::to_string(&config).unwrap()
+    );
+    for _ in 0..2 {
+        assert!(
+            handle_line_within_a_second(server.service(), &line).is_err(),
+            "this config is expected to panic the estimator"
+        );
+    }
+    for _ in 0..2 {
+        let answer = request_within_a_second(server.addr(), &line);
+        assert_eq!(answer.get("ok"), Some(&Value::Bool(false)));
+        assert_eq!(
+            answer.get("error").and_then(Value::as_str),
+            Some("internal error")
+        );
+    }
+    // The shard that caught the panics still serves.
+    assert!(ok(&request_within_a_second(
+        server.addr(),
+        "{\"verb\":\"stats\"}"
+    )));
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&store);
+}

@@ -23,7 +23,10 @@ pub mod runner;
 pub mod timing;
 
 pub use comm::Comm;
+/// Scripted rank programs: the kernel's threadless fast path, under the
+/// names the MPI-flavoured layer gives it.
+pub use cpm_netsim::{run_script as run_program, run_script_traced as run_program_traced};
 pub use cpm_netsim::{DesEventCounts, ScriptOp, ScriptOutcome, Trace};
 pub use probe::one_way_times;
-pub use runner::{run, run_program, run_program_traced, run_timed, run_timed_max, RunOutput};
+pub use runner::{run, run_timed, run_timed_max, RunOutput};
 pub use timing::{measure_with_method, TimingMethod};

@@ -2,9 +2,7 @@
 
 use cpm_core::error::Result;
 use cpm_core::rank::Rank;
-use cpm_netsim::{
-    run_script, run_script_traced, simulate, ScriptOp, ScriptOutcome, SimCluster, SimStats,
-};
+use cpm_netsim::{simulate, SimCluster, SimStats};
 
 use crate::comm::Comm;
 
@@ -34,32 +32,6 @@ where
         end_time: out.end_time,
         stats: out.stats,
     })
-}
-
-/// Runs one straight-line script per rank through the kernel's threadless
-/// fast path: no OS threads, no channel round-trips, pooled events — the
-/// route workload replay takes to make 1000-rank simulations cheap. Timing
-/// semantics are identical to expressing the same operations through
-/// [`run`] with blocking [`Comm`] calls.
-///
-/// # Errors
-/// Returns a simulation error on deadlock.
-pub fn run_program(cluster: &SimCluster, programs: &[Vec<ScriptOp>]) -> Result<ScriptOutcome> {
-    run_script(cluster, programs)
-}
-
-/// [`run_program`] with recording enabled: the outcome additionally
-/// carries the kernel's semantic trace and the DES engine's per-kind
-/// event counts, at identical virtual timings (recording is a pop-side
-/// observer on the event queue, never a scheduling input).
-///
-/// # Errors
-/// Returns a simulation error on deadlock.
-pub fn run_program_traced(
-    cluster: &SimCluster,
-    programs: &[Vec<ScriptOp>],
-) -> Result<ScriptOutcome> {
-    run_script_traced(cluster, programs)
 }
 
 /// Runs a *timed experiment*: every rank executes `op` `reps` times with

@@ -16,24 +16,25 @@
 //!   MoE-style alltoall, 2-D halo exchange.
 //! * [`mod@plan`] — the analytic engine: lowers a trace into per-rank
 //!   primitive programs (the per-rank dependency DAG) and predicts the
-//!   end-to-end makespan by critical-path evaluation under each model
+//!   end-to-end makespan by running them through the [`cpm_netsim`]
+//!   script kernel on a cluster built from each model's parameters
 //!   (extended LMO vs Hockney/LogGP/PLogP), emitting per-op algorithm
-//!   choices and a per-phase breakdown.
-//! * [`mod@replay`] — the execution engine: replays the *same* lowered
-//!   programs as a real [`cpm_vmpi`] program against the [`cpm_netsim`]
-//!   DES, so the observed makespan emerges from the simulator, then
-//!   reports predicted-vs-observed residuals per op (feedable into
-//!   `cpm-drift` observations).
+//!   choices, a per-phase breakdown and the critical path.
+//! * [`mod@replay`] — the execution engine: runs the *same* lowered
+//!   programs through the same kernel on the cluster's ground truth, so
+//!   the observed makespan emerges from the simulator, then reports
+//!   predicted-vs-observed residuals per op (feedable into `cpm-drift`
+//!   observations).
 //!
-//! The analytic engine and the replay execute the same lowering
-//! ([`mod@lower`]), so under the extended LMO model — whose parameters name
-//! every resource the simulator charges (tx engine, link, rx engine) —
-//! prediction and observation agree closely outside the simulator's
-//! injected-irregularity regions. The homogeneous models, which "cannot
-//! separate the contributions of the processors and the network", are
-//! evaluated with whole-transfer sender occupancy and no receive-side
-//! resource: exactly the modelling gap the paper describes, surfaced at
-//! application level.
+//! There is one lowering ([`mod@lower`]) and one machine, so under the
+//! extended LMO model — whose parameters name every resource the
+//! simulator charges (tx engine, link, rx engine) — a plan on the
+//! cluster's own parameters *is* the replay, bit for bit, outside the
+//! simulator's injected-irregularity regions; elsewhere the difference is
+//! parameter error. The homogeneous models, which "cannot separate the
+//! contributions of the processors and the network", are evaluated with
+//! whole-transfer sender occupancy and no receive-side resource: exactly
+//! the modelling gap the paper describes, surfaced at application level.
 
 #![warn(missing_docs)]
 
@@ -43,7 +44,7 @@ pub mod plan;
 pub mod replay;
 pub mod trace;
 
-pub use lower::{lower, Algorithm, Lowered, Prim, RankPrim};
+pub use lower::{lower, Algorithm, Lowered};
 pub use plan::{
     choose, plan, plan_profiled, CpStep, CriticalPath, ModelKind, ModelSet, OpReport, PhaseReport,
     Plan, PlanModel, PlanProfile,

@@ -1,55 +1,22 @@
 //! Lowering: from trace ops to per-rank primitive programs.
 //!
-//! Every trace op expands into [`Prim`]s appended to each participating
-//! rank's program, mirroring the concrete algorithms in
+//! Every trace op expands into [`ScriptOp`]s appended to each
+//! participating rank's program, mirroring the concrete algorithms in
 //! `cpm-collectives` (linear scatter sends in increasing rank order,
 //! binomial trees forward largest sub-tree first, reduce combines after
 //! every receive, the ring allgather alternates even/odd send order, the
-//! rotation alltoall walks rounds `k = 1..n`). The same [`Lowered`]
-//! program is consumed by both the analytic engine ([`mod@crate::plan`]) and
-//! the DES replay ([`mod@crate::replay`]) — the two halves cannot drift apart
-//! because there is only one lowering.
+//! rotation alltoall walks rounds `k = 1..n`). The programs are in the
+//! script kernel's own vocabulary, so [`mod@crate::plan`] and
+//! [`mod@crate::replay`] hand [`Lowered::per_rank`] to the kernel as it is:
+//! there is one lowering and one machine, and a new collective algorithm is
+//! written once, here.
 
 use cpm_core::rank::Rank;
 use cpm_core::tree::BinomialTree;
 use cpm_core::units::Bytes;
+use cpm_vmpi::ScriptOp;
 
 use crate::trace::{OpKind, Trace};
-
-/// A per-rank primitive. `Send` is the simulator's blocking send
-/// (buffered: returns when the local tx engine finishes).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum Prim {
-    /// Blocking-buffered send of `m` bytes to `dst`.
-    Send {
-        /// Destination rank.
-        dst: Rank,
-        /// Message size, bytes.
-        m: Bytes,
-    },
-    /// Blocking receive of the next message from `src`.
-    Recv {
-        /// Source rank.
-        src: Rank,
-    },
-    /// Local computation for `secs` seconds.
-    Compute {
-        /// Duration, seconds.
-        secs: f64,
-    },
-    /// Global synchronization with every other rank.
-    Barrier,
-}
-
-/// A primitive tagged with the trace op (index into `trace.ops`) it
-/// belongs to.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct RankPrim {
-    /// Index into `trace.ops` of the op this primitive implements.
-    pub op: usize,
-    /// The primitive itself.
-    pub prim: Prim,
-}
 
 /// The algorithm a collective op was lowered with.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -92,28 +59,53 @@ impl Algorithm {
 pub struct Lowered {
     /// Number of ranks.
     pub n: usize,
-    /// The primitive program of each rank, in program order.
-    pub per_rank: Vec<Vec<RankPrim>>,
+    /// The primitive program of each rank, in program order — what the
+    /// script kernel runs (`Send` is the simulator's blocking-buffered
+    /// send: it returns when the local tx engine finishes).
+    pub per_rank: Vec<Vec<ScriptOp>>,
+    /// `op_of[r][k]` is the index into `trace.ops` of the op that
+    /// primitive `k` of rank `r` implements; non-decreasing along each
+    /// program because ops are lowered in trace order.
+    pub op_of: Vec<Vec<usize>>,
     /// Effective algorithm per trace op (`None` for p2p/compute/barrier).
     pub algorithms: Vec<Option<Algorithm>>,
 }
 
+impl Lowered {
+    /// Merges the kernel's per-primitive `windows` (as in
+    /// `ScriptOutcome::windows`) into one `(start, end)` window per trace
+    /// op across all ranks; `None` for an op that lowered to nothing.
+    pub fn op_windows(&self, windows: &[Vec<(f64, f64)>]) -> Vec<Option<(f64, f64)>> {
+        let mut merged: Vec<Option<(f64, f64)>> = vec![None; self.algorithms.len()];
+        for (ops, windows) in self.op_of.iter().zip(windows) {
+            for (&op, &(t0, t1)) in ops.iter().zip(windows) {
+                let w = merged[op].get_or_insert((t0, t1));
+                w.0 = w.0.min(t0);
+                w.1 = w.1.max(t1);
+            }
+        }
+        merged
+    }
+}
+
 struct Emitter {
-    per_rank: Vec<Vec<RankPrim>>,
+    per_rank: Vec<Vec<ScriptOp>>,
+    op_of: Vec<Vec<usize>>,
     op: usize,
 }
 
 impl Emitter {
-    fn emit(&mut self, rank: Rank, prim: Prim) {
-        self.per_rank[rank.idx()].push(RankPrim { op: self.op, prim });
+    fn emit(&mut self, rank: Rank, prim: ScriptOp) {
+        self.per_rank[rank.idx()].push(prim);
+        self.op_of[rank.idx()].push(self.op);
     }
 
     fn send(&mut self, src: Rank, dst: Rank, m: Bytes) {
-        self.emit(src, Prim::Send { dst, m });
+        self.emit(src, ScriptOp::Send { dst, bytes: m });
     }
 
     fn recv(&mut self, dst: Rank, src: Rank) {
-        self.emit(dst, Prim::Recv { src });
+        self.emit(dst, ScriptOp::Recv { src });
     }
 }
 
@@ -124,6 +116,7 @@ pub fn lower(trace: &Trace, choices: &[Option<Algorithm>]) -> Lowered {
     let n = trace.n;
     let mut e = Emitter {
         per_rank: vec![Vec::new(); n],
+        op_of: vec![Vec::new(); n],
         op: 0,
     };
     let mut algorithms = vec![None; trace.ops.len()];
@@ -194,13 +187,13 @@ pub fn lower(trace: &Trace, choices: &[Option<Algorithm>]) -> Lowered {
             }
             OpKind::Compute { ranks, seconds } => {
                 for r in ranks {
-                    e.emit(*r, Prim::Compute { secs: *seconds });
+                    e.emit(*r, ScriptOp::Compute { secs: *seconds });
                 }
                 None
             }
             OpKind::Barrier => {
                 for r in 0..n as u32 {
-                    e.emit(Rank(r), Prim::Barrier);
+                    e.emit(Rank(r), ScriptOp::Barrier);
                 }
                 None
             }
@@ -209,6 +202,7 @@ pub fn lower(trace: &Trace, choices: &[Option<Algorithm>]) -> Lowered {
     Lowered {
         n,
         per_rank: e.per_rank,
+        op_of: e.op_of,
         algorithms,
     }
 }
@@ -243,7 +237,7 @@ fn lower_linear_root_recv(e: &mut Emitter, n: usize, root: Rank, m: Bytes, combi
         if Rank(i) != root {
             e.recv(root, Rank(i));
             if combine_secs > 0.0 {
-                e.emit(root, Prim::Compute { secs: combine_secs });
+                e.emit(root, ScriptOp::Compute { secs: combine_secs });
             }
         }
     }
@@ -278,7 +272,7 @@ fn lower_binomial_up(e: &mut Emitter, n: usize, root: Rank, m: Bytes, combine_se
         for (child, _) in children {
             e.recv(me, child);
             if combine_secs > 0.0 {
-                e.emit(me, Prim::Compute { secs: combine_secs });
+                e.emit(me, ScriptOp::Compute { secs: combine_secs });
             }
         }
         if let Some(parent) = tree.parent_of(me) {
@@ -356,7 +350,7 @@ fn lower_two_phase_reduce(
                 if Rank(j as u32) != me {
                     e.recv(me, Rank(j as u32));
                     if combine_secs > 0.0 {
-                        e.emit(me, Prim::Compute { secs: combine_secs });
+                        e.emit(me, ScriptOp::Compute { secs: combine_secs });
                     }
                 }
             }
@@ -366,7 +360,7 @@ fn lower_two_phase_reduce(
             for (cg, _) in children {
                 e.recv(me, leader_of_group(cg.idx(), root, intra));
                 if combine_secs > 0.0 {
-                    e.emit(me, Prim::Compute { secs: combine_secs });
+                    e.emit(me, ScriptOp::Compute { secs: combine_secs });
                 }
             }
             if let Some(pg) = tree.parent_of(g) {
@@ -420,7 +414,7 @@ mod tests {
         l.per_rank
             .iter()
             .flatten()
-            .filter(|p| matches!(p.prim, Prim::Send { .. }))
+            .filter(|p| matches!(p, ScriptOp::Send { .. }))
             .count()
     }
 
@@ -428,7 +422,7 @@ mod tests {
         l.per_rank
             .iter()
             .flatten()
-            .filter(|p| matches!(p.prim, Prim::Recv { .. }))
+            .filter(|p| matches!(p, ScriptOp::Recv { .. }))
             .count()
     }
 
@@ -443,11 +437,11 @@ mod tests {
             let mut balance = std::collections::HashMap::new();
             for (rank, prog) in l.per_rank.iter().enumerate() {
                 for p in prog {
-                    match p.prim {
-                        Prim::Send { dst, .. } => {
+                    match *p {
+                        ScriptOp::Send { dst, .. } => {
                             *balance.entry((rank, dst.idx())).or_insert(0i64) += 1
                         }
-                        Prim::Recv { src } => {
+                        ScriptOp::Recv { src } => {
                             *balance.entry((src.idx(), rank)).or_insert(0i64) -= 1
                         }
                         _ => {}
@@ -465,13 +459,13 @@ mod tests {
         for kind in gen::CANONICAL_KINDS {
             let t = gen::canonical(kind, 6, 1024, 2).unwrap();
             let l = lower(&t, &vec![None; t.ops.len()]);
-            for prog in &l.per_rank {
+            for ops in &l.op_of {
                 let mut last = None;
                 let mut seen = std::collections::HashSet::new();
-                for p in prog {
-                    if last != Some(p.op) {
-                        assert!(seen.insert(p.op), "op {} revisited", p.op);
-                        last = Some(p.op);
+                for &op in ops {
+                    if last != Some(op) {
+                        assert!(seen.insert(op), "op {op} revisited");
+                        last = Some(op);
                     }
                 }
             }
@@ -495,8 +489,8 @@ mod tests {
         let l = lower(&t, &[Some(Algorithm::Binomial)]);
         let root_sends: Vec<Bytes> = l.per_rank[0]
             .iter()
-            .filter_map(|p| match p.prim {
-                Prim::Send { m, .. } => Some(m),
+            .filter_map(|p| match *p {
+                ScriptOp::Send { bytes, .. } => Some(bytes),
                 _ => None,
             })
             .collect();
@@ -530,8 +524,8 @@ mod tests {
         let sends = |r: usize| {
             l.per_rank[r]
                 .iter()
-                .filter_map(|p| match p.prim {
-                    Prim::Send { dst, .. } => Some(dst.idx()),
+                .filter_map(|p| match *p {
+                    ScriptOp::Send { dst, .. } => Some(dst.idx()),
                     _ => None,
                 })
                 .collect::<Vec<_>>()
@@ -543,7 +537,7 @@ mod tests {
             assert_eq!(
                 l.per_rank[r]
                     .iter()
-                    .filter(|p| matches!(p.prim, Prim::Recv { .. }))
+                    .filter(|p| matches!(p, ScriptOp::Recv { .. }))
                     .count(),
                 1
             );
@@ -571,12 +565,12 @@ mod tests {
         // The root combines once per received vector: 3 intra + 2 leaders.
         let root_combines = l.per_rank[5]
             .iter()
-            .filter(|p| matches!(p.prim, Prim::Compute { .. }))
+            .filter(|p| matches!(p, ScriptOp::Compute { .. }))
             .count();
         assert_eq!(root_combines, 5);
         // Rank 4 defers leadership of group 1 to the root and just sends.
         assert_eq!(l.per_rank[4].len(), 1);
-        assert!(matches!(l.per_rank[4][0].prim, Prim::Send { dst, .. } if dst == Rank(5)));
+        assert!(matches!(l.per_rank[4][0], ScriptOp::Send { dst, .. } if dst == Rank(5)));
     }
 
     #[test]
@@ -588,7 +582,7 @@ mod tests {
         for prog in &l.per_rank {
             let sends = prog
                 .iter()
-                .filter(|p| matches!(p.prim, Prim::Send { .. }))
+                .filter(|p| matches!(p, ScriptOp::Send { .. }))
                 .count();
             assert_eq!(sends, 2 * (n - 1));
         }

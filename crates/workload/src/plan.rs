@@ -1,37 +1,50 @@
-//! The analytic engine: critical-path evaluation of a lowered trace.
+//! The analytic engine: a plan is a replay on the model's parameters.
 //!
-//! [`plan`] compiles a trace into the per-rank dependency DAG (via
-//! [`mod@crate::lower`]) and predicts the end-to-end makespan by evaluating
-//! the DAG with a deterministic event-driven machine under the chosen
-//! model:
+//! [`plan`] chooses an algorithm per collective op, lowers the trace into
+//! per-rank programs ([`mod@crate::lower`]) and runs them through the same
+//! script kernel as [`mod@crate::replay`] — on a noise-free, ideal-profile,
+//! single-switch `SimCluster` built from the *model's* parameters instead
+//! of ground truth. There is no second simulator: what the model predicts
+//! is what the one machine does when the model is its truth.
 //!
-//! * **Extended LMO** charges each resource its parameters name, exactly
-//!   as the simulator does in its regular regime: a blocking send
-//!   occupies the sender's tx engine for `C_i + M·t_i`, the message then
-//!   takes `L_ij` to reach the wire, waits for earlier transfers on the
-//!   same connection, streams for `M/β_ij`, and finally occupies the
-//!   receiver's rx engine for `C_j + M·t_j` in arrival order — whether or
-//!   not the receive is posted yet.
+//! * **Extended LMO** names exactly the resources the kernel serializes in
+//!   its regular regime: a blocking send occupies the sender's tx engine
+//!   for `C_i + M·t_i`, the message takes `L_ij` to reach the wire, waits
+//!   for earlier transfers on the same connection, streams for `M/β_ij`,
+//!   and occupies the receiver's rx engine for `C_j + M·t_j` in arrival
+//!   order — so the model's `(C, t, L, β)` *are* the cluster. On an ideal
+//!   cluster planned under its own truth, plan and replay agree to the
+//!   bit, structurally. Hierarchical LMO runs through its lossless fold
+//!   into the flat extended model.
 //! * **Hockney / LogGP / PLogP** cannot separate the contributions of the
 //!   processors and the network (the paper's central criticism), so the
-//!   machine charges the whole point-to-point time `T(M)` as sender
-//!   occupancy and delivers at `send_start + T(M)`: no receive-side
-//!   resource, no wire serialization. At application level this is what
-//!   makes them misrank schedules that pipeline or fan in.
+//!   whole point-to-point time `T(M)` is charged as sender occupancy and
+//!   the message is visible at `send_start + T(M)`: the lowering puts a
+//!   `Compute { T }` in front of every send and the cluster charges the
+//!   send itself nothing — no receive-side resource, no wire
+//!   serialization. At application level this is what makes them misrank
+//!   schedules that pipeline or fan in.
 //!
-//! Algorithm choices per collective op are made first (the
-//! `TunedCollectives`/`select` comparisons of `cpm-collectives`), then a
-//! single lowering feeds both this evaluator and the DES replay.
+//! The [`CriticalPath`] is a pure function of the traced kernel run (tx,
+//! wire and rx slots, receive matches, per-primitive windows): binding
+//! predecessors walked back from the rank that realizes the makespan.
 
+use std::collections::HashMap;
+
+use cpm_cluster::{GroundTruth, MpiProfile};
+use cpm_core::matrix::SymMatrix;
 use cpm_core::rank::Rank;
 use cpm_core::traits::PointToPoint;
 use cpm_core::tree::BinomialTree;
 use cpm_core::units::Bytes;
 use cpm_models::collective::{binomial_recursive_full, linear_serial};
 use cpm_models::{HierLmo, HockneyHet, LmoExtended, LogGp, PLogP};
+use cpm_netsim::{SimCluster, TraceEvent};
+use cpm_vmpi::{ScriptOp, ScriptOutcome};
 
-use crate::lower::{lower, Algorithm, Lowered, Prim};
-use crate::trace::{OpKind, Trace, TraceOp, WorkloadError};
+use crate::lower::{lower, Algorithm, Lowered};
+use crate::replay::run_lowered;
+use crate::trace::{OpKind, Trace, TraceOp, WorkloadError, MAX_DURATION};
 
 /// The model a plan is evaluated under.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -96,9 +109,9 @@ pub enum PlanModel {
     /// An estimated extended-LMO parameter set.
     Lmo(LmoExtended),
     /// A hierarchical LMO parameter set (per-level links over a level
-    /// tree). The machine evaluates it through its lossless fold into the
-    /// flat extended model; the algorithm chooser additionally considers
-    /// leader-based two-phase schedules.
+    /// tree). It runs through its lossless fold into the flat extended
+    /// model; the algorithm chooser additionally considers leader-based
+    /// two-phase schedules.
     LmoHier(HierLmo),
     /// An estimated per-pair Hockney fit.
     Hockney(HockneyHet),
@@ -127,16 +140,6 @@ impl PlanModel {
             PlanModel::Hockney(m) => m,
             PlanModel::Loggp(m) => m,
             PlanModel::Plogp(m) => m,
-        }
-    }
-
-    /// The model the critical-path machine evaluates: hierarchical models
-    /// fold into their equivalent flat extended-LMO form (identical
-    /// point-to-point times), everything else is itself.
-    fn machine_model(&self) -> std::borrow::Cow<'_, PlanModel> {
-        match self {
-            PlanModel::LmoHier(h) => std::borrow::Cow::Owned(PlanModel::Lmo(h.to_extended())),
-            m => std::borrow::Cow::Borrowed(m),
         }
     }
 }
@@ -357,36 +360,104 @@ fn ceil_log2(n: usize) -> f64 {
     }
 }
 
-/// Evaluates one op in isolation under `alg` with the exact critical-path
-/// machine — the arbiter the hierarchical chooser ranks candidates with
-/// (closed forms for two-phase schedules would drift from the lowering;
-/// the machine cannot).
-fn eval_single_op(n: usize, op: &TraceOp, alg: Algorithm, model: &PlanModel) -> f64 {
+/// The one clamp between a model and the machine. The kernel's clock is
+/// finite by construction (`Time::from_secs` asserts it) and must never
+/// run backwards, where the hand-written planner this replaced silently
+/// computed garbage; so a degenerate fit — a negative `L`, a Hockney
+/// `α < 0`, a NaN — charges zero, and an absurdly large one
+/// [`MAX_DURATION`], instead of panicking. Values in range pass through
+/// bit for bit. (`f64::clamp` would keep a NaN; `max` drops it.)
+#[allow(clippy::manual_clamp)]
+fn clamp(secs: f64) -> f64 {
+    secs.max(0.0).min(MAX_DURATION)
+}
+
+/// A model set up on the one machine: the noise-free, ideal-profile,
+/// single-switch [`SimCluster`] whose "ground truth" is the model, so a
+/// plan is [`run_lowered`] on the model's parameters exactly as a replay
+/// is [`run_lowered`] on the cluster's. The second half is the model
+/// itself when it cannot separate the processors from the network
+/// (Hockney, LogGP, PLogP): the cluster then charges nothing and
+/// [`charge_whole_transfers`] puts `T(src, dst, M)` on the sender.
+fn model_cluster(model: &PlanModel) -> (SimCluster, Option<&dyn PointToPoint>) {
+    // A rate is clamped through the wire time it produces: none or a
+    // negative one charges zero (β = ∞), a vanishing one is capped.
+    let floor = 1.0 / MAX_DURATION;
+    let separable = |l: &LmoExtended| GroundTruth {
+        c: l.c.iter().map(|&c| clamp(c)).collect(),
+        t: l.t.iter().map(|&t| clamp(t)).collect(),
+        l: l.l.map(|&lat| clamp(lat)),
+        beta: l
+            .beta
+            .map(|&b| if b > 0.0 { b.max(floor) } else { f64::INFINITY }),
+    };
+    let n = model.as_p2p().n();
+    let (truth, whole) = match model {
+        PlanModel::Lmo(l) => (separable(l), None),
+        // Lossless: the fold has identical point-to-point times.
+        PlanModel::LmoHier(h) => (separable(&h.to_extended()), None),
+        m => (
+            GroundTruth {
+                c: vec![0.0; n],
+                t: vec![0.0; n],
+                l: SymMatrix::filled(n, 0.0),
+                beta: SymMatrix::filled(n, f64::INFINITY),
+            },
+            Some(m.as_p2p()),
+        ),
+    };
+    (SimCluster::new(truth, MpiProfile::ideal(), 0.0, 0), whole)
+}
+
+/// Hockney, LogGP and PLogP cannot separate the contributions of the
+/// processors and the network (the paper's central criticism), so the
+/// sender is occupied for the whole `T(src, dst, M)` and the message is
+/// visible at send start + `T`, with no wire or receive-side resource:
+/// every `Send` gets a `Compute { T }` of the same op in front of it, and
+/// the cluster it then runs on charges the send itself nothing.
+fn charge_whole_transfers(mut lowered: Lowered, p2p: &dyn PointToPoint) -> Lowered {
+    let ranks = lowered.per_rank.iter_mut().zip(&mut lowered.op_of);
+    for (r, (prims, ops)) in ranks.enumerate() {
+        let uncharged = std::mem::take(prims).into_iter().zip(std::mem::take(ops));
+        for (prim, op) in uncharged {
+            if let ScriptOp::Send { dst, bytes } = prim {
+                let secs = clamp(p2p.p2p(Rank(r as u32), dst, bytes));
+                prims.push(ScriptOp::Compute { secs });
+                ops.push(op);
+            }
+            prims.push(prim);
+            ops.push(op);
+        }
+    }
+    lowered
+}
+
+/// Evaluates one op in isolation under `alg` on the one machine (untraced)
+/// — the arbiter the hierarchical chooser ranks candidates with (closed
+/// forms for two-phase schedules would drift from the lowering; the
+/// machine cannot).
+fn eval_single_op(cluster: &SimCluster, op: &TraceOp, alg: Algorithm) -> f64 {
     let t = Trace {
         name: "probe".into(),
-        n,
+        n: cluster.n(),
         ops: vec![op.clone()],
     };
-    let lowered = lower(&t, &[Some(alg)]);
-    let mut machine = Machine::new(&lowered, model);
-    match machine.run() {
-        Ok(()) => machine.makespan(),
-        Err(_) => f64::INFINITY,
-    }
+    run_lowered(cluster, &lower(&t, &[Some(alg)]), false).map_or(f64::INFINITY, |out| out.end_time)
 }
 
 /// Level-aware algorithm choice: per rooted collective, the machine-exact
 /// argmin over linear, binomial and (for bcast/reduce) the leader-based
 /// two-phase schedule with the model's natural intra-group size.
-fn choose_hier(trace: &Trace, hier: &HierLmo) -> Vec<Option<Algorithm>> {
+/// `cluster` is the hierarchical model's [`model_cluster`].
+fn choose_hier(trace: &Trace, hier: &HierLmo, cluster: &SimCluster) -> Vec<Option<Algorithm>> {
     let n = trace.n;
-    let flat = PlanModel::Lmo(hier.to_extended());
     let intra = hier.intra_size();
     let two_phase = (intra > 1 && intra < n).then_some(Algorithm::TwoPhase { intra });
     let argmin = |op: &TraceOp, candidates: &[Algorithm]| {
-        candidates.iter().copied().min_by(|a, b| {
-            eval_single_op(n, op, *a, &flat).total_cmp(&eval_single_op(n, op, *b, &flat))
-        })
+        let costed = candidates
+            .iter()
+            .map(|&a| (eval_single_op(cluster, op, a), a));
+        costed.min_by(|a, b| a.0.total_cmp(&b.0)).map(|(_, a)| a)
     };
     trace
         .ops
@@ -413,9 +484,14 @@ fn choose_hier(trace: &Trace, hier: &HierLmo) -> Vec<Option<Algorithm>> {
 /// [`PlanModel::LmoHier`] the comparison is machine-exact and extends to
 /// the leader-based two-phase schedules (see [`Algorithm::TwoPhase`]).
 pub fn choose(trace: &Trace, model: &PlanModel) -> Vec<Option<Algorithm>> {
-    if let PlanModel::LmoHier(h) = model {
-        return choose_hier(trace, h);
+    match model {
+        PlanModel::LmoHier(h) => choose_hier(trace, h, &model_cluster(model).0),
+        flat => choose_flat(trace, flat),
     }
+}
+
+/// [`choose`] for the flat models: closed-form comparisons.
+fn choose_flat(trace: &Trace, model: &PlanModel) -> Vec<Option<Algorithm>> {
     let n = trace.n;
     let pick = |linear: f64, binomial: f64| {
         if linear <= binomial {
@@ -487,582 +563,221 @@ pub fn choose(trace: &Trace, model: &PlanModel) -> Vec<Option<Algorithm>> {
         .collect()
 }
 
-#[derive(Clone, Copy, Debug, PartialEq)]
-enum EvKind {
-    /// Resume a rank's program.
-    Wake(usize),
-    /// A message finished streaming on the wire (LMO only).
-    TransferDone(usize),
-    /// A message left the receiver's rx engine and entered the mailbox.
-    Deliver(usize),
+/// Where a backward walk along binding predecessors stands.
+enum At {
+    /// On a rank, with this many of its primitives completed.
+    Rank(usize, usize),
+    /// At the end of a message's rx-engine slot.
+    Rx(usize),
+    /// At the end of a message's wire slot.
+    Wire(usize),
 }
 
-#[derive(Clone, Copy, Debug, PartialEq)]
-enum RankState {
-    Runnable,
-    Blocked(Rank),
-    AtBarrier,
-    Done,
-}
+/// The critical path as a pure function of a traced kernel run: the
+/// per-primitive windows plus the trace's tx/wire/rx slots and receive
+/// matches. Walks binding predecessors back from the rank that realizes
+/// the makespan — a receive that waited binds to its message (rx slot ←
+/// wire slot ← latency ← tx slot ← the sender's program), a resource that
+/// was still busy (`>`; a tie keeps the message chain) binds to its
+/// previous occupant, a barrier binds everyone to its latest arriver —
+/// and renders the chain in time order. Term names carry the level of the
+/// pair under a hierarchical model.
+fn critical_path(
+    trace: &Trace,
+    lowered: &Lowered,
+    out: &ScriptOutcome,
+    (cluster, whole): (&SimCluster, Option<&dyn PointToPoint>),
+    hier: Option<&HierLmo>,
+) -> CriticalPath {
+    let events = out.trace.as_ref().map_or(&[][..], |t| &t.events);
+    let (truth, windows, n) = (&cluster.truth, &out.windows, lowered.n);
 
-struct Msg {
-    src: usize,
-    dst: usize,
-    m: Bytes,
-    /// Index into `trace.ops` of the op whose send produced the message.
-    op: usize,
-}
-
-/// One tracked resource occupancy; `pred` is the segment whose end bound
-/// this segment's start (the binding dependency, not program order).
-struct CpSeg {
-    rank: usize,
-    op: usize,
-    kind: &'static str,
-    start: f64,
-    end: f64,
-    terms: Vec<(String, f64)>,
-    pred: Option<usize>,
-}
-
-/// Critical-path bookkeeping, kept out of the machine's hot loop unless
-/// requested (the hierarchical chooser runs the machine many times per
-/// plan and never needs a path).
-///
-/// Invariant: after every machine step, `rank_seg[r]` (if any) ends
-/// exactly at `clock[r]`, so walking `pred` links back from the rank that
-/// realizes the makespan yields a gap-free chain from t=0.
-struct CpTracker {
-    segs: Vec<CpSeg>,
-    /// Segment that produced each rank's current clock.
-    rank_seg: Vec<Option<usize>>,
-    /// Segment that last occupied each connection (`src·n + dst`).
-    conn_seg: Vec<Option<usize>>,
-    /// Segment that last occupied each rank's rx engine.
-    rx_seg: Vec<Option<usize>>,
-    /// Head segment of each in-flight message's chain.
-    msg_seg: Vec<Option<usize>>,
-    /// Innermost common level per pair (`src·n + dst`), when the plan is
-    /// for a hierarchical model — selects the level-suffixed term names.
-    pair_level: Option<Vec<usize>>,
-    /// Latency term name per level (just `"L"` for flat models).
-    lat_names: Vec<String>,
-    /// Wire term name per level (just `"beta"` for flat models).
-    wire_names: Vec<String>,
-}
-
-impl CpTracker {
-    fn new(n: usize, hier: Option<&HierLmo>) -> Self {
-        let (pair_level, lat_names, wire_names) = match hier {
-            Some(h) => {
-                let mut pl = vec![0usize; n * n];
-                for i in 0..n {
-                    for j in 0..n {
-                        if i != j {
-                            pl[i * n + j] = h.level_of(Rank(i as u32), Rank(j as u32));
-                        }
-                    }
-                }
-                let lat = h.levels.iter().map(|l| format!("L[{}]", l.name)).collect();
-                let wire = h
-                    .levels
-                    .iter()
-                    .map(|l| format!("beta[{}]", l.name))
-                    .collect();
-                (Some(pl), lat, wire)
+    // One pass over the trace, indexed by message id: where each slot's
+    // event is, which `Send` posted it, and who held its connection and
+    // its rx engine before. Scripted ranks are sequential, so a rank's
+    // j-th TxSlot is its j-th Send and its j-th Received its j-th Recv.
+    let msgs = out.stats.msgs_sent;
+    let (mut tx_at, mut send_k) = (Vec::with_capacity(msgs), Vec::with_capacity(msgs));
+    let (mut wire_at, mut rx_at) = (vec![0; msgs], vec![0; msgs]);
+    let (mut prev_wire, mut prev_rx) = (vec![None; msgs], vec![None; msgs]);
+    let (mut last_wire, mut last_rx) = (HashMap::new(), vec![None; n]);
+    let mut received: Vec<Vec<(usize, usize)>> = vec![Vec::new(); n];
+    let mut cursor = vec![0usize; n];
+    let mut next = |r: usize, want: fn(&ScriptOp) -> bool| {
+        let ahead = lowered.per_rank[r][cursor[r]..].iter().position(want);
+        let k = cursor[r] + ahead.expect("a traced slot has its primitive");
+        cursor[r] = k + 1;
+        k
+    };
+    for (i, ev) in events.iter().enumerate() {
+        match *ev {
+            TraceEvent::TxSlot { src, .. } => {
+                tx_at.push(i);
+                send_k.push(next(src.idx(), |p| matches!(p, ScriptOp::Send { .. })));
             }
-            None => (None, vec!["L".to_string()], vec!["beta".to_string()]),
-        };
-        CpTracker {
-            segs: Vec::new(),
-            rank_seg: vec![None; n],
-            conn_seg: vec![None; n * n],
-            rx_seg: vec![None; n],
-            msg_seg: Vec::new(),
-            pair_level,
-            lat_names,
-            wire_names,
+            TraceEvent::Wire { msg, src, dst, .. } => {
+                wire_at[msg] = i;
+                prev_wire[msg] = last_wire.insert((src, dst), msg);
+            }
+            TraceEvent::RxSlot { msg, dst, .. } => {
+                rx_at[msg] = i;
+                prev_rx[msg] = last_rx[dst.idx()].replace(msg);
+            }
+            TraceEvent::Received { msg, by, .. } => {
+                let k = next(by.idx(), |p| matches!(p, ScriptOp::Recv { .. }));
+                received[by.idx()].push((k, msg));
+            }
+            TraceEvent::BarrierRelease { .. } => {}
         }
     }
+    let span = |at: usize| match events[at] {
+        TraceEvent::TxSlot { start, end, .. }
+        | TraceEvent::Wire { start, end, .. }
+        | TraceEvent::RxSlot { start, end, .. } => (start, end),
+        _ => unreachable!("only slot events are indexed"),
+    };
+    let posted = |msg: usize| match events[tx_at[msg]] {
+        TraceEvent::TxSlot {
+            src, dst, bytes, ..
+        } => (src, dst, bytes, lowered.op_of[src.idx()][send_k[msg]]),
+        _ => unreachable!("tx_at indexes TxSlot events"),
+    };
 
-    fn push(&mut self, seg: CpSeg) -> usize {
-        self.segs.push(seg);
-        self.segs.len() - 1
-    }
+    let link_term = |name: &str, src: Rank, dst: Rank| match hier {
+        Some(h) => format!("{name}[{}]", h.levels[h.level_of(src, dst)].name),
+        None => name.to_string(),
+    };
+    let engine_terms = |rank: Rank, bytes: Bytes| {
+        let (c, t) = (truth.c[rank.idx()], truth.t[rank.idx()]);
+        vec![("C".to_string(), c), ("t".to_string(), bytes as f64 * t)]
+    };
 
-    fn end_of(&self, seg: Option<usize>) -> f64 {
-        seg.map_or(0.0, |i| self.segs[i].end)
-    }
-
-    /// Separable LMO send: tx occupancy, then latency, then the wire slot
-    /// (bound by whichever of arrival and connection availability is
-    /// later). Registers the wire segment as the message chain head.
-    #[allow(clippy::too_many_arguments)]
-    fn lmo_send(
-        &mut self,
-        n: usize,
-        src: usize,
-        dst: usize,
-        op: usize,
-        now: f64,
-        s1: f64,
-        c_term: f64,
-        t_term: f64,
-        lat: f64,
-        arrival: f64,
-        conn_was: f64,
-        wire_start: f64,
-        done: f64,
-        wire: f64,
-    ) {
-        let lv = self.pair_level.as_ref().map_or(0, |pl| pl[src * n + dst]);
-        let pred = self.rank_seg[src];
-        let tx = self.push(CpSeg {
-            rank: src,
-            op,
-            kind: "tx",
-            start: now,
-            end: s1,
-            terms: vec![("C".to_string(), c_term), ("t".to_string(), t_term)],
-            pred,
-        });
-        self.rank_seg[src] = Some(tx);
-        let lat_terms = vec![(self.lat_names[lv].clone(), lat)];
-        let latseg = self.push(CpSeg {
-            rank: src,
-            op,
-            kind: "latency",
-            start: s1,
-            end: arrival,
-            terms: lat_terms,
-            pred: Some(tx),
-        });
-        let wire_pred = if conn_was > arrival {
-            self.conn_seg[src * n + dst]
-        } else {
-            Some(latseg)
-        };
-        let wire_terms = vec![(self.wire_names[lv].clone(), wire)];
-        let w = self.push(CpSeg {
-            rank: src,
-            op,
-            kind: "wire",
-            start: wire_start,
-            end: done,
-            terms: wire_terms,
-            pred: wire_pred,
-        });
-        self.conn_seg[src * n + dst] = Some(w);
-        self.msg_seg.push(Some(w));
-    }
-
-    /// Whole-transfer send under a non-separable model, split into the
-    /// model's zero-byte time (`alpha`) and the size-dependent remainder
-    /// (`beta`).
-    fn p2p_send(&mut self, src: usize, op: usize, now: f64, s1: f64, alpha: f64) {
-        let pred = self.rank_seg[src];
-        let seg = self.push(CpSeg {
-            rank: src,
-            op,
-            kind: "p2p",
-            start: now,
-            end: s1,
-            terms: vec![
-                ("alpha".to_string(), alpha),
-                ("beta".to_string(), (s1 - now) - alpha),
-            ],
-            pred,
-        });
-        self.rank_seg[src] = Some(seg);
-        self.msg_seg.push(Some(seg));
-    }
-
-    fn compute(&mut self, rank: usize, op: usize, start: f64, end: f64) {
-        let pred = self.rank_seg[rank];
-        let seg = self.push(CpSeg {
+    // Steps are collected walking backwards, then reversed.
+    let mut steps: Vec<CpStep> = Vec::new();
+    let mut step = |rank: usize, op: usize, kind, (start, end), terms| {
+        let op = trace.ops[op].id;
+        steps.push(CpStep {
             rank,
             op,
-            kind: "compute",
+            kind,
             start,
             end,
-            terms: vec![("compute".to_string(), end - start)],
-            pred,
-        });
-        self.rank_seg[rank] = Some(seg);
-    }
-
-    /// Rx-engine occupancy of a delivered message, bound by the later of
-    /// the wire completion and the engine's previous occupancy.
-    #[allow(clippy::too_many_arguments)]
-    fn rx(
-        &mut self,
-        msg_id: usize,
-        dst: usize,
-        op: usize,
-        rx_was: f64,
-        arrived: f64,
-        r0: f64,
-        r1: f64,
-        c_term: f64,
-        t_term: f64,
-    ) {
-        let pred = if rx_was > arrived {
-            self.rx_seg[dst]
-        } else {
-            self.msg_seg[msg_id]
-        };
-        let seg = self.push(CpSeg {
-            rank: dst,
-            op,
-            kind: "rx",
-            start: r0,
-            end: r1,
-            terms: vec![("C".to_string(), c_term), ("t".to_string(), t_term)],
-            pred,
-        });
-        self.rx_seg[dst] = Some(seg);
-        self.msg_seg[msg_id] = Some(seg);
-    }
-
-    /// A receive consumed `msg_id`: if the message chain is what raised
-    /// the rank's clock, it becomes the rank's binding chain.
-    fn consume(&mut self, rank: usize, msg_id: usize) {
-        if self.end_of(self.msg_seg[msg_id]) > self.end_of(self.rank_seg[rank]) {
-            self.rank_seg[rank] = self.msg_seg[msg_id];
-        }
-    }
-
-    /// A full barrier released: every waiter's clock becomes the latest
-    /// arriver's, so every waiter binds to that arriver's chain.
-    fn barrier_release(&mut self, waiters: &[(usize, usize)], clocks: &[f64]) {
-        let Some(&(star, _)) = waiters
-            .iter()
-            .max_by(|a, b| clocks[a.0].total_cmp(&clocks[b.0]))
-        else {
-            return;
-        };
-        let chain = self.rank_seg[star];
-        for &(r, _) in waiters {
-            self.rank_seg[r] = chain;
-        }
-    }
-}
-
-struct Machine<'a> {
-    lowered: &'a Lowered,
-    /// `Some` for the separable LMO machine, `None` for whole-transfer
-    /// homogeneous occupancy.
-    lmo: Option<&'a LmoExtended>,
-    p2p: &'a dyn PointToPoint,
-    clock: Vec<f64>,
-    pc: Vec<usize>,
-    state: Vec<RankState>,
-    /// Per-connection wire availability, flattened `src·n + dst` (LMO).
-    conn_free: Vec<f64>,
-    /// Per-rank rx engine availability (LMO).
-    rx_free: Vec<f64>,
-    /// Delivered-but-unconsumed messages per rank, delivery order.
-    mailbox: Vec<Vec<usize>>,
-    msgs: Vec<Msg>,
-    /// The analytic machine's schedule runs on the same DES engine as the
-    /// simulator: keys are [`cpm_des::Seconds`] (bit-order == value order
-    /// for the machine's non-negative times) and ties break by insertion
-    /// sequence — exactly the `(total_cmp, seq)` order the old ad-hoc
-    /// binary heap used, so plan goldens are unchanged.
-    events: cpm_des::Engine<cpm_des::Seconds, EvKind>,
-    barrier: Vec<(usize, usize)>,
-    /// Per-op (earliest, latest) activity.
-    windows: Vec<(f64, f64)>,
-    /// Critical-path bookkeeping; `None` (the chooser's probes) costs
-    /// nothing.
-    cp: Option<CpTracker>,
-}
-
-impl<'a> Machine<'a> {
-    fn new(lowered: &'a Lowered, model: &'a PlanModel) -> Self {
-        let n = lowered.n;
-        let ops = lowered.algorithms.len();
-        Machine {
-            lowered,
-            lmo: match model {
-                PlanModel::Lmo(l) => Some(l),
-                _ => None,
-            },
-            p2p: model.as_p2p(),
-            clock: vec![0.0; n],
-            pc: vec![0; n],
-            state: vec![RankState::Runnable; n],
-            conn_free: vec![0.0; n * n],
-            rx_free: vec![0.0; n],
-            mailbox: vec![Vec::new(); n],
-            msgs: Vec::new(),
-            events: cpm_des::Engine::new(),
-            barrier: Vec::new(),
-            windows: vec![(f64::INFINITY, f64::NEG_INFINITY); ops],
-            cp: None,
-        }
-    }
-
-    /// Turns on critical-path tracking; pass the hierarchical model when
-    /// planning under one so link terms carry level-suffixed names.
-    fn track_critical_path(&mut self, hier: Option<&HierLmo>) {
-        self.cp = Some(CpTracker::new(self.lowered.n, hier));
-    }
-
-    fn push(&mut self, t: f64, kind: EvKind) {
-        self.events.schedule(cpm_des::Seconds::new(t), kind);
-    }
-
-    fn touch(&mut self, op: usize, start: f64, end: f64) {
-        let w = &mut self.windows[op];
-        w.0 = w.0.min(start);
-        w.1 = w.1.max(end);
-    }
-
-    /// Executes `rank`'s program until it blocks, yields after advancing
-    /// its clock, or finishes.
-    fn run_rank(&mut self, rank: usize) {
-        self.state[rank] = RankState::Runnable;
-        loop {
-            let Some(rp) = self.lowered.per_rank[rank].get(self.pc[rank]).copied() else {
-                self.state[rank] = RankState::Done;
-                return;
-            };
-            let now = self.clock[rank];
-            match rp.prim {
-                Prim::Send { dst, m } => {
-                    let (s1, deliver_path) = if let Some(l) = self.lmo {
-                        // tx engine slot; the sender returns when it ends.
-                        let c_term = l.c[rank];
-                        let t_term = m as f64 * l.t[rank];
-                        let s1 = now + c_term + t_term;
-                        // Wire: latency, then serialization behind earlier
-                        // transfers on the same connection. Same-pair
-                        // arrivals are posting-ordered (same sender tx
-                        // serialization, same latency), so the connection
-                        // slot can be claimed at post time.
-                        let lat = *l.l.get(Rank(rank as u32), dst);
-                        let arrival = s1 + lat;
-                        let conn = rank * self.lowered.n + dst.idx();
-                        let conn_was = self.conn_free[conn];
-                        let wire_start = conn_was.max(arrival);
-                        let wire = m as f64 / *l.beta.get(Rank(rank as u32), dst);
-                        let done = wire_start + wire;
-                        self.conn_free[conn] = done;
-                        if let Some(cp) = self.cp.as_mut() {
-                            cp.lmo_send(
-                                self.lowered.n,
-                                rank,
-                                dst.idx(),
-                                rp.op,
-                                now,
-                                s1,
-                                c_term,
-                                t_term,
-                                lat,
-                                arrival,
-                                conn_was,
-                                wire_start,
-                                done,
-                                wire,
-                            );
-                        }
-                        (s1, Some(done))
-                    } else {
-                        // Non-separable model: the whole transfer occupies
-                        // the sender; delivery coincides with completion.
-                        let t = self.p2p.p2p(Rank(rank as u32), dst, m);
-                        if let Some(cp) = self.cp.as_mut() {
-                            // Zero-byte time is the model's fixed part;
-                            // clamp so a degenerate fit still attributes
-                            // non-negative alpha/beta.
-                            let alpha = self.p2p.p2p(Rank(rank as u32), dst, 0).clamp(0.0, t);
-                            cp.p2p_send(rank, rp.op, now, now + t, alpha);
-                        }
-                        (now + t, None)
-                    };
-                    let msg_id = self.msgs.len();
-                    self.msgs.push(Msg {
-                        src: rank,
-                        dst: dst.idx(),
-                        m,
-                        op: rp.op,
-                    });
-                    match deliver_path {
-                        Some(done) => self.push(done, EvKind::TransferDone(msg_id)),
-                        None => self.push(s1, EvKind::Deliver(msg_id)),
-                    }
-                    self.touch(rp.op, now, s1);
-                    self.clock[rank] = s1;
-                    self.pc[rank] += 1;
-                    // Yield so rx slots are allocated in global time order.
-                    self.push(s1, EvKind::Wake(rank));
-                    return;
-                }
-                Prim::Recv { src } => {
-                    if let Some(pos) = self.mailbox[rank]
-                        .iter()
-                        .position(|&id| self.msgs[id].src == src.idx())
-                    {
-                        let id = self.mailbox[rank].remove(pos);
-                        if let Some(cp) = self.cp.as_mut() {
-                            cp.consume(rank, id);
-                        }
-                        self.touch(rp.op, now, now);
-                        self.pc[rank] += 1;
-                        continue;
-                    }
-                    self.touch(rp.op, now, now);
-                    self.state[rank] = RankState::Blocked(src);
-                    return;
-                }
-                Prim::Compute { secs } => {
-                    let end = now + secs;
-                    if let Some(cp) = self.cp.as_mut() {
-                        cp.compute(rank, rp.op, now, end);
-                    }
-                    self.touch(rp.op, now, end);
-                    self.clock[rank] = end;
-                    self.pc[rank] += 1;
-                    self.push(end, EvKind::Wake(rank));
-                    return;
-                }
-                Prim::Barrier => {
-                    self.touch(rp.op, now, now);
-                    self.pc[rank] += 1;
-                    self.state[rank] = RankState::AtBarrier;
-                    self.barrier.push((rank, rp.op));
-                    if self.barrier.len() == self.lowered.n {
-                        let release = self
-                            .barrier
-                            .iter()
-                            .map(|&(r, _)| self.clock[r])
-                            .fold(0.0, f64::max);
-                        let waiters = std::mem::take(&mut self.barrier);
-                        if let Some(cp) = self.cp.as_mut() {
-                            cp.barrier_release(&waiters, &self.clock);
-                        }
-                        for (r, op) in waiters {
-                            self.touch(op, release, release);
-                            self.clock[r] = release;
-                            self.push(release, EvKind::Wake(r));
-                        }
-                    }
-                    return;
-                }
-            }
-        }
-    }
-
-    fn run(&mut self) -> Result<(), WorkloadError> {
-        for r in 0..self.lowered.n {
-            self.push(0.0, EvKind::Wake(r));
-        }
-        while let Some((at, kind)) = self.events.pop() {
-            let t = at.secs();
-            match kind {
-                EvKind::Wake(rank) => {
-                    if self.state[rank] == RankState::Done {
-                        continue;
-                    }
-                    self.clock[rank] = self.clock[rank].max(t);
-                    self.run_rank(rank);
-                }
-                EvKind::TransferDone(id) => {
-                    // rx engine slot, in arrival order, posted or not.
-                    let (dst, m, op) = (self.msgs[id].dst, self.msgs[id].m, self.msgs[id].op);
-                    let l = self.lmo.expect("TransferDone only under LMO");
-                    let rx_was = self.rx_free[dst];
-                    let r0 = rx_was.max(t);
-                    let c_term = l.c[dst];
-                    let t_term = m as f64 * l.t[dst];
-                    let r1 = r0 + c_term + t_term;
-                    self.rx_free[dst] = r1;
-                    if let Some(cp) = self.cp.as_mut() {
-                        cp.rx(id, dst, op, rx_was, t, r0, r1, c_term, t_term);
-                    }
-                    self.push(r1, EvKind::Deliver(id));
-                }
-                EvKind::Deliver(id) => {
-                    let dst = self.msgs[id].dst;
-                    self.mailbox[dst].push(id);
-                    if let RankState::Blocked(want) = self.state[dst] {
-                        if want.idx() == self.msgs[id].src {
-                            // Re-run the pending receive at delivery time.
-                            self.state[dst] = RankState::Runnable;
-                            self.push(t, EvKind::Wake(dst));
-                        }
-                    }
-                }
-            }
-        }
-        if let Some(stuck) = (0..self.lowered.n).find(|&r| self.state[r] != RankState::Done) {
-            return Err(WorkloadError::Sim(format!(
-                "trace deadlocks: rank {stuck} stuck in {:?} at pc {}",
-                self.state[stuck], self.pc[stuck]
-            )));
-        }
-        Ok(())
-    }
-
-    fn makespan(&self) -> f64 {
-        self.clock.iter().copied().fold(0.0, f64::max)
-    }
-
-    /// Walks the binding-predecessor links back from the rank that
-    /// realizes the makespan and renders the chain in time order.
-    /// Requires [`Machine::track_critical_path`] before [`Machine::run`];
-    /// returns an empty path otherwise (or when nothing advanced a clock).
-    fn critical_path(&self, trace: &Trace) -> CriticalPath {
-        let Some(cp) = &self.cp else {
-            return CriticalPath::default();
-        };
-        let Some(last) = (0..self.lowered.n)
-            .max_by(|&a, &b| self.clock[a].total_cmp(&self.clock[b]))
-            .and_then(|r| cp.rank_seg[r])
-        else {
-            return CriticalPath::default();
-        };
-        let mut idxs = Vec::new();
-        let mut cur = Some(last);
-        while let Some(i) = cur {
-            idxs.push(i);
-            cur = cp.segs[i].pred;
-        }
-        idxs.reverse();
-        let mut steps = Vec::with_capacity(idxs.len());
-        let mut terms: Vec<(String, f64)> = Vec::new();
-        let mut seconds = 0.0;
-        for &i in &idxs {
-            let s = &cp.segs[i];
-            seconds += s.end - s.start;
-            for (k, v) in &s.terms {
-                match terms.iter_mut().find(|(name, _)| name == k) {
-                    Some((_, acc)) => *acc += *v,
-                    None => terms.push((k.clone(), *v)),
-                }
-            }
-            steps.push(CpStep {
-                rank: s.rank,
-                op: trace.ops[s.op].id,
-                kind: s.kind,
-                start: s.start,
-                end: s.end,
-                terms: s.terms.clone(),
-            });
-        }
-        CriticalPath {
-            seconds,
-            steps,
             terms,
+        })
+    };
+    let last = (0..n)
+        .max_by(|&a, &b| out.finish_times[a].total_cmp(&out.finish_times[b]))
+        .unwrap_or(0);
+    let mut at = At::Rank(last, lowered.per_rank[last].len());
+    loop {
+        at = match at {
+            At::Rank(_, 0) => break,
+            At::Rank(r, done) => {
+                let (k, me) = (done - 1, Rank(r as u32));
+                let op = lowered.op_of[r][k];
+                let before = At::Rank(r, k);
+                match lowered.per_rank[r][k] {
+                    ScriptOp::Compute { .. } => {
+                        let w = windows[r][k];
+                        let terms = vec![("compute".to_string(), w.1 - w.0)];
+                        step(r, op, "compute", w, terms);
+                        before
+                    }
+                    ScriptOp::Send { dst, bytes } => match whole {
+                        None => {
+                            step(r, op, "tx", windows[r][k], engine_terms(me, bytes));
+                            before
+                        }
+                        // The charge in front of the send is the transfer,
+                        // split into the model's zero-byte time (`alpha`,
+                        // clamped so a degenerate fit still attributes
+                        // non-negative terms) and the size-dependent rest.
+                        Some(p2p) => {
+                            let w = windows[r][k - 1];
+                            let alpha =
+                                clamp(p2p.p2p(me, dst, 0)).min(clamp(p2p.p2p(me, dst, bytes)));
+                            let beta = (w.1 - w.0) - alpha;
+                            let terms =
+                                vec![("alpha".to_string(), alpha), ("beta".to_string(), beta)];
+                            step(r, op, "p2p", w, terms);
+                            At::Rank(r, k - 1)
+                        }
+                    },
+                    // A receive that waited (`>`) binds to its message;
+                    // otherwise the rank's own chain continues.
+                    ScriptOp::Recv { .. } => {
+                        let match_at = received[r].binary_search_by_key(&k, |&(k, _)| k);
+                        let msg = received[r][match_at.expect("a completed receive matched")].1;
+                        if span(rx_at[msg]).1 <= windows[r][k].0 {
+                            before
+                        } else if whole.is_some() {
+                            At::Rank(posted(msg).0.idx(), send_k[msg] + 1)
+                        } else {
+                            At::Rx(msg)
+                        }
+                    }
+                    // Every rank leaves a barrier on its latest arriver's
+                    // chain; each rank's barrier for this op is found by
+                    // the op tag (`op_of` is sorted).
+                    ScriptOp::Barrier => (0..n)
+                        .map(|q| (q, lowered.op_of[q].partition_point(|&o| o < op)))
+                        .max_by(|a, b| windows[a.0][a.1].0.total_cmp(&windows[b.0][b.1].0))
+                        .map_or(before, |(r, done)| At::Rank(r, done)),
+                }
+            }
+            At::Rx(msg) => {
+                let (_, dst, bytes, op) = posted(msg);
+                let terms = engine_terms(dst, bytes);
+                step(dst.idx(), op, "rx", span(rx_at[msg]), terms);
+                match prev_rx[msg] {
+                    Some(p) if span(rx_at[p]).1 > span(wire_at[msg]).1 => At::Rx(p),
+                    _ => At::Wire(msg),
+                }
+            }
+            At::Wire(msg) => {
+                let (src, dst, bytes, op) = posted(msg);
+                let wire = bytes as f64 / *truth.beta.get(src, dst);
+                let terms = vec![(link_term("beta", src, dst), wire)];
+                step(src.idx(), op, "wire", span(wire_at[msg]), terms);
+                let (tx, lat) = (span(tx_at[msg]), *truth.l.get(src, dst));
+                let arrival = tx.1 + lat;
+                match prev_wire[msg] {
+                    Some(p) if span(wire_at[p]).1 > arrival => At::Wire(p),
+                    _ => {
+                        let terms = vec![(link_term("L", src, dst), lat)];
+                        step(src.idx(), op, "latency", (tx.1, arrival), terms);
+                        step(src.idx(), op, "tx", tx, engine_terms(src, bytes));
+                        At::Rank(src.idx(), send_k[msg])
+                    }
+                }
+            }
+        };
+    }
+    steps.reverse();
+
+    let mut terms: Vec<(String, f64)> = Vec::new();
+    let mut seconds = 0.0;
+    for s in &steps {
+        seconds += s.end - s.start;
+        for (k, v) in &s.terms {
+            match terms.iter_mut().find(|(name, _)| name == k) {
+                Some((_, acc)) => *acc += *v,
+                None => terms.push((k.clone(), *v)),
+            }
         }
+    }
+    CriticalPath {
+        seconds,
+        steps,
+        terms,
     }
 }
 
 /// Wall-clock self-profile of one [`plan_profiled`] evaluation, split
-/// into the planner's two phases: *lower* (per-op algorithm choice plus
-/// lowering into per-rank primitive programs) and *analyze* (the
-/// critical-path machine run plus report assembly).
+/// into the planner's two phases: *lower* (the model's cluster, per-op
+/// algorithm choice and lowering into per-rank primitive programs) and
+/// *analyze* (the traced kernel run, the critical-path walk and report
+/// assembly).
 ///
 /// Kept out of [`Plan`] deliberately: plans are deterministic and
 /// golden-tested, wall-clock timings are not. The serve layer records
@@ -1072,7 +787,7 @@ impl<'a> Machine<'a> {
 pub struct PlanProfile {
     /// Nanoseconds spent choosing algorithms and lowering the trace.
     pub lower_ns: u64,
-    /// Nanoseconds spent in the critical-path machine and report build.
+    /// Nanoseconds spent in the kernel run, path walk and report build.
     pub analyze_ns: u64,
 }
 
@@ -1104,37 +819,42 @@ pub fn plan_profiled(
     }
     let mut profile = PlanProfile::default();
     let t_lower = std::time::Instant::now();
-    let lowered = {
+    let hier = match model {
+        PlanModel::LmoHier(h) => Some(h),
+        _ => None,
+    };
+    let (cluster, whole, lowered) = {
         let mut sp = cpm_obs::span("plan.lower");
         sp.field_u64("ops", trace.ops.len() as u64);
-        let choices = choose(trace, model);
-        lower(trace, &choices)
+        let (cluster, whole) = model_cluster(model);
+        let choices = match hier {
+            Some(h) => choose_hier(trace, h, &cluster),
+            None => choose_flat(trace, model),
+        };
+        let lowered = lower(trace, &choices);
+        let lowered = match whole {
+            Some(p2p) => charge_whole_transfers(lowered, p2p),
+            None => lowered,
+        };
+        (cluster, whole, lowered)
     };
     profile.lower_ns = elapsed_ns(t_lower);
     let t_analyze = std::time::Instant::now();
     let sp_analyze = cpm_obs::span("plan.analyze");
-    let machine_model = model.machine_model();
-    let mut machine = Machine::new(&lowered, &machine_model);
-    machine.track_critical_path(match model {
-        PlanModel::LmoHier(h) => Some(h),
-        _ => None,
-    });
-    machine.run()?;
+    let out = run_lowered(&cluster, &lowered, true)?;
 
     let ops: Vec<OpReport> = trace
         .ops
         .iter()
-        .enumerate()
-        .map(|(idx, op)| {
-            let (mut start, mut end) = machine.windows[idx];
-            if start > end {
-                (start, end) = (0.0, 0.0);
-            }
+        .zip(lowered.op_windows(&out.windows))
+        .zip(&lowered.algorithms)
+        .map(|((op, window), algorithm)| {
+            let (start, end) = window.unwrap_or((0.0, 0.0));
             OpReport {
                 id: op.id,
                 phase: op.phase.clone(),
                 kind: op.kind.name().to_string(),
-                algorithm: lowered.algorithms[idx].map(|a| a.as_str().to_string()),
+                algorithm: algorithm.map(|a| a.as_str().to_string()),
                 start,
                 end,
             }
@@ -1160,8 +880,8 @@ pub fn plan_profiled(
     let plan = Plan {
         model: model.kind(),
         trace_hash: trace.hash(),
-        makespan: machine.makespan(),
-        critical_path: machine.critical_path(trace),
+        makespan: out.end_time,
+        critical_path: critical_path(trace, &lowered, &out, (&cluster, whole), hier),
         ops,
         phases,
     };
@@ -1252,12 +972,8 @@ mod tests {
                 kind: OpKind::Scatter { root: Rank(0), m },
             }],
         };
-        let choices = vec![Some(Algorithm::Linear)];
-        let lowered = lower(&t, &choices);
         let pm = PlanModel::Lmo(model.clone());
-        let mut machine = Machine::new(&lowered, &pm);
-        machine.run().unwrap();
-        let got = machine.makespan();
+        let got = eval_single_op(&model_cluster(&pm).0, &t.ops[0], Algorithm::Linear);
         let formula = model.linear_scatter(Rank(0), m);
         let serial = (n as f64 - 1.0) * (model.c[0] + m as f64 * model.t[0]);
         assert!(got >= serial, "{got} vs serial {serial}");
@@ -1411,8 +1127,9 @@ mod tests {
         assert_eq!(choices[0], Some(Algorithm::TwoPhase { intra: 8 }));
         // The machine confirms: two-phase strictly beats the flat binomial.
         let flat = PlanModel::Lmo(h.to_extended());
-        let two = eval_single_op(32, &t.ops[0], Algorithm::TwoPhase { intra: 8 }, &flat);
-        let bin = eval_single_op(32, &t.ops[0], Algorithm::Binomial, &flat);
+        let cluster = model_cluster(&flat).0;
+        let two = eval_single_op(&cluster, &t.ops[0], Algorithm::TwoPhase { intra: 8 });
+        let bin = eval_single_op(&cluster, &t.ops[0], Algorithm::Binomial);
         assert!(two < bin, "two-phase {two} vs binomial {bin}");
     }
 

@@ -1,19 +1,22 @@
 //! The execution engine: DES replay of a lowered trace.
 //!
-//! [`replay`] runs the *same* per-rank primitive programs the analytic
-//! engine evaluated as a real [`cpm_vmpi`] program against the
-//! [`cpm_netsim`] simulator, so the observed makespan emerges from the
-//! discrete-event kernel — tx engines, wire serialization, rx engines,
-//! and whatever irregularities the cluster's MPI profile injects.
-//! [`compare`] then reports predicted-vs-observed residuals per op; the
-//! point-to-point residuals are shaped for `cpm-drift`'s `observe` verb.
+//! [`replay`] runs the lowered per-rank programs through the
+//! [`cpm_netsim`] script kernel on the cluster's ground truth, so the
+//! observed makespan emerges from the discrete-event kernel — tx engines,
+//! wire serialization, rx engines, and whatever irregularities the
+//! cluster's MPI profile injects. [`mod@crate::plan`] is the same kernel
+//! call on a cluster built from a model's parameters, which is why plan
+//! and replay agree to the bit on an ideal cluster planned under its own
+//! truth. [`compare`] then reports predicted-vs-observed
+//! residuals per op; the point-to-point residuals are shaped for
+//! `cpm-drift`'s `observe` verb.
 
 use cpm_core::units::Bytes;
 use cpm_netsim::SimCluster;
-use cpm_vmpi::ScriptOp;
+use cpm_vmpi::{ScriptOp, ScriptOutcome};
 use serde_json::Value;
 
-use crate::lower::{lower, Algorithm, Lowered, Prim};
+use crate::lower::{lower, Algorithm, Lowered};
 use crate::plan::{Plan, PlanModel};
 use crate::trace::{OpKind, Trace, WorkloadError};
 
@@ -122,6 +125,23 @@ pub fn replay_traced(
     Ok((report, timeline.expect("traced replay builds a timeline")))
 }
 
+/// Runs the lowered programs through the script kernel on `cluster` — the
+/// one machine behind both [`replay`] (ground truth) and
+/// [`crate::plan::plan`] (model parameters). The kernel borrows the
+/// programs; nothing is copied.
+pub(crate) fn run_lowered(
+    cluster: &SimCluster,
+    lowered: &Lowered,
+    traced: bool,
+) -> Result<ScriptOutcome, WorkloadError> {
+    if traced {
+        cpm_vmpi::run_program_traced(cluster, &lowered.per_rank)
+    } else {
+        cpm_vmpi::run_program(cluster, &lowered.per_rank)
+    }
+    .map_err(|e| WorkloadError::Sim(e.to_string()))
+}
+
 fn replay_inner(
     cluster: &SimCluster,
     trace: &Trace,
@@ -141,54 +161,24 @@ fn replay_inner(
         sp.field_u64("ops", trace.ops.len() as u64);
         lower(trace, choices)
     };
-    let n_ops = trace.ops.len();
-    let mut sp_des = cpm_obs::span("replay.des");
-    sp_des.field_u64("ranks", trace.n as u64);
     // The threadless script path: lowered primitives are straight-line
     // programs, so the kernel interprets them directly — no OS thread and
     // no channel round-trips per rank, which is what makes 1000-rank
     // replay cheap. Timing semantics are identical to the threaded path.
-    let programs: Vec<Vec<ScriptOp>> = lowered
-        .per_rank
-        .iter()
-        .map(|prims| {
-            prims
-                .iter()
-                .map(|rp| match rp.prim {
-                    Prim::Send { dst, m } => ScriptOp::Send { dst, bytes: m },
-                    Prim::Recv { src } => ScriptOp::Recv { src },
-                    Prim::Compute { secs } => ScriptOp::Compute { secs },
-                    Prim::Barrier => ScriptOp::Barrier,
-                })
-                .collect()
-        })
-        .collect();
-    let out = if traced {
-        cpm_vmpi::run_program_traced(cluster, &programs)
-    } else {
-        cpm_vmpi::run_program(cluster, &programs)
-    }
-    .map_err(|e| WorkloadError::Sim(e.to_string()))?;
-    drop(sp_des);
+    let out = {
+        let mut sp_des = cpm_obs::span("replay.des");
+        sp_des.field_u64("ranks", trace.n as u64);
+        run_lowered(cluster, &lowered, traced)?
+    };
 
     let timeline = traced.then(|| build_timeline(cluster, trace, &lowered, &out));
 
-    // Merge per-primitive windows into per-op windows across all ranks.
-    let mut op_windows: Vec<Option<(f64, f64)>> = vec![None; n_ops];
-    for (rank, prims) in lowered.per_rank.iter().enumerate() {
-        for (k, rp) in prims.iter().enumerate() {
-            let (t0, t1) = out.windows[rank][k];
-            let w = op_windows[rp.op].get_or_insert((t0, t1));
-            w.0 = w.0.min(t0);
-            w.1 = w.1.max(t1);
-        }
-    }
     let ops: Vec<ReplayOp> = trace
         .ops
         .iter()
-        .enumerate()
-        .map(|(idx, op)| {
-            let (start, end) = op_windows[idx].unwrap_or((0.0, 0.0));
+        .zip(lowered.op_windows(&out.windows))
+        .map(|(op, window)| {
+            let (start, end) = window.unwrap_or((0.0, 0.0));
             ReplayOp {
                 id: op.id,
                 phase: op.phase.clone(),
@@ -220,7 +210,7 @@ fn build_timeline(
     cluster: &SimCluster,
     trace: &Trace,
     lowered: &Lowered,
-    out: &cpm_vmpi::ScriptOutcome,
+    out: &ScriptOutcome,
 ) -> Value {
     let levels = cluster.topology.levels();
     let cores = levels.first().map(|l| l.arity).filter(|&a| a > 0);
@@ -271,20 +261,24 @@ fn build_timeline(
     }
 
     for (rank, prims) in lowered.per_rank.iter().enumerate() {
-        for (k, rp) in prims.iter().enumerate() {
+        for (k, prim) in prims.iter().enumerate() {
             let (t0, t1) = out.windows[rank][k];
-            let op = &trace.ops[rp.op];
-            let (name, mut args) = match rp.prim {
-                Prim::Send { dst, m } => (
+            let op = &trace.ops[lowered.op_of[rank][k]];
+            let (name, mut args) = match *prim {
+                ScriptOp::Send { dst, bytes } => (
                     "send",
                     vec![
                         ("dst".to_string(), Value::U64(dst.0 as u64)),
-                        ("bytes".to_string(), Value::U64(m)),
+                        ("bytes".to_string(), Value::U64(bytes)),
                     ],
                 ),
-                Prim::Recv { src } => ("recv", vec![("src".to_string(), Value::U64(src.0 as u64))]),
-                Prim::Compute { secs } => ("compute", vec![("secs".to_string(), Value::F64(secs))]),
-                Prim::Barrier => ("barrier", Vec::new()),
+                ScriptOp::Recv { src } => {
+                    ("recv", vec![("src".to_string(), Value::U64(src.0 as u64))])
+                }
+                ScriptOp::Compute { secs } => {
+                    ("compute", vec![("secs".to_string(), Value::F64(secs))])
+                }
+                ScriptOp::Barrier => ("barrier", Vec::new()),
             };
             args.push(("op".to_string(), Value::U64(op.id)));
             args.push(str_arg("phase", op.phase.clone()));

@@ -12,8 +12,8 @@
 //! Dependencies are per-rank program order: an op depends, on each
 //! participating rank, on that rank's previous op in trace order. That is
 //! exactly the ordering an MPI program written as a sequence of calls
-//! would impose, and it is the order both the analytic engine and the DES
-//! replay execute (see [`mod@crate::lower`]).
+//! would impose, and it is the order plan and replay both execute (see
+//! [`mod@crate::lower`]).
 //!
 //! The trace hash mirrors the registry fingerprint of `cpm-serve`:
 //! canonical JSON (recursively sorted map keys) hashed twice with FNV-1a
@@ -54,6 +54,13 @@ impl fmt::Display for WorkloadError {
 }
 
 impl std::error::Error for WorkloadError {}
+
+/// The longest single duration the simulator's kernel is asked to charge,
+/// seconds: absurd as a time, yet small enough that neither `M·t`, `M/β`
+/// nor any sum over a run leaves the finite floats its clock lives in.
+/// Trace durations beyond it are invalid; model parameters are clamped to
+/// it (see `plan`).
+pub(crate) const MAX_DURATION: f64 = 1e200;
 
 /// One communication (or local) operation.
 #[derive(Clone, Debug, PartialEq)]
@@ -462,7 +469,8 @@ impl Trace {
                     if *m == 0 {
                         return invalid(ctx("zero-byte message".into()));
                     }
-                    if !gamma.is_finite() || *gamma < 0.0 {
+                    // The combine time `gamma * m` is charged as a duration.
+                    if !(0.0..=MAX_DURATION).contains(&(gamma * *m as f64)) {
                         return invalid(ctx(format!("bad gamma {gamma}")));
                     }
                 }
@@ -482,7 +490,7 @@ impl Trace {
                             self.n
                         )));
                     }
-                    if !seconds.is_finite() || *seconds < 0.0 {
+                    if !(0.0..=MAX_DURATION).contains(seconds) {
                         return invalid(ctx(format!("bad seconds {seconds}")));
                     }
                 }

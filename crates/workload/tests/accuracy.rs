@@ -1,7 +1,9 @@
 //! Acceptance: on the paper's 16-node Table I cluster (regular regime —
-//! ideal profile, no noise), the analytic critical-path makespan of every
-//! canonical workload under the extended LMO model is within 10% of the
-//! makespan that emerges from the DES replay of the same trace.
+//! ideal profile, no noise), the plan of every canonical workload under
+//! the extended LMO model with the cluster's own parameters *is* the DES
+//! replay of the same trace: same makespan, same op windows, to the bit.
+//! A plan is a replay on the model's parameters, so where the parameters
+//! are the truth there is nothing left to differ.
 
 use cpm_cluster::{ClusterSpec, GroundTruth, MpiProfile};
 use cpm_core::units::KIB;
@@ -25,7 +27,7 @@ fn truth_lmo(cl: &SimCluster) -> PlanModel {
 }
 
 #[test]
-fn lmo_critical_path_within_ten_percent_of_des_on_every_canonical_workload() {
+fn plan_equals_replay_bit_for_bit_on_the_ideal_paper_cluster() {
     let cl = paper_cluster(2009);
     let model = truth_lmo(&cl);
     for kind in gen::CANONICAL_KINDS {
@@ -33,14 +35,30 @@ fn lmo_critical_path_within_ten_percent_of_des_on_every_canonical_workload() {
             let trace = gen::canonical(kind, 16, m, 3).unwrap();
             let p = plan(&trace, &model).unwrap();
             let r = replay(&cl, &trace, &choose(&trace, &model)).unwrap();
-            let c = compare(&trace, &p, &r);
-            assert!(
-                c.rel_error.abs() <= 0.10,
-                "{kind}@{m}: predicted {} vs observed {} (rel {:+.3})",
-                c.predicted_makespan,
-                c.observed_makespan,
-                c.rel_error
+            assert_eq!(
+                p.makespan.to_bits(),
+                r.makespan.to_bits(),
+                "{kind}@{m}: predicted {:e} vs observed {:e}",
+                p.makespan,
+                r.makespan
             );
+            assert_eq!(p.ops.len(), r.ops.len(), "{kind}@{m}");
+            for (planned, observed) in p.ops.iter().zip(&r.ops) {
+                assert_eq!(
+                    (planned.id, planned.start.to_bits(), planned.end.to_bits()),
+                    (
+                        observed.id,
+                        observed.start.to_bits(),
+                        observed.end.to_bits()
+                    ),
+                    "{kind}@{m} op {}: planned [{:e}, {:e}] vs observed [{:e}, {:e}]",
+                    planned.id,
+                    planned.start,
+                    planned.end,
+                    observed.start,
+                    observed.end
+                );
+            }
         }
     }
 }

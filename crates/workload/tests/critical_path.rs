@@ -3,12 +3,16 @@
 //! sizes, under arbitrary model parameters) the extracted path is a
 //! gap-free chain from t=0 to the makespan, and its model-term
 //! attribution sums back to the predicted time — the planner never emits
-//! a prediction its own explanation cannot account for.
+//! a prediction its own explanation cannot account for. Under the
+//! separable model the same schedules also pin that the plan *is* the
+//! replay on an ideal cluster with the model's parameters, to the bit.
 
+use cpm_cluster::{GroundTruth, MpiProfile};
 use cpm_core::matrix::SymMatrix;
 use cpm_core::rank::Rank;
 use cpm_models::{GatherEmpirics, HockneyHet, LmoExtended, LogGp};
-use cpm_workload::{plan, OpKind, PlanModel, Trace, TraceOp};
+use cpm_netsim::SimCluster;
+use cpm_workload::{choose, plan, replay, OpKind, PlanModel, Trace, TraceOp};
 use proptest::prelude::*;
 
 /// One random op; `src`/`dst`/`root` are reduced modulo `n` at build time
@@ -160,9 +164,21 @@ proptest! {
         let tt: Vec<f64> = (0..n).map(|r| t0 * (1.0 + 0.1 * r as f64)).collect();
         let l = SymMatrix::from_fn(n, |i, j| l0 * (1.0 + 0.05 * (i.idx() + j.idx()) as f64));
         let beta = SymMatrix::from_fn(n, |i, j| beta0 / (1.0 + 0.05 * (i.idx() * j.idx()) as f64));
+        let truth = GroundTruth { c: c.clone(), t: tt.clone(), l: l.clone(), beta: beta.clone() };
         let model = PlanModel::Lmo(LmoExtended::new(c, tt, l, beta, GatherEmpirics::none()));
         let p = plan(&t, &model).unwrap();
         assert_explains(&p, "lmo");
+        // The plan is the replay on an ideal cluster with these parameters.
+        let cluster = SimCluster::new(truth, MpiProfile::ideal(), 0.0, 1);
+        let r = replay(&cluster, &t, &choose(&t, &model)).unwrap();
+        let bits = |start: f64, end: f64| (start.to_bits(), end.to_bits());
+        prop_assert_eq!(p.makespan.to_bits(), r.makespan.to_bits());
+        for (planned, observed) in p.ops.iter().zip(&r.ops) {
+            prop_assert_eq!(
+                (planned.id, bits(planned.start, planned.end)),
+                (observed.id, bits(observed.start, observed.end))
+            );
+        }
     }
 
     /// Non-separable models: whole-transfer occupancy, alpha/beta split.

@@ -474,8 +474,8 @@ cluster): per-op algorithm choice considers the level-aware two-phase
 lowerings next to the flat linear/binomial ones, and the chosen
 algorithm is reported per op in the plan JSON.
 
---fidelity des skips the analytic machine and answers with a full
-discrete-event replay on the simulated cluster instead — the same
+--fidelity des runs the trace on the simulated cluster itself instead
+of on the estimated model parameters — the same
 computation as `cpm workload run`, so both print identical reports. Any
 other --fidelity value is a structured error, matching the serve `plan`
 verb's \"fidelity\" field.",
