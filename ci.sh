@@ -44,7 +44,24 @@ run_named plan_equals_replay_bit_for_bit_on_the_ideal_paper_cluster -p cpm-workl
 # parameters are clamped, never a panic, in optimized builds too.
 run_named degenerate_parameter_sets_plan_as_their_clamped_selves -p cpm-serve --test golden
 run_named degenerate_parameter_sets_plan_as_their_clamped_selves -p cpm-serve --test golden --release
+# One kind of rank under estimation and drift: every communication
+# experiment is a ScriptOp program, bit-identical to the closure it replaced
+# (the closures live on as the tests' oracle), and the recovered parameter
+# sets hash as they did on rank threads.
+run_named scripted_roundtrips_match_the_threaded_experiment_bit_for_bit -p cpm-estimate --test scripted_vs_threaded
+run_named scripted_one_to_two_matches_the_threaded_experiment_bit_for_bit -p cpm-estimate --test scripted_vs_threaded
+run_named scripted_probes_match_the_threaded_experiments_bit_for_bit -p cpm-estimate --test scripted_vs_threaded
+run_named probe::tests::scripted_one_way_times_match_the_threaded_probe_bit_for_bit -p cpm-vmpi --lib
+run_named parameter_sets_hash_as_they_did_on_rank_threads -p cpm-serve --test estimate_pin --release
+run_named lmo_estimation_is_exact_under_fuzzed_schedules -p cpm-estimate --test schedule_fuzz --release
+# The resident parameter sets are bounded; an evicted one comes back from disk.
+run_named service::tests::an_evicted_parameter_set_is_loaded_back_unchanged -p cpm-serve --lib
 rm -f "$ORACLE_LOG"
+
+echo "== no thread-backed ranks under estimation or drift (tests/ keeps them as the oracle)"
+if grep -rnwE 'cpm_vmpi::run|run_timed|run_timed_max|Comm' crates/estimate/src crates/drift/src; then
+  echo "crates/estimate/src and crates/drift/src must not name cpm_vmpi::run, run_timed* or Comm"; exit 1
+fi
 
 echo "== drift loop tests"
 cargo test -p cpm-drift -q

@@ -160,6 +160,13 @@ pub fn pairs(n: usize) -> Vec<Pair> {
     out
 }
 
+/// `true` when no rank appears twice in `members` — the condition under
+/// which units (pairs, triplets) may share one simulation run.
+pub fn disjoint(members: impl IntoIterator<Item = Rank>) -> bool {
+    let mut seen = std::collections::HashSet::new();
+    members.into_iter().all(|r| seen.insert(r))
+}
+
 /// All `C(n,3)` triplets of ranks `0..n` in lexicographic order.
 pub fn triplets(n: usize) -> Vec<Triplet> {
     let mut out = Vec::new();
@@ -190,6 +197,14 @@ pub fn n_choose_3(n: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn disjoint_spots_a_shared_rank() {
+        let units = [Pair::new(Rank(0), Rank(1)), Pair::new(Rank(2), Rank(3))];
+        assert!(disjoint(units.iter().flat_map(|p| [p.a, p.b])));
+        assert!(!disjoint([Rank(0), Rank(4), Rank(0)]));
+        assert!(disjoint(std::iter::empty()));
+    }
 
     #[test]
     fn pair_canonicalization() {

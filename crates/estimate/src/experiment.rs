@@ -1,17 +1,22 @@
 //! The communication experiments.
 //!
-//! Every experiment is an SPMD program over the simulated MPI layer,
-//! measured on the sender/root side with barrier-separated repetitions —
-//! the timing method the paper recommends as "fast and quite accurate for
-//! collective operations on a small number of processors". Experiments on
-//! non-overlapping units (pairs/triplets) can share one simulation run; on
-//! a single switch this does not perturb the measurements.
+//! Every experiment is a barrier-separated, straight-line exchange
+//! measured on the sender/root side — the timing method the paper
+//! recommends as "fast and quite accurate for collective operations on a
+//! small number of processors". Each function here *generates* that SPMD
+//! loop as one [`ScriptOp`] program per rank ([`TimedScript`]), runs it
+//! inside the simulator's event loop and reads the measured intervals
+//! from the op windows: no rank threads, and virtual timings identical to
+//! the bit with the same loop written as a closure on rank threads (the
+//! differential test in `tests/scripted_vs_threaded.rs` keeps those
+//! closures as the oracle). Experiments on non-overlapping units
+//! (pairs/triplets) can share one simulation run; on a single switch this
+//! does not perturb the measurements.
 
 use cpm_core::error::Result;
-use cpm_core::rank::{Pair, Rank, Triplet};
+use cpm_core::rank::{disjoint, Pair, Rank, Triplet};
 use cpm_core::units::Bytes;
-use cpm_netsim::SimCluster;
-use cpm_vmpi::run;
+use cpm_netsim::{ScriptOp, SimCluster, TimedScript};
 
 /// Measurements of one roundtrip unit.
 #[derive(Clone, Debug)]
@@ -44,37 +49,27 @@ pub fn roundtrip_round(
     reps: usize,
     seed: u64,
 ) -> Result<(Vec<PairSample>, f64)> {
-    let cl = cluster.reseeded(seed);
-    let role = pair_roles(cluster.n(), units);
-    let out = run(&cl, |c| {
-        let me = c.rank();
-        let mut times = Vec::new();
-        for _ in 0..reps {
-            c.barrier();
-            match role[me.idx()] {
-                Some((peer, true)) => {
-                    let t0 = c.wtime();
-                    c.send(peer, m_out);
-                    let _ = c.recv(peer);
-                    times.push(c.wtime() - t0);
-                }
-                Some((peer, false)) => {
-                    let _ = c.recv(peer);
-                    c.send(peer, m_back);
-                }
-                None => {}
-            }
+    debug_assert!(
+        disjoint(units.iter().flat_map(|p| [p.a, p.b])),
+        "pairs must be disjoint"
+    );
+    let mut script = TimedScript::new(cluster.n());
+    for _ in 0..reps {
+        script.barrier();
+        for p in units {
+            script.timed(p.a, [ScriptOp::send(p.b, m_out), ScriptOp::recv(p.b)]);
+            script.extend(p.b, [ScriptOp::recv(p.a), ScriptOp::send(p.a, m_back)]);
         }
-        times
-    })?;
+    }
+    let (mut times, end_time) = script.run(&cluster.reseeded(seed))?;
     let samples = units
         .iter()
         .map(|p| PairSample {
             pair: *p,
-            t: out.results[p.a.idx()].clone(),
+            t: std::mem::take(&mut times[p.a.idx()]),
         })
         .collect();
-    Ok((samples, out.end_time))
+    Ok((samples, end_time))
 }
 
 /// Runs `reps` one-to-two experiments (root sends `m_out` to both children,
@@ -95,60 +90,48 @@ pub fn one_to_two_round(
     seed: u64,
     order: Option<&(dyn Fn(Triplet, Rank) -> [Rank; 2] + Sync)>,
 ) -> Result<(Vec<TripletSample>, f64)> {
-    let cl = cluster.reseeded(seed);
-    let n = cluster.n();
-    // role[phase][rank] = (root, [children]) membership.
-    let mut membership: Vec<Option<(usize, Triplet)>> = vec![None; n];
-    for t in units {
-        for m in t.members() {
-            debug_assert!(membership[m.idx()].is_none(), "triplets must be disjoint");
-            membership[m.idx()] = Some((0, *t));
-        }
-    }
-    let out = run(&cl, |c| {
-        let me = c.rank();
-        let mut times: Vec<Vec<f64>> = vec![Vec::new(); 3];
-        // `phase` is simultaneously the index into `times` and the root
-        // selector — an iterator would obscure that.
-        #[allow(clippy::needless_range_loop)]
-        for phase in 0..3usize {
-            for _ in 0..reps {
-                c.barrier();
-                let Some((_, t)) = membership[me.idx()] else {
-                    continue;
-                };
+    debug_assert!(
+        disjoint(units.iter().flat_map(|t| t.members())),
+        "triplets must be disjoint"
+    );
+    let mut script = TimedScript::new(cluster.n());
+    // Each member is the root of exactly one phase, so its measured spans
+    // are that phase's repetitions.
+    for phase in 0..3 {
+        for _ in 0..reps {
+            script.barrier();
+            for t in units {
                 let root = t.members()[phase];
-                if me == root {
-                    let [x, y] = match order {
-                        Some(f) => f(t, root),
-                        None => t.others(root),
-                    };
-                    let t0 = c.wtime();
-                    c.send(x, m_out);
-                    c.send(y, m_out);
-                    let _ = c.recv(x);
-                    let _ = c.recv(y);
-                    times[phase].push(c.wtime() - t0);
-                } else {
-                    let _ = c.recv(root);
-                    c.send(root, m_back);
+                let [x, y] = match order {
+                    Some(f) => f(*t, root),
+                    None => t.others(root),
+                };
+                script.timed(
+                    root,
+                    [
+                        ScriptOp::send(x, m_out),
+                        ScriptOp::send(y, m_out),
+                        ScriptOp::recv(x),
+                        ScriptOp::recv(y),
+                    ],
+                );
+                for child in t.others(root) {
+                    script.extend(child, [ScriptOp::recv(root), ScriptOp::send(root, m_back)]);
                 }
             }
         }
-        times
-    })?;
-    let mut samples = Vec::with_capacity(units.len() * 3);
-    for t in units {
-        for phase in 0..3usize {
-            let root = t.members()[phase];
-            samples.push(TripletSample {
-                triplet: *t,
-                root,
-                t: out.results[root.idx()][phase].clone(),
-            });
-        }
     }
-    Ok((samples, out.end_time))
+    let (mut times, end_time) = script.run(&cluster.reseeded(seed))?;
+    let samples = units
+        .iter()
+        .flat_map(|t| t.members().map(|root| (*t, root)))
+        .map(|(triplet, root)| TripletSample {
+            triplet,
+            root,
+            t: std::mem::take(&mut times[root.idx()]),
+        })
+        .collect();
+    Ok((samples, end_time))
 }
 
 /// Saturation experiment: `count` back-to-back sends of `m` bytes from `i`
@@ -165,29 +148,11 @@ pub fn saturation(
     seed: u64,
 ) -> Result<(Vec<f64>, f64)> {
     assert!(count >= 1, "saturation needs at least one message");
-    let cl = cluster.reseeded(seed);
-    let out = run(&cl, |c| {
-        let me = c.rank();
-        let mut times = Vec::new();
-        for _ in 0..reps {
-            c.barrier();
-            if me == i {
-                let t0 = c.wtime();
-                for _ in 0..count {
-                    c.send(j, m);
-                }
-                let _ = c.recv(j);
-                times.push(c.wtime() - t0);
-            } else if me == j {
-                for _ in 0..count {
-                    let _ = c.recv(i);
-                }
-                c.send(i, 0);
-            }
-        }
-        times
-    })?;
-    Ok((out.results[i.idx()].clone(), out.end_time))
+    let stream = |op: ScriptOp| std::iter::repeat_n(op, count);
+    measured_on(cluster, i, reps, seed, |script| {
+        script.timed(i, stream(ScriptOp::send(j, m)).chain([ScriptOp::recv(j)]));
+        script.extend(j, stream(ScriptOp::recv(i)).chain([ScriptOp::send(i, 0)]));
+    })
 }
 
 /// Send-overhead probe (`o_s`): the duration of the blocking send itself,
@@ -200,25 +165,11 @@ pub fn send_probe(
     reps: usize,
     seed: u64,
 ) -> Result<(Vec<f64>, f64)> {
-    let cl = cluster.reseeded(seed);
-    let out = run(&cl, |c| {
-        let me = c.rank();
-        let mut times = Vec::new();
-        for _ in 0..reps {
-            c.barrier();
-            if me == i {
-                let t0 = c.wtime();
-                c.send(j, m);
-                times.push(c.wtime() - t0);
-                let _ = c.recv(j);
-            } else if me == j {
-                let _ = c.recv(i);
-                c.send(i, 0);
-            }
-        }
-        times
-    })?;
-    Ok((out.results[i.idx()].clone(), out.end_time))
+    measured_on(cluster, i, reps, seed, |script| {
+        script.timed(i, [ScriptOp::send(j, m)]);
+        script.extend(i, [ScriptOp::recv(j)]);
+        script.extend(j, [ScriptOp::recv(i), ScriptOp::send(i, 0)]);
+    })
 }
 
 /// Receive-overhead probe (`o_r`): send, wait long enough for the reply to
@@ -238,26 +189,11 @@ pub fn delayed_recv_probe(
     reps: usize,
     seed: u64,
 ) -> Result<(Vec<f64>, f64)> {
-    let cl = cluster.reseeded(seed);
-    let out = run(&cl, |c| {
-        let me = c.rank();
-        let mut times = Vec::new();
-        for _ in 0..reps {
-            c.barrier();
-            if me == i {
-                c.send(j, m);
-                c.compute(wait);
-                let t0 = c.wtime();
-                let _ = c.recv(j);
-                times.push(c.wtime() - t0);
-            } else if me == j {
-                let _ = c.recv(i);
-                c.send(i, m);
-            }
-        }
-        times
-    })?;
-    Ok((out.results[i.idx()].clone(), out.end_time))
+    measured_on(cluster, i, reps, seed, |script| {
+        script.extend(i, [ScriptOp::send(j, m), ScriptOp::Compute { secs: wait }]);
+        script.timed(i, [ScriptOp::recv(j)]);
+        script.extend(j, [ScriptOp::recv(i), ScriptOp::send(i, m)]);
+    })
 }
 
 /// Linear gather observation: the root receives `m` bytes from everyone.
@@ -269,41 +205,31 @@ pub fn gather_observation(
     reps: usize,
     seed: u64,
 ) -> Result<(Vec<f64>, f64)> {
-    let cl = cluster.reseeded(seed);
-    let out = run(&cl, |c| {
-        let me = c.rank();
-        let n = c.size();
-        let mut times = Vec::new();
-        for _ in 0..reps {
-            c.barrier();
-            if me == root {
-                let t0 = c.wtime();
-                for k in 0..n {
-                    if k != root.idx() {
-                        let _ = c.recv(Rank::from(k));
-                    }
-                }
-                times.push(c.wtime() - t0);
-            } else {
-                c.send(root, m);
-            }
+    let others = || (0..cluster.n()).map(Rank::from).filter(|r| *r != root);
+    measured_on(cluster, root, reps, seed, |script| {
+        script.timed(root, others().map(ScriptOp::recv));
+        for r in others() {
+            script.extend(r, [ScriptOp::send(root, m)]);
         }
-        times
-    })?;
-    Ok((out.results[root.idx()].clone(), out.end_time))
+    })
 }
 
-fn pair_roles(n: usize, units: &[Pair]) -> Vec<Option<(Rank, bool)>> {
-    let mut role: Vec<Option<(Rank, bool)>> = vec![None; n];
-    for p in units {
-        debug_assert!(
-            role[p.a.idx()].is_none() && role[p.b.idx()].is_none(),
-            "pairs must be disjoint"
-        );
-        role[p.a.idx()] = Some((p.b, true));
-        role[p.b.idx()] = Some((p.a, false));
+/// Runs `reps` barrier-separated repetitions of the exchange `rep` appends
+/// and returns the spans it measured on `timed`, plus the virtual cost.
+fn measured_on(
+    cluster: &SimCluster,
+    timed: Rank,
+    reps: usize,
+    seed: u64,
+    rep: impl Fn(&mut TimedScript),
+) -> Result<(Vec<f64>, f64)> {
+    let mut script = TimedScript::new(cluster.n());
+    for _ in 0..reps {
+        script.barrier();
+        rep(&mut script);
     }
-    role
+    let (mut times, end_time) = script.run(&cluster.reseeded(seed))?;
+    Ok((std::mem::take(&mut times[timed.idx()]), end_time))
 }
 
 #[cfg(test)]

@@ -434,18 +434,18 @@ mod tests {
     }
 
     /// Minimal local scatter observation (avoids a dev-dependency cycle on
-    /// cpm-collectives).
+    /// cpm-collectives): barrier release to the last rank done.
     fn cpm_collectives_free_scatter(cl: &SimCluster, m: u64) -> f64 {
-        cpm_vmpi::run_timed_max(cl, 1, |c, _| {
-            if c.rank() == Rank(0) {
-                for i in 1..c.size() {
-                    c.send(Rank::from(i), m);
-                }
-            } else {
-                let _ = c.recv(Rank(0));
-            }
-        })
-        .unwrap()[0]
+        use cpm_netsim::{ScriptOp, TimedScript};
+        let others = || (1..cl.n()).map(Rank::from);
+        let mut script = TimedScript::new(cl.n());
+        script.barrier();
+        script.timed(Rank(0), others().map(|r| ScriptOp::send(r, m)));
+        for r in others() {
+            script.timed(r, [ScriptOp::recv(Rank(0))]);
+        }
+        let (times, _) = script.run(cl).unwrap();
+        times.iter().map(|t| t[0]).fold(0.0, f64::max)
     }
 
     #[test]

@@ -82,5 +82,5 @@ pub use kernel::{simulate, simulate_mpmd, simulate_traced, SimOutcome, SimStats}
 pub use msg::{MsgView, Tag};
 pub use noise::{DriftChange, DriftSchedule, DriftShape, DriftTarget};
 pub use proc::{Proc, RecvRequest, SendRequest};
-pub use script::{run_script, run_script_traced, ScriptOp, ScriptOutcome};
+pub use script::{run_script, run_script_traced, ScriptOp, ScriptOutcome, TimedScript};
 pub use trace::{render_timeline, Trace, TraceEvent};

@@ -1,18 +1,25 @@
 //! Threadless rank programs ("scripts").
 //!
 //! The thread-based programming model ([`crate::simulate`]) spawns one OS
-//! thread per rank and round-trips a channel per syscall — perfect for
-//! expressing arbitrary algorithms, but the context switches cap it at a
-//! few hundred ranks. Workload planning and replay don't need arbitrary
-//! code: after lowering, every rank is a straight-line sequence of
+//! thread per rank and round-trips a channel per syscall — it can express
+//! arbitrary closures, but the context switches dominate the host time of
+//! every run and cap it at a few hundred ranks. Nothing the workspace
+//! measures or replays needs arbitrary code: a lowered workload, a
+//! communication experiment of the estimation procedure and a drift probe
+//! are all, per rank, a straight-line sequence of
 //! send/recv/compute/barrier primitives. [`run_script`] interprets such
 //! sequences directly inside the kernel's event loop — no threads, no
 //! channels, no per-event allocation, the programs borrowed from the
 //! caller rather than copied — with *identical* event semantics and
 //! therefore identical virtual timings. This is what makes 1000-rank
-//! replay a subsecond operation instead of a thread-pool stress test, and
+//! replay a subsecond operation and a cold 16-node estimation (1 640 runs)
+//! a tenth of a second instead of a thread-rendezvous stress test.
+//!
 //! [`ScriptOp`] is the one send/recv/compute/barrier vocabulary of the
-//! workspace: `cpm-workload` lowers straight into it.
+//! workspace: `cpm-workload` lowers straight into it, and `cpm-estimate`
+//! and `cpm-vmpi`'s probes generate it through [`TimedScript`], which also
+//! records which op spans a threaded rank would have bracketed with
+//! `wtime()` and reads the measured durations back from the op windows.
 
 use cpm_core::error::Result;
 use cpm_core::rank::Rank;
@@ -49,6 +56,18 @@ pub enum ScriptOp {
     },
     /// Global barrier across all ranks.
     Barrier,
+}
+
+impl ScriptOp {
+    /// A blocking send of `bytes` to `dst`.
+    pub fn send(dst: Rank, bytes: Bytes) -> Self {
+        ScriptOp::Send { dst, bytes }
+    }
+
+    /// A blocking receive of the next message from `src`.
+    pub fn recv(src: Rank) -> Self {
+        ScriptOp::Recv { src }
+    }
 }
 
 /// What a scripted simulation returns.
@@ -171,6 +190,91 @@ fn run_script_inner(
         trace: out.trace,
         des_events: out.des_events,
     })
+}
+
+/// One scripted program per rank, built op by op, that remembers which op
+/// spans are *measured* — the shape of every communication experiment: a
+/// straight-line SPMD loop whose only observation is how long some of its
+/// ops took on one rank.
+///
+/// A threaded rank reads `wtime()` before the first and after the last op
+/// of a measured span. Here the span is recorded while the program is
+/// built ([`TimedScript::timed`]) and its duration read from the op
+/// windows of the run: `windows[rank][last].1 − windows[rank][first].0`,
+/// the same two clock readings, so the samples are bit-identical to the
+/// threaded measurement.
+#[derive(Clone, Debug)]
+pub struct TimedScript {
+    programs: Vec<Vec<ScriptOp>>,
+    /// Per rank, the `[first, end)` op ranges of its measured spans in
+    /// program order.
+    spans: Vec<Vec<(usize, usize)>>,
+}
+
+impl TimedScript {
+    /// Empty programs for `n` ranks.
+    pub fn new(n: usize) -> Self {
+        TimedScript {
+            programs: vec![Vec::new(); n],
+            spans: vec![Vec::new(); n],
+        }
+    }
+
+    /// Appends unmeasured `ops` to `rank`'s program.
+    pub fn extend(&mut self, rank: Rank, ops: impl IntoIterator<Item = ScriptOp>) {
+        self.programs[rank.idx()].extend(ops);
+    }
+
+    /// Appends `ops` to `rank`'s program as one measured span. An empty
+    /// span is allowed and measures `0.0` (a gather on a one-rank cluster:
+    /// two clock readings with nothing between them).
+    pub fn timed(&mut self, rank: Rank, ops: impl IntoIterator<Item = ScriptOp>) {
+        let program = &mut self.programs[rank.idx()];
+        let first = program.len();
+        program.extend(ops);
+        self.spans[rank.idx()].push((first, program.len()));
+    }
+
+    /// Appends a global barrier to every rank's program.
+    pub fn barrier(&mut self) {
+        for program in &mut self.programs {
+            program.push(ScriptOp::Barrier);
+        }
+    }
+
+    /// The duration of every measured span of a run of the programs, per
+    /// rank in program order.
+    fn durations(&self, out: &ScriptOutcome) -> Vec<Vec<f64>> {
+        self.spans
+            .iter()
+            .zip(&out.windows)
+            .map(|(spans, windows)| {
+                spans
+                    .iter()
+                    .map(|&(first, end)| {
+                        if end > first {
+                            windows[end - 1].1 - windows[first].0
+                        } else {
+                            0.0
+                        }
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// Runs the programs on `cluster`; returns the measured durations per
+    /// rank and the virtual time the run consumed.
+    ///
+    /// # Errors
+    /// Returns a simulation error on deadlock.
+    ///
+    /// # Panics
+    /// Panics when built for a different rank count than the cluster's.
+    pub fn run(&self, cluster: &SimCluster) -> Result<(Vec<Vec<f64>>, f64)> {
+        let out = run_script(cluster, &self.programs)?;
+        Ok((self.durations(&out), out.end_time))
+    }
 }
 
 #[cfg(test)]
@@ -316,6 +420,37 @@ mod tests {
             traced.stats.events,
             "observer sees exactly the events the kernel processed"
         );
+    }
+
+    /// A measured span reads the clock where a threaded rank would: before
+    /// its first op and after its last; an empty span measures nothing.
+    #[test]
+    fn timed_spans_read_the_op_windows() {
+        let cl = cluster(2, 0.0);
+        let mut script = TimedScript::new(2);
+        for _ in 0..2 {
+            script.barrier();
+            script.timed(
+                Rank(0),
+                [ScriptOp::send(Rank(1), 4 * KIB), ScriptOp::recv(Rank(1))],
+            );
+            script.extend(
+                Rank(1),
+                [ScriptOp::recv(Rank(0)), ScriptOp::send(Rank(0), 4 * KIB)],
+            );
+            script.timed(Rank(1), []);
+        }
+        let out = run_script(&cl, &script.programs).unwrap();
+        let times = script.durations(&out);
+        let roundtrip = 2.0 * cl.truth.p2p_time(Rank(0), Rank(1), 4 * KIB);
+        assert_eq!(times[0].len(), 2);
+        for t in &times[0] {
+            assert!((t - roundtrip).abs() < 1e-12, "{t} vs {roundtrip}");
+        }
+        assert_eq!(times[0][1], out.windows[0][5].1 - out.windows[0][4].0);
+        assert_eq!(times[1], vec![0.0, 0.0], "empty spans measure 0.0");
+        let (again, end) = script.run(&cl).unwrap();
+        assert_eq!((again, end), (times, out.end_time));
     }
 
     #[test]

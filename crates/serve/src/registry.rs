@@ -194,6 +194,19 @@ impl ParamSet {
     }
 }
 
+/// The on-disk text of a parameter set.
+fn render(ps: &ParamSet) -> Result<String> {
+    serde_json::to_string_pretty(ps).map_err(|e| ServeError::Io(e.to_string()))
+}
+
+/// Writes `json` to `path` by write-temp-then-rename.
+fn write_atomic(path: &Path, json: &str) -> Result<()> {
+    let tmp = path.with_extension("json.tmp");
+    fs::write(&tmp, json)?;
+    fs::rename(&tmp, path)?;
+    Ok(())
+}
+
 /// How many parameter versions [`Registry::publish`] retains per
 /// fingerprint (a ring: older archives are pruned).
 pub const HISTORY_RING: usize = 8;
@@ -255,40 +268,32 @@ impl Registry {
     /// *latest* for its fingerprint, without touching the version archive.
     /// Most callers want [`Registry::publish`].
     pub fn store(&self, ps: &ParamSet) -> Result<()> {
-        self.write_atomic(&self.path_for(&ps.fingerprint), ps)
-    }
-
-    fn write_atomic(&self, path: &Path, ps: &ParamSet) -> Result<()> {
-        let tmp = path.with_extension("json.tmp");
-        let json = serde_json::to_string_pretty(ps).map_err(|e| ServeError::Io(e.to_string()))?;
-        fs::write(&tmp, json)?;
-        fs::rename(&tmp, path)?;
-        Ok(())
+        write_atomic(&self.path_for(&ps.fingerprint), &render(ps)?)
     }
 
     /// Publishes a parameter set: assigns the next `param_version` for its
     /// fingerprint, stores it as the latest, archives it in the version
     /// ring, and prunes archives beyond [`HISTORY_RING`]. Returns the set
-    /// with its assigned version.
+    /// with its assigned version (1 exactly when the fingerprint had never
+    /// been published here).
     pub fn publish(&self, mut ps: ParamSet) -> Result<ParamSet> {
+        let mut versions = self.versions(&ps.fingerprint)?;
         let latest = self
             .load(&ps.fingerprint)?
             .map(|prev| prev.param_version)
             .unwrap_or(0)
-            .max(self.versions(&ps.fingerprint)?.last().copied().unwrap_or(0));
+            .max(versions.last().copied().unwrap_or(0));
         ps.param_version = latest + 1;
-        self.write_atomic(
+        // One serialisation, two files: the archive first, so the latest
+        // pointer never names a version the ring does not hold.
+        let json = render(&ps)?;
+        write_atomic(
             &self.path_for_version(&ps.fingerprint, ps.param_version),
-            &ps,
+            &json,
         )?;
-        self.store(&ps)?;
-        // Prune the ring.
-        let versions = self.versions(&ps.fingerprint)?;
-        if versions.len() > HISTORY_RING {
-            for &v in &versions[..versions.len() - HISTORY_RING] {
-                let _ = fs::remove_file(self.path_for_version(&ps.fingerprint, v));
-            }
-        }
+        write_atomic(&self.path_for(&ps.fingerprint), &json)?;
+        versions.push(ps.param_version);
+        self.prune(&ps.fingerprint, &versions);
         Ok(ps)
     }
 
@@ -305,24 +310,28 @@ impl Registry {
                 "install requires a published set (param_version >= 1)".into(),
             ));
         }
-        self.write_atomic(
+        let json = render(&ps)?;
+        write_atomic(
             &self.path_for_version(&ps.fingerprint, ps.param_version),
-            &ps,
+            &json,
         )?;
         let latest = self
             .load(&ps.fingerprint)?
             .map(|prev| prev.param_version)
             .unwrap_or(0);
         if ps.param_version >= latest {
-            self.store(&ps)?;
+            write_atomic(&self.path_for(&ps.fingerprint), &json)?;
         }
-        let versions = self.versions(&ps.fingerprint)?;
-        if versions.len() > HISTORY_RING {
-            for &v in &versions[..versions.len() - HISTORY_RING] {
-                let _ = fs::remove_file(self.path_for_version(&ps.fingerprint, v));
-            }
-        }
+        self.prune(&ps.fingerprint, &self.versions(&ps.fingerprint)?);
         Ok(ps)
+    }
+
+    /// Removes the archives of `versions` (ascending) beyond the last
+    /// [`HISTORY_RING`].
+    fn prune(&self, fp: &str, versions: &[u64]) {
+        for &v in &versions[..versions.len().saturating_sub(HISTORY_RING)] {
+            let _ = fs::remove_file(self.path_for_version(fp, v));
+        }
     }
 
     /// The archived version numbers of a fingerprint, ascending.

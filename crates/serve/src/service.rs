@@ -10,7 +10,7 @@
 //!    concurrent misses for the same fingerprint trigger exactly one
 //!    estimation run.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex};
@@ -274,6 +274,36 @@ impl Shard {
                 .map(|(k, _)| k.clone())
             {
                 self.map.remove(&victim);
+            }
+        }
+    }
+}
+
+/// Parameter sets held in memory at once. A set is ~5.5 KB at 16 nodes
+/// and any client can name never-seen configs, so the map is bounded;
+/// every set is on disk before it is in memory, and
+/// [`Service::param_set`] loads an evicted one back on its next use.
+const RESIDENT_SETS: usize = 128;
+
+/// The in-memory parameter sets, at most [`RESIDENT_SETS`] of them, the
+/// oldest-inserted evicted first. Readers touch only `map`.
+#[derive(Default)]
+struct Resident {
+    map: HashMap<String, Arc<ParamSet>>,
+    /// Resident fingerprints, oldest insertion first.
+    order: VecDeque<String>,
+}
+
+impl Resident {
+    /// Makes `ps` the resident set of `fp` (replacing an older version in
+    /// place), evicting the oldest fingerprint when over the bound.
+    fn insert(&mut self, fp: String, ps: Arc<ParamSet>) {
+        if self.map.insert(fp.clone(), ps).is_none() {
+            self.order.push_back(fp);
+            if self.order.len() > RESIDENT_SETS {
+                if let Some(oldest) = self.order.pop_front() {
+                    self.map.remove(&oldest);
+                }
             }
         }
     }
@@ -818,7 +848,7 @@ pub type PublishHook = Box<dyn Fn(&Arc<ParamSet>) + Send + Sync>;
 pub struct Service {
     registry: Registry,
     cfg: ServiceConfig,
-    params: RwLock<HashMap<String, Arc<ParamSet>>>,
+    params: RwLock<Resident>,
     inflight: Mutex<HashMap<String, Arc<Inflight>>>,
     shards: Vec<Mutex<Shard>>,
     plans: Mutex<HashMap<PlanKey, CachedPlan>>,
@@ -833,7 +863,7 @@ impl Service {
         let service = Service {
             registry: Registry::open(store_dir)?,
             cfg,
-            params: RwLock::new(HashMap::new()),
+            params: RwLock::default(),
             inflight: Mutex::new(HashMap::new()),
             shards: (0..SHARDS).map(|_| Mutex::new(Shard::new())).collect(),
             plans: Mutex::new(HashMap::new()),
@@ -865,6 +895,14 @@ impl Service {
         *self.publish_hook.write() = Some(hook);
     }
 
+    /// Keeps the stored-sets gauge by counting: [`Registry::publish`]
+    /// assigns version 1 exactly when the fingerprint was not stored yet.
+    fn count_stored(&self, published: &ParamSet) {
+        if published.param_version == 1 {
+            self.metrics.stored.inc();
+        }
+    }
+
     fn notify_publish(&self, ps: &Arc<ParamSet>) {
         let hook = self.publish_hook.read();
         if let Some(hook) = hook.as_ref() {
@@ -884,7 +922,7 @@ impl Service {
         let fp = cluster.resolve_fingerprint();
         let _sp = cpm_obs::span("service.param_set");
         loop {
-            if let Some(ps) = self.params.read().get(&fp) {
+            if let Some(ps) = self.params.read().map.get(&fp) {
                 return Ok(Arc::clone(ps));
             }
             // Not in memory: try disk before estimating.
@@ -894,7 +932,6 @@ impl Service {
             };
             if let Some(ps) = loaded {
                 self.metrics.registry_loads.inc();
-                self.metrics.stored.set(self.registry.len() as u64);
                 let ps = Arc::new(ps);
                 self.params.write().insert(fp.clone(), Arc::clone(&ps));
                 return Ok(ps);
@@ -927,12 +964,12 @@ impl Service {
                 let _sp = cpm_obs::span("service.estimate");
                 ParamSet::estimate(config, &self.cfg.est).and_then(|ps| self.registry.publish(ps))
             };
+            let outcome = outcome.map(Arc::new);
             if let Ok(ps) = &outcome {
-                self.metrics.stored.set(self.registry.len() as u64);
-                self.params.write().insert(fp.clone(), Arc::new(ps.clone()));
+                self.count_stored(ps);
+                self.params.write().insert(fp.clone(), Arc::clone(ps));
             }
             drop(lead);
-            let outcome = outcome.map(Arc::new);
             if let Ok(ps) = &outcome {
                 self.notify_publish(ps);
             }
@@ -946,10 +983,9 @@ impl Service {
     /// model)` cache shards. Returns the published set (with its assigned
     /// version) and the number of cache entries dropped.
     pub fn republish(&self, ps: ParamSet, touched: &[ModelKind]) -> Result<(Arc<ParamSet>, usize)> {
-        let ps = self.registry.publish(ps)?;
-        self.metrics.stored.set(self.registry.len() as u64);
+        let ps = Arc::new(self.registry.publish(ps)?);
+        self.count_stored(&ps);
         let fp = ps.fingerprint.clone();
-        let ps = Arc::new(ps);
         self.params.write().insert(fp.clone(), Arc::clone(&ps));
         let dropped = self.invalidate(&fp, touched);
         self.metrics.republishes.inc();
@@ -966,10 +1002,12 @@ impl Service {
     /// applied. Never fires the publish hook.
     pub fn install(&self, ps: ParamSet) -> Result<(Arc<ParamSet>, bool)> {
         let fp = ps.fingerprint.clone();
-        let current = match self.params.read().get(&fp) {
-            Some(p) => Some(Arc::clone(p)),
+        let resident = self.params.read().map.get(&fp).map(Arc::clone);
+        let current = match resident {
+            Some(p) => Some(p),
             None => self.registry.load(&fp)?.map(Arc::new),
         };
+        let first = current.is_none();
         if let Some(cur) = current {
             if cur.param_version >= ps.param_version {
                 // Still archive the version so history converges across
@@ -979,7 +1017,9 @@ impl Service {
             }
         }
         let ps = Arc::new(self.registry.install(ps)?);
-        self.metrics.stored.set(self.registry.len() as u64);
+        if first {
+            self.metrics.stored.inc();
+        }
         self.params.write().insert(fp.clone(), Arc::clone(&ps));
         let all = [
             ModelKind::Lmo,
@@ -1186,7 +1226,17 @@ impl Service {
         let fp = cluster.resolve_fingerprint();
         let n = match cluster.config() {
             Some(c) => c.spec.n_nodes(),
-            None => self.params.read().get(&fp).map(|p| p.n()).unwrap_or(0),
+            None => {
+                // Bound first: the read guard must be gone before
+                // `param_set` takes the write lock.
+                let resident = self.params.read().map.get(&fp).map(|p| p.n());
+                match resident {
+                    Some(n) => n,
+                    // Evicted or not yet loaded: the set's size is part of
+                    // the cache key, so bring the set back first.
+                    None => self.param_set(cluster)?.n(),
+                }
+            }
         };
         let mut key = CacheKey {
             fp,
@@ -1385,6 +1435,52 @@ mod tests {
         }
         // The one estimation was persisted.
         assert_eq!(service.registry().len(), 1);
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn an_evicted_parameter_set_is_loaded_back_unchanged() {
+        let (dir, service) = test_service("evict");
+        let q = Query {
+            model: ModelKind::Lmo,
+            collective: Collective::Scatter,
+            algorithm: Algorithm::Linear,
+            m: 2048,
+            root: 0,
+        };
+        let cold = service.predict(&small_cluster(), &q).unwrap();
+        let first = service.param_set(&small_cluster()).unwrap();
+        let by_fp = ClusterRef::Fingerprint(first.fingerprint.clone());
+
+        // Push the first set out: the bound plus two more fingerprints.
+        for k in 0..RESIDENT_SETS + 2 {
+            let mut other = (*first).clone();
+            other.fingerprint = format!("{k:032x}");
+            assert!(service.install(other).unwrap().1);
+        }
+        assert_eq!(service.params.read().map.len(), RESIDENT_SETS);
+        assert_eq!(service.params.read().order.len(), RESIDENT_SETS);
+        assert!(!service.params.read().map.contains_key(&first.fingerprint));
+        let stored = RESIDENT_SETS + 3;
+        assert_eq!(service.metrics.stored.get(), stored as u64);
+        assert_eq!(service.registry().len(), stored);
+
+        // Touched again by fingerprint alone, it comes back from disk: the
+        // same set at the same version, answering with the same bits.
+        let loads = service.metrics().snapshot().registry_loads;
+        let warm = service.predict(&by_fp, &q).unwrap();
+        assert_eq!(warm.seconds.to_bits(), cold.seconds.to_bits());
+        let back = service.param_set(&by_fp).unwrap();
+        assert_eq!(*back, *first);
+        assert_eq!(back.param_version, first.param_version);
+        assert_eq!(
+            compute(&back, &q).unwrap().to_bits(),
+            cold.seconds.to_bits()
+        );
+        let snap = service.metrics().snapshot();
+        assert_eq!(snap.registry_loads, loads + 1);
+        assert_eq!(snap.estimations, 1);
+        assert_eq!(service.metrics.stored.get(), stored as u64);
         let _ = std::fs::remove_dir_all(dir);
     }
 
