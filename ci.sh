@@ -54,13 +54,30 @@ run_named scripted_probes_match_the_threaded_experiments_bit_for_bit -p cpm-esti
 run_named probe::tests::scripted_one_way_times_match_the_threaded_probe_bit_for_bit -p cpm-vmpi --lib
 run_named parameter_sets_hash_as_they_did_on_rank_threads -p cpm-serve --test estimate_pin --release
 run_named lmo_estimation_is_exact_under_fuzzed_schedules -p cpm-estimate --test schedule_fuzz --release
+# One description per collective: every algorithm's ScriptOp program matches,
+# to the bit, the closure it replaced (kept in the test as reference code) on
+# LAM + noise and on ideal clusters; a free-combine reduce is not a gather;
+# the two nonblocking ops did not grow the op.
+for t in flat_rooted_collectives_match_their_closures_bit_for_bit \
+         rootless_collectives_match_their_closures_bit_for_bit \
+         two_phase_collectives_match_their_closures_bit_for_bit \
+         vector_collectives_match_their_closures_bit_for_bit \
+         optimized_gather_matches_its_closure_bit_for_bit \
+         tuned_dispatch_matches_the_closure_dispatcher_bit_for_bit; do
+  run_named "$t" -p cpm-collectives --test lowered_vs_closure
+done
+run_named lower::tests::a_free_combine_reduce_is_not_a_gather -p cpm-workload --lib
+run_named script::tests::script_ops_stay_sixteen_bytes -p cpm-netsim --lib
+run_named script::tests::nonblocking_exchange_matches_the_threaded_one_exactly -p cpm-netsim --lib
 # The resident parameter sets are bounded; an evicted one comes back from disk.
 run_named service::tests::an_evicted_parameter_set_is_loaded_back_unchanged -p cpm-serve --lib
 rm -f "$ORACLE_LOG"
 
-echo "== no thread-backed ranks under estimation or drift (tests/ keeps them as the oracle)"
-if grep -rnwE 'cpm_vmpi::run|run_timed|run_timed_max|Comm' crates/estimate/src crates/drift/src; then
-  echo "crates/estimate/src and crates/drift/src must not name cpm_vmpi::run, run_timed* or Comm"; exit 1
+echo "== no thread-backed ranks outside crates/vmpi and crates/netsim (tests/ keep them as the oracle)"
+THREADLESS="$(ls -d crates/*/src | grep -vE '^crates/(vmpi|netsim)/src$') src examples"
+# shellcheck disable=SC2086
+if grep -rnwE 'cpm_vmpi::run|vmpi::run|run_timed|run_timed_max|Comm' $THREADLESS; then
+  echo "no non-test source outside crates/vmpi and crates/netsim may name cpm_vmpi::run, run_timed* or Comm"; exit 1
 fi
 
 echo "== drift loop tests"

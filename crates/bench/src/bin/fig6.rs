@@ -7,7 +7,7 @@
 use cpm_bench::{Figure, PaperContext, Series};
 use cpm_collectives::measure;
 use cpm_collectives::select::predict_scatter_lmo;
-use cpm_collectives::ScatterAlgorithm;
+use cpm_collectives::Algorithm;
 use cpm_core::sweep::fig6_sweep;
 use cpm_stats::summary::median;
 
@@ -72,14 +72,14 @@ fn main() {
     let mut lmo_correct = 0usize;
     for &m in &sizes {
         let truth = if obs_lin.at(m) <= obs_bin.at(m) {
-            ScatterAlgorithm::Linear
+            Algorithm::Linear
         } else {
-            ScatterAlgorithm::Binomial
+            Algorithm::Binomial
         };
         let hockney = if ctx.hockney_hom.linear_serial(m) <= ctx.hockney_hom.binomial(m) {
-            ScatterAlgorithm::Linear
+            Algorithm::Linear
         } else {
-            ScatterAlgorithm::Binomial
+            Algorithm::Binomial
         };
         let lmo = predict_scatter_lmo(&ctx.lmo, root, m).choice();
         if hockney == truth {

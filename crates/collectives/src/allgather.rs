@@ -7,76 +7,54 @@
 //! per step and the switch sees a perfect matching per step.
 
 use cpm_core::rank::Rank;
-use cpm_core::traits::PointToPoint;
 use cpm_core::units::Bytes;
-use cpm_vmpi::Comm;
+use cpm_netsim::ScriptOp;
 
-/// Ring all-gather: `n−1` steps of simultaneous neighbour exchange.
-///
-/// All ranks must call this collectively.
-pub fn ring_allgather(c: &mut Comm<'_>, m: Bytes) {
-    let n = c.size();
-    if n == 1 {
-        return;
-    }
-    let me = c.rank().idx();
-    let right = Rank::from((me + 1) % n);
-    let left = Rank::from((me + n - 1) % n);
-    for _step in 0..n - 1 {
-        // Even ranks send first to break the cycle; with n ≥ 2 and a ring
-        // there is always at least one even and the pattern drains.
-        if me.is_multiple_of(2) {
-            c.send(right, m);
-            let _ = c.recv(left);
-        } else {
-            let _ = c.recv(left);
-            c.send(right, m);
+use crate::Sink;
+
+/// Every rank's `n−1` ring steps, as `step(me, right, left)`.
+fn ring(n: usize, mut step: impl FnMut(Rank, Rank, Rank)) {
+    for i in 0..n {
+        let (right, left) = (Rank::from((i + 1) % n), Rank::from((i + n - 1) % n));
+        for _step in 1..n {
+            step(Rank::from(i), right, left);
         }
     }
 }
 
+/// Ring all-gather: `n−1` steps of neighbour exchange with blocking
+/// send/recv. Even ranks send first to break the cycle; with `n ≥ 2` a
+/// ring always has at least one even rank and the pattern drains — in two
+/// phases per step, which is why it costs twice the overlapped ring.
+pub fn ring_allgather(n: usize, m: Bytes, mut emit: impl Sink) {
+    ring(n, |me, right, left| {
+        let (send, recv) = (ScriptOp::send(right, m), ScriptOp::recv(left));
+        let even = me.idx() % 2 == 0;
+        emit(me, if even { send } else { recv });
+        emit(me, if even { recv } else { send });
+    })
+}
+
 /// Ring all-gather using overlapped exchanges (`MPI_Sendrecv`): each step
-/// sends right and receives left *concurrently*, so a step costs one
+/// posts a nonblocking send right, receives left, then waits for the send
+/// — both directions proceed *concurrently*, so a step costs one
 /// point-to-point time instead of the blocking ring's two phases.
-///
-/// All ranks must call this collectively.
-pub fn ring_allgather_overlap(c: &mut Comm<'_>, m: Bytes) {
-    let n = c.size();
-    if n == 1 {
-        return;
-    }
-    let me = c.rank().idx();
-    let right = Rank::from((me + 1) % n);
-    let left = Rank::from((me + n - 1) % n);
-    for _step in 0..n - 1 {
-        let _ = c.sendrecv_exchange(right, m, left);
-    }
-}
-
-/// Prediction for [`ring_allgather_overlap`]: `n−1` steps of one slowest
-/// neighbour transfer each.
-pub fn predict_ring_allgather_overlap<M: PointToPoint + ?Sized>(model: &M, m: Bytes) -> f64 {
-    cpm_models::collective::ring_allgather_overlap(model, m)
-}
-
-/// The LMO-style prediction of the (blocking) ring all-gather: `n−1`
-/// serialized steps, each of which runs in **two phases** — the even ranks
-/// send while the odd ranks receive, then the roles flip (blocking
-/// send/recv cannot overlap the two directions the way a nonblocking
-/// `MPI_Sendrecv` ring would). Each phase costs the slowest neighbour
-/// transfer active in it.
-pub fn predict_ring_allgather<M: PointToPoint + ?Sized>(model: &M, m: Bytes) -> f64 {
-    cpm_models::collective::ring_allgather(model, m)
+pub fn ring_allgather_overlap(n: usize, m: Bytes, mut emit: impl Sink) {
+    ring(n, |me, right, left| {
+        emit(me, ScriptOp::isend(right, m));
+        emit(me, ScriptOp::recv(left));
+        emit(me, ScriptOp::WaitSend);
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::measure::collective_times;
+    use crate::measure::{collective_times, programs};
     use cpm_cluster::{ClusterSpec, GroundTruth, MpiProfile};
     use cpm_core::units::KIB;
-    use cpm_netsim::SimCluster;
-    use cpm_vmpi::run;
+    use cpm_models::collective as closed_form;
+    use cpm_netsim::{run_script, SimCluster};
 
     fn cluster(n: usize) -> SimCluster {
         let truth = GroundTruth::synthesize(&ClusterSpec::homogeneous(n), 6);
@@ -87,7 +65,7 @@ mod tests {
     fn moves_the_right_number_of_blocks() {
         for n in [2usize, 5, 8] {
             let cl = cluster(n);
-            let out = run(&cl, |c| ring_allgather(c, KIB)).unwrap();
+            let out = run_script(&cl, &programs(n, |e| ring_allgather(n, KIB, e))).unwrap();
             assert_eq!(out.stats.msgs_sent, n * (n - 1), "n={n}");
             assert_eq!(out.stats.msgs_received, n * (n - 1), "n={n}");
         }
@@ -96,7 +74,7 @@ mod tests {
     #[test]
     fn single_rank_is_a_no_op() {
         let cl = cluster(1);
-        let out = run(&cl, |c| ring_allgather(c, KIB)).unwrap();
+        let out = run_script(&cl, &programs(1, |e| ring_allgather(1, KIB, e))).unwrap();
         assert_eq!(out.stats.msgs_sent, 0);
         assert_eq!(out.end_time, 0.0);
     }
@@ -106,8 +84,8 @@ mod tests {
         for n in [4usize, 7, 8] {
             let cl = cluster(n);
             let m = 8 * KIB;
-            let obs = collective_times(&cl, Rank(0), 1, 1, |c| ring_allgather(c, m)).unwrap()[0];
-            let pred = predict_ring_allgather(&cl.truth, m);
+            let obs = collective_times(&cl, 1, 1, |e| ring_allgather(n, m, e)).unwrap()[0];
+            let pred = closed_form::ring_allgather(&cl.truth, m);
             assert!(obs <= pred * 1.05, "n={n}: obs {obs} vs bound {pred}");
             assert!(obs >= pred * 0.4, "n={n}: obs {obs} vs {pred}");
         }
@@ -118,13 +96,13 @@ mod tests {
         let n = 8;
         let cl = cluster(n);
         let m = 16 * KIB;
-        let blocking = collective_times(&cl, Rank(0), 1, 1, |c| ring_allgather(c, m)).unwrap()[0];
+        let blocking = collective_times(&cl, 1, 1, |e| ring_allgather(n, m, e)).unwrap()[0];
         let overlapped =
-            collective_times(&cl, Rank(0), 1, 1, |c| ring_allgather_overlap(c, m)).unwrap()[0];
+            collective_times(&cl, 1, 1, |e| ring_allgather_overlap(n, m, e)).unwrap()[0];
         let ratio = blocking / overlapped;
         assert!(ratio > 1.6 && ratio < 2.2, "ratio {ratio}");
         // And the overlapped observation matches its tighter prediction.
-        let pred = predict_ring_allgather_overlap(&cl.truth, m);
+        let pred = closed_form::ring_allgather_overlap(&cl.truth, m);
         assert!(
             (overlapped - pred).abs() / pred < 0.15,
             "obs {overlapped} vs pred {pred}"
@@ -135,7 +113,7 @@ mod tests {
     fn overlapped_ring_conserves_messages() {
         let n = 6;
         let cl = cluster(n);
-        let out = cpm_vmpi::run(&cl, |c| ring_allgather_overlap(c, KIB)).unwrap();
+        let out = run_script(&cl, &programs(n, |e| ring_allgather_overlap(n, KIB, e))).unwrap();
         assert_eq!(out.stats.msgs_sent, n * (n - 1));
         assert_eq!(out.stats.msgs_received, n * (n - 1));
     }
@@ -143,8 +121,8 @@ mod tests {
     #[test]
     fn cost_grows_linearly_with_n() {
         let m = 4 * KIB;
-        let t4 = collective_times(&cluster(4), Rank(0), 1, 1, |c| ring_allgather(c, m)).unwrap()[0];
-        let t8 = collective_times(&cluster(8), Rank(0), 1, 1, |c| ring_allgather(c, m)).unwrap()[0];
+        let t4 = collective_times(&cluster(4), 1, 1, |e| ring_allgather(4, m, e)).unwrap()[0];
+        let t8 = collective_times(&cluster(8), 1, 1, |e| ring_allgather(8, m, e)).unwrap()[0];
         let ratio = t8 / t4;
         assert!(ratio > 1.8 && ratio < 3.0, "ratio {ratio}");
     }

@@ -7,45 +7,34 @@
 //! models a pattern whose cost is *not* root-centric.
 
 use cpm_core::rank::Rank;
-use cpm_core::traits::PointToPoint;
 use cpm_core::units::Bytes;
-use cpm_vmpi::Comm;
+use cpm_netsim::ScriptOp;
 
-/// Linear (pairwise-rotation) all-to-all: in round `k = 1..n`, rank `r`
-/// sends to `r + k (mod n)` and receives from `r − k (mod n)`. Every pair
-/// exchanges exactly once per direction and no two ranks target the same
-/// receiver in the same round, so the switch carries a perfect matching at
-/// a time.
-///
-/// All ranks must call this collectively.
-pub fn linear_alltoall(c: &mut Comm<'_>, m: Bytes) {
-    let n = c.size();
-    let me = c.rank().idx();
-    for k in 1..n {
-        let dst = Rank::from((me + k) % n);
-        let src = Rank::from((me + n - k) % n);
-        c.send(dst, m);
-        let _ = c.recv(src);
+use crate::Sink;
+
+/// Pairwise-rotation all-to-all: in round `k = 1..n`, rank `r` sends to
+/// `r + k (mod n)` and receives from `r − k (mod n)`. Every pair exchanges
+/// exactly once per direction and no two ranks target the same receiver in
+/// the same round, so the switch carries a perfect matching at a time.
+pub fn rotation_alltoall(n: usize, m: Bytes, mut emit: impl Sink) {
+    // In `u32` like the ranks: this inner loop is the lowering of every
+    // alltoall, and a 64-bit `%` per op is measurable there.
+    let n = u32::try_from(n).expect("rank counts fit a u32");
+    for i in 0..n {
+        for k in 1..n {
+            emit(Rank(i), ScriptOp::send(Rank((i + k) % n), m));
+            emit(Rank(i), ScriptOp::recv(Rank((i + n - k) % n)));
+        }
     }
-}
-
-/// The LMO-style prediction for the rotation all-to-all: each of the `n−1`
-/// rounds costs one full point-to-point exchange on the slowest pair active
-/// in that round (transfers within a round parallelize across the switch;
-/// rounds serialize because every rank must finish its receive before the
-/// next send).
-pub fn predict_linear_alltoall<M: PointToPoint + ?Sized>(model: &M, m: Bytes) -> f64 {
-    cpm_models::collective::rotation_alltoall(model, m)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::measure::collective_times;
+    use crate::measure::{collective_times, programs};
     use cpm_cluster::{ClusterSpec, GroundTruth, MpiProfile};
     use cpm_core::units::KIB;
-    use cpm_netsim::SimCluster;
-    use cpm_vmpi::run;
+    use cpm_netsim::{run_script, SimCluster};
 
     fn cluster(n: usize) -> SimCluster {
         let spec = if n == 16 {
@@ -61,7 +50,7 @@ mod tests {
     fn conserves_all_pairs() {
         let n = 8;
         let cl = cluster(n);
-        let out = run(&cl, |c| linear_alltoall(c, 2 * KIB)).unwrap();
+        let out = run_script(&cl, &programs(n, |e| rotation_alltoall(n, 2 * KIB, e))).unwrap();
         assert_eq!(out.stats.msgs_sent, n * (n - 1));
         assert_eq!(out.stats.msgs_received, n * (n - 1));
     }
@@ -69,7 +58,7 @@ mod tests {
     #[test]
     fn completes_on_the_heterogeneous_cluster() {
         let cl = cluster(16);
-        let t = collective_times(&cl, Rank(0), 1, 1, |c| linear_alltoall(c, 4 * KIB)).unwrap()[0];
+        let t = collective_times(&cl, 1, 1, |e| rotation_alltoall(16, 4 * KIB, e)).unwrap()[0];
         assert!(t > 0.0);
         // All-to-all moves (n-1)× the bytes of a scatter at equal m; it
         // must cost more than a single scatter.
@@ -82,8 +71,8 @@ mod tests {
         let cl = cluster(8);
         let truth = cl.truth.clone();
         let m = 8 * KIB;
-        let obs = collective_times(&cl, Rank(0), 1, 1, |c| linear_alltoall(c, m)).unwrap()[0];
-        let pred = predict_linear_alltoall(&truth, m);
+        let obs = collective_times(&cl, 1, 1, |e| rotation_alltoall(8, m, e)).unwrap()[0];
+        let pred = cpm_models::collective::rotation_alltoall(&truth, m);
         // The blocking rotation couples rounds loosely (a slow pair delays
         // only its members), so the max-per-round prediction is an upper
         // bound within a modest factor.
@@ -96,16 +85,11 @@ mod tests {
         let cl = cluster(2);
         let truth = cl.truth.clone();
         let m = 4 * KIB;
-        let out = run(&cl, |c| {
-            let t0 = c.wtime();
-            linear_alltoall(c, m);
-            c.wtime() - t0
-        })
-        .unwrap();
+        let out = run_script(&cl, &programs(2, |e| rotation_alltoall(2, m, e))).unwrap();
         // Both ranks send then receive; the exchange is symmetric and both
         // finish when the slower direction completes.
         let p2p = truth.p2p_time(Rank(0), Rank(1), m);
-        for t in &out.results {
+        for t in &out.finish_times {
             assert!(*t < 2.0 * p2p, "{t} vs p2p {p2p}");
             assert!(*t > 0.5 * p2p);
         }

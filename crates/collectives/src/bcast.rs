@@ -7,51 +7,32 @@
 //! carries the *full* message, so the linear/binomial crossover sits at a
 //! different place than for scatter — which the models must predict.
 
-use cpm_core::rank::Rank;
 use cpm_core::tree::BinomialTree;
 use cpm_core::units::Bytes;
-use cpm_vmpi::Comm;
+
+use crate::scatter::binomial_down;
+use crate::Sink;
 
 /// Linear (flat-tree) broadcast: the root sends the same `m` bytes to every
-/// other rank in increasing rank order.
-///
-/// All ranks must call this collectively.
-pub fn linear_bcast(c: &mut Comm<'_>, root: Rank, m: Bytes) {
-    let n = c.size();
-    assert!(root.idx() < n, "root out of range");
-    if c.rank() == root {
-        for i in 0..n {
-            if i != root.idx() {
-                c.send(Rank::from(i), m);
-            }
-        }
-    } else {
-        let _ = c.recv(root);
-    }
-}
+/// other rank in increasing rank order — the linear scatter's program,
+/// under the name of what it moves.
+pub use crate::scatter::linear_scatter as linear_bcast;
 
 /// Binomial broadcast along `tree`: every node receives the full message
 /// from its parent and forwards it to each child (largest sub-tree first,
 /// so the deepest branch starts earliest).
-///
-/// All ranks in the tree must call this collectively.
-pub fn binomial_bcast(c: &mut Comm<'_>, tree: &BinomialTree, m: Bytes) {
-    let me = c.rank();
-    if let Some(parent) = tree.parent_of(me) {
-        let _ = c.recv(parent);
-    }
-    for (child, _) in tree.children_of(me) {
-        c.send(child, m);
-    }
+pub fn binomial_bcast(tree: &BinomialTree, m: Bytes, emit: impl Sink) {
+    binomial_down(tree, |_| m, emit)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::measure::collective_times;
+    use crate::measure::{collective_times, programs};
     use cpm_cluster::{ClusterSpec, GroundTruth, MpiProfile};
+    use cpm_core::rank::Rank;
     use cpm_core::units::KIB;
-    use cpm_netsim::SimCluster;
+    use cpm_netsim::{run_script, SimCluster};
 
     fn cluster() -> SimCluster {
         let truth = GroundTruth::synthesize(&ClusterSpec::paper_cluster(), 2);
@@ -59,12 +40,12 @@ mod tests {
     }
 
     fn observe_linear(cl: &SimCluster, m: u64) -> f64 {
-        collective_times(cl, Rank(0), 1, 1, |c| linear_bcast(c, Rank(0), m)).unwrap()[0]
+        collective_times(cl, 1, 1, |e| linear_bcast(cl.n(), Rank(0), m, e)).unwrap()[0]
     }
 
     fn observe_binomial(cl: &SimCluster, m: u64) -> f64 {
         let tree = BinomialTree::new(cl.n(), Rank(0));
-        collective_times(cl, Rank(0), 1, 1, |c| binomial_bcast(c, &tree, m)).unwrap()[0]
+        collective_times(cl, 1, 1, |e| binomial_bcast(&tree, m, e)).unwrap()[0]
     }
 
     #[test]
@@ -92,18 +73,13 @@ mod tests {
     fn every_rank_gets_the_payload() {
         let cl = cluster();
         let tree = BinomialTree::new(cl.n(), Rank(3));
-        let out = cpm_vmpi::run(&cl, |c| {
-            binomial_bcast(c, &tree, 4 * KIB);
-            c.wtime()
-        })
-        .unwrap();
-        // Everyone finished at a positive time; the root first.
-        for (i, t) in out.results.iter().enumerate() {
-            assert!(*t >= 0.0, "rank {i}");
+        let out = run_script(&cl, &programs(16, |e| binomial_bcast(&tree, 4 * KIB, e))).unwrap();
+        // Every other rank holds the payload strictly after the root sent
+        // its last copy's first byte: nobody finishes at time zero.
+        for (i, t) in out.finish_times.iter().enumerate() {
+            assert!(*t > 0.0, "rank {i}");
         }
-        let root_t = out.results[3];
-        let max_t = out.results.iter().copied().fold(0.0, f64::max);
-        assert!(max_t >= root_t);
+        assert!(out.end_time > out.finish_times[3]);
     }
 
     #[test]
@@ -112,10 +88,7 @@ mod tests {
         let cl = cluster();
         let tree = BinomialTree::new(cl.n(), Rank(0));
         let m = 8 * KIB;
-        let out = cpm_vmpi::run(&cl, |c| {
-            binomial_bcast(c, &tree, m);
-        })
-        .unwrap();
+        let out = run_script(&cl, &programs(16, |e| binomial_bcast(&tree, m, e))).unwrap();
         assert_eq!(out.stats.msgs_sent, 15);
         assert_eq!(out.stats.msgs_received, 15);
     }

@@ -10,42 +10,77 @@
 use cpm_core::rank::Rank;
 use cpm_core::tree::BinomialTree;
 use cpm_core::units::Bytes;
-use cpm_vmpi::Comm;
+use cpm_netsim::ScriptOp;
 
-/// Linear gather: every non-root sends its `m`-byte block to the root; the
-/// root receives them in increasing rank order.
+use crate::Sink;
+
+/// The linear fan-in: every non-root sends `size(i)` bytes to the root; the
+/// root receives them in increasing rank order and computes for
+/// `combine_secs` after each receive. Linear gather, gatherv (no combine)
+/// and reduce are this one program.
 ///
-/// All ranks must call this collectively.
-pub fn linear_gather(c: &mut Comm<'_>, root: Rank, m: Bytes) {
-    let n = c.size();
+/// A zero-length combine is **never issued** (here and in
+/// [`binomial_up`]): it would occupy no time and draw no noise, only add a
+/// same-instant wake — so a gather is exactly a reduce whose combine is
+/// free, and a `gamma = 0` reduce is a gather of its own payload.
+pub(crate) fn fan_in(
+    n: usize,
+    root: Rank,
+    size: impl Fn(usize) -> Bytes,
+    combine_secs: f64,
+    mut emit: impl Sink,
+) {
     assert!(root.idx() < n, "root out of range");
-    if c.rank() == root {
-        for i in 0..n {
-            if i != root.idx() {
-                let _ = c.recv(Rank::from(i));
-            }
+    for i in (0..n).filter(|&i| i != root.idx()) {
+        emit(Rank::from(i), ScriptOp::send(root, size(i)));
+        emit(root, ScriptOp::recv(Rank::from(i)));
+        if combine_secs > 0.0 {
+            emit(root, ScriptOp::Compute { secs: combine_secs });
         }
-    } else {
-        c.send(root, m);
     }
 }
 
-/// Binomial gather along `tree`: every node collects its children's
-/// sub-tree buffers (smallest sub-tree first — the reverse of the scatter
-/// order, so the largest accumulated buffer travels last) and forwards its
-/// whole sub-tree (`subtree·m` bytes) to its parent.
-///
-/// All ranks in the tree must call this collectively.
-pub fn binomial_gather(c: &mut Comm<'_>, tree: &BinomialTree, m: Bytes) {
-    let me = c.rank();
-    let mut children = tree.children_of(me);
-    children.reverse(); // smallest sub-tree first
-    for (child, _) in children {
-        let _ = c.recv(child);
+/// The binomial upward flow along `tree`: every node receives from its
+/// children smallest sub-tree first (the reverse of the scatter order, so
+/// the largest accumulated buffer travels last), computing for
+/// `combine_secs` after each receive, then sends `payload(me)` bytes to its
+/// parent. Binomial gather (the sender's whole sub-tree, no combine) and
+/// reduce (`m`) are this one program; the payload is stated by the caller,
+/// never inferred from the combine.
+pub(crate) fn binomial_up(
+    tree: &BinomialTree,
+    payload: impl Fn(Rank) -> Bytes,
+    combine_secs: f64,
+    mut emit: impl Sink,
+) {
+    for me in (0..tree.n()).map(Rank::from) {
+        for (child, _) in tree.children_of(me).into_iter().rev() {
+            emit(me, ScriptOp::recv(child));
+            if combine_secs > 0.0 {
+                emit(me, ScriptOp::Compute { secs: combine_secs });
+            }
+        }
+        if let Some(parent) = tree.parent_of(me) {
+            emit(me, ScriptOp::send(parent, payload(me)));
+        }
     }
-    if let Some(parent) = tree.parent_of(me) {
-        c.send(parent, tree.subtree_size(me).saturating_mul(m));
-    }
+}
+
+/// Linear gather: every non-root sends its `m`-byte block to the root; the
+/// root receives them in increasing rank order.
+pub fn linear_gather(n: usize, root: Rank, m: Bytes, emit: impl Sink) {
+    fan_in(n, root, |_| m, 0.0, emit)
+}
+
+/// Binomial gather along `tree`: every node forwards its whole sub-tree
+/// (`subtree·m` bytes, saturating) to its parent.
+pub fn binomial_gather(tree: &BinomialTree, m: Bytes, emit: impl Sink) {
+    binomial_up(
+        tree,
+        |me| tree.subtree_size(me).saturating_mul(m),
+        0.0,
+        emit,
+    )
 }
 
 #[cfg(test)]

@@ -15,8 +15,8 @@
 //! node (where a send slot costs only `C + M·t`) for fewer crossings of
 //! the switch level.
 //!
-//! Alongside the executable algorithms (over [`Comm`], like the flat
-//! algorithms in the sibling modules) the module provides closed-form
+//! Alongside the executable algorithms ([`ScriptOp`] programs, like the
+//! flat algorithms in the sibling modules) the module provides closed-form
 //! predictions under the hierarchical LMO model [`HierLmo`] in the paper's
 //! sums-and-maxima style, a three-way selector, and a bisection helper
 //! locating the intra-level bandwidth at which the two-phase/flat-binomial
@@ -28,7 +28,9 @@ use cpm_core::tree::BinomialTree;
 use cpm_core::units::Bytes;
 use cpm_models::collective::binomial_recursive_full;
 use cpm_models::HierLmo;
-use cpm_vmpi::Comm;
+use cpm_netsim::ScriptOp;
+
+use crate::{Algorithm, Sink};
 
 /// The leader of `group` under a contiguous block mapping of `intra` ranks
 /// per group. The root leads its own group (it already holds the payload);
@@ -41,90 +43,97 @@ pub fn leader_of_group(group: usize, root: Rank, intra: usize) -> Rank {
     }
 }
 
-/// Two-phase broadcast: binomial over the group leaders, then a linear
-/// fan-out inside each group. Groups are contiguous blocks of `intra`
-/// ranks; the last group may be smaller when `intra` does not divide the
-/// rank count.
-///
-/// All ranks must call this collectively.
+/// Two-phase broadcast: a binomial tree over the group leaders moves the
+/// payload between groups (largest sub-tree first, as in the flat
+/// binomial), then each leader sends linearly to the other members of its
+/// group. Leaders forward to child leaders before serving their own group,
+/// keeping the inter-group pipeline moving. Groups are contiguous blocks
+/// of `intra` ranks; the last group may be smaller when `intra` does not
+/// divide the rank count.
 ///
 /// # Panics
 /// Panics if `root` is out of range or `intra` is zero.
-pub fn two_phase_bcast(c: &mut Comm<'_>, root: Rank, m: Bytes, intra: usize) {
-    let n = c.size();
+pub fn two_phase_bcast(n: usize, root: Rank, m: Bytes, intra: usize, mut emit: impl Sink) {
     assert!(root.idx() < n, "root out of range");
     assert!(intra > 0, "intra group size must be positive");
-    let groups = n.div_ceil(intra);
-    let tree = BinomialTree::new(groups, Rank((root.idx() / intra) as u32));
-    let me = c.rank();
-    let my_group = me.idx() / intra;
-    let leader = leader_of_group(my_group, root, intra);
-    if me == leader {
-        let g = Rank(my_group as u32);
-        if let Some(parent) = tree.parent_of(g) {
-            let _ = c.recv(leader_of_group(parent.idx(), root, intra));
+    let tree = BinomialTree::new(n.div_ceil(intra), Rank::from(root.idx() / intra));
+    let leader_of = |group: Rank| leader_of_group(group.idx(), root, intra);
+    for me in (0..n).map(Rank::from) {
+        let group = Rank::from(me.idx() / intra);
+        if me != leader_of(group) {
+            emit(me, ScriptOp::recv(leader_of(group)));
+            continue;
         }
-        for (child, _) in tree.children_of(g) {
-            c.send(leader_of_group(child.idx(), root, intra), m);
+        if let Some(parent) = tree.parent_of(group) {
+            emit(me, ScriptOp::recv(leader_of(parent)));
         }
-        let lo = my_group * intra;
-        for w in lo..(lo + intra).min(n) {
-            if w != me.idx() {
-                c.send(Rank::from(w), m);
-            }
+        for (child, _) in tree.children_of(group) {
+            emit(me, ScriptOp::send(leader_of(child), m));
         }
-    } else {
-        let _ = c.recv(leader);
+        let lo = group.idx() * intra;
+        for w in (lo..(lo + intra).min(n)).filter(|&w| w != me.idx()) {
+            emit(me, ScriptOp::send(Rank::from(w), m));
+        }
     }
 }
 
-/// Two-phase reduce: a linear gather-and-combine inside each group, then a
-/// binomial reduce over the group leaders. `gamma` is the per-byte combine
-/// cost, as in [`crate::reduce`].
-///
-/// All ranks must call this collectively.
+/// Two-phase reduce: each group gathers linearly to its leader (combining
+/// after every receive), then a binomial tree over the leaders merges the
+/// per-group results upward to the root (smallest sub-tree first, as in
+/// the flat binomial reduce). `gamma` is the per-byte combine cost, as in
+/// [`crate::reduce`]; a zero-length combine is not issued.
 ///
 /// # Panics
 /// Panics if `root` is out of range or `intra` is zero.
-pub fn two_phase_reduce(c: &mut Comm<'_>, root: Rank, m: Bytes, gamma: f64, intra: usize) {
-    let n = c.size();
+pub fn two_phase_reduce(
+    n: usize,
+    root: Rank,
+    m: Bytes,
+    gamma: f64,
+    intra: usize,
+    mut emit: impl Sink,
+) {
     assert!(root.idx() < n, "root out of range");
     assert!(intra > 0, "intra group size must be positive");
-    let groups = n.div_ceil(intra);
-    let tree = BinomialTree::new(groups, Rank((root.idx() / intra) as u32));
-    let me = c.rank();
-    let my_group = me.idx() / intra;
-    let leader = leader_of_group(my_group, root, intra);
-    if me == leader {
-        let lo = my_group * intra;
-        for w in lo..(lo + intra).min(n) {
-            if w != me.idx() {
-                let _ = c.recv(Rank::from(w));
-                c.compute(gamma * m as f64);
+    let tree = BinomialTree::new(n.div_ceil(intra), Rank::from(root.idx() / intra));
+    let leader_of = |group: Rank| leader_of_group(group.idx(), root, intra);
+    let combine = gamma * m as f64;
+    for me in (0..n).map(Rank::from) {
+        let group = Rank::from(me.idx() / intra);
+        if me != leader_of(group) {
+            emit(me, ScriptOp::send(leader_of(group), m));
+            continue;
+        }
+        let lo = group.idx() * intra;
+        let members = (lo..(lo + intra).min(n)).filter(|&w| w != me.idx());
+        let children = tree.children_of(group).into_iter().rev();
+        for from in members
+            .map(Rank::from)
+            .chain(children.map(|(child, _)| leader_of(child)))
+        {
+            emit(me, ScriptOp::recv(from));
+            if combine > 0.0 {
+                emit(me, ScriptOp::Compute { secs: combine });
             }
         }
-        let g = Rank(my_group as u32);
-        let mut children = tree.children_of(g);
-        children.reverse(); // smallest sub-tree first, as in binomial reduce
-        for (child, _) in children {
-            let _ = c.recv(leader_of_group(child.idx(), root, intra));
-            c.compute(gamma * m as f64);
+        if let Some(parent) = tree.parent_of(group) {
+            emit(me, ScriptOp::send(leader_of(parent), m));
         }
-        if let Some(parent) = tree.parent_of(g) {
-            c.send(leader_of_group(parent.idx(), root, intra), m);
-        }
-    } else {
-        c.send(leader, m);
     }
 }
 
 /// Two-phase allreduce: a two-phase reduce to `root` followed by a
 /// two-phase broadcast of the combined vector from `root`.
-///
-/// All ranks must call this collectively.
-pub fn two_phase_allreduce(c: &mut Comm<'_>, root: Rank, m: Bytes, gamma: f64, intra: usize) {
-    two_phase_reduce(c, root, m, gamma, intra);
-    two_phase_bcast(c, root, m, intra);
+pub fn two_phase_allreduce(
+    n: usize,
+    root: Rank,
+    m: Bytes,
+    gamma: f64,
+    intra: usize,
+    mut emit: impl Sink,
+) {
+    two_phase_reduce(n, root, m, gamma, intra, &mut emit);
+    two_phase_bcast(n, root, m, intra, emit);
 }
 
 /// Adapter presenting the group leaders of a hierarchical model as a small
@@ -153,27 +162,16 @@ impl PointToPoint for LeaderView<'_> {
 
 /// Closed-form linear broadcast time under the hierarchical model: the
 /// root's `n−1` serialized send slots plus the wire and receive tail of the
-/// last destination (the highest rank).
+/// last destination (the highest rank). It looks at no other tail, so it is
+/// a *lower* bound on the program's time, exact when the last destination
+/// finishes last (`tests/corollaries.rs`).
 pub fn linear_bcast_time(h: &HierLmo, root: Rank, m: Bytes) -> f64 {
-    let n = h.n();
-    if n < 2 {
-        return 0.0;
-    }
-    let mf = m as f64;
-    let slot = h.c[root.idx()] + mf * h.t[root.idx()];
-    let last = Rank::from(if root.idx() == n - 1 { n - 2 } else { n - 1 });
-    let lv = &h.levels[h.level_of(root, last)];
-    (n as f64 - 1.0) * slot
-        + lv.c
-        + lv.l
-        + mf * (lv.t + 1.0 / lv.beta)
-        + lv.c
-        + h.c[last.idx()]
-        + mf * (lv.t + h.t[last.idx()])
+    intra_fanout_time(h, root, 0, h.n(), m)
 }
 
 /// Closed-form flat binomial broadcast time under the hierarchical model
-/// (paper eq. (1) over the folded point-to-point times).
+/// (paper eq. (1) over the folded point-to-point times) — an upper bound
+/// on the program's time, like every eq. (1) recursion.
 pub fn binomial_bcast_time(h: &HierLmo, root: Rank, m: Bytes) -> f64 {
     binomial_recursive_full(h, &BinomialTree::new(h.n(), root), m)
 }
@@ -200,10 +198,13 @@ fn intra_fanout_time(h: &HierLmo, leader: Rank, lo: usize, hi: usize, m: Bytes) 
 }
 
 /// Closed-form two-phase broadcast time: the binomial recursion over the
-/// group leaders plus the worst per-group linear fan-out. The fan-out of
-/// groups whose leader finished early overlaps the remaining inter phase,
-/// so this slightly over-predicts mid-tree groups; the last leaf leader's
-/// fan-out — the usual critical path — is timed exactly.
+/// group leaders (eq. (1), an upper bound) plus the worst per-group linear
+/// fan-out, each charged with its *last* member's tail. The fan-out of
+/// groups whose leader finished early overlaps the remaining inter phase.
+/// An upper bound on the program's time when the ranks' `(C, t)` are alike
+/// (measured up to ×1.86); with heterogeneous ranks a slower earlier member
+/// can outlast the last one and the form under-predicts by up to 6 %
+/// (`tests/corollaries.rs`).
 pub fn two_phase_bcast_time(h: &HierLmo, root: Rank, m: Bytes) -> f64 {
     let n = h.n();
     let intra = h.intra_size();
@@ -223,14 +224,15 @@ pub fn two_phase_bcast_time(h: &HierLmo, root: Rank, m: Bytes) -> f64 {
     inter + fanout
 }
 
-/// Closed-form *upper bound* on the two-phase reduce time: the worst
-/// per-group linear gather (one member's send, the wire, then the leader's
-/// serialized receive slots and combines) plus the binomial recursion over
-/// the leaders with one combine per tree level. The execution overlaps the
-/// root leader's own gather with the child leaders' gathers and wire time,
-/// so the observation lands between roughly half this bound and the bound
-/// itself (cf. [`crate::reduce::predict_linear_reduce`]). `gamma` is the
-/// per-byte combine cost.
+/// Closed-form two-phase reduce time: the worst per-group linear gather
+/// (the *first* member's send, the wire, then the leader's serialized
+/// receive slots and combines) plus the binomial recursion over the leaders
+/// with one combine per tree level. The execution overlaps the root
+/// leader's own gather with the child leaders' gathers and wire time, so
+/// with like ranks this is an upper bound the observation reaches to within
+/// a factor of two (cf. [`crate::reduce::predict_linear_reduce`]); with
+/// heterogeneous ranks it can under-predict by up to 5 % for the reason
+/// given at [`two_phase_bcast_time`]. `gamma` is the per-byte combine cost.
 pub fn two_phase_reduce_time(h: &HierLmo, root: Rank, m: Bytes, gamma: f64) -> f64 {
     let n = h.n();
     let intra = h.intra_size();
@@ -264,33 +266,11 @@ pub fn two_phase_reduce_time(h: &HierLmo, root: Rank, m: Bytes, gamma: f64) -> f
     gather + binomial_recursive_full(&view, &tree, m) + depth * gamma * mf
 }
 
-/// Closed-form *upper bound* on the two-phase allreduce time: reduce to
-/// the root, broadcast back (the reduce part is itself a bound, see
-/// [`two_phase_reduce_time`]).
+/// Closed-form two-phase allreduce time: reduce to the root, broadcast
+/// back — the sum of [`two_phase_reduce_time`] and [`two_phase_bcast_time`],
+/// with their status.
 pub fn two_phase_allreduce_time(h: &HierLmo, root: Rank, m: Bytes, gamma: f64) -> f64 {
     two_phase_reduce_time(h, root, m, gamma) + two_phase_bcast_time(h, root, m)
-}
-
-/// Broadcast algorithms a hierarchical model can choose between.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum HierBcastAlgorithm {
-    /// Flat linear fan-out from the root.
-    Linear,
-    /// Flat binomial tree.
-    Binomial,
-    /// Leader-based two-phase (binomial over leaders, linear inside).
-    TwoPhase,
-}
-
-impl HierBcastAlgorithm {
-    /// The stable lowercase name (`"linear"`, `"binomial"`, `"two-phase"`).
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            HierBcastAlgorithm::Linear => "linear",
-            HierBcastAlgorithm::Binomial => "binomial",
-            HierBcastAlgorithm::TwoPhase => "two-phase",
-        }
-    }
 }
 
 /// Predicted broadcast times of the three candidate algorithms.
@@ -302,15 +282,19 @@ pub struct HierBcastPrediction {
     pub binomial: f64,
     /// Two-phase broadcast prediction, seconds.
     pub two_phase: f64,
+    /// The group size the two-phase prediction assumes (the model's
+    /// natural intra-node size).
+    pub intra: usize,
 }
 
 impl HierBcastPrediction {
     /// The algorithm with the smallest predicted time.
-    pub fn best(&self) -> HierBcastAlgorithm {
-        let mut best = (HierBcastAlgorithm::Linear, self.linear);
+    pub fn best(&self) -> Algorithm {
+        let intra = self.intra;
+        let mut best = (Algorithm::Linear, self.linear);
         for (alg, t) in [
-            (HierBcastAlgorithm::Binomial, self.binomial),
-            (HierBcastAlgorithm::TwoPhase, self.two_phase),
+            (Algorithm::Binomial, self.binomial),
+            (Algorithm::TwoPhase { intra }, self.two_phase),
         ] {
             if t < best.1 {
                 best = (alg, t);
@@ -326,12 +310,8 @@ pub fn predict_bcast_hier(h: &HierLmo, root: Rank, m: Bytes) -> HierBcastPredict
         linear: linear_bcast_time(h, root, m),
         binomial: binomial_bcast_time(h, root, m),
         two_phase: two_phase_bcast_time(h, root, m),
+        intra: h.intra_size(),
     }
-}
-
-/// Selects the broadcast algorithm with the smallest predicted time.
-pub fn select_bcast_hier(h: &HierLmo, root: Rank, m: Bytes) -> HierBcastAlgorithm {
-    predict_bcast_hier(h, root, m).best()
 }
 
 /// Locates, by bisection, the intra-level transmission rate `β^(0)` at
@@ -428,12 +408,10 @@ mod tests {
         let cl = SimCluster::from_config(&ClusterConfig::hierarchical(4, 8, 11));
         let m = 64 * KIB;
         let tree = BinomialTree::new(cl.n(), Rank(0));
-        let flat = collective_times(&cl, Rank(0), 1, 1, |c| {
-            crate::bcast::binomial_bcast(c, &tree, m)
-        })
-        .unwrap()[0];
+        let flat =
+            collective_times(&cl, 1, 1, |e| crate::bcast::binomial_bcast(&tree, m, e)).unwrap()[0];
         let two =
-            collective_times(&cl, Rank(0), 1, 1, |c| two_phase_bcast(c, Rank(0), m, 8)).unwrap()[0];
+            collective_times(&cl, 1, 1, |e| two_phase_bcast(32, Rank(0), m, 8, e)).unwrap()[0];
         assert!(two < flat, "two-phase {two} vs flat binomial {flat}");
     }
 
@@ -443,18 +421,16 @@ mod tests {
         let cl = cluster_of(&h, 3);
         for m in [4 * KIB, 64 * KIB] {
             let pred = two_phase_bcast_time(&h, Rank(0), m);
-            let obs = collective_times(&cl, Rank(0), 1, 1, |c| two_phase_bcast(c, Rank(0), m, 8))
-                .unwrap()[0];
+            let obs =
+                collective_times(&cl, 1, 1, |e| two_phase_bcast(32, Rank(0), m, 8, e)).unwrap()[0];
             let rel = (pred - obs).abs() / obs;
             assert!(rel < 0.15, "m={m}: pred {pred} vs obs {obs} ({rel:.3})");
         }
         let gamma = 5e-9;
         let m = 32 * KIB;
         let pred = two_phase_reduce_time(&h, Rank(0), m, gamma);
-        let obs = collective_times(&cl, Rank(0), 1, 1, |c| {
-            two_phase_reduce(c, Rank(0), m, gamma, 8)
-        })
-        .unwrap()[0];
+        let obs = collective_times(&cl, 1, 1, |e| two_phase_reduce(32, Rank(0), m, gamma, 8, e))
+            .unwrap()[0];
         // The reduce form is an upper bound; the execution pipelines the
         // leaders' gathers with the inter phase.
         assert!(obs <= pred * 1.02, "reduce: obs {obs} vs bound {pred}");
@@ -465,12 +441,12 @@ mod tests {
     fn selector_prefers_two_phase_at_large_messages_on_the_preset() {
         let h = hier_model(8, 4);
         assert_eq!(
-            select_bcast_hier(&h, Rank(0), 64 * KIB),
-            HierBcastAlgorithm::TwoPhase
+            predict_bcast_hier(&h, Rank(0), 64 * KIB).best(),
+            Algorithm::TwoPhase { intra: 8 }
         );
         let p = predict_bcast_hier(&h, Rank(0), 64 * KIB);
         assert!(p.two_phase < p.binomial && p.two_phase < p.linear, "{p:?}");
-        assert_eq!(HierBcastAlgorithm::TwoPhase.as_str(), "two-phase");
+        assert_eq!(Algorithm::TwoPhase { intra: 8 }.as_str(), "two-phase");
     }
 
     #[test]
@@ -487,8 +463,8 @@ mod tests {
             .abs()
                 < 1e-15
         );
-        let obs = collective_times(&cl, Rank(0), 1, 1, |c| {
-            two_phase_allreduce(c, Rank(0), m, gamma, 4)
+        let obs = collective_times(&cl, 1, 1, |e| {
+            two_phase_allreduce(12, Rank(0), m, gamma, 4, e)
         })
         .unwrap()[0];
         assert!(obs > 0.0 && obs <= pred * 1.02, "obs {obs} vs bound {pred}");

@@ -12,9 +12,9 @@
 use cpm_core::rank::Rank;
 use cpm_core::units::Bytes;
 use cpm_models::GatherEmpirics;
-use cpm_vmpi::Comm;
 
 use crate::gather::linear_gather;
+use crate::Sink;
 
 /// The piece size the optimizer splits to: half of `M1`. The margin
 /// matters because `M1` is estimated as "the last clean size on the sweep
@@ -36,21 +36,22 @@ pub fn split_count(m: Bytes, empirics: &GatherEmpirics) -> usize {
 }
 
 /// Linear gather that splits medium messages into sub-`M1` pieces gathered
-/// in series. Outside the irregular region it is a plain linear gather.
-///
-/// All ranks must call this collectively.
-pub fn optimized_gather(c: &mut Comm<'_>, root: Rank, m: Bytes, empirics: &GatherEmpirics) {
-    let k = split_count(m, empirics);
-    if k == 1 {
-        linear_gather(c, root, m);
-        return;
+/// in series: `split_count` linear gathers of `m / k` bytes, the last
+/// carrying the remainder. Outside the irregular region it is a plain
+/// linear gather.
+pub fn optimized_gather(
+    n: usize,
+    root: Rank,
+    m: Bytes,
+    empirics: &GatherEmpirics,
+    mut emit: impl Sink,
+) {
+    let k = split_count(m, empirics) as u64;
+    let piece = m / k;
+    for _round in 1..k {
+        linear_gather(n, root, piece, &mut emit);
     }
-    let piece = m / k as u64;
-    let last = m - piece * (k as u64 - 1);
-    for round in 0..k {
-        let this = if round + 1 == k { last } else { piece };
-        linear_gather(c, root, this);
-    }
+    linear_gather(n, root, m - piece * (k - 1), emit);
 }
 
 #[cfg(test)]

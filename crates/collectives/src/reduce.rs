@@ -10,26 +10,15 @@
 use cpm_core::rank::Rank;
 use cpm_core::tree::BinomialTree;
 use cpm_core::units::Bytes;
-use cpm_vmpi::Comm;
+
+use crate::gather::{binomial_up, fan_in};
+use crate::Sink;
 
 /// Linear reduce: every rank sends its vector to the root; the root
 /// combines each arriving vector into the accumulator (`gamma` seconds per
 /// byte per combine).
-///
-/// All ranks must call this collectively.
-pub fn linear_reduce(c: &mut Comm<'_>, root: Rank, m: Bytes, gamma: f64) {
-    let n = c.size();
-    assert!(root.idx() < n, "root out of range");
-    if c.rank() == root {
-        for i in 0..n {
-            if i != root.idx() {
-                let _ = c.recv(Rank::from(i));
-                c.compute(gamma * m as f64);
-            }
-        }
-    } else {
-        c.send(root, m);
-    }
+pub fn linear_reduce(n: usize, root: Rank, m: Bytes, gamma: f64, emit: impl Sink) {
+    fan_in(n, root, |_| m, gamma * m as f64, emit)
 }
 
 /// Binomial reduce along `tree`: every node collects its children's
@@ -37,19 +26,8 @@ pub fn linear_reduce(c: &mut Comm<'_>, root: Rank, m: Bytes, gamma: f64) {
 /// accumulator, then forwards one `m`-byte vector to its parent. The
 /// combines down different sub-trees proceed in parallel — the structural
 /// advantage over the linear algorithm when `gamma` is large.
-///
-/// All ranks in the tree must call this collectively.
-pub fn binomial_reduce(c: &mut Comm<'_>, tree: &BinomialTree, m: Bytes, gamma: f64) {
-    let me = c.rank();
-    let mut children = tree.children_of(me);
-    children.reverse(); // smallest sub-tree first, as in binomial gather
-    for (child, _) in children {
-        let _ = c.recv(child);
-        c.compute(gamma * m as f64);
-    }
-    if let Some(parent) = tree.parent_of(me) {
-        c.send(parent, m);
-    }
+pub fn binomial_reduce(tree: &BinomialTree, m: Bytes, gamma: f64, emit: impl Sink) {
+    binomial_up(tree, |_| m, gamma * m as f64, emit)
 }
 
 /// LMO-style *upper bound* on the linear reduce: the gather expectation
@@ -86,12 +64,12 @@ mod tests {
     }
 
     fn observe_linear(cl: &SimCluster, m: u64, gamma: f64) -> f64 {
-        collective_times(cl, Rank(0), 1, 1, |c| linear_reduce(c, Rank(0), m, gamma)).unwrap()[0]
+        collective_times(cl, 1, 1, |e| linear_reduce(cl.n(), Rank(0), m, gamma, e)).unwrap()[0]
     }
 
     fn observe_binomial(cl: &SimCluster, m: u64, gamma: f64) -> f64 {
         let tree = BinomialTree::new(cl.n(), Rank(0));
-        collective_times(cl, Rank(0), 1, 1, |c| binomial_reduce(c, &tree, m, gamma)).unwrap()[0]
+        collective_times(cl, 1, 1, |e| binomial_reduce(&tree, m, gamma, e)).unwrap()[0]
     }
 
     #[test]
@@ -100,10 +78,7 @@ mod tests {
         // between the plain gather and gather + (n−1)·γ·m.
         let cl = cluster(8);
         let m = 16 * KIB;
-        let gather = collective_times(&cl, Rank(0), 1, 1, |c| {
-            crate::gather::linear_gather(c, Rank(0), m)
-        })
-        .unwrap()[0];
+        let gather = crate::measure::linear_gather_once(&cl, Rank(0), m);
         let reduce = observe_linear(&cl, m, GAMMA);
         let combines = 7.0 * GAMMA * m as f64;
         assert!(reduce > gather, "reduce {reduce} vs gather {gather}");
@@ -140,10 +115,7 @@ mod tests {
     fn zero_gamma_degenerates_to_gather_shape() {
         let cl = cluster(6);
         let m = 8 * KIB;
-        let gather = collective_times(&cl, Rank(0), 1, 1, |c| {
-            crate::gather::linear_gather(c, Rank(0), m)
-        })
-        .unwrap()[0];
+        let gather = crate::measure::linear_gather_once(&cl, Rank(0), m);
         let reduce = observe_linear(&cl, m, 0.0);
         assert!((gather - reduce).abs() < 1e-12);
     }

@@ -11,40 +11,51 @@
 use cpm_core::rank::Rank;
 use cpm_core::tree::BinomialTree;
 use cpm_core::units::Bytes;
-use cpm_vmpi::Comm;
+use cpm_netsim::ScriptOp;
 
-/// Linear scatter: the root sends one `m`-byte block to every other rank,
-/// in increasing rank order; every other rank receives its block.
-///
-/// All ranks must call this collectively.
-pub fn linear_scatter(c: &mut Comm<'_>, root: Rank, m: Bytes) {
-    let n = c.size();
+use crate::Sink;
+
+/// The linear fan-out: the root sends `size(i)` bytes to every other rank
+/// `i` in increasing rank order; every other rank receives its block.
+/// Linear scatter, scatterv and broadcast are this one program.
+pub(crate) fn fan_out(n: usize, root: Rank, size: impl Fn(usize) -> Bytes, mut emit: impl Sink) {
     assert!(root.idx() < n, "root out of range");
-    if c.rank() == root {
-        for i in 0..n {
-            if i != root.idx() {
-                c.send(Rank::from(i), m);
-            }
-        }
-    } else {
-        let _ = c.recv(root);
+    for i in (0..n).filter(|&i| i != root.idx()) {
+        emit(root, ScriptOp::send(Rank::from(i), size(i)));
+        emit(Rank::from(i), ScriptOp::recv(root));
     }
 }
 
-/// Binomial scatter along `tree`: every non-root receives its sub-tree's
-/// blocks from its parent, then forwards each child's share, largest
-/// sub-tree first (the paper: "the largest messages 2^k·M are sent first").
-///
-/// `m` is the per-process block size; the message on an arc carries
-/// `blocks·m` bytes. All ranks in the tree must call this collectively.
-pub fn binomial_scatter(c: &mut Comm<'_>, tree: &BinomialTree, m: Bytes) {
-    let me = c.rank();
-    if let Some(parent) = tree.parent_of(me) {
-        let _ = c.recv(parent);
+/// The binomial downward flow along `tree`: every non-root receives from
+/// its parent, then sends to each child, largest sub-tree first (the
+/// paper: "the largest messages 2^k·M are sent first"); `payload(blocks)`
+/// is the bytes on an arc whose sub-tree holds `blocks` processes.
+/// Binomial scatter and broadcast are this one program.
+pub(crate) fn binomial_down(
+    tree: &BinomialTree,
+    payload: impl Fn(u64) -> Bytes,
+    mut emit: impl Sink,
+) {
+    for me in (0..tree.n()).map(Rank::from) {
+        if let Some(parent) = tree.parent_of(me) {
+            emit(me, ScriptOp::recv(parent));
+        }
+        for (child, blocks) in tree.children_of(me) {
+            emit(me, ScriptOp::send(child, payload(blocks)));
+        }
     }
-    for (child, blocks) in tree.children_of(me) {
-        c.send(child, blocks.saturating_mul(m));
-    }
+}
+
+/// Linear scatter: the root sends one `m`-byte block to every other rank,
+/// in increasing rank order; every other rank receives its block.
+pub fn linear_scatter(n: usize, root: Rank, m: Bytes, emit: impl Sink) {
+    fan_out(n, root, |_| m, emit)
+}
+
+/// Binomial scatter along `tree`: `m` is the per-process block size, the
+/// message on an arc carries `blocks·m` bytes (saturating).
+pub fn binomial_scatter(tree: &BinomialTree, m: Bytes, emit: impl Sink) {
+    binomial_down(tree, |blocks| blocks.saturating_mul(m), emit)
 }
 
 #[cfg(test)]
@@ -102,14 +113,13 @@ mod tests {
         // Every receiver gets exactly its block; receivers finish in a
         // wave, the last no earlier than the serial part.
         let cl = cluster(8);
-        let out = cpm_vmpi::run(&cl, |c| {
-            linear_scatter(c, Rank(0), 4 * KIB);
-            c.wtime()
-        })
-        .unwrap();
-        let root_done = out.results[0];
-        let last = out.results.iter().copied().fold(0.0, f64::max);
-        assert!(last >= root_done, "some receiver finishes after the root");
+        let programs = measure::programs(8, |e| linear_scatter(8, Rank(0), 4 * KIB, e));
+        let out = cpm_netsim::run_script(&cl, &programs).unwrap();
+        let root_done = out.finish_times[0];
+        assert!(
+            out.end_time > root_done,
+            "some receiver finishes after the root"
+        );
     }
 
     #[test]

@@ -10,42 +10,22 @@
 use cpm_core::rank::Rank;
 use cpm_core::units::Bytes;
 use cpm_models::LmoExtended;
-use cpm_vmpi::Comm;
+
+use crate::gather::fan_in;
+use crate::scatter::fan_out;
+use crate::Sink;
 
 /// Linear scatter with per-rank block sizes: rank `i` receives `sizes[i]`
-/// bytes (the root's own entry is ignored). All ranks must call this
-/// collectively.
-///
-/// # Panics
-/// Panics when `sizes.len() != comm size`.
-pub fn linear_scatterv(c: &mut Comm<'_>, root: Rank, sizes: &[Bytes]) {
-    let n = c.size();
-    assert_eq!(sizes.len(), n, "one block size per rank");
-    if c.rank() == root {
-        for (i, &size) in sizes.iter().enumerate() {
-            if i != root.idx() {
-                c.send(Rank::from(i), size);
-            }
-        }
-    } else {
-        let _ = c.recv(root);
-    }
+/// bytes (the root's own entry is ignored); `sizes.len()` is the rank
+/// count. A zero-sized block is still a message.
+pub fn linear_scatterv(root: Rank, sizes: &[Bytes], emit: impl Sink) {
+    fan_out(sizes.len(), root, |i| sizes[i], emit)
 }
 
-/// Linear gather with per-rank block sizes. All ranks must call this
-/// collectively.
-pub fn linear_gatherv(c: &mut Comm<'_>, root: Rank, sizes: &[Bytes]) {
-    let n = c.size();
-    assert_eq!(sizes.len(), n, "one block size per rank");
-    if c.rank() == root {
-        for i in 0..n {
-            if i != root.idx() {
-                let _ = c.recv(Rank::from(i));
-            }
-        }
-    } else {
-        c.send(root, sizes[c.rank().idx()]);
-    }
+/// Linear gather with per-rank block sizes: rank `i` sends `sizes[i]`
+/// bytes to the root.
+pub fn linear_gatherv(root: Rank, sizes: &[Bytes], emit: impl Sink) {
+    fan_in(sizes.len(), root, |i| sizes[i], 0.0, emit)
 }
 
 /// LMO prediction of `linear_scatterv` (eq. (4) generalized to per-rank
@@ -206,10 +186,7 @@ mod tests {
         let balanced = balanced_partition(&model, Rank(0), total);
         let equal: Vec<u64> = (0..6).map(|i| if i == 0 { 0 } else { total / 5 }).collect();
         let observe = |sizes: Vec<u64>| {
-            collective_times(&sim, Rank(0), 1, 1, move |c| {
-                linear_scatterv(c, Rank(0), &sizes)
-            })
-            .unwrap()[0]
+            collective_times(&sim, 1, 1, |e| linear_scatterv(Rank(0), &sizes, e)).unwrap()[0]
         };
         let t_balanced = observe(balanced.clone());
         let t_equal = observe(equal);
@@ -229,10 +206,7 @@ mod tests {
     fn gatherv_runs_with_mixed_sizes() {
         let (sim, _) = skewed();
         let sizes: Vec<u64> = vec![0, KIB, 2 * KIB, 3 * KIB, 4 * KIB, 5 * KIB];
-        let t = collective_times(&sim, Rank(0), 1, 1, move |c| {
-            linear_gatherv(c, Rank(0), &sizes)
-        })
-        .unwrap()[0];
+        let t = collective_times(&sim, 1, 1, |e| linear_gatherv(Rank(0), &sizes, e)).unwrap()[0];
         assert!(t > 0.0);
     }
 

@@ -10,19 +10,14 @@ use cpm_core::rank::Rank;
 use cpm_core::traits::PointToPoint;
 use cpm_core::tree::BinomialTree;
 use cpm_core::units::Bytes;
-use cpm_models::collective::{binomial_recursive, linear_serial};
+use cpm_models::collective::{binomial_recursive, binomial_recursive_full, linear_serial};
 use cpm_models::LmoExtended;
 
-/// A scatter algorithm choice.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ScatterAlgorithm {
-    /// Flat-tree scatter: the root sends each block directly.
-    Linear,
-    /// Binomial-tree scatter: blocks travel down a recursive-halving tree.
-    Binomial,
-}
+use crate::reduce::predict_linear_reduce;
+use crate::Algorithm;
 
-/// Predictions a selection is based on.
+/// The linear and binomial predictions a selection is based on (named for
+/// the scatter of Fig. 6; every rooted collective is ranked the same way).
 #[derive(Clone, Copy, Debug)]
 pub struct ScatterPrediction {
     /// Predicted linear scatter time, seconds.
@@ -32,34 +27,102 @@ pub struct ScatterPrediction {
 }
 
 impl ScatterPrediction {
-    /// The predicted winner.
-    pub fn choice(&self) -> ScatterAlgorithm {
+    /// The predicted winner — the one place the `linear ≤ binomial` rule
+    /// lives (ties go to the simpler algorithm).
+    pub fn choice(&self) -> Algorithm {
         if self.linear <= self.binomial {
-            ScatterAlgorithm::Linear
+            Algorithm::Linear
         } else {
-            ScatterAlgorithm::Binomial
+            Algorithm::Binomial
         }
     }
 }
 
-/// Predicts linear and binomial scatter with a generic point-to-point model
-/// (how a Hockney-family model must do it: the serial bound for linear, the
-/// recursive formula for binomial).
-pub fn predict_scatter_generic<M: PointToPoint + ?Sized>(
-    model: &M,
-    root: Rank,
-    m: Bytes,
-) -> ScatterPrediction {
-    let tree = BinomialTree::new(model.n(), root);
-    ScatterPrediction {
-        linear: linear_serial(model, root, m),
-        binomial: binomial_recursive(model, &tree, m),
-    }
+/// A rooted collective, as a selection sees it.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum Rooted {
+    /// One distinct `m`-byte block per rank, from the root.
+    Scatter,
+    /// One `m`-byte block per rank, to the root.
+    Gather,
+    /// The same `m` bytes to every rank.
+    Bcast,
+    /// An `m`-byte vector per rank combined at the root, `gamma` seconds
+    /// per byte per combine.
+    Reduce {
+        /// Per-byte combine cost, seconds.
+        gamma: f64,
+    },
 }
 
-/// Predicts linear and binomial scatter with the LMO model: eq. (4) for
-/// linear, the recursive formula instantiated with LMO point-to-point times
-/// for binomial.
+/// How a whole-transfer model (Hockney, LogGP, PLogP — anything that is
+/// only a point-to-point time) ranks linear against binomial along `tree`:
+/// the serial sum for linear, the eq. (1) recursion for binomial (per-block
+/// for scatter/gather, full-message otherwise), plus `n−1` against
+/// `⌈log₂n⌉` combines for a reduce.
+pub fn rank_generic<M: PointToPoint + ?Sized>(
+    model: &M,
+    kind: Rooted,
+    tree: &BinomialTree,
+    m: Bytes,
+) -> ScatterPrediction {
+    let serial = linear_serial(model, tree.root(), m);
+    let full = || binomial_recursive_full(model, tree, m);
+    let (linear, binomial) = match kind {
+        Rooted::Scatter | Rooted::Gather => (serial, binomial_recursive(model, tree, m)),
+        Rooted::Bcast => (serial, full()),
+        Rooted::Reduce { gamma } => {
+            let combine = gamma * m as f64;
+            let levels = tree.height() as f64;
+            (
+                serial + (tree.n() as f64 - 1.0) * combine,
+                full() + levels * combine,
+            )
+        }
+    };
+    ScatterPrediction { linear, binomial }
+}
+
+/// How the LMO model ranks linear against binomial along `tree` when it
+/// dispatches or plans — the one set of inequalities
+/// [`crate::TunedCollectives`] and the workload planner's flat chooser
+/// share. Scatter: eq. (4) against the refined recursion only the separated
+/// model can express (as opposed to [`predict_scatter_lmo`], which
+/// reproduces the paper's Fig. 6 with the generic recursion). Broadcast:
+/// linear has the structure of linear scatter with payload `m`, every
+/// binomial arc carries the full message. Gather: eq. (5) with the expected
+/// escalation against the scatter recursion run upward. Reduce: the
+/// serialized-combine bound against a full-message recursion with one
+/// combine per tree level.
+pub fn rank_lmo(
+    model: &LmoExtended,
+    kind: Rooted,
+    tree: &BinomialTree,
+    m: Bytes,
+) -> ScatterPrediction {
+    let root = tree.root();
+    let full = || binomial_recursive_full(model, tree, m);
+    let (linear, binomial) = match kind {
+        Rooted::Scatter => (
+            model.linear_scatter(root, m),
+            model.binomial_scatter(tree, m),
+        ),
+        Rooted::Bcast => (model.linear_scatter(root, m), full()),
+        Rooted::Gather => (
+            model.linear_gather(root, m).expected,
+            model.binomial_scatter(tree, m),
+        ),
+        Rooted::Reduce { gamma } => (
+            predict_linear_reduce(model, root, m, gamma),
+            full() + tree.height() as f64 * (gamma * m as f64),
+        ),
+    };
+    ScatterPrediction { linear, binomial }
+}
+
+/// Predicts linear and binomial scatter with the LMO model the way the
+/// paper's Fig. 6 does: eq. (4) for linear, the recursive formula
+/// instantiated with LMO point-to-point times for binomial.
 pub fn predict_scatter_lmo(model: &LmoExtended, root: Rank, m: Bytes) -> ScatterPrediction {
     let tree = BinomialTree::new(model.n(), root);
     ScatterPrediction {
@@ -68,22 +131,13 @@ pub fn predict_scatter_lmo(model: &LmoExtended, root: Rank, m: Bytes) -> Scatter
     }
 }
 
-/// Selects the scatter algorithm a model recommends at `(root, m)`.
-pub fn select_scatter_algorithm<M: PointToPoint + ?Sized>(
-    model: &M,
-    root: Rank,
-    m: Bytes,
-) -> ScatterAlgorithm {
-    predict_scatter_generic(model, root, m).choice()
-}
-
 /// Finds the message size at which the model's preferred scatter algorithm
 /// flips from binomial to linear (the "switch point" MPI tuning tables
 /// record), by bisection over `[lo, hi]`. Returns `None` when the
 /// preference does not flip inside the interval.
 pub fn scatter_crossover(model: &LmoExtended, root: Rank, lo: Bytes, hi: Bytes) -> Option<Bytes> {
     let prefers_binomial =
-        |m: Bytes| predict_scatter_lmo(model, root, m).choice() == ScatterAlgorithm::Binomial;
+        |m: Bytes| predict_scatter_lmo(model, root, m).choice() == Algorithm::Binomial;
     let (a, b) = (prefers_binomial(lo), prefers_binomial(hi));
     if a == b {
         return None;
@@ -120,9 +174,9 @@ mod tests {
     fn lmo_prefers_binomial_for_tiny_and_linear_for_huge() {
         let m = lmo(16);
         let tiny = predict_scatter_lmo(&m, Rank(0), 128);
-        assert_eq!(tiny.choice(), ScatterAlgorithm::Binomial);
+        assert_eq!(tiny.choice(), Algorithm::Binomial);
         let huge = predict_scatter_lmo(&m, Rank(0), 256 * 1024);
-        assert_eq!(huge.choice(), ScatterAlgorithm::Linear);
+        assert_eq!(huge.choice(), Algorithm::Linear);
     }
 
     /// The paper's Fig. 6 core: because Hockney folds the root's per-byte
@@ -134,14 +188,10 @@ mod tests {
         let l = lmo(16);
         let h: HockneyHet = l.to_hockney();
         let m = 150 * 1024; // the paper's 100 KB < M < 200 KB window
-        let hp = predict_scatter_generic(&h, Rank(0), m);
+        let hp = rank_generic(&h, Rooted::Scatter, &BinomialTree::new(16, Rank(0)), m);
         let lp = predict_scatter_lmo(&l, Rank(0), m);
-        assert_eq!(
-            hp.choice(),
-            ScatterAlgorithm::Binomial,
-            "Hockney mispredicts"
-        );
-        assert_eq!(lp.choice(), ScatterAlgorithm::Linear, "LMO is right");
+        assert_eq!(hp.choice(), Algorithm::Binomial, "Hockney mispredicts");
+        assert_eq!(lp.choice(), Algorithm::Linear, "LMO is right");
     }
 
     #[test]
@@ -151,11 +201,11 @@ mod tests {
         // Below the crossover the model prefers binomial, above it linear.
         assert_eq!(
             predict_scatter_lmo(&m, Rank(0), x - 1).choice(),
-            ScatterAlgorithm::Binomial
+            Algorithm::Binomial
         );
         assert_eq!(
             predict_scatter_lmo(&m, Rank(0), x).choice(),
-            ScatterAlgorithm::Linear
+            Algorithm::Linear
         );
         // On this homogeneous model the flip happens at small sizes (the
         // per-byte cost quickly dominates the saved latencies).

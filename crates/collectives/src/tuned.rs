@@ -14,16 +14,15 @@ use cpm_core::tree::BinomialTree;
 use cpm_core::units::Bytes;
 use cpm_estimate::lmo::estimate_lmo_full;
 use cpm_estimate::EstimateConfig;
-use cpm_models::collective::binomial_recursive_full;
 use cpm_models::LmoExtended;
 use cpm_netsim::SimCluster;
-use cpm_vmpi::Comm;
 
 use crate::bcast::{binomial_bcast, linear_bcast};
 use crate::gather::{binomial_gather, linear_gather};
 use crate::optimized::optimized_gather;
 use crate::scatter::{binomial_scatter, linear_scatter};
-use crate::select::ScatterAlgorithm;
+use crate::select::{rank_lmo, Rooted};
+use crate::{Algorithm, Sink};
 
 /// A collective dispatcher backed by an estimated LMO model.
 ///
@@ -33,21 +32,13 @@ use crate::select::ScatterAlgorithm;
 #[derive(Clone, Debug)]
 pub struct TunedCollectives {
     model: LmoExtended,
-    /// Pre-built binomial trees per root, constructed lazily would need
-    /// interior mutability; with `n` small we build them all up front.
-    trees: Vec<BinomialTree>,
 }
 
 impl TunedCollectives {
     /// Builds the dispatcher from pre-fitted parameters — e.g. loaded from
     /// a parameter registry (`cpm-serve`) or a persisted model file.
-    /// Constructs one binomial tree per possible root.
     pub fn new(model: LmoExtended) -> Self {
-        let n = model.c.len();
-        let trees = (0..n)
-            .map(|r| BinomialTree::new(n, Rank::from(r)))
-            .collect();
-        TunedCollectives { model, trees }
+        TunedCollectives { model }
     }
 
     /// The one-call convenience path: runs the LMO estimation experiments
@@ -63,32 +54,21 @@ impl TunedCollectives {
         &self.model
     }
 
-    fn tree(&self, root: Rank) -> &BinomialTree {
-        &self.trees[root.idx()]
+    /// The model's pick for `kind` at `(root, m)`, with the tree it was
+    /// ranked on.
+    fn pick(&self, kind: Rooted, root: Rank, m: Bytes) -> (Algorithm, BinomialTree) {
+        let tree = BinomialTree::new(self.model.c.len(), root);
+        (rank_lmo(&self.model, kind, &tree, m).choice(), tree)
     }
 
     /// The algorithm scatter will use at `(root, m)`.
-    pub fn scatter_choice(&self, root: Rank, m: Bytes) -> ScatterAlgorithm {
-        let linear = self.model.linear_scatter(root, m);
-        let binomial = self.model.binomial_scatter(self.tree(root), m);
-        if linear <= binomial {
-            ScatterAlgorithm::Linear
-        } else {
-            ScatterAlgorithm::Binomial
-        }
+    pub fn scatter_choice(&self, root: Rank, m: Bytes) -> Algorithm {
+        self.pick(Rooted::Scatter, root, m).0
     }
 
     /// The algorithm broadcast will use at `(root, m)`.
-    pub fn bcast_choice(&self, root: Rank, m: Bytes) -> ScatterAlgorithm {
-        // Linear broadcast has the same serial/parallel structure as linear
-        // scatter with per-destination payload m.
-        let linear = self.model.linear_scatter(root, m);
-        let binomial = binomial_recursive_full(&self.model, self.tree(root), m);
-        if linear <= binomial {
-            ScatterAlgorithm::Linear
-        } else {
-            ScatterAlgorithm::Binomial
-        }
+    pub fn bcast_choice(&self, root: Rank, m: Bytes) -> Algorithm {
+        self.pick(Rooted::Bcast, root, m).0
     }
 
     /// `true` when gather at size `m` will be split into sub-`M1` pieces.
@@ -96,37 +76,33 @@ impl TunedCollectives {
         crate::optimized::split_count(m, &self.model.gather) > 1
     }
 
-    /// Model-tuned scatter. All ranks must call collectively.
-    pub fn scatter(&self, c: &mut Comm<'_>, root: Rank, m: Bytes) {
-        match self.scatter_choice(root, m) {
-            ScatterAlgorithm::Linear => linear_scatter(c, root, m),
-            ScatterAlgorithm::Binomial => binomial_scatter(c, self.tree(root), m),
+    /// Model-tuned scatter: emits the chosen algorithm's program.
+    pub fn scatter(&self, root: Rank, m: Bytes, emit: impl Sink) {
+        match self.pick(Rooted::Scatter, root, m) {
+            (Algorithm::Binomial, tree) => binomial_scatter(&tree, m, emit),
+            _ => linear_scatter(self.model.c.len(), root, m, emit),
         }
     }
 
     /// Model-tuned gather: linear outside the irregular region, split
     /// inside it, binomial when the model predicts the tree wins (tiny
-    /// messages). All ranks must call collectively.
-    pub fn gather(&self, c: &mut Comm<'_>, root: Rank, m: Bytes) {
+    /// messages).
+    pub fn gather(&self, root: Rank, m: Bytes, emit: impl Sink) {
+        let n = self.model.c.len();
         if self.gather_splits(m) {
-            optimized_gather(c, root, m, &self.model.gather);
-            return;
+            return optimized_gather(n, root, m, &self.model.gather, emit);
         }
-        // Compare linear vs binomial via the small-regime formulas.
-        let linear = self.model.linear_gather(root, m).expected;
-        let binomial = self.model.binomial_scatter(self.tree(root), m);
-        if linear <= binomial {
-            linear_gather(c, root, m);
-        } else {
-            binomial_gather(c, self.tree(root), m);
+        match self.pick(Rooted::Gather, root, m) {
+            (Algorithm::Binomial, tree) => binomial_gather(&tree, m, emit),
+            _ => linear_gather(n, root, m, emit),
         }
     }
 
-    /// Model-tuned broadcast. All ranks must call collectively.
-    pub fn bcast(&self, c: &mut Comm<'_>, root: Rank, m: Bytes) {
-        match self.bcast_choice(root, m) {
-            ScatterAlgorithm::Linear => linear_bcast(c, root, m),
-            ScatterAlgorithm::Binomial => binomial_bcast(c, self.tree(root), m),
+    /// Model-tuned broadcast: emits the chosen algorithm's program.
+    pub fn bcast(&self, root: Rank, m: Bytes, emit: impl Sink) {
+        match self.pick(Rooted::Bcast, root, m) {
+            (Algorithm::Binomial, tree) => binomial_bcast(&tree, m, emit),
+            _ => linear_bcast(self.model.c.len(), root, m, emit),
         }
     }
 }
@@ -176,19 +152,16 @@ mod tests {
     fn scatter_choice_flips_with_size() {
         let cl = cluster(MpiProfile::ideal());
         let t = tuned(&cl);
-        assert_eq!(t.scatter_choice(Rank(0), 32), ScatterAlgorithm::Binomial);
-        assert_eq!(
-            t.scatter_choice(Rank(0), 128 * KIB),
-            ScatterAlgorithm::Linear
-        );
+        assert_eq!(t.scatter_choice(Rank(0), 32), Algorithm::Binomial);
+        assert_eq!(t.scatter_choice(Rank(0), 128 * KIB), Algorithm::Linear);
     }
 
     #[test]
     fn bcast_choice_flips_with_size() {
         let cl = cluster(MpiProfile::ideal());
         let t = tuned(&cl);
-        assert_eq!(t.bcast_choice(Rank(0), 64), ScatterAlgorithm::Binomial);
-        assert_eq!(t.bcast_choice(Rank(0), 256 * KIB), ScatterAlgorithm::Linear);
+        assert_eq!(t.bcast_choice(Rank(0), 64), Algorithm::Binomial);
+        assert_eq!(t.bcast_choice(Rank(0), 256 * KIB), Algorithm::Linear);
     }
 
     #[test]
@@ -196,8 +169,7 @@ mod tests {
         let cl = cluster(MpiProfile::ideal());
         let t = tuned(&cl);
         for m in [64u64, 4 * KIB, 64 * KIB, 192 * KIB] {
-            let tuned_t =
-                collective_times(&cl, Rank(0), 1, 1, |c| t.scatter(c, Rank(0), m)).unwrap()[0];
+            let tuned_t = collective_times(&cl, 1, 1, |e| t.scatter(Rank(0), m, e)).unwrap()[0];
             let lin = crate::measure::linear_scatter_once(&cl, Rank(0), m);
             let bin = crate::measure::binomial_scatter_once(&cl, Rank(0), m);
             let best = lin.min(bin);
@@ -215,8 +187,7 @@ mod tests {
         let m = 32 * KIB;
         assert!(t.gather_splits(m));
         let reps = 16;
-        let tuned_times =
-            collective_times(&cl, Rank(0), reps, 5, |c| t.gather(c, Rank(0), m)).unwrap();
+        let tuned_times = collective_times(&cl, reps, 5, |e| t.gather(Rank(0), m, e)).unwrap();
         let native = crate::measure::linear_gather_times(&cl, Rank(0), m, reps, 5).unwrap();
         let tuned_mean = Summary::of(&tuned_times).mean();
         let native_mean = Summary::of(&native).mean();

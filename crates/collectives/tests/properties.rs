@@ -1,6 +1,7 @@
 //! Property-based tests for the collective algorithms.
 
 use cpm_cluster::{ClusterSpec, GroundTruth, MpiProfile};
+use cpm_collectives::measure::programs;
 use cpm_collectives::optimized::{optimized_gather, split_count};
 use cpm_collectives::{
     binomial_bcast, binomial_gather, binomial_scatter, linear_bcast, linear_gather, linear_scatter,
@@ -8,8 +9,7 @@ use cpm_collectives::{
 use cpm_core::rank::Rank;
 use cpm_core::tree::BinomialTree;
 use cpm_models::GatherEmpirics;
-use cpm_netsim::SimCluster;
-use cpm_vmpi::run;
+use cpm_netsim::{run_script, SimCluster};
 use proptest::prelude::*;
 
 fn cluster(n: usize, seed: u64) -> SimCluster {
@@ -33,15 +33,15 @@ proptest! {
         let root = Rank::from(root_seed % n);
         let cl = cluster(n, 3);
         let tree = BinomialTree::new(n, root);
-        let out = run(&cl, |c| match which {
-            0 => linear_scatter(c, root, m),
-            1 => linear_gather(c, root, m),
-            2 => linear_bcast(c, root, m),
-            3 => binomial_scatter(c, &tree, m),
-            4 => binomial_gather(c, &tree, m),
-            _ => binomial_bcast(c, &tree, m),
-        })
-        .unwrap();
+        let program = programs(n, |e| match which {
+            0 => linear_scatter(n, root, m, e),
+            1 => linear_gather(n, root, m, e),
+            2 => linear_bcast(n, root, m, e),
+            3 => binomial_scatter(&tree, m, e),
+            4 => binomial_gather(&tree, m, e),
+            _ => binomial_bcast(&tree, m, e),
+        });
+        let out = run_script(&cl, &program).unwrap();
         prop_assert_eq!(out.stats.msgs_sent, n - 1, "one message per non-root");
         prop_assert_eq!(out.stats.msgs_received, n - 1);
         prop_assert!(out.end_time >= 0.0);
@@ -91,16 +91,8 @@ proptest! {
             escalation_prob_knots: Vec::new(),
         };
         let root = Rank(0);
-        let a = run(&cl, |c| {
-            linear_gather(c, root, small);
-            c.wtime()
-        })
-        .unwrap();
-        let b = run(&cl, |c| {
-            optimized_gather(c, root, small, &e);
-            c.wtime()
-        })
-        .unwrap();
-        prop_assert_eq!(a.results, b.results);
+        let a = run_script(&cl, &programs(n, |s| linear_gather(n, root, small, s))).unwrap();
+        let b = run_script(&cl, &programs(n, |s| optimized_gather(n, root, small, &e, s))).unwrap();
+        prop_assert_eq!(a.finish_times, b.finish_times);
     }
 }

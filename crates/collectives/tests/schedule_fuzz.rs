@@ -10,15 +10,15 @@
 //! orderings and compared bit-for-bit against the unfuzzed baseline.
 
 use cpm_cluster::{ClusterSpec, GroundTruth, MpiProfile};
+use cpm_collectives::measure::programs;
 use cpm_collectives::{
-    binomial_bcast, binomial_gather, binomial_reduce, binomial_scatter, linear_alltoall,
-    linear_bcast, linear_gather, linear_reduce, linear_scatter, ring_allgather,
-    ring_allgather_overlap,
+    binomial_bcast, binomial_gather, binomial_reduce, binomial_scatter, linear_bcast,
+    linear_gather, linear_reduce, linear_scatter, ring_allgather, ring_allgather_overlap,
+    rotation_alltoall,
 };
 use cpm_core::rank::Rank;
 use cpm_core::tree::BinomialTree;
-use cpm_netsim::{simulate_traced, SimCluster, TraceEvent};
-use cpm_vmpi::Comm;
+use cpm_netsim::{run_script_traced, SimCluster, TraceEvent};
 use proptest::prelude::*;
 
 /// Ideal profile, zero noise: the run is purely deterministic, so any
@@ -34,24 +34,21 @@ fn cluster(n: usize, seed: u64) -> SimCluster {
 fn observe(cl: &SimCluster, which: u8, root: Rank, m: u64) -> (Vec<f64>, f64, u64) {
     let n = cl.n();
     let tree = BinomialTree::new(n, root);
-    let (out, trace) = simulate_traced(cl, |p| {
-        let mut c = Comm::new(p);
-        match which {
-            0 => linear_scatter(&mut c, root, m),
-            1 => binomial_scatter(&mut c, &tree, m),
-            2 => linear_gather(&mut c, root, m),
-            3 => binomial_gather(&mut c, &tree, m),
-            4 => linear_bcast(&mut c, root, m),
-            5 => binomial_bcast(&mut c, &tree, m),
-            6 => linear_reduce(&mut c, root, m, 1e-9),
-            7 => binomial_reduce(&mut c, &tree, m, 1e-9),
-            8 => ring_allgather(&mut c, m),
-            9 => ring_allgather_overlap(&mut c, m),
-            _ => linear_alltoall(&mut c, m),
-        }
-        c.wtime()
-    })
-    .unwrap();
+    let program = programs(n, |e| match which {
+        0 => linear_scatter(n, root, m, e),
+        1 => binomial_scatter(&tree, m, e),
+        2 => linear_gather(n, root, m, e),
+        3 => binomial_gather(&tree, m, e),
+        4 => linear_bcast(n, root, m, e),
+        5 => binomial_bcast(&tree, m, e),
+        6 => linear_reduce(n, root, m, 1e-9, e),
+        7 => binomial_reduce(&tree, m, 1e-9, e),
+        8 => ring_allgather(n, m, e),
+        9 => ring_allgather_overlap(n, m, e),
+        _ => rotation_alltoall(n, m, e),
+    });
+    let out = run_script_traced(cl, &program).unwrap();
+    let trace = out.trace.expect("a traced run records its trace");
     // Delivered bytes: map each message id to its payload size (recorded
     // on the tx slot), then sum over the messages a `recv` consumed.
     let mut size_of = std::collections::HashMap::new();
@@ -65,7 +62,7 @@ fn observe(cl: &SimCluster, which: u8, root: Rank, m: u64) -> (Vec<f64>, f64, u6
             _ => {}
         }
     }
-    (out.results, out.end_time, delivered)
+    (out.finish_times, out.end_time, delivered)
 }
 
 proptest! {

@@ -488,69 +488,65 @@ impl<'c> Kernel<'c> {
         )
     }
 
-    /// Grants `p` at the current time and handles its next syscall.
+    /// Grants `p` at the current time and handles its next syscall — and,
+    /// while that is a nonblocking send, the one after it: the rank keeps
+    /// running, so it is granted again at once with the message handle, in
+    /// this same handling (no DES event on either port).
     fn wake(&mut self, p: ProcId) -> Result<()> {
         if self.procs[p].status == Status::Finished {
             debug_assert!(false, "wake scheduled for finished rank {p}");
             return Ok(());
         }
         self.procs[p].local = self.now;
-        let msg = self.procs[p].ready_msg.take();
-        let now = self.now;
-        let sc = match &mut self.procs[p].port {
-            ProcPort::Thread(grant_tx) => {
-                grant_tx
-                    .send(Grant {
-                        now,
-                        msg,
-                        handle: None,
-                    })
-                    .map_err(|_| CpmError::Simulation(format!("rank {p} died before its grant")))?;
-                let (from, sc) = self.sys_rx.recv().map_err(|_| {
-                    CpmError::Simulation("all rank programs disappeared".to_string())
-                })?;
-                debug_assert_eq!(from, p, "only the granted process may issue a syscall");
-                sc
-            }
-            ProcPort::Script(s) => s.step(now),
+        let mut grant = Grant {
+            now: self.now,
+            msg: self.procs[p].ready_msg.take(),
+            handle: None,
         };
-        self.handle_syscall(p, sc);
-        Ok(())
+        loop {
+            let sc = match &mut self.procs[p].port {
+                ProcPort::Thread(grant_tx) => {
+                    grant_tx.send(grant).map_err(|_| {
+                        CpmError::Simulation(format!("rank {p} died before its grant"))
+                    })?;
+                    let (from, sc) = self.sys_rx.recv().map_err(|_| {
+                        CpmError::Simulation("all rank programs disappeared".to_string())
+                    })?;
+                    debug_assert_eq!(from, p, "only the granted process may issue a syscall");
+                    sc
+                }
+                ProcPort::Script(s) => s.step(grant.now),
+            };
+            let Some(posted) = self.handle_syscall(p, sc) else {
+                return Ok(());
+            };
+            grant = Grant {
+                now: self.now,
+                msg: None,
+                handle: Some(posted),
+            };
+        }
     }
 
-    fn handle_syscall(&mut self, p: ProcId, sc: Syscall) {
+    /// Handles one syscall of `p`. Returns the message handle when the
+    /// call was a nonblocking send, i.e. when `p` is still running.
+    fn handle_syscall(&mut self, p: ProcId, sc: Syscall) -> Option<MsgId> {
         match sc {
             Syscall::ISend { dst, tag, bytes } => {
                 // Same resource accounting as a blocking send, but the
-                // process continues immediately: grant now, at the same
-                // local time, carrying the message handle. Buffered
-                // semantics: completion is the end of the local tx slot
-                // even in the large regime.
-                let mid = self.post_send(p, dst, tag, bytes, false);
-                let grant = Grant {
-                    now: self.procs[p].local,
-                    msg: None,
-                    handle: Some(mid),
-                };
-                match &self.procs[p].port {
-                    ProcPort::Thread(grant_tx) => {
-                        if grant_tx.send(grant).is_err() {
-                            debug_assert!(false, "isend grant failed");
-                        }
-                    }
-                    ProcPort::Script(_) => {
-                        debug_assert!(false, "scripted ranks never issue ISend");
-                    }
-                }
-                // The process is still running: immediately read its next
-                // syscall (same protocol as wake()).
-                if let Ok((from, sc)) = self.sys_rx.recv() {
-                    debug_assert_eq!(from, p);
-                    self.handle_syscall(from, sc);
-                }
+                // process continues immediately, at the same local time,
+                // holding the message handle. Buffered semantics:
+                // completion is the end of the local tx slot even in the
+                // large regime.
+                return Some(self.post_send(p, dst, tag, bytes, false));
             }
             Syscall::WaitSend { handle } => {
                 let done = self.send_local_done[handle];
+                self.q
+                    .push(done.max(self.procs[p].local), EventKind::Wake(p));
+            }
+            Syscall::WaitTx => {
+                let done = self.tx_free[p];
                 self.q
                     .push(done.max(self.procs[p].local), EventKind::Wake(p));
             }
@@ -598,6 +594,7 @@ impl<'c> Kernel<'c> {
                 self.try_release_barrier();
             }
         }
+        None
     }
 
     fn try_release_barrier(&mut self) {

@@ -36,11 +36,15 @@
 //!
 //! ## Programming model
 //!
-//! Rank programs are ordinary Rust closures run on dedicated OS threads and
-//! scheduled *one at a time* by the kernel in virtual-time order, so every
-//! simulation is deterministic for a given seed regardless of host
-//! scheduling. The [`proc::Proc`] handle exposes an MPI-flavoured API
-//! (`send`, `recv`, `now`, `compute`, `barrier`).
+//! Everything the workspace runs is a *scripted* rank program: a
+//! straight-line [`ScriptOp`] sequence per rank interpreted inside the
+//! kernel's event loop ([`mod@script`], [`run_script`]). The original form —
+//! ordinary Rust closures on dedicated OS threads, scheduled *one at a
+//! time* by the kernel in virtual-time order through the [`proc::Proc`]
+//! handle (`send`, `recv`, `now`, `compute`, `barrier`) — has identical
+//! event semantics and is kept as the scripted programs' test oracle.
+//! Either way a simulation is deterministic for a given seed regardless of
+//! host scheduling.
 //!
 //! ```
 //! use cpm_cluster::{ClusterSpec, GroundTruth, MpiProfile};

@@ -42,6 +42,9 @@ pub(crate) enum Syscall {
     ISend { dst: Rank, tag: Tag, bytes: Bytes },
     /// Wait for an `ISend` to complete locally.
     WaitSend { handle: usize },
+    /// Wait for the local tx engine to drain: every send posted so far has
+    /// left it (a script's `WaitSend`, which carries no handle).
+    WaitTx,
     /// Wait for a message. `src == None` matches any source; `tag == None`
     /// matches any tag.
     Recv { src: Option<Rank>, tag: Option<Tag> },

@@ -4,10 +4,10 @@
 //! thread per rank and round-trips a channel per syscall — it can express
 //! arbitrary closures, but the context switches dominate the host time of
 //! every run and cap it at a few hundred ranks. Nothing the workspace
-//! measures or replays needs arbitrary code: a lowered workload, a
-//! communication experiment of the estimation procedure and a drift probe
-//! are all, per rank, a straight-line sequence of
-//! send/recv/compute/barrier primitives. [`run_script`] interprets such
+//! measures or replays needs arbitrary code: a collective algorithm, a
+//! lowered workload, a communication experiment of the estimation
+//! procedure and a drift probe are all, per rank, a straight-line sequence
+//! of send/recv/compute/barrier primitives. [`run_script`] interprets such
 //! sequences directly inside the kernel's event loop — no threads, no
 //! channels, no per-event allocation, the programs borrowed from the
 //! caller rather than copied — with *identical* event semantics and
@@ -15,11 +15,27 @@
 //! replay a subsecond operation and a cold 16-node estimation (1 640 runs)
 //! a tenth of a second instead of a thread-rendezvous stress test.
 //!
-//! [`ScriptOp`] is the one send/recv/compute/barrier vocabulary of the
-//! workspace: `cpm-workload` lowers straight into it, and `cpm-estimate`
-//! and `cpm-vmpi`'s probes generate it through [`TimedScript`], which also
-//! records which op spans a threaded rank would have bracketed with
-//! `wtime()` and reads the measured durations back from the op windows.
+//! [`ScriptOp`] is the one vocabulary of the workspace, six ops: blocking
+//! `Send`/`Recv`, `Compute`, `Barrier`, and the nonblocking pair
+//! `Isend`/`WaitSend`. `cpm-collectives` writes every collective algorithm
+//! in it, once; `cpm-workload` lowers traces through those emitters, and
+//! `cpm-estimate`, `cpm-vmpi`'s probes and the collectives' observation
+//! harness generate it through [`TimedScript`], which also records which
+//! op spans a threaded rank would have bracketed with `wtime()` and reads
+//! the measured durations back from the op windows.
+//!
+//! `Isend` books the tx engine like `Send` but returns at once (buffered:
+//! no large-message backpressure), and the rank's next op is issued in the
+//! same kernel handling — no DES event; `WaitSend` blocks until the rank's
+//! tx engine has drained (the latest `Isend`'s slot, tx slots being FIFO),
+//! so it carries no handle and the interpreter keeps none.
+//! `Isend → Recv → WaitSend` is
+//! `MPI_Sendrecv`, which the overlapped ring allgather needs and nothing
+//! else does: there are no tags and no any-source receive because no
+//! collective uses them. No fused three-field exchange op exists because
+//! an op must stay 16 bytes
+//! (`script_ops_stay_sixteen_bytes`): a lowered 1000-rank trace holds
+//! millions of them.
 
 use cpm_core::error::Result;
 use cpm_core::rank::Rank;
@@ -56,6 +72,20 @@ pub enum ScriptOp {
     },
     /// Global barrier across all ranks.
     Barrier,
+    /// Nonblocking buffered send of `bytes` to `dst`, exactly like
+    /// [`crate::Proc::isend`]: the tx engine is booked, the rank continues
+    /// at the same instant.
+    Isend {
+        /// Destination rank.
+        dst: Rank,
+        /// Message size in bytes.
+        bytes: Bytes,
+    },
+    /// Blocks until this rank's tx engine has drained: every send it has
+    /// posted has left. After `Isend → … → WaitSend` with no send in
+    /// between, exactly [`crate::Proc::wait_send`] on that request; a no-op
+    /// when nothing is pending.
+    WaitSend,
 }
 
 impl ScriptOp {
@@ -67,6 +97,11 @@ impl ScriptOp {
     /// A blocking receive of the next message from `src`.
     pub fn recv(src: Rank) -> Self {
         ScriptOp::Recv { src }
+    }
+
+    /// A nonblocking send of `bytes` to `dst`.
+    pub fn isend(dst: Rank, bytes: Bytes) -> Self {
+        ScriptOp::Isend { dst, bytes }
     }
 }
 
@@ -110,8 +145,8 @@ impl<'a> ScriptProc<'a> {
         }
     }
 
-    /// Called on every kernel wake of this rank: closes the in-flight
-    /// op's window (every wake after the first means the previous op
+    /// Called on every kernel grant of this rank: closes the in-flight
+    /// op's window (every grant after the first means the previous op
     /// completed — the moment a threaded program would regain control),
     /// then issues the next op as a syscall.
     pub(crate) fn step(&mut self, now: Time) -> Syscall {
@@ -134,6 +169,8 @@ impl<'a> ScriptProc<'a> {
                     },
                     ScriptOp::Compute { secs } => Syscall::Compute { secs },
                     ScriptOp::Barrier => Syscall::Barrier,
+                    ScriptOp::Isend { dst, bytes } => Syscall::ISend { dst, tag: 0, bytes },
+                    ScriptOp::WaitSend => Syscall::WaitTx,
                 }
             }
         }
@@ -233,6 +270,18 @@ impl TimedScript {
         let first = program.len();
         program.extend(ops);
         self.spans[rank.idx()].push((first, program.len()));
+    }
+
+    /// Appends whatever `emit` hands the sink — `(rank, op)` pairs, ranks
+    /// interleaved freely — as one measured span per rank: the shape of an
+    /// observed collective, where every rank brackets its part with
+    /// `wtime()`.
+    pub fn timed_all(&mut self, emit: impl FnOnce(&mut dyn FnMut(Rank, ScriptOp))) {
+        let first: Vec<usize> = self.programs.iter().map(Vec::len).collect();
+        emit(&mut |rank, op| self.programs[rank.idx()].push(op));
+        for ((spans, program), first) in self.spans.iter_mut().zip(&self.programs).zip(first) {
+            spans.push((first, program.len()));
+        }
     }
 
     /// Appends a global barrier to every rank's program.
@@ -349,6 +398,53 @@ mod tests {
         assert_eq!(scripted.stats, threaded.stats);
     }
 
+    /// The size is pinned: `replay_scale` holds ~95 MiB of lowered ops, and
+    /// a seventh variant or a third field would grow every one of them.
+    #[test]
+    fn script_ops_stay_sixteen_bytes() {
+        assert_eq!(std::mem::size_of::<ScriptOp>(), 16);
+    }
+
+    /// `Isend → Recv → WaitSend` is the threaded `isend`/`recv`/`wait_send`
+    /// to the bit, event for event (an `Isend` costs no DES event), and a
+    /// `WaitSend` with nothing pending returns at once.
+    #[test]
+    fn nonblocking_exchange_matches_the_threaded_one_exactly() {
+        let cl = cluster(4, 0.01);
+        for m in [0, 4 * KIB, 100 * KIB] {
+            let threaded = simulate(&cl, |p| {
+                let n = p.size();
+                let right = Rank::from((p.rank().idx() + 1) % n);
+                let left = Rank::from((p.rank().idx() + n - 1) % n);
+                for _ in 0..3 {
+                    let req = p.isend(right, m);
+                    let _ = p.recv(left);
+                    p.wait_send(req);
+                }
+            })
+            .unwrap();
+            let programs: Vec<Vec<ScriptOp>> = (0..4u32)
+                .map(|r| {
+                    let (right, left) = (Rank((r + 1) % 4), Rank((r + 3) % 4));
+                    [
+                        ScriptOp::isend(right, m),
+                        ScriptOp::recv(left),
+                        ScriptOp::WaitSend,
+                    ]
+                    .repeat(3)
+                })
+                .collect();
+            let scripted = run_script(&cl, &programs).unwrap();
+            assert_eq!(scripted.end_time, threaded.end_time, "m={m}");
+            assert_eq!(scripted.finish_times, threaded.finish_times, "m={m}");
+            assert_eq!(scripted.stats, threaded.stats, "m={m}");
+            let w = &scripted.windows[0];
+            assert_eq!(w[0].0, w[0].1, "an isend returns at once");
+        }
+        let idle = run_script(&cl, &[vec![ScriptOp::WaitSend], vec![], vec![], vec![]]).unwrap();
+        assert_eq!(idle.end_time, 0.0);
+    }
+
     #[test]
     fn windows_cover_each_op_in_order() {
         let cl = cluster(2, 0.0);
@@ -451,6 +547,21 @@ mod tests {
         assert_eq!(times[1], vec![0.0, 0.0], "empty spans measure 0.0");
         let (again, end) = script.run(&cl).unwrap();
         assert_eq!((again, end), (times, out.end_time));
+
+        // The same programs through one sink for all ranks.
+        let mut all = TimedScript::new(2);
+        for _ in 0..2 {
+            all.barrier();
+            all.timed_all(|emit| {
+                emit(Rank(0), ScriptOp::send(Rank(1), 4 * KIB));
+                emit(Rank(1), ScriptOp::recv(Rank(0)));
+                emit(Rank(1), ScriptOp::send(Rank(0), 4 * KIB));
+                emit(Rank(0), ScriptOp::recv(Rank(1)));
+            });
+        }
+        assert_eq!(all.programs, script.programs);
+        assert_eq!(all.spans[0], script.spans[0]);
+        assert_eq!(all.spans[1], vec![(1, 3), (4, 6)]);
     }
 
     #[test]

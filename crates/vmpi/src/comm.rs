@@ -2,14 +2,14 @@
 
 use cpm_core::rank::Rank;
 use cpm_core::units::Bytes;
-use cpm_netsim::{MsgView, Proc, Tag};
+use cpm_netsim::{MsgView, Proc};
 
 /// An MPI-like communicator bound to one simulated process.
 ///
 /// `Comm` is a thin, deliberately MPI-shaped veneer over
-/// [`cpm_netsim::Proc`]: `rank`/`size`/`wtime`/`barrier` plus blocking
-/// point-to-point operations, and the timing helpers the benchmarking
-/// methodology needs.
+/// [`cpm_netsim::Proc`], cut down to what the differential tests' reference
+/// closures use: `rank`/`size`/`wtime`/`barrier`, blocking send/recv,
+/// `MPI_Sendrecv`, `compute`, and the barrier-separated repetition loop.
 pub struct Comm<'p> {
     proc_: &'p mut Proc,
 }
@@ -40,31 +40,9 @@ impl<'p> Comm<'p> {
         self.proc_.send(dst, bytes);
     }
 
-    /// Blocking tagged send.
-    pub fn send_tagged(&mut self, dst: Rank, tag: Tag, bytes: Bytes) {
-        self.proc_.send_tagged(dst, tag, bytes);
-    }
-
     /// Blocking receive from `src` (tag 0).
     pub fn recv(&mut self, src: Rank) -> MsgView {
         self.proc_.recv(src)
-    }
-
-    /// Blocking tagged receive.
-    pub fn recv_tagged(&mut self, src: Rank, tag: Tag) -> MsgView {
-        self.proc_.recv_tagged(src, tag)
-    }
-
-    /// Blocking receive from any source, any tag (earliest delivery first).
-    pub fn recv_any(&mut self) -> MsgView {
-        self.proc_.recv_any()
-    }
-
-    /// Sends to `dst` then waits for a reply from the same peer — one leg
-    /// of a roundtrip experiment.
-    pub fn sendrecv(&mut self, peer: Rank, send_bytes: Bytes) -> MsgView {
-        self.proc_.send(peer, send_bytes);
-        self.proc_.recv(peer)
     }
 
     /// `MPI_Sendrecv`: posts a nonblocking send to `dst` and receives from
@@ -75,17 +53,6 @@ impl<'p> Comm<'p> {
         let msg = self.proc_.recv(src);
         self.proc_.wait_send(req);
         msg
-    }
-
-    /// Posts a nonblocking send (buffered; completion via
-    /// [`Comm::wait_send`]).
-    pub fn isend(&mut self, dst: Rank, bytes: Bytes) -> cpm_netsim::SendRequest {
-        self.proc_.isend(dst, bytes)
-    }
-
-    /// Waits for a nonblocking send's local completion.
-    pub fn wait_send(&mut self, req: cpm_netsim::SendRequest) {
-        self.proc_.wait_send(req)
     }
 
     /// Local computation for `secs` of virtual time.
@@ -141,7 +108,8 @@ mod tests {
             let mut c = Comm::new(p);
             if c.rank() == Rank(0) {
                 let t0 = c.wtime();
-                let reply = c.sendrecv(Rank(1), 1024);
+                c.send(Rank(1), 1024);
+                let reply = c.recv(Rank(1));
                 assert_eq!(reply.src, Rank(1));
                 c.wtime() - t0
             } else {

@@ -26,7 +26,9 @@
 //!   predicted-vs-observed residuals per op (feedable into `cpm-drift`
 //!   observations).
 //!
-//! There is one lowering ([`mod@lower`]) and one machine, so under the
+//! There is one lowering ([`mod@lower`]; the collective algorithms it
+//! emits are `cpm-collectives`' own, each written once) and one machine, so
+//! under the
 //! extended LMO model — whose parameters name every resource the
 //! simulator charges (tx engine, link, rx engine) — a plan on the
 //! cluster's own parameters *is* the replay, bit for bit, outside the

@@ -1,57 +1,29 @@
 //! Lowering: from trace ops to per-rank primitive programs.
 //!
-//! Every trace op expands into [`ScriptOp`]s appended to each
-//! participating rank's program, mirroring the concrete algorithms in
-//! `cpm-collectives` (linear scatter sends in increasing rank order,
-//! binomial trees forward largest sub-tree first, reduce combines after
-//! every receive, the ring allgather alternates even/odd send order, the
-//! rotation alltoall walks rounds `k = 1..n`). The programs are in the
-//! script kernel's own vocabulary, so [`mod@crate::plan`] and
-//! [`mod@crate::replay`] hand [`Lowered::per_rank`] to the kernel as it is:
-//! there is one lowering and one machine, and a new collective algorithm is
-//! written once, here.
+//! Every trace op expands into [`ScriptOp`]s appended to each participating
+//! rank's program. The collective algorithms are **not written here**:
+//! each is one function in `cpm-collectives` that emits its program into a
+//! sink, the same function the observation harness times, and [`lower`] is
+//! the sink that appends to the rank's program and records which trace op
+//! the primitive implements. The programs are in the script kernel's own
+//! vocabulary, so [`mod@crate::plan`] and [`mod@crate::replay`] hand
+//! [`Lowered::per_rank`] to the kernel as it is: one description per
+//! algorithm, one lowering, one machine. Only blocking primitives are
+//! emitted — no collective a trace can name uses `Isend`/`WaitSend`.
 
+use cpm_collectives::{
+    binomial_bcast, binomial_gather, binomial_reduce, binomial_scatter, linear_bcast,
+    linear_gather, linear_reduce, linear_scatter, ring_allgather, rotation_alltoall,
+    two_phase_bcast, two_phase_reduce,
+};
 use cpm_core::rank::Rank;
 use cpm_core::tree::BinomialTree;
-use cpm_core::units::Bytes;
 use cpm_vmpi::ScriptOp;
 
 use crate::trace::{OpKind, Trace};
 
 /// The algorithm a collective op was lowered with.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Algorithm {
-    /// Flat: the root exchanges with every rank directly.
-    Linear,
-    /// Binomial tree over the participating ranks.
-    Binomial,
-    /// Leader-based two-phase schedule for hierarchical clusters: ranks are
-    /// split into contiguous groups of `intra` (the ranks sharing a node);
-    /// a binomial tree runs over the group leaders and each leader
-    /// exchanges linearly within its group. The root acts as its own
-    /// group's leader.
-    TwoPhase {
-        /// Ranks per group (cores per node).
-        intra: usize,
-    },
-    /// Ring schedule (allgather).
-    Ring,
-    /// Rank-rotation schedule (alltoall).
-    Rotation,
-}
-
-impl Algorithm {
-    /// The name used in plan output and golden files.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            Algorithm::Linear => "linear",
-            Algorithm::Binomial => "binomial",
-            Algorithm::TwoPhase { .. } => "two-phase",
-            Algorithm::Ring => "ring",
-            Algorithm::Rotation => "rotation",
-        }
-    }
-}
+pub use cpm_collectives::Algorithm;
 
 /// A lowered trace: one primitive program per rank, plus the effective
 /// algorithm per op.
@@ -88,112 +60,88 @@ impl Lowered {
     }
 }
 
-struct Emitter {
-    per_rank: Vec<Vec<ScriptOp>>,
-    op_of: Vec<Vec<usize>>,
-    op: usize,
-}
-
-impl Emitter {
-    fn emit(&mut self, rank: Rank, prim: ScriptOp) {
-        self.per_rank[rank.idx()].push(prim);
-        self.op_of[rank.idx()].push(self.op);
-    }
-
-    fn send(&mut self, src: Rank, dst: Rank, m: Bytes) {
-        self.emit(src, ScriptOp::Send { dst, bytes: m });
-    }
-
-    fn recv(&mut self, dst: Rank, src: Rank) {
-        self.emit(dst, ScriptOp::Recv { src });
-    }
-}
-
 /// Lowers `trace` with the per-op algorithm `choices` (as produced by
 /// [`crate::plan::choose`]; `None` entries fall back to the linear
 /// algorithm). The trace must validate.
 pub fn lower(trace: &Trace, choices: &[Option<Algorithm>]) -> Lowered {
     let n = trace.n;
-    let mut e = Emitter {
-        per_rank: vec![Vec::new(); n],
-        op_of: vec![Vec::new(); n],
-        op: 0,
-    };
+    let mut per_rank: Vec<Vec<ScriptOp>> = vec![Vec::new(); n];
+    let mut op_of: Vec<Vec<usize>> = vec![Vec::new(); n];
     let mut algorithms = vec![None; trace.ops.len()];
     for (idx, op) in trace.ops.iter().enumerate() {
-        e.op = idx;
+        let mut emit = |rank: Rank, prim: ScriptOp| {
+            per_rank[rank.idx()].push(prim);
+            op_of[rank.idx()].push(idx);
+        };
         let choice = choices.get(idx).copied().flatten();
-        algorithms[idx] = match &op.kind {
-            OpKind::P2p { src, dst, m } => {
-                e.send(*src, *dst, *m);
-                e.recv(*dst, *src);
+        let tree = |root: &Rank| BinomialTree::new(n, *root);
+        algorithms[idx] = match (&op.kind, choice.unwrap_or(Algorithm::Linear)) {
+            (OpKind::P2p { src, dst, m }, _) => {
+                emit(*src, ScriptOp::send(*dst, *m));
+                emit(*dst, ScriptOp::recv(*src));
                 None
             }
-            OpKind::Scatter { root, m } => match choice.unwrap_or(Algorithm::Linear) {
-                Algorithm::Binomial => {
-                    lower_binomial(&mut e, n, *root, |blocks| blocks.saturating_mul(*m));
-                    Some(Algorithm::Binomial)
-                }
-                _ => {
-                    lower_linear_root_send(&mut e, n, *root, *m);
-                    Some(Algorithm::Linear)
-                }
-            },
-            OpKind::Bcast { root, m } => match choice.unwrap_or(Algorithm::Linear) {
-                Algorithm::Binomial => {
-                    lower_binomial(&mut e, n, *root, |_| *m);
-                    Some(Algorithm::Binomial)
-                }
-                Algorithm::TwoPhase { intra } if intra > 0 && intra < n => {
-                    lower_two_phase_bcast(&mut e, n, *root, *m, intra);
-                    Some(Algorithm::TwoPhase { intra })
-                }
-                _ => {
-                    lower_linear_root_send(&mut e, n, *root, *m);
-                    Some(Algorithm::Linear)
-                }
-            },
-            OpKind::Gather { root, m } => match choice.unwrap_or(Algorithm::Linear) {
-                Algorithm::Binomial => {
-                    lower_binomial_up(&mut e, n, *root, *m, 0.0);
-                    Some(Algorithm::Binomial)
-                }
-                _ => {
-                    lower_linear_root_recv(&mut e, n, *root, *m, 0.0);
-                    Some(Algorithm::Linear)
-                }
-            },
-            OpKind::Reduce { root, m, gamma } => match choice.unwrap_or(Algorithm::Linear) {
-                Algorithm::Binomial => {
-                    lower_binomial_up(&mut e, n, *root, *m, gamma * *m as f64);
-                    Some(Algorithm::Binomial)
-                }
-                Algorithm::TwoPhase { intra } if intra > 0 && intra < n => {
-                    lower_two_phase_reduce(&mut e, n, *root, *m, gamma * *m as f64, intra);
-                    Some(Algorithm::TwoPhase { intra })
-                }
-                _ => {
-                    lower_linear_root_recv(&mut e, n, *root, *m, gamma * *m as f64);
-                    Some(Algorithm::Linear)
-                }
-            },
-            OpKind::Allgather { m } => {
-                lower_ring_allgather(&mut e, n, *m);
+            (OpKind::Scatter { root, m }, Algorithm::Binomial) => {
+                binomial_scatter(&tree(root), *m, emit);
+                Some(Algorithm::Binomial)
+            }
+            (OpKind::Scatter { root, m }, _) => {
+                linear_scatter(n, *root, *m, emit);
+                Some(Algorithm::Linear)
+            }
+            (OpKind::Bcast { root, m }, Algorithm::Binomial) => {
+                binomial_bcast(&tree(root), *m, emit);
+                Some(Algorithm::Binomial)
+            }
+            (OpKind::Bcast { root, m }, Algorithm::TwoPhase { intra })
+                if intra > 0 && intra < n =>
+            {
+                two_phase_bcast(n, *root, *m, intra, emit);
+                Some(Algorithm::TwoPhase { intra })
+            }
+            (OpKind::Bcast { root, m }, _) => {
+                linear_bcast(n, *root, *m, emit);
+                Some(Algorithm::Linear)
+            }
+            (OpKind::Gather { root, m }, Algorithm::Binomial) => {
+                binomial_gather(&tree(root), *m, emit);
+                Some(Algorithm::Binomial)
+            }
+            (OpKind::Gather { root, m }, _) => {
+                linear_gather(n, *root, *m, emit);
+                Some(Algorithm::Linear)
+            }
+            (OpKind::Reduce { root, m, gamma }, Algorithm::Binomial) => {
+                binomial_reduce(&tree(root), *m, *gamma, emit);
+                Some(Algorithm::Binomial)
+            }
+            (OpKind::Reduce { root, m, gamma }, Algorithm::TwoPhase { intra })
+                if intra > 0 && intra < n =>
+            {
+                two_phase_reduce(n, *root, *m, *gamma, intra, emit);
+                Some(Algorithm::TwoPhase { intra })
+            }
+            (OpKind::Reduce { root, m, gamma }, _) => {
+                linear_reduce(n, *root, *m, *gamma, emit);
+                Some(Algorithm::Linear)
+            }
+            (OpKind::Allgather { m }, _) => {
+                ring_allgather(n, *m, emit);
                 Some(Algorithm::Ring)
             }
-            OpKind::Alltoall { m } => {
-                lower_rotation_alltoall(&mut e, n, *m);
+            (OpKind::Alltoall { m }, _) => {
+                rotation_alltoall(n, *m, emit);
                 Some(Algorithm::Rotation)
             }
-            OpKind::Compute { ranks, seconds } => {
+            (OpKind::Compute { ranks, seconds }, _) => {
                 for r in ranks {
-                    e.emit(*r, ScriptOp::Compute { secs: *seconds });
+                    emit(*r, ScriptOp::Compute { secs: *seconds });
                 }
                 None
             }
-            OpKind::Barrier => {
+            (OpKind::Barrier, _) => {
                 for r in 0..n as u32 {
-                    e.emit(Rank(r), ScriptOp::Barrier);
+                    emit(Rank(r), ScriptOp::Barrier);
                 }
                 None
             }
@@ -201,207 +149,9 @@ pub fn lower(trace: &Trace, choices: &[Option<Algorithm>]) -> Lowered {
     }
     Lowered {
         n,
-        per_rank: e.per_rank,
-        op_of: e.op_of,
+        per_rank,
+        op_of,
         algorithms,
-    }
-}
-
-/// Linear scatter/bcast: root sends to every other rank in increasing
-/// rank order; everyone else receives (`cpm_collectives::scatter::
-/// linear_scatter` / `bcast::linear_bcast`).
-fn lower_linear_root_send(e: &mut Emitter, n: usize, root: Rank, m: Bytes) {
-    for i in 0..n as u32 {
-        if Rank(i) != root {
-            e.send(root, Rank(i), m);
-        }
-    }
-    for i in 0..n as u32 {
-        if Rank(i) != root {
-            e.recv(Rank(i), root);
-        }
-    }
-}
-
-/// Linear gather/reduce: every non-root sends to the root; the root
-/// receives in increasing rank order, combining for `combine_secs` after
-/// each receive when reducing (`gather::linear_gather` /
-/// `reduce::linear_reduce`).
-fn lower_linear_root_recv(e: &mut Emitter, n: usize, root: Rank, m: Bytes, combine_secs: f64) {
-    for i in 0..n as u32 {
-        if Rank(i) != root {
-            e.send(Rank(i), root, m);
-        }
-    }
-    for i in 0..n as u32 {
-        if Rank(i) != root {
-            e.recv(root, Rank(i));
-            if combine_secs > 0.0 {
-                e.emit(root, ScriptOp::Compute { secs: combine_secs });
-            }
-        }
-    }
-}
-
-/// Binomial downward flow (scatter/bcast): receive from the parent, then
-/// send to each child largest-sub-tree first; `payload(blocks)` is the
-/// bytes on an arc whose sub-tree holds `blocks` processes.
-fn lower_binomial(e: &mut Emitter, n: usize, root: Rank, payload: impl Fn(u64) -> Bytes) {
-    let tree = BinomialTree::new(n, root);
-    for i in 0..n as u32 {
-        let me = Rank(i);
-        if let Some(parent) = tree.parent_of(me) {
-            e.recv(me, parent);
-        }
-        for (child, blocks) in tree.children_of(me) {
-            e.send(me, child, payload(blocks));
-        }
-    }
-}
-
-/// Binomial upward flow (gather/reduce): receive each child's sub-tree
-/// smallest first (combining when reducing), then forward to the parent —
-/// the whole sub-tree for gather (`combine_secs == 0`), one vector for
-/// reduce.
-fn lower_binomial_up(e: &mut Emitter, n: usize, root: Rank, m: Bytes, combine_secs: f64) {
-    let tree = BinomialTree::new(n, root);
-    for i in 0..n as u32 {
-        let me = Rank(i);
-        let mut children = tree.children_of(me);
-        children.reverse(); // smallest sub-tree first
-        for (child, _) in children {
-            e.recv(me, child);
-            if combine_secs > 0.0 {
-                e.emit(me, ScriptOp::Compute { secs: combine_secs });
-            }
-        }
-        if let Some(parent) = tree.parent_of(me) {
-            let bytes = if combine_secs > 0.0 {
-                m
-            } else {
-                tree.subtree_size(me).saturating_mul(m)
-            };
-            e.send(me, parent, bytes);
-        }
-    }
-}
-
-/// The leader of the group holding `g` under a two-phase split: the root
-/// for the root's own group, the group's first rank otherwise.
-fn leader_of_group(group: usize, root: Rank, intra: usize) -> Rank {
-    if group == root.idx() / intra {
-        root
-    } else {
-        Rank((group * intra) as u32)
-    }
-}
-
-/// Two-phase broadcast: a binomial tree over the group leaders moves the
-/// payload between groups (largest sub-tree first, as in the flat binomial),
-/// then each leader sends linearly to the other members of its group.
-/// Leaders forward to child leaders before serving their own group, keeping
-/// the inter-group pipeline moving.
-fn lower_two_phase_bcast(e: &mut Emitter, n: usize, root: Rank, m: Bytes, intra: usize) {
-    let groups = n.div_ceil(intra);
-    let tree = BinomialTree::new(groups, Rank((root.idx() / intra) as u32));
-    for i in 0..n as u32 {
-        let me = Rank(i);
-        let leader = leader_of_group(me.idx() / intra, root, intra);
-        if me == leader {
-            let g = Rank((me.idx() / intra) as u32);
-            if let Some(pg) = tree.parent_of(g) {
-                e.recv(me, leader_of_group(pg.idx(), root, intra));
-            }
-            for (cg, _) in tree.children_of(g) {
-                e.send(me, leader_of_group(cg.idx(), root, intra), m);
-            }
-            let lo = (me.idx() / intra) * intra;
-            for j in lo..(lo + intra).min(n) {
-                if Rank(j as u32) != me {
-                    e.send(me, Rank(j as u32), m);
-                }
-            }
-        } else {
-            e.recv(me, leader);
-        }
-    }
-}
-
-/// Two-phase reduce: each group gathers linearly to its leader (combining
-/// after every receive), then a binomial tree over the leaders merges the
-/// per-group results upward to the root (smallest sub-tree first, as in
-/// the flat binomial reduce).
-fn lower_two_phase_reduce(
-    e: &mut Emitter,
-    n: usize,
-    root: Rank,
-    m: Bytes,
-    combine_secs: f64,
-    intra: usize,
-) {
-    let groups = n.div_ceil(intra);
-    let tree = BinomialTree::new(groups, Rank((root.idx() / intra) as u32));
-    for i in 0..n as u32 {
-        let me = Rank(i);
-        let leader = leader_of_group(me.idx() / intra, root, intra);
-        if me == leader {
-            let lo = (me.idx() / intra) * intra;
-            for j in lo..(lo + intra).min(n) {
-                if Rank(j as u32) != me {
-                    e.recv(me, Rank(j as u32));
-                    if combine_secs > 0.0 {
-                        e.emit(me, ScriptOp::Compute { secs: combine_secs });
-                    }
-                }
-            }
-            let g = Rank((me.idx() / intra) as u32);
-            let mut children = tree.children_of(g);
-            children.reverse(); // smallest sub-tree first
-            for (cg, _) in children {
-                e.recv(me, leader_of_group(cg.idx(), root, intra));
-                if combine_secs > 0.0 {
-                    e.emit(me, ScriptOp::Compute { secs: combine_secs });
-                }
-            }
-            if let Some(pg) = tree.parent_of(g) {
-                e.send(me, leader_of_group(pg.idx(), root, intra), m);
-            }
-        } else {
-            e.send(me, leader, m);
-        }
-    }
-}
-
-/// Blocking ring allgather: `n−1` steps; even ranks send right then
-/// receive left, odd ranks the reverse (`allgather::ring_allgather`).
-fn lower_ring_allgather(e: &mut Emitter, n: usize, m: Bytes) {
-    for i in 0..n {
-        let me = Rank(i as u32);
-        let right = Rank(((i + 1) % n) as u32);
-        let left = Rank(((i + n - 1) % n) as u32);
-        for _step in 0..n - 1 {
-            if i % 2 == 0 {
-                e.send(me, right, m);
-                e.recv(me, left);
-            } else {
-                e.recv(me, left);
-                e.send(me, right, m);
-            }
-        }
-    }
-}
-
-/// Rotation alltoall: round `k = 1..n`, send to `me+k`, receive from
-/// `me−k` (`alltoall::linear_alltoall`).
-fn lower_rotation_alltoall(e: &mut Emitter, n: usize, m: Bytes) {
-    for i in 0..n {
-        let me = Rank(i as u32);
-        for k in 1..n {
-            let dst = Rank(((i + k) % n) as u32);
-            let src = Rank(((i + n - k) % n) as u32);
-            e.send(me, dst, m);
-            e.recv(me, src);
-        }
     }
 }
 
@@ -409,6 +159,7 @@ fn lower_rotation_alltoall(e: &mut Emitter, n: usize, m: Bytes) {
 mod tests {
     use super::*;
     use crate::gen;
+    use cpm_core::units::Bytes;
 
     fn count_sends(l: &Lowered) -> usize {
         l.per_rank
@@ -497,6 +248,46 @@ mod tests {
         // Root of an 8-node binomial tree sends sub-trees of 4, 2, 1 blocks.
         assert_eq!(root_sends, vec![400, 200, 100]);
         assert_eq!(l.algorithms[0], Some(Algorithm::Binomial));
+    }
+
+    /// The upward binomial flow is told its payload; it used to infer
+    /// "reduce" from a positive combine, so a `gamma = 0` reduce — which
+    /// `Trace::validate` accepts — was lowered as a binomial *gather*
+    /// (sub-tree-sized sends).
+    #[test]
+    fn a_free_combine_reduce_is_not_a_gather() {
+        for n in [2usize, 5, 8, 16] {
+            for root in [0, n - 1, n / 2] {
+                let t = crate::trace::Trace {
+                    name: "r".into(),
+                    n,
+                    ops: vec![crate::trace::TraceOp {
+                        id: 0,
+                        phase: "p".into(),
+                        kind: crate::trace::OpKind::Reduce {
+                            root: Rank::from(root),
+                            m: 1024,
+                            gamma: 0.0,
+                        },
+                    }],
+                };
+                t.validate().expect("a free combine is a valid reduce");
+                let l = lower(&t, &[Some(Algorithm::Binomial)]);
+                let sends: Vec<Bytes> = l
+                    .per_rank
+                    .iter()
+                    .flatten()
+                    .filter_map(|p| match *p {
+                        ScriptOp::Send { bytes, .. } => Some(bytes),
+                        _ => None,
+                    })
+                    .collect();
+                assert_eq!(sends, vec![1024; n - 1], "n={n} root={root}");
+                assert_eq!(count_recvs(&l), n - 1);
+                // The free combine is not issued.
+                assert_eq!(l.per_rank.iter().map(Vec::len).sum::<usize>(), 2 * (n - 1));
+            }
+        }
     }
 
     #[test]

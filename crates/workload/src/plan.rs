@@ -32,12 +32,12 @@
 use std::collections::HashMap;
 
 use cpm_cluster::{GroundTruth, MpiProfile};
+use cpm_collectives::select::{self, Rooted};
 use cpm_core::matrix::SymMatrix;
 use cpm_core::rank::Rank;
 use cpm_core::traits::PointToPoint;
 use cpm_core::tree::BinomialTree;
 use cpm_core::units::Bytes;
-use cpm_models::collective::{binomial_recursive_full, linear_serial};
 use cpm_models::{HierLmo, HockneyHet, LmoExtended, LogGp, PLogP};
 use cpm_netsim::{SimCluster, TraceEvent};
 use cpm_vmpi::{ScriptOp, ScriptOutcome};
@@ -351,15 +351,6 @@ impl Plan {
     }
 }
 
-fn ceil_log2(n: usize) -> f64 {
-    debug_assert!(n >= 1);
-    if n <= 1 {
-        0.0
-    } else {
-        (usize::BITS - (n - 1).leading_zeros()) as f64
-    }
-}
-
 /// The one clamp between a model and the machine. The kernel's clock is
 /// finite by construction (`Time::from_secs` asserts it) and must never
 /// run backwards, where the hand-written planner this replaced silently
@@ -490,74 +481,29 @@ pub fn choose(trace: &Trace, model: &PlanModel) -> Vec<Option<Algorithm>> {
     }
 }
 
-/// [`choose`] for the flat models: closed-form comparisons.
+/// [`choose`] for the flat models: the closed-form linear-vs-binomial
+/// comparisons of `cpm_collectives::select` — the LMO ones are what
+/// `TunedCollectives` dispatches on, the whole-transfer models rank by the
+/// serial sum against the recursion.
 fn choose_flat(trace: &Trace, model: &PlanModel) -> Vec<Option<Algorithm>> {
-    let n = trace.n;
-    let pick = |linear: f64, binomial: f64| {
-        if linear <= binomial {
-            Some(Algorithm::Linear)
-        } else {
-            Some(Algorithm::Binomial)
-        }
+    let rooted = |kind: Rooted, root: &Rank, m: &Bytes| {
+        let tree = BinomialTree::new(trace.n, *root);
+        let prediction = match model {
+            PlanModel::Lmo(l) => select::rank_lmo(l, kind, &tree, *m),
+            _ => select::rank_generic(model.as_p2p(), kind, &tree, *m),
+        };
+        Some(prediction.choice())
     };
     trace
         .ops
         .iter()
-        .map(|op| match (&op.kind, model) {
-            (OpKind::Scatter { root, m }, PlanModel::Lmo(l)) => {
-                let tree = BinomialTree::new(n, *root);
-                pick(l.linear_scatter(*root, *m), l.binomial_scatter(&tree, *m))
-            }
-            (OpKind::Scatter { root, m }, _) => {
-                let p = cpm_collectives::select::predict_scatter_generic(model.as_p2p(), *root, *m);
-                pick(p.linear, p.binomial)
-            }
-            (OpKind::Bcast { root, m }, PlanModel::Lmo(l)) => {
-                let tree = BinomialTree::new(n, *root);
-                pick(
-                    l.linear_scatter(*root, *m),
-                    binomial_recursive_full(l, &tree, *m),
-                )
-            }
-            (OpKind::Bcast { root, m }, _) => {
-                let tree = BinomialTree::new(n, *root);
-                pick(
-                    linear_serial(model.as_p2p(), *root, *m),
-                    binomial_recursive_full(model.as_p2p(), &tree, *m),
-                )
-            }
-            (OpKind::Gather { root, m }, PlanModel::Lmo(l)) => {
-                let tree = BinomialTree::new(n, *root);
-                pick(
-                    l.linear_gather(*root, *m).expected,
-                    l.binomial_scatter(&tree, *m),
-                )
-            }
-            (OpKind::Gather { root, m }, _) => {
-                let tree = BinomialTree::new(n, *root);
-                pick(
-                    linear_serial(model.as_p2p(), *root, *m),
-                    cpm_models::collective::binomial_recursive(model.as_p2p(), &tree, *m),
-                )
-            }
-            (OpKind::Reduce { root, m, gamma }, PlanModel::Lmo(l)) => {
-                let tree = BinomialTree::new(n, *root);
-                let combine = gamma * *m as f64;
-                pick(
-                    cpm_collectives::reduce::predict_linear_reduce(l, *root, *m, *gamma),
-                    binomial_recursive_full(l, &tree, *m) + ceil_log2(n) * combine,
-                )
-            }
-            (OpKind::Reduce { root, m, gamma }, _) => {
-                let tree = BinomialTree::new(n, *root);
-                let combine = gamma * *m as f64;
-                pick(
-                    linear_serial(model.as_p2p(), *root, *m) + (n as f64 - 1.0) * combine,
-                    binomial_recursive_full(model.as_p2p(), &tree, *m) + ceil_log2(n) * combine,
-                )
-            }
-            (OpKind::Allgather { .. }, _) => Some(Algorithm::Ring),
-            (OpKind::Alltoall { .. }, _) => Some(Algorithm::Rotation),
+        .map(|op| match &op.kind {
+            OpKind::Scatter { root, m } => rooted(Rooted::Scatter, root, m),
+            OpKind::Bcast { root, m } => rooted(Rooted::Bcast, root, m),
+            OpKind::Gather { root, m } => rooted(Rooted::Gather, root, m),
+            OpKind::Reduce { root, m, gamma } => rooted(Rooted::Reduce { gamma: *gamma }, root, m),
+            OpKind::Allgather { .. } => Some(Algorithm::Ring),
+            OpKind::Alltoall { .. } => Some(Algorithm::Rotation),
             _ => None,
         })
         .collect()
@@ -723,6 +669,9 @@ fn critical_path(
                         .map(|q| (q, lowered.op_of[q].partition_point(|&o| o < op)))
                         .max_by(|a, b| windows[a.0][a.1].0.total_cmp(&windows[b.0][b.1].0))
                         .map_or(before, |(r, done)| At::Rank(r, done)),
+                    ScriptOp::Isend { .. } | ScriptOp::WaitSend => {
+                        unreachable!("lower emits blocking primitives only")
+                    }
                 }
             }
             At::Rx(msg) => {

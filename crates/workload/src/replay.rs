@@ -265,7 +265,7 @@ fn build_timeline(
             let (t0, t1) = out.windows[rank][k];
             let op = &trace.ops[lowered.op_of[rank][k]];
             let (name, mut args) = match *prim {
-                ScriptOp::Send { dst, bytes } => (
+                ScriptOp::Send { dst, bytes } | ScriptOp::Isend { dst, bytes } => (
                     "send",
                     vec![
                         ("dst".to_string(), Value::U64(dst.0 as u64)),
@@ -279,6 +279,7 @@ fn build_timeline(
                     ("compute", vec![("secs".to_string(), Value::F64(secs))])
                 }
                 ScriptOp::Barrier => ("barrier", Vec::new()),
+                ScriptOp::WaitSend => ("wait", Vec::new()),
             };
             args.push(("op".to_string(), Value::U64(op.id)));
             args.push(str_arg("phase", op.phase.clone()));

@@ -9,7 +9,7 @@
 use cpm::cluster::ClusterConfig;
 use cpm::collectives::measure;
 use cpm::collectives::select::predict_scatter_lmo;
-use cpm::collectives::ScatterAlgorithm;
+use cpm::collectives::Algorithm;
 use cpm::core::units::{format_bytes, KIB};
 use cpm::estimate::lmo::estimate_lmo_full;
 use cpm::estimate::EstimateConfig;
@@ -35,9 +35,9 @@ fn main() {
         let bin = measure::binomial_scatter_once(&sim, root, m);
         let choice = predict_scatter_lmo(&lmo, root, m).choice();
         let truth = if lin <= bin {
-            ScatterAlgorithm::Linear
+            Algorithm::Linear
         } else {
-            ScatterAlgorithm::Binomial
+            Algorithm::Binomial
         };
         let ok = choice == truth;
         correct += ok as usize;
@@ -46,10 +46,7 @@ fn main() {
             format_bytes(m),
             lin * 1e3,
             bin * 1e3,
-            match choice {
-                ScatterAlgorithm::Linear => "linear",
-                ScatterAlgorithm::Binomial => "binomial",
-            },
+            choice.as_str(),
             if ok { "yes" } else { "NO" }
         );
     }

@@ -88,8 +88,8 @@ fn main() {
 
     // Verify in the simulator: run the binomial scatter with both trees.
     let observe = |tree: cpm::core::BinomialTree| {
-        measure::collective_times(&sim, root, 3, 99, move |c| {
-            cpm::collectives::binomial_scatter(c, &tree, m)
+        measure::collective_times(&sim, 3, 99, |e| {
+            cpm::collectives::binomial_scatter(&tree, m, e)
         })
         .expect("sim")[0]
     };

@@ -9,11 +9,11 @@
 //! ```
 
 use cpm::cluster::{ClusterSpec, GroundTruth, MpiProfile};
+use cpm::collectives::measure::programs;
 use cpm::collectives::{binomial_scatter, linear_scatter};
 use cpm::core::units::KIB;
 use cpm::core::{BinomialTree, Rank};
-use cpm::netsim::{render_timeline, simulate_traced, SimCluster};
-use cpm::vmpi::Comm;
+use cpm::netsim::{render_timeline, run_script_traced, SimCluster};
 
 fn main() {
     let n = 8;
@@ -21,11 +21,11 @@ fn main() {
     let sim = SimCluster::new(truth, MpiProfile::ideal(), 0.0, 12);
     let m = 32 * KIB;
 
-    let (_, trace) = simulate_traced(&sim, |p| {
-        let mut c = Comm::new(p);
-        linear_scatter(&mut c, Rank(0), m);
-    })
-    .expect("simulation runs");
+    let traced = |programs: Vec<Vec<_>>| {
+        let out = run_script_traced(&sim, &programs).expect("simulation runs");
+        out.trace.expect("a traced run records its trace")
+    };
+    let trace = traced(programs(n, |e| linear_scatter(n, Rank(0), m, e)));
     println!(
         "linear scatter of {} over {n} ranks:",
         cpm::core::units::format_bytes(m)
@@ -33,11 +33,7 @@ fn main() {
     print!("{}", render_timeline(&trace, n, 72));
 
     let tree = BinomialTree::new(n, Rank(0));
-    let (_, trace) = simulate_traced(&sim, |p| {
-        let mut c = Comm::new(p);
-        binomial_scatter(&mut c, &tree, m);
-    })
-    .expect("simulation runs");
+    let trace = traced(programs(n, |e| binomial_scatter(&tree, m, e)));
     println!("\nbinomial scatter (same payload):");
     print!("{}", render_timeline(&trace, n, 72));
 

@@ -8,7 +8,7 @@
 
 use cpm::cluster::ClusterConfig;
 use cpm::collectives::measure::collective_times;
-use cpm::collectives::{measure, ScatterAlgorithm, TunedCollectives};
+use cpm::collectives::{measure, TunedCollectives};
 use cpm::core::units::{format_bytes, KIB};
 use cpm::core::Rank;
 use cpm::estimate::lmo::estimate_lmo_full;
@@ -30,18 +30,14 @@ fn main() {
     // Scatter: the dispatcher flips algorithms by size.
     println!("\nscatter dispatch:");
     for m in [64, 4 * KIB, 32 * KIB, 160 * KIB] {
-        let choice = match tuned.scatter_choice(root, m) {
-            ScatterAlgorithm::Linear => "linear",
-            ScatterAlgorithm::Binomial => "binomial",
-        };
+        let choice = tuned.scatter_choice(root, m).as_str();
         println!("  M = {:>7} → {choice}", format_bytes(m));
     }
 
     // Gather: tuned vs native in the escalation region.
     let m = 32 * KIB;
     let reps = 16;
-    let tuned_times =
-        collective_times(&sim, root, reps, 9, |c| tuned.gather(c, root, m)).expect("sim");
+    let tuned_times = collective_times(&sim, reps, 9, |e| tuned.gather(root, m, e)).expect("sim");
     let native = measure::linear_gather_times(&sim, root, m, reps, 9).expect("sim");
     println!(
         "\ngather at {}: native {:.1} ms → tuned {:.1} ms ({:.1}x)",
@@ -54,10 +50,7 @@ fn main() {
     // Broadcast dispatch.
     println!("\nbroadcast dispatch:");
     for m in [64, 16 * KIB, 256 * KIB] {
-        let choice = match tuned.bcast_choice(root, m) {
-            ScatterAlgorithm::Linear => "linear",
-            ScatterAlgorithm::Binomial => "binomial",
-        };
+        let choice = tuned.bcast_choice(root, m).as_str();
         println!("  M = {:>7} → {choice}", format_bytes(m));
     }
 }

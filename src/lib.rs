@@ -15,13 +15,15 @@
 //!   single-switch cluster, including the TCP-layer irregularities the paper
 //!   observed (incast escalations, the 64 KB scatter leap, serialized
 //!   large-message reception).
-//! * [`vmpi`] — an MPI-like message-passing API over the simulator.
+//! * [`vmpi`] — an MPI-like closure API over the simulator, kept as the
+//!   differential tests' oracle; everything measured is a scripted program.
 //! * [`models`] — Hockney, LogP, LogGP, PLogP and LMO (original and
 //!   extended) with the collective predictions of Table II.
 //! * [`estimate`] — the communication experiments and linear systems that
 //!   estimate every model's parameters (paper Section IV).
-//! * [`collectives`] — linear/binomial scatter and gather, the
-//!   LMO-optimized gather, and model-based algorithm selection.
+//! * [`collectives`] — every collective algorithm, written once as the
+//!   per-rank program the simulator runs; the LMO-optimized gather, and
+//!   model-based algorithm selection.
 //! * [`stats`] — MPIBlib-style adaptive benchmarking statistics.
 //! * [`serve`] — a concurrent prediction service: fingerprinted parameter
 //!   registry, estimate-once caching, JSON-lines TCP server.

@@ -983,17 +983,17 @@ fn cmd_observe(opts: &Opts) -> Result<(), String> {
         ("scatter", "binomial") => measure::binomial_scatter_times(&sim, root, m, reps, 1),
         ("gather", "linear") => measure::linear_gather_times(&sim, root, m, reps, 1),
         ("gather", "binomial") => measure::binomial_gather_times(&sim, root, m, reps, 1),
-        ("bcast", "linear") => measure::collective_times(&sim, root, reps, 1, |c| {
-            cpm::collectives::linear_bcast(c, root, m)
+        ("bcast", "linear") => measure::collective_times(&sim, reps, 1, |e| {
+            cpm::collectives::linear_bcast(sim.n(), root, m, e)
         }),
         ("bcast", "binomial") => {
             let tree = cpm::core::BinomialTree::new(sim.n(), root);
-            measure::collective_times(&sim, root, reps, 1, |c| {
-                cpm::collectives::binomial_bcast(c, &tree, m)
+            measure::collective_times(&sim, reps, 1, |e| {
+                cpm::collectives::binomial_bcast(&tree, m, e)
             })
         }
-        ("alltoall", _) => measure::collective_times(&sim, root, reps, 1, |c| {
-            cpm::collectives::linear_alltoall(c, m)
+        ("alltoall", _) => measure::collective_times(&sim, reps, 1, |e| {
+            cpm::collectives::rotation_alltoall(sim.n(), m, e)
         }),
         (o, a) => return Err(format!("unsupported op/alg {o:?}/{a:?}")),
     }

@@ -134,7 +134,7 @@ fn tuned_collectives_from_estimated_model_never_lose_badly() {
     let tuned = TunedCollectives::new(lmo);
     let root = Rank(0);
     for m in [64u64, 8 * KIB, 64 * KIB] {
-        let t = collective_times(&sim, root, 1, 1, |c| tuned.scatter(c, root, m)).unwrap()[0];
+        let t = collective_times(&sim, 1, 1, |e| tuned.scatter(root, m, e)).unwrap()[0];
         let lin = measure::linear_scatter_once(&sim, root, m);
         let bin = measure::binomial_scatter_once(&sim, root, m);
         assert!(
