@@ -68,6 +68,16 @@ for t in flat_rooted_collectives_match_their_closures_bit_for_bit \
 done
 run_named lower::tests::a_free_combine_reduce_is_not_a_gather -p cpm-workload --lib
 run_named script::tests::script_ops_stay_sixteen_bytes -p cpm-netsim --lib
+# One event queue: what it pops, in what order, is pinned from the commit
+# before the swap (five replay_scale traces; a noisy LAM gather's whole
+# trace, fuzzer off and on); pending events are bounded by the ranks; the
+# 1000-rank replay budget only means something optimized.
+run_named replay_scale_cases_reproduce_to_the_bit -p cpm-workload --test pinned_runs
+run_named noisy_gather_trace_reproduces_to_the_bit -p cpm-workload --test pinned_runs
+run_named thousand_rank_replay_under_budget -p cpm-workload --test pinned_runs --release
+run_named engine::tests::pool_slots_equals_peak_pending -p cpm-des --lib
+run_named script::tests::pending_events_stay_bounded_by_the_ranks -p cpm-netsim --lib
+run_named scatter::tests::binomial_emitters_are_linear_in_the_ranks -p cpm-collectives --lib
 run_named script::tests::nonblocking_exchange_matches_the_threaded_one_exactly -p cpm-netsim --lib
 # The resident parameter sets are bounded; an evicted one comes back from disk.
 run_named service::tests::an_evicted_parameter_set_is_loaded_back_unchanged -p cpm-serve --lib
@@ -80,6 +90,12 @@ if grep -rnwE 'cpm_vmpi::run|vmpi::run|run_timed|run_timed_max|Comm' $THREADLESS
   echo "no non-test source outside crates/vmpi and crates/netsim may name cpm_vmpi::run, run_timed* or Comm"; exit 1
 fi
 
+echo "== one event queue (no calendar, no slot pool, no fallback left to name)"
+if ls crates/des/src/calendar.rs crates/des/src/pool.rs 2>/dev/null \
+  || grep -rnw 'heap_fallback' crates src examples tests benchmark README.md DESIGN.md; then
+  echo "cpm-des is one binary heap: calendar.rs, pool.rs and heap_fallback must stay gone"; exit 1
+fi
+
 echo "== drift loop tests"
 cargo test -p cpm-drift -q
 
@@ -89,13 +105,10 @@ cargo bench -p cpm-bench --bench drift -- --test
 echo "== flight-recorder bench (smoke + <100ns/record gate)"
 cargo bench -p cpm-bench --bench obs -- --test
 
-echo "== DES engine tests (calendar queue, pooled events, schedule fuzzing)"
+echo "== DES engine tests (one heap against a sorted-Vec model, schedule fuzzing)"
 cargo test -p cpm-des -q
 cargo test -p cpm-workload --test determinism -q
 cargo test -p cpm-collectives --test schedule_fuzz -q
-
-echo "== DES bench gate (no per-event allocation, 1000-rank replay < 5 s)"
-cargo bench -p cpm-bench --bench des -- --test
 
 echo "== workload CLI smoke + golden trace schema"
 CPM="./target/release/cpm"

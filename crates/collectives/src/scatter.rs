@@ -163,4 +163,28 @@ mod tests {
         // Both algorithms degenerate to a single send.
         assert!((lin - bin).abs() < 1e-12);
     }
+
+    /// Emitting a binomial collective is linear in the ranks: the tree
+    /// answers `parent_of`/`children_of` without scanning. A scan per rank
+    /// made this quadratic — seconds at this size, even optimized — so the
+    /// budget holds in any profile.
+    #[test]
+    fn binomial_emitters_are_linear_in_the_ranks() {
+        let n = 65_536;
+        let t0 = std::time::Instant::now();
+        let tree = BinomialTree::new(n, Rank(5));
+        let (mut ops, mut bytes) = (0usize, 0u64);
+        binomial_scatter(&tree, KIB, |_, op| {
+            ops += 1;
+            if let ScriptOp::Send { bytes: b, .. } = op {
+                bytes += b;
+            }
+        });
+        let secs = t0.elapsed().as_secs_f64();
+        assert_eq!(ops, 2 * (n - 1), "one send and one receive per arc");
+        // Every block crosses one arc per level between it and the root:
+        // n/2 · log2 n block-hops on a full tree.
+        assert_eq!(bytes, (n as u64 / 2) * 16 * KIB);
+        assert!(secs < 1.0, "emitting {n} ranks took {secs:.2} s");
+    }
 }

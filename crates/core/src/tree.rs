@@ -46,6 +46,9 @@ pub struct BinomialTree {
     root: Rank,
     /// `mapping[vrank]` = actual rank occupying that tree position.
     mapping: Vec<Rank>,
+    /// `vrank[rank]` = the tree position that rank occupies (the inverse of
+    /// `mapping`).
+    vrank: Vec<usize>,
     /// All arcs, in (sender vrank, round) order.
     arcs: Vec<Arc>,
     /// `children[vrank]` = child vranks in send order (largest sub-tree
@@ -74,15 +77,13 @@ impl BinomialTree {
         assert!(root.idx() < n, "root {root} out of range for n={n}");
         assert_eq!(mapping.len(), n, "mapping must cover all {n} virtual ranks");
         assert_eq!(mapping[0], root, "mapping[0] must be the root");
-        {
-            let mut seen = vec![false; n];
-            for r in &mapping {
-                assert!(
-                    r.idx() < n && !seen[r.idx()],
-                    "mapping must be a permutation"
-                );
-                seen[r.idx()] = true;
-            }
+        let mut vrank = vec![usize::MAX; n];
+        for (v, r) in mapping.iter().enumerate() {
+            assert!(
+                r.idx() < n && vrank[r.idx()] == usize::MAX,
+                "mapping must be a permutation"
+            );
+            vrank[r.idx()] = v;
         }
 
         // Highest power of two ≥ n gives the first mask.
@@ -147,6 +148,7 @@ impl BinomialTree {
             n,
             root,
             mapping,
+            vrank,
             arcs,
             children,
             subtree,
@@ -175,9 +177,9 @@ impl BinomialTree {
 
     /// The virtual rank occupied by process `r`.
     pub fn vrank_of(&self, r: Rank) -> usize {
-        self.mapping
-            .iter()
-            .position(|&m| m == r)
+        *self
+            .vrank
+            .get(r.idx())
             .unwrap_or_else(|| panic!("{r:?} does not participate in this tree"))
     }
 
@@ -191,13 +193,12 @@ impl BinomialTree {
             .collect()
     }
 
-    /// The parent of process `r`, or `None` for the root.
+    /// The parent of process `r`, or `None` for the root. Virtual rank `v`
+    /// hangs off `v` with its lowest set bit cleared: the arc into `v` is
+    /// the one whose mask is that bit.
     pub fn parent_of(&self, r: Rank) -> Option<Rank> {
         let v = self.vrank_of(r);
-        self.arcs
-            .iter()
-            .find(|a| a.to == self.mapping[v])
-            .map(|a| a.from)
+        (v != 0).then(|| self.mapping[v & (v - 1)])
     }
 
     /// Size of the sub-tree rooted at process `r` (including `r`).
@@ -318,6 +319,46 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Every per-rank accessor is a view of `arcs()`, under the rotated and
+    /// under an arbitrary explicit mapping.
+    #[test]
+    fn accessors_agree_with_arcs_under_any_mapping() {
+        for n in [1usize, 2, 7, 1000] {
+            let root = Rank::from(n / 3);
+            // An explicit mapping that is no rotation: the root first, then
+            // the others in a multiplicative shuffle (7919 is coprime to
+            // every n here).
+            let mut shuffled: Vec<Rank> = (0..n).map(|i| Rank::from(i * 7919 % n)).collect();
+            let at = shuffled.iter().position(|&r| r == root).unwrap();
+            shuffled.swap(0, at);
+            for t in [
+                BinomialTree::new(n, root),
+                BinomialTree::with_mapping(n, root, shuffled),
+            ] {
+                let mut children = vec![Vec::new(); n];
+                let mut parent = vec![None; n];
+                for a in t.arcs() {
+                    children[a.from.idx()].push((a.to, a.blocks));
+                    assert_eq!(parent[a.to.idx()].replace(a.from), None, "one arc in");
+                }
+                for r in (0..n).map(Rank::from) {
+                    assert_eq!(t.process_at(t.vrank_of(r)), r);
+                    assert_eq!(t.children_of(r), children[r.idx()], "n={n} {r:?}");
+                    assert_eq!(t.parent_of(r), parent[r.idx()], "n={n} {r:?}");
+                    let below: u64 = children[r.idx()].iter().map(|&(_, b)| b).sum();
+                    assert_eq!(t.subtree_size(r), 1 + below, "n={n} {r:?}");
+                }
+                assert_eq!(t.parent_of(root), None);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "r9 does not participate in this tree")]
+    fn a_rank_outside_the_tree_panics_by_name() {
+        let _ = BinomialTree::new(4, Rank(1)).vrank_of(Rank(9));
     }
 
     #[test]

@@ -1,19 +1,11 @@
-//! The engine facade: pooled payloads, the calendar queue with its heap
-//! fallback, and deterministic (optionally fuzzed) tie-breaking, with
-//! counters downstream crates export through the metrics registry.
+//! The engine: one binary heap on one packed key, the payload inline,
+//! deterministic (optionally fuzzed) tie-breaking, and the counters
+//! downstream crates export through the metrics registry.
 
-use std::cmp::Reverse;
+use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use crate::calendar::{Calendar, Entry};
 use crate::key::DesTime;
-use crate::pool::Pool;
-
-/// How many pops to observe between fallback-decision checkpoints.
-const FALLBACK_WINDOW: u64 = 4096;
-/// Mean buckets scanned per pop above which the calendar has lost its
-/// O(1) behaviour and the heap takes over.
-const FALLBACK_SCAN_LIMIT: f64 = 24.0;
 
 /// Counters describing an engine's life so far. Snapshot via
 /// [`Engine::stats`]; downstream crates fold these into
@@ -24,21 +16,40 @@ pub struct EngineStats {
     pub scheduled: u64,
     /// Events ever popped (fired).
     pub fired: u64,
-    /// Maximum number of simultaneously pending events — also the exact
-    /// number of payload slots allocated, since slots are pooled.
+    /// Maximum number of simultaneously pending events. Payloads live in
+    /// the heap's one buffer, so this is also how many payload slots the
+    /// engine ever held (the name dates from a separate slot pool).
     pub pool_slots: usize,
-    /// Calendar sweeps that missed a whole year and fell back to a
-    /// direct min-search across bucket fronts.
-    pub direct_searches: u64,
-    /// Calendar bucket-array rebuilds.
-    pub resizes: u64,
-    /// Whether the engine abandoned the calendar for the binary heap.
-    pub heap_fallback: bool,
 }
 
-enum Sched {
-    Calendar(Calendar),
-    Heap(BinaryHeap<Reverse<Entry>>),
+/// One pending event. `key` is `(at.ticks() << 64) | tie`: time order in
+/// the high half, the tie-break in the low half, one integer compare.
+struct Item<K, E> {
+    key: u128,
+    at: K,
+    event: E,
+}
+
+impl<K, E> PartialEq for Item<K, E> {
+    fn eq(&self, other: &Self) -> bool {
+        self.key == other.key
+    }
+}
+
+impl<K, E> Eq for Item<K, E> {}
+
+impl<K, E> PartialOrd for Item<K, E> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<K, E> Ord for Item<K, E> {
+    /// Reversed: `BinaryHeap` is a max-heap and the smallest key fires
+    /// first.
+    fn cmp(&self, other: &Self) -> Ordering {
+        other.key.cmp(&self.key)
+    }
 }
 
 /// A recording hook invoked on every fired event (see
@@ -46,30 +57,26 @@ enum Sched {
 pub type PopObserver<K, E> = Box<dyn FnMut(&K, &E)>;
 
 /// A discrete-event scheduler: schedule `(time, payload)` pairs, pop
-/// them back in deterministic `(time, fuzz, insertion)` order.
+/// them back in deterministic `(time, tie)` order.
 ///
-/// Payloads live in a slot pool, so the steady-state schedule/pop cycle
-/// allocates nothing. The queue is a calendar queue that self-monitors
-/// and migrates to a `BinaryHeap` if the timestamp distribution turns
-/// pathological — ordering is identical either way.
+/// The queue is a `BinaryHeap` whose items carry their payload, so the
+/// steady-state schedule/pop cycle allocates nothing once the heap's
+/// buffer has grown to the peak number of pending events.
 ///
 /// # Determinism
 ///
 /// Same schedule calls in the same order always pop in the same order.
-/// Events at equal times pop in insertion order. [`Engine::with_fuzz`]
-/// inserts a seeded hash *before* the insertion number, deterministically
-/// permuting same-time events per seed while leaving time order
-/// untouched — an order-dependence detector.
+/// Events at equal times pop in insertion order: the tie-break is the
+/// insertion number. [`Engine::with_fuzz`] replaces it by a seeded
+/// bijective hash of the insertion number, deterministically permuting
+/// same-time events per seed while leaving time order untouched — an
+/// order-dependence detector.
 pub struct Engine<K: DesTime, E> {
-    pool: Pool<(K, E)>,
-    sched: Sched,
+    heap: BinaryHeap<Item<K, E>>,
     seq: u64,
     fuzz_seed: Option<u64>,
-    scheduled: u64,
     fired: u64,
-    // Scan-cost window at the last fallback checkpoint.
-    last_pops: u64,
-    last_scanned: u64,
+    peak_pending: usize,
     /// Recording hook called on every pop, after ordering is resolved
     /// but before the event is handed to the caller. `None` (the
     /// default) costs one branch per pop.
@@ -80,14 +87,11 @@ impl<K: DesTime, E> Engine<K, E> {
     /// An empty engine with deterministic FIFO tie-breaking.
     pub fn new() -> Self {
         Engine {
-            pool: Pool::new(),
-            sched: Sched::Calendar(Calendar::new()),
+            heap: BinaryHeap::new(),
             seq: 0,
             fuzz_seed: None,
-            scheduled: 0,
             fired: 0,
-            last_pops: 0,
-            last_scanned: 0,
+            peak_pending: 0,
             observer: None,
         }
     }
@@ -129,33 +133,19 @@ impl<K: DesTime, E> Engine<K, E> {
     pub fn schedule(&mut self, at: K, event: E) {
         let seq = self.seq;
         self.seq += 1;
-        self.scheduled += 1;
-        let fuzz = match self.fuzz_seed {
+        let tie = match self.fuzz_seed {
             Some(seed) => splitmix64(seq ^ seed),
-            None => 0,
+            None => seq,
         };
-        let slot = self.pool.insert((at, event));
-        let entry = Entry {
-            ticks: at.ticks(),
-            fuzz,
-            seq,
-            slot,
-        };
-        match &mut self.sched {
-            Sched::Calendar(c) => c.push(entry),
-            Sched::Heap(h) => h.push(Reverse(entry)),
-        }
+        let key = (u128::from(at.ticks()) << 64) | u128::from(tie);
+        self.heap.push(Item { key, at, event });
+        self.peak_pending = self.peak_pending.max(self.heap.len());
     }
 
     /// Pops the earliest pending event, or `None` when idle.
     pub fn pop(&mut self) -> Option<(K, E)> {
-        let entry = match &mut self.sched {
-            Sched::Calendar(c) => c.pop(),
-            Sched::Heap(h) => h.pop().map(|Reverse(e)| e),
-        }?;
+        let Item { at, event, .. } = self.heap.pop()?;
         self.fired += 1;
-        self.maybe_fall_back();
-        let (at, event) = self.pool.take(entry.slot);
         if let Some(obs) = self.observer.as_mut() {
             obs(&at, &event);
         }
@@ -164,64 +154,21 @@ impl<K: DesTime, E> Engine<K, E> {
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        match &self.sched {
-            Sched::Calendar(c) => c.len(),
-            Sched::Heap(h) => h.len(),
-        }
+        self.heap.len()
     }
 
     /// Whether no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.heap.is_empty()
     }
 
     /// Snapshot of the engine's counters.
     pub fn stats(&self) -> EngineStats {
-        let (direct_searches, resizes, heap_fallback) = match &self.sched {
-            Sched::Calendar(c) => (c.direct_searches, c.resizes, false),
-            Sched::Heap(_) => (0, 0, true),
-        };
         EngineStats {
-            scheduled: self.scheduled,
+            scheduled: self.seq,
             fired: self.fired,
-            pool_slots: self.pool.high_water(),
-            direct_searches,
-            resizes,
-            heap_fallback,
+            pool_slots: self.peak_pending,
         }
-    }
-
-    /// Every `FALLBACK_WINDOW` pops, check the calendar's amortized scan
-    /// cost; if resizing has not tamed the distribution, migrate every
-    /// pending entry into a `BinaryHeap` (same total order) for the rest
-    /// of this engine's life.
-    fn maybe_fall_back(&mut self) {
-        let Sched::Calendar(c) = &mut self.sched else {
-            return;
-        };
-        if c.pops - self.last_pops < FALLBACK_WINDOW {
-            return;
-        }
-        let scanned = c.buckets_scanned - self.last_scanned;
-        let pops = c.pops - self.last_pops;
-        self.last_pops = c.pops;
-        self.last_scanned = c.buckets_scanned;
-        if scanned as f64 / pops as f64 > FALLBACK_SCAN_LIMIT {
-            self.migrate_to_heap();
-        }
-    }
-
-    fn migrate_to_heap(&mut self) {
-        if let Sched::Calendar(c) = &mut self.sched {
-            let mut heap = BinaryHeap::with_capacity(c.len());
-            heap.extend(c.drain_all().into_iter().map(Reverse));
-            self.sched = Sched::Heap(heap);
-        }
-    }
-
-    #[cfg(test)]
-    pub(crate) fn force_heap(&mut self) {
-        self.migrate_to_heap();
     }
 }
 
@@ -231,9 +178,10 @@ impl<K: DesTime, E> Default for Engine<K, E> {
     }
 }
 
-/// SplitMix64 finalizer: a bijective avalanche over `u64`, so distinct
-/// sequence numbers always get distinct fuzz hashes (the permutation of
-/// same-time events is total and deterministic per seed).
+/// SplitMix64 finalizer: a bijection on `u64`, so distinct insertion
+/// numbers always get distinct tie-breaks and the fuzzed order is a total
+/// order — the one `(ticks, hash, insertion)` gives, since the hash alone
+/// already decides every same-time pair.
 #[inline]
 fn splitmix64(x: u64) -> u64 {
     let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -258,17 +206,29 @@ mod tests {
         assert_eq!(order, ["a", "b", "c", "d"]);
     }
 
+    /// `pool_slots` is the peak number of pending events and nothing else:
+    /// a million schedule/pop cycles over 64 outstanding events keep it at
+    /// 64, and a burst above that is counted once and remembered.
     #[test]
-    fn steady_state_allocates_no_new_slots() {
+    fn pool_slots_equals_peak_pending() {
         let mut e: Engine<Time, [u8; 64]> = Engine::new();
         for i in 0..64 {
             e.schedule(Time::from_secs(i as f64), [0u8; 64]);
         }
-        for i in 0..100_000 {
+        for i in 0..1_000_000 {
             let (t, ev) = e.pop().unwrap();
             e.schedule(Time::from_secs(t.secs() + 1.0 + (i % 7) as f64), ev);
         }
         assert_eq!(e.stats().pool_slots, 64);
+        assert_eq!(e.stats().fired, 1_000_000);
+        for _ in 0..36 {
+            e.schedule(Time::ZERO, [0u8; 64]);
+        }
+        while e.len() > 10 {
+            e.pop();
+        }
+        e.schedule(Time::ZERO, [0u8; 64]);
+        assert_eq!((e.len(), e.stats().pool_slots), (11, 100));
     }
 
     #[test]
@@ -358,8 +318,10 @@ mod tests {
         assert_eq!(count.get(), 1);
     }
 
+    /// Pops interleaved with schedules at and after the clock: the total
+    /// order is seamless however full the queue is when new events land.
     #[test]
-    fn heap_migration_preserves_order_mid_run() {
+    fn interleaved_schedules_preserve_order_mid_run() {
         let mut e: Engine<u64, u64> = Engine::new();
         let mut x = 0x9E3779B97F4A7C15u64;
         let mut next = move || {
@@ -379,14 +341,13 @@ mod tests {
             assert!(t >= last);
             last = t;
         }
-        // Migrate the remaining 1500 entries to the heap mid-run and
-        // keep going: the total order must be seamless across the switch.
-        e.force_heap();
-        assert!(e.stats().heap_fallback);
+        // 1500 entries pending: schedule 2000 more from the clock onwards
+        // and keep going.
         for _ in 0..2000 {
             let t = last.saturating_add(next() >> 20);
             e.schedule(t, t);
         }
+        assert_eq!(e.stats().pool_slots, 3500);
         while let Some((t, _)) = e.pop() {
             assert!(t >= last);
             last = t;

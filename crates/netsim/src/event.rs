@@ -1,9 +1,10 @@
 //! The event queue of the discrete-event kernel — a thin facade over the
-//! unified [`cpm_des`] engine (calendar queue + pooled payloads), keeping
-//! the kernel's historical push/pop API. Determinism contract: events pop
-//! in time order, ties broken by insertion order — unless the cluster
-//! enables schedule fuzzing, in which case same-time events permute
-//! deterministically per seed (time order is never affected).
+//! [`cpm_des`] engine (one binary heap on a packed `(time, tie)` key, the
+//! payload inline), keeping the kernel's push/pop API and naming the
+//! kernel's event kinds. Determinism contract: events pop in time order,
+//! ties broken by insertion order — unless the cluster enables schedule
+//! fuzzing, in which case same-time events permute deterministically per
+//! seed (time order is never affected).
 
 use cpm_core::time::Time;
 use cpm_des::{Engine, EngineStats};
@@ -116,8 +117,8 @@ impl EventQueue {
         self.engine.is_empty()
     }
 
-    /// Scheduling counters from the underlying engine (event totals, pool
-    /// high-water, calendar health).
+    /// Scheduling counters from the underlying engine (events scheduled and
+    /// fired, peak pending).
     pub fn stats(&self) -> EngineStats {
         self.engine.stats()
     }

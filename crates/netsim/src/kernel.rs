@@ -41,6 +41,7 @@ use crate::cluster::SimCluster;
 use crate::event::{DesEventCounts, EventKind, EventQueue, MsgId, ProcId};
 use crate::msg::{Grant, MsgState, MsgView, Syscall, Tag};
 use crate::noise::NoiseSource;
+use crate::pairs::PairTable;
 use crate::proc::Proc;
 use crate::script::ScriptProc;
 use crate::trace::{Trace, TraceEvent};
@@ -56,9 +57,9 @@ pub struct SimStats {
     pub msgs_received: usize,
     /// Events the kernel processed.
     pub events: usize,
-    /// Peak number of simultaneously pending events — equal to the number
-    /// of payload slots the pooled event queue ever allocated, since slots
-    /// are recycled (the no-per-event-allocation property benches assert).
+    /// Peak number of simultaneously pending events: all the event queue
+    /// ever held at once (the name dates from a separate slot pool). It
+    /// tracks the ranks, not the length of the run.
     pub pool_slots: usize,
 }
 
@@ -262,20 +263,22 @@ struct Kernel<'c> {
     tx_free: Vec<Time>,
     rx_free: Vec<Time>,
     ingress_free: Vec<Time>,
-    /// Per-ordered-pair connection wire occupancy (`conn_free[src][dst]`):
-    /// one TCP connection delivers in order at link bandwidth, so
-    /// back-to-back messages between the same endpoints serialize on the
-    /// wire, while flows to different destinations cross the switch in
-    /// parallel.
-    conn_free: Vec<Vec<Time>>,
+    /// When each ordered pair's connection is free again: one TCP
+    /// connection delivers in order at link bandwidth, so back-to-back
+    /// messages between the same endpoints serialize on the wire, while
+    /// flows to different destinations cross the switch in parallel. An
+    /// entry appears with a pair's first message: a run costs
+    /// O(connections used), not `n²`.
+    conn_free: PairTable<Time>,
     /// Shared uplink occupancy for cross-switch transfers (two-switch
     /// topology only; unused on a single switch).
     uplink_free: Time,
-    /// Inbound transfers currently crossing each node's ingress, counted
-    /// per source (`active_src[dst][src]`). Incast escalation requires a
-    /// concurrent inbound transfer from a *different* source — a single
-    /// back-to-back stream over one connection never trips it.
-    active_src: Vec<Vec<usize>>,
+    /// The source of every inbound transfer currently crossing each node's
+    /// ingress (`inbound[dst]`, unordered, one entry per transfer). Incast
+    /// escalation requires a concurrent inbound transfer from a
+    /// *different* source — a single back-to-back stream over one
+    /// connection never trips it.
+    inbound: Vec<Vec<Rank>>,
     barrier_waiters: usize,
     alive: usize,
     now: Time,
@@ -335,9 +338,9 @@ impl<'c> Kernel<'c> {
             tx_free: vec![Time::ZERO; n],
             rx_free: vec![Time::ZERO; n],
             ingress_free: vec![Time::ZERO; n],
-            conn_free: vec![vec![Time::ZERO; n]; n],
+            conn_free: PairTable::new(n),
             uplink_free: Time::ZERO,
-            active_src: vec![vec![0; n]; n],
+            inbound: vec![Vec::new(); n],
             barrier_waiters: 0,
             alive: n,
             now: Time::ZERO,
@@ -640,76 +643,55 @@ impl<'c> Kernel<'c> {
         let wire = self.noisy(view.bytes as f64 / beta);
 
         let i = view.src.idx();
-        let done = if self.cl.profile.is_large(view.bytes) {
+        let large = self.cl.profile.is_large(view.bytes);
+        let conn_free = self.conn_free.slot(i, j);
+        let mut start = (*conn_free).max(self.now);
+        let mut extra = 0.0;
+        if large {
             // TCP backpressure: the ingress port is a FIFO resource shared
             // by every inbound large flow. The sender's blocking send
             // returns once the transfer is *admitted* (starts crossing the
             // ingress): an uncongested receiver costs the sender nothing
             // extra, a congested one stalls it — which is why large-message
             // gather serializes while large-message scatter stays parallel.
-            let mut start = self.ingress_free[j].max(self.conn_free[i][j]).max(self.now);
-            if crossing {
-                start = start.max(self.uplink_free);
+            start = start.max(self.ingress_free[j]);
+        } else if self.cl.profile.is_medium(view.bytes)
+            && self.inbound[j].iter().any(|&s| s != view.src)
+        {
+            // Incast: concurrent inbound medium flows from distinct
+            // sources can trip a TCP retransmission stall.
+            let pr = self.cl.profile.escalation_probability(view.bytes);
+            if self.rng.gen::<f64>() < pr {
+                extra = self
+                    .rng
+                    .gen_range(self.cl.profile.escalation_min..=self.cl.profile.escalation_max);
             }
-            let done = start + Time::from_secs(wire);
+        }
+        // A cross-switch transfer additionally serializes on the shared
+        // uplink — the contention the single-switch model cannot see.
+        if crossing {
+            start = start.max(self.uplink_free);
+        }
+        let done = start + Time::from_secs(wire + extra);
+        *conn_free = done;
+        self.inbound[j].push(view.src);
+        if crossing {
+            self.uplink_free = done;
+        }
+        if large {
             self.ingress_free[j] = done;
-            self.conn_free[i][j] = done;
-            if crossing {
-                self.uplink_free = done;
-            }
             if self.msgs[m].sender_blocked {
                 self.msgs[m].sender_blocked = false;
                 self.q.push(start, EventKind::Wake(i));
             }
-            self.emit(TraceEvent::Wire {
-                msg: m,
-                src: view.src,
-                dst: view.dst,
-                start: start.secs(),
-                end: done.secs(),
-            });
-            done
-        } else {
-            let mut extra = 0.0;
-            // The size test first: the scan over sources is O(n) and only
-            // a medium message can escalate.
-            if self.cl.profile.is_medium(view.bytes)
-                && self.active_src[j]
-                    .iter()
-                    .enumerate()
-                    .any(|(s, &c)| s != i && c > 0)
-            {
-                // Incast: concurrent inbound medium flows from distinct
-                // sources can trip a TCP retransmission stall.
-                let pr = self.cl.profile.escalation_probability(view.bytes);
-                if self.rng.gen::<f64>() < pr {
-                    extra = self
-                        .rng
-                        .gen_range(self.cl.profile.escalation_min..=self.cl.profile.escalation_max);
-                }
-            }
-            // One connection delivers in order at link bandwidth; a
-            // cross-switch transfer additionally serializes on the shared
-            // uplink — the contention the single-switch model cannot see.
-            let mut start = self.conn_free[i][j].max(self.now);
-            if crossing {
-                start = start.max(self.uplink_free);
-            }
-            let done = start + Time::from_secs(wire + extra);
-            self.conn_free[i][j] = done;
-            if crossing {
-                self.uplink_free = done;
-            }
-            self.emit(TraceEvent::Wire {
-                msg: m,
-                src: view.src,
-                dst: view.dst,
-                start: start.secs(),
-                end: done.secs(),
-            });
-            done
-        };
-        self.active_src[j][i] += 1;
+        }
+        self.emit(TraceEvent::Wire {
+            msg: m,
+            src: view.src,
+            dst: view.dst,
+            start: start.secs(),
+            end: done.secs(),
+        });
         self.q.push(done, EventKind::TransferDone(m));
     }
 
@@ -717,8 +699,11 @@ impl<'c> Kernel<'c> {
     fn transfer_done(&mut self, m: MsgId) {
         let view = self.msgs[m].view;
         let j = view.dst.idx();
-        debug_assert!(self.active_src[j][view.src.idx()] > 0);
-        self.active_src[j][view.src.idx()] -= 1;
+        let crossing = self.inbound[j]
+            .iter()
+            .position(|&s| s == view.src)
+            .expect("a finishing transfer was crossing the ingress");
+        self.inbound[j].swap_remove(crossing);
 
         let truth = &self.cl.truth;
         let cpu = truth.c[j] + view.bytes as f64 * truth.t[j];

@@ -76,6 +76,7 @@ pub mod event;
 pub mod kernel;
 pub mod msg;
 pub mod noise;
+pub mod pairs;
 pub mod proc;
 pub mod script;
 pub mod trace;
@@ -85,6 +86,7 @@ pub use event::DesEventCounts;
 pub use kernel::{simulate, simulate_mpmd, simulate_traced, SimOutcome, SimStats};
 pub use msg::{MsgView, Tag};
 pub use noise::{DriftChange, DriftSchedule, DriftShape, DriftTarget};
+pub use pairs::PairTable;
 pub use proc::{Proc, RecvRequest, SendRequest};
 pub use script::{run_script, run_script_traced, ScriptOp, ScriptOutcome, TimedScript};
 pub use trace::{render_timeline, Trace, TraceEvent};

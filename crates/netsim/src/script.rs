@@ -564,6 +564,30 @@ mod tests {
         assert_eq!(all.spans[1], vec![(1, 3), (4, 6)]);
     }
 
+    /// Pending events are bounded by the ranks, not by the length of the
+    /// run: a 64-rank ring shifting 256 messages per rank fires 100 k
+    /// events through a queue that never holds more than a few per rank.
+    #[test]
+    fn pending_events_stay_bounded_by_the_ranks() {
+        let (n, rounds) = (64usize, 256usize);
+        let cl = cluster(n, 0.0);
+        let programs: Vec<Vec<ScriptOp>> = (0..n)
+            .map(|r| {
+                let right = Rank::from((r + 1) % n);
+                let left = Rank::from((r + n - 1) % n);
+                [ScriptOp::send(right, KIB), ScriptOp::recv(left)].repeat(rounds)
+            })
+            .collect();
+        let out = run_script(&cl, &programs).unwrap();
+        assert_eq!(out.stats.msgs_received, n * rounds);
+        assert!(
+            out.stats.pool_slots <= 2 * n && out.stats.pool_slots * 8 <= out.stats.events,
+            "{} pending at peak for {} events",
+            out.stats.pool_slots,
+            out.stats.events
+        );
+    }
+
     #[test]
     fn script_deadlock_is_reported() {
         let cl = cluster(2, 0.0);

@@ -29,8 +29,6 @@
 //! wire and rx slots, receive matches, per-primitive windows): binding
 //! predecessors walked back from the rank that realizes the makespan.
 
-use std::collections::HashMap;
-
 use cpm_cluster::{GroundTruth, MpiProfile};
 use cpm_collectives::select::{self, Rooted};
 use cpm_core::matrix::SymMatrix;
@@ -39,7 +37,7 @@ use cpm_core::traits::PointToPoint;
 use cpm_core::tree::BinomialTree;
 use cpm_core::units::Bytes;
 use cpm_models::{HierLmo, HockneyHet, LmoExtended, LogGp, PLogP};
-use cpm_netsim::{SimCluster, TraceEvent};
+use cpm_netsim::{PairTable, SimCluster, TraceEvent};
 use cpm_vmpi::{ScriptOp, ScriptOutcome};
 
 use crate::lower::{lower, Algorithm, Lowered};
@@ -546,7 +544,7 @@ fn critical_path(
     let (mut tx_at, mut send_k) = (Vec::with_capacity(msgs), Vec::with_capacity(msgs));
     let (mut wire_at, mut rx_at) = (vec![0; msgs], vec![0; msgs]);
     let (mut prev_wire, mut prev_rx) = (vec![None; msgs], vec![None; msgs]);
-    let (mut last_wire, mut last_rx) = (HashMap::new(), vec![None; n]);
+    let (mut last_wire, mut last_rx) = (PairTable::<Option<usize>>::new(n), vec![None; n]);
     let mut received: Vec<Vec<(usize, usize)>> = vec![Vec::new(); n];
     let mut cursor = vec![0usize; n];
     let mut next = |r: usize, want: fn(&ScriptOp) -> bool| {
@@ -563,7 +561,7 @@ fn critical_path(
             }
             TraceEvent::Wire { msg, src, dst, .. } => {
                 wire_at[msg] = i;
-                prev_wire[msg] = last_wire.insert((src, dst), msg);
+                prev_wire[msg] = last_wire.slot(src.idx(), dst.idx()).replace(msg);
             }
             TraceEvent::RxSlot { msg, dst, .. } => {
                 rx_at[msg] = i;
