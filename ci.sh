@@ -79,6 +79,15 @@ run_named engine::tests::pool_slots_equals_peak_pending -p cpm-des --lib
 run_named script::tests::pending_events_stay_bounded_by_the_ranks -p cpm-netsim --lib
 run_named scatter::tests::binomial_emitters_are_linear_in_the_ranks -p cpm-collectives --lib
 run_named script::tests::nonblocking_exchange_matches_the_threaded_one_exactly -p cpm-netsim --lib
+# One answer: predict == compute == cost == the plan of the one-op trace
+# (plus eq. (5)'s escalation term); select, the planner's chooser and
+# TunedCollectives pick alike; large fan-ins plan as they replay.
+for t in lmo_cost_is_the_plan_of_the_one_op_trace_plus_the_escalation_term \
+         predict_compute_select_and_the_dispatcher_all_read_the_one_cost \
+         the_papers_gather_result_survives \
+         large_fan_ins_plan_as_they_replay_and_their_paths_explain; do
+  run_named "$t" -p cpm-serve --test one_answer
+done
 # The resident parameter sets are bounded; an evicted one comes back from disk.
 run_named service::tests::an_evicted_parameter_set_is_loaded_back_unchanged -p cpm-serve --lib
 rm -f "$ORACLE_LOG"
@@ -90,11 +99,30 @@ if grep -rnwE 'cpm_vmpi::run|vmpi::run|run_timed|run_timed_max|Comm' $THREADLESS
   echo "no non-test source outside crates/vmpi and crates/netsim may name cpm_vmpi::run, run_timed* or Comm"; exit 1
 fi
 
+echo "== one cost: the service, the planner, the CLI and the dispatcher name no closed-form collective predictor"
+# They all read cpm_collectives::cost. The paper's formulas stay in
+# cpm-models for the figure binaries and the corollaries; emitters are free
+# functions and do not match.
+if grep -rnE 'cpm_models::collective|\.linear_scatter\(|\.linear_gather\(|\.binomial_scatter\(|rank_lmo|rank_generic|_bcast_time' \
+  crates/serve/src crates/workload/src src/main.rs crates/collectives/src/tuned.rs; then
+  echo "predict/select/plan/cpm predict/TunedCollectives must price through cpm_collectives::cost"; exit 1
+fi
+
 echo "== one event queue (no calendar, no slot pool, no fallback left to name)"
 if ls crates/des/src/calendar.rs crates/des/src/pool.rs 2>/dev/null \
   || grep -rnw 'heap_fallback' crates src examples tests benchmark README.md DESIGN.md; then
   echo "cpm-des is one binary heap: calendar.rs, pool.rs and heap_fallback must stay gone"; exit 1
 fi
+
+echo "== the figure binaries reproduce their committed JSON byte for byte"
+cargo build --release -q -p cpm-bench --bins
+FIG_TMP="$(mktemp -d)"
+for FIG in fig3 fig4 fig5 fig6 fig7 ablation_binomial; do
+  CPM_RESULTS_DIR="$FIG_TMP" "./target/release/$FIG" >/dev/null 2>&1
+  cmp "$FIG_TMP/$FIG.json" "bench_results/$FIG.json" \
+    || { echo "$FIG no longer reproduces bench_results/$FIG.json"; exit 1; }
+done
+rm -rf "$FIG_TMP"
 
 echo "== drift loop tests"
 cargo test -p cpm-drift -q

@@ -106,6 +106,46 @@ impl ClusterConfig {
         }
     }
 
+    /// Checks what building the simulator would otherwise assert, so a
+    /// config from a file or a request is refused instead of panicking: a
+    /// finite, non-negative noise level; a two-switch split that leaves
+    /// nodes on both sides; a hierarchical level tree that is non-empty and
+    /// covers exactly the cluster's ranks.
+    pub fn validate(&self) -> Result<(), String> {
+        if !(self.noise_rel.is_finite() && self.noise_rel >= 0.0) {
+            return Err(format!(
+                "noise_rel must be finite and non-negative, got {}",
+                self.noise_rel
+            ));
+        }
+        let n = match &self.truth {
+            TruthSource::Seed(_) => self.spec.n_nodes(),
+            TruthSource::Explicit(g) => g.n(),
+        };
+        match &self.topology {
+            Topology::SingleSwitch => Ok(()),
+            Topology::TwoSwitch { split, .. } if *split == 0 || *split >= n => Err(format!(
+                "two-switch split {split} must leave nodes on both sides of {n}"
+            )),
+            Topology::TwoSwitch { .. } => Ok(()),
+            Topology::Hierarchical { levels } if levels.is_empty() => {
+                Err("a hierarchical topology needs at least one level".into())
+            }
+            Topology::Hierarchical { levels } => {
+                let covered = levels
+                    .iter()
+                    .try_fold(1usize, |k, l| k.checked_mul(l.arity));
+                match covered {
+                    Some(ranks) if ranks == n => Ok(()),
+                    Some(ranks) => Err(format!(
+                        "hierarchical level tree covers {ranks} ranks but the cluster has {n}"
+                    )),
+                    None => Err("hierarchical level tree covers more ranks than exist".into()),
+                }
+            }
+        }
+    }
+
     /// Serializes to pretty JSON.
     pub fn to_json(&self) -> String {
         serde_json::to_string_pretty(self).expect("config serializes")
@@ -149,6 +189,41 @@ mod tests {
         let ideal = ClusterConfig::ideal(ClusterSpec::homogeneous(4), 5);
         assert_eq!(ideal.noise_rel, 0.0);
         assert_eq!(ideal.profile.name, "ideal");
+    }
+
+    #[test]
+    fn validate_refuses_what_the_simulator_would_assert() {
+        assert_eq!(ClusterConfig::paper_lam(1).validate(), Ok(()));
+        assert_eq!(ClusterConfig::hierarchical(2, 3, 1).validate(), Ok(()));
+        let six = ClusterConfig {
+            spec: ClusterSpec::homogeneous(6),
+            ..ClusterConfig::hierarchical(2, 2, 1)
+        };
+        let err = six.validate().unwrap_err();
+        assert!(
+            err.contains("covers 4 ranks but the cluster has 6"),
+            "{err}"
+        );
+        let empty = ClusterConfig {
+            topology: Topology::Hierarchical { levels: Vec::new() },
+            ..ClusterConfig::ideal(ClusterSpec::homogeneous(4), 1)
+        };
+        assert!(empty.validate().unwrap_err().contains("at least one level"));
+        for split in [0, 4, 9] {
+            let two = ClusterConfig {
+                topology: Topology::two_switch(split, 1e7),
+                ..ClusterConfig::ideal(ClusterSpec::homogeneous(4), 1)
+            };
+            assert!(
+                two.validate().unwrap_err().contains("both sides"),
+                "{split}"
+            );
+        }
+        let noisy = ClusterConfig {
+            noise_rel: -0.5,
+            ..ClusterConfig::paper_lam(1)
+        };
+        assert!(noisy.validate().unwrap_err().contains("noise_rel"));
     }
 
     #[test]

@@ -6,9 +6,12 @@
 //! those programs, so execution times *emerge* from the communication
 //! pattern rather than from a formula; `cpm-workload` lowers application
 //! traces through the same functions, and the observation harness
-//! ([`measure`]) times them between barriers. The closed forms that remain
-//! beside them are tested corollaries of these programs
-//! (`tests/corollaries.rs`). Plus model-driven optimization:
+//! ([`measure`]) times them between barriers. What a collective *costs*
+//! under a model is one function, [`cost::cost`]: the program run on the
+//! model's machine for LMO, the model's own closed form for the
+//! whole-transfer models; the closed forms that remain beside the programs
+//! are tested corollaries of them (`tests/corollaries.rs`). Plus
+//! model-driven optimization:
 //!
 //! * [`scatter`] — the linear (flat-tree) and binomial algorithms;
 //! * [`gather`] — the linear and binomial algorithms;
@@ -25,8 +28,11 @@
 //! * [`optimized`] — the LMO-based optimized gather of the paper's Fig. 7:
 //!   medium messages are split into sub-`M1` pieces gathered in series,
 //!   dodging the escalation region (the paper gained ~10×);
-//! * [`select`] — model-based algorithm selection (Fig. 6): predict linear
-//!   vs binomial with a model and pick the winner;
+//! * [`cost`] — the one cost of a rooted collective under a model and the
+//!   chooser that ranks algorithms by it, shared by the service, the
+//!   workload planner, [`TunedCollectives`] and the CLI;
+//! * [`select`] — the paper's Fig. 6 closed forms: linear vs binomial
+//!   scatter under LMO, and the switch point between them;
 //! * [`mapping`] — heterogeneous mapping of processors onto binomial-tree
 //!   positions, the Hatta-style optimization the introduction motivates;
 //! * [`tuned`] — [`TunedCollectives`], the model-backed dispatcher a
@@ -34,9 +40,7 @@
 //!   call picks its algorithm from the model (the paper's companion
 //!   software tool \[13\]);
 //! * [`hier`] — level-aware two-phase collectives for hierarchical
-//!   clusters (binomial over node leaders, linear inside each node), with
-//!   closed-form predictions under the hierarchical LMO model and a
-//!   crossover locator;
+//!   clusters (binomial over node leaders, linear inside each node);
 //! * [`measure`] — the observation harness: barrier-synchronized
 //!   repetitions, completion sensed as the maximum over ranks.
 
@@ -48,6 +52,7 @@ use cpm_netsim::ScriptOp;
 pub mod allgather;
 pub mod alltoall;
 pub mod bcast;
+pub mod cost;
 pub mod gather;
 pub mod hier;
 pub mod mapping;
@@ -63,7 +68,7 @@ pub use allgather::{ring_allgather, ring_allgather_overlap};
 pub use alltoall::rotation_alltoall;
 pub use bcast::{binomial_bcast, linear_bcast};
 pub use gather::{binomial_gather, linear_gather};
-pub use hier::{two_phase_allreduce, two_phase_bcast, two_phase_reduce, HierBcastPrediction};
+pub use hier::{two_phase_allreduce, two_phase_bcast, two_phase_reduce};
 pub use optimized::optimized_gather;
 pub use reduce::{binomial_reduce, linear_reduce};
 pub use scatter::{binomial_scatter, linear_scatter};

@@ -30,29 +30,12 @@ pub fn binomial_reduce(tree: &BinomialTree, m: Bytes, gamma: f64, emit: impl Sin
     binomial_up(tree, |_| m, gamma * m as f64, emit)
 }
 
-/// LMO-style *upper bound* on the linear reduce: the gather expectation
-/// plus `n−1` serialized combines. The actual execution pipelines the
-/// combines with the arrivals (the root computes on block `k` while block
-/// `k+1` is still in flight), so the observation lands between the plain
-/// gather time and this bound, approaching the bound when `γ·m` dominates
-/// the inter-arrival spacing.
-pub fn predict_linear_reduce(
-    model: &cpm_models::LmoExtended,
-    root: Rank,
-    m: Bytes,
-    gamma: f64,
-) -> f64 {
-    let n = model.c.len();
-    model.linear_gather(root, m).expected + (n as f64 - 1.0) * gamma * m as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::measure::collective_times;
     use cpm_cluster::{ClusterSpec, GroundTruth, MpiProfile};
     use cpm_core::units::KIB;
-    use cpm_models::GatherEmpirics;
     use cpm_netsim::SimCluster;
 
     /// A heavy combine: 20 ns/B, ~3x the wire inverse-bandwidth.
@@ -118,22 +101,5 @@ mod tests {
         let gather = crate::measure::linear_gather_once(&cl, Rank(0), m);
         let reduce = observe_linear(&cl, m, 0.0);
         assert!((gather - reduce).abs() < 1e-12);
-    }
-
-    #[test]
-    fn prediction_bounds_linear_reduce() {
-        let cl = cluster(8);
-        let model = cpm_models::LmoExtended::new(
-            cl.truth.c.clone(),
-            cl.truth.t.clone(),
-            cl.truth.l.clone(),
-            cl.truth.beta.clone(),
-            GatherEmpirics::none(),
-        );
-        let m = 16 * KIB;
-        let bound = predict_linear_reduce(&model, Rank(0), m, GAMMA);
-        let observed = observe_linear(&cl, m, GAMMA);
-        assert!(observed <= bound * 1.02, "obs {observed} vs bound {bound}");
-        assert!(observed >= bound * 0.5, "obs {observed} vs bound {bound}");
     }
 }

@@ -28,27 +28,6 @@ pub fn linear_gatherv(root: Rank, sizes: &[Bytes], emit: impl Sink) {
     fan_in(sizes.len(), root, |i| sizes[i], 0.0, emit)
 }
 
-/// LMO prediction of `linear_scatterv` (eq. (4) generalized to per-rank
-/// blocks): `Σ_{i≠r}(C_r + m_i·t_r) + max_{i≠r}(L_ri + m_i/β_ri + C_i +
-/// m_i·t_i)`.
-pub fn predict_linear_scatterv(model: &LmoExtended, root: Rank, sizes: &[Bytes]) -> f64 {
-    let n = model.c.len();
-    assert_eq!(sizes.len(), n, "one block size per rank");
-    let mut serial = 0.0;
-    let mut tail: f64 = 0.0;
-    for (i, &size) in sizes.iter().enumerate() {
-        if i == root.idx() {
-            continue;
-        }
-        let m = size as f64;
-        serial += model.c[root.idx()] + m * model.t[root.idx()];
-        let r = Rank::from(i);
-        tail = tail
-            .max(*model.l.get(root, r) + m / model.beta.get(root, r) + model.c[i] + m * model.t[i]);
-    }
-    serial + tail
-}
-
 /// Partitions `total` bytes over the non-root ranks so that every
 /// receiver's tail `L_ri + m_i/β_ri + C_i + m_i·t_i` is equal (receivers
 /// finish together), using the model's separated parameters. Returns one
@@ -188,17 +167,11 @@ mod tests {
         let observe = |sizes: Vec<u64>| {
             collective_times(&sim, 1, 1, |e| linear_scatterv(Rank(0), &sizes, e)).unwrap()[0]
         };
-        let t_balanced = observe(balanced.clone());
+        let t_balanced = observe(balanced);
         let t_equal = observe(equal);
         assert!(
             t_balanced < t_equal * 0.95,
             "balanced {t_balanced} vs equal {t_equal}"
-        );
-        // And the prediction tracks the observation.
-        let predicted = predict_linear_scatterv(&model, Rank(0), &balanced);
-        assert!(
-            (predicted - t_balanced).abs() / t_balanced < 0.1,
-            "{predicted} vs {t_balanced}"
         );
     }
 

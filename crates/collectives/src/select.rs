@@ -1,23 +1,23 @@
-//! Model-based algorithm selection (paper Fig. 6).
+//! Model-based algorithm selection as the paper's Fig. 6 draws it.
 //!
 //! MPI implementations switch between collective algorithms by message
 //! size. The switch is only as good as the model behind it: in the paper's
 //! Fig. 6 the heterogeneous Hockney model mispredicts that binomial scatter
 //! beats linear scatter for 100–200 KB messages, while the LMO model ranks
-//! them correctly.
+//! them correctly. This module keeps the paper's closed forms for the
+//! figure and its switch point; what the reproduction itself selects with
+//! is [`crate::cost::choose`].
 
 use cpm_core::rank::Rank;
-use cpm_core::traits::PointToPoint;
 use cpm_core::tree::BinomialTree;
 use cpm_core::units::Bytes;
-use cpm_models::collective::{binomial_recursive, binomial_recursive_full, linear_serial};
+use cpm_models::collective::binomial_recursive;
 use cpm_models::LmoExtended;
 
-use crate::reduce::predict_linear_reduce;
+use crate::cost::cheapest;
 use crate::Algorithm;
 
-/// The linear and binomial predictions a selection is based on (named for
-/// the scatter of Fig. 6; every rooted collective is ranked the same way).
+/// The linear and binomial scatter predictions of Fig. 6.
 #[derive(Clone, Copy, Debug)]
 pub struct ScatterPrediction {
     /// Predicted linear scatter time, seconds.
@@ -27,104 +27,21 @@ pub struct ScatterPrediction {
 }
 
 impl ScatterPrediction {
-    /// The predicted winner — the one place the `linear ≤ binomial` rule
-    /// lives (ties go to the simpler algorithm).
+    /// The predicted winner, by the chooser's rule ([`cheapest`]: ties go
+    /// to linear).
     pub fn choice(&self) -> Algorithm {
-        if self.linear <= self.binomial {
-            Algorithm::Linear
-        } else {
-            Algorithm::Binomial
-        }
+        cheapest([
+            (Algorithm::Linear, self.linear),
+            (Algorithm::Binomial, self.binomial),
+        ])
     }
-}
-
-/// A rooted collective, as a selection sees it.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum Rooted {
-    /// One distinct `m`-byte block per rank, from the root.
-    Scatter,
-    /// One `m`-byte block per rank, to the root.
-    Gather,
-    /// The same `m` bytes to every rank.
-    Bcast,
-    /// An `m`-byte vector per rank combined at the root, `gamma` seconds
-    /// per byte per combine.
-    Reduce {
-        /// Per-byte combine cost, seconds.
-        gamma: f64,
-    },
-}
-
-/// How a whole-transfer model (Hockney, LogGP, PLogP — anything that is
-/// only a point-to-point time) ranks linear against binomial along `tree`:
-/// the serial sum for linear, the eq. (1) recursion for binomial (per-block
-/// for scatter/gather, full-message otherwise), plus `n−1` against
-/// `⌈log₂n⌉` combines for a reduce.
-pub fn rank_generic<M: PointToPoint + ?Sized>(
-    model: &M,
-    kind: Rooted,
-    tree: &BinomialTree,
-    m: Bytes,
-) -> ScatterPrediction {
-    let serial = linear_serial(model, tree.root(), m);
-    let full = || binomial_recursive_full(model, tree, m);
-    let (linear, binomial) = match kind {
-        Rooted::Scatter | Rooted::Gather => (serial, binomial_recursive(model, tree, m)),
-        Rooted::Bcast => (serial, full()),
-        Rooted::Reduce { gamma } => {
-            let combine = gamma * m as f64;
-            let levels = tree.height() as f64;
-            (
-                serial + (tree.n() as f64 - 1.0) * combine,
-                full() + levels * combine,
-            )
-        }
-    };
-    ScatterPrediction { linear, binomial }
-}
-
-/// How the LMO model ranks linear against binomial along `tree` when it
-/// dispatches or plans — the one set of inequalities
-/// [`crate::TunedCollectives`] and the workload planner's flat chooser
-/// share. Scatter: eq. (4) against the refined recursion only the separated
-/// model can express (as opposed to [`predict_scatter_lmo`], which
-/// reproduces the paper's Fig. 6 with the generic recursion). Broadcast:
-/// linear has the structure of linear scatter with payload `m`, every
-/// binomial arc carries the full message. Gather: eq. (5) with the expected
-/// escalation against the scatter recursion run upward. Reduce: the
-/// serialized-combine bound against a full-message recursion with one
-/// combine per tree level.
-pub fn rank_lmo(
-    model: &LmoExtended,
-    kind: Rooted,
-    tree: &BinomialTree,
-    m: Bytes,
-) -> ScatterPrediction {
-    let root = tree.root();
-    let full = || binomial_recursive_full(model, tree, m);
-    let (linear, binomial) = match kind {
-        Rooted::Scatter => (
-            model.linear_scatter(root, m),
-            model.binomial_scatter(tree, m),
-        ),
-        Rooted::Bcast => (model.linear_scatter(root, m), full()),
-        Rooted::Gather => (
-            model.linear_gather(root, m).expected,
-            model.binomial_scatter(tree, m),
-        ),
-        Rooted::Reduce { gamma } => (
-            predict_linear_reduce(model, root, m, gamma),
-            full() + tree.height() as f64 * (gamma * m as f64),
-        ),
-    };
-    ScatterPrediction { linear, binomial }
 }
 
 /// Predicts linear and binomial scatter with the LMO model the way the
 /// paper's Fig. 6 does: eq. (4) for linear, the recursive formula
 /// instantiated with LMO point-to-point times for binomial.
 pub fn predict_scatter_lmo(model: &LmoExtended, root: Rank, m: Bytes) -> ScatterPrediction {
-    let tree = BinomialTree::new(model.n(), root);
+    let tree = BinomialTree::new(model.c.len(), root);
     ScatterPrediction {
         linear: model.linear_scatter(root, m),
         binomial: binomial_recursive(model, &tree, m),
@@ -188,7 +105,10 @@ mod tests {
         let l = lmo(16);
         let h: HockneyHet = l.to_hockney();
         let m = 150 * 1024; // the paper's 100 KB < M < 200 KB window
-        let hp = rank_generic(&h, Rooted::Scatter, &BinomialTree::new(16, Rank(0)), m);
+        let hp = ScatterPrediction {
+            linear: h.linear_serial(Rank(0), m),
+            binomial: binomial_recursive(&h, &BinomialTree::new(16, Rank(0)), m),
+        };
         let lp = predict_scatter_lmo(&l, Rank(0), m);
         assert_eq!(hp.choice(), Algorithm::Binomial, "Hockney mispredicts");
         assert_eq!(lp.choice(), Algorithm::Linear, "LMO is right");

@@ -10,35 +10,34 @@
 
 use cpm_core::error::CpmError;
 use cpm_core::rank::Rank;
-use cpm_core::tree::BinomialTree;
 use cpm_core::units::Bytes;
 use cpm_estimate::lmo::estimate_lmo_full;
 use cpm_estimate::EstimateConfig;
 use cpm_models::LmoExtended;
 use cpm_netsim::SimCluster;
 
-use crate::bcast::{binomial_bcast, linear_bcast};
-use crate::gather::{binomial_gather, linear_gather};
+use crate::cost::{choose, emit_rooted, CostModel, Machine, Op, Rooted};
 use crate::optimized::optimized_gather;
-use crate::scatter::{binomial_scatter, linear_scatter};
-use crate::select::{rank_lmo, Rooted};
 use crate::{Algorithm, Sink};
 
 /// A collective dispatcher backed by an estimated LMO model.
 ///
-/// Decisions are made from the model alone (no runtime search): scatter and
-/// broadcast pick linear vs binomial by predicted time; gather additionally
-/// splits medium messages to dodge escalations.
+/// Decisions are made from the model alone (no runtime search): every
+/// collective runs the algorithm [`crate::cost::choose`] picks on the
+/// model's machine; gather additionally splits medium messages to dodge
+/// escalations.
 #[derive(Clone, Debug)]
 pub struct TunedCollectives {
     model: LmoExtended,
+    costs: CostModel<'static>,
 }
 
 impl TunedCollectives {
     /// Builds the dispatcher from pre-fitted parameters — e.g. loaded from
     /// a parameter registry (`cpm-serve`) or a persisted model file.
     pub fn new(model: LmoExtended) -> Self {
-        TunedCollectives { model }
+        let costs = CostModel::Machine(Machine::lmo(&model));
+        TunedCollectives { model, costs }
     }
 
     /// The one-call convenience path: runs the LMO estimation experiments
@@ -54,21 +53,24 @@ impl TunedCollectives {
         &self.model
     }
 
-    /// The model's pick for `kind` at `(root, m)`, with the tree it was
-    /// ranked on.
-    fn pick(&self, kind: Rooted, root: Rank, m: Bytes) -> (Algorithm, BinomialTree) {
-        let tree = BinomialTree::new(self.model.c.len(), root);
-        (rank_lmo(&self.model, kind, &tree, m).choice(), tree)
+    fn n(&self) -> usize {
+        self.model.c.len()
+    }
+
+    /// The chooser's pick for `kind` at `(root, m)`, as the op it prices.
+    fn pick(&self, kind: Rooted, root: Rank, m: Bytes) -> (Op, Algorithm) {
+        let op = Op { kind, root, m };
+        (op, choose(&self.costs, op))
     }
 
     /// The algorithm scatter will use at `(root, m)`.
     pub fn scatter_choice(&self, root: Rank, m: Bytes) -> Algorithm {
-        self.pick(Rooted::Scatter, root, m).0
+        self.pick(Rooted::Scatter, root, m).1
     }
 
     /// The algorithm broadcast will use at `(root, m)`.
     pub fn bcast_choice(&self, root: Rank, m: Bytes) -> Algorithm {
-        self.pick(Rooted::Bcast, root, m).0
+        self.pick(Rooted::Bcast, root, m).1
     }
 
     /// `true` when gather at size `m` will be split into sub-`M1` pieces.
@@ -76,34 +78,28 @@ impl TunedCollectives {
         crate::optimized::split_count(m, &self.model.gather) > 1
     }
 
-    /// Model-tuned scatter: emits the chosen algorithm's program.
-    pub fn scatter(&self, root: Rank, m: Bytes, emit: impl Sink) {
-        match self.pick(Rooted::Scatter, root, m) {
-            (Algorithm::Binomial, tree) => binomial_scatter(&tree, m, emit),
-            _ => linear_scatter(self.model.c.len(), root, m, emit),
-        }
+    fn emit(&self, kind: Rooted, root: Rank, m: Bytes, sink: impl Sink) {
+        let (op, alg) = self.pick(kind, root, m);
+        emit_rooted(self.n(), op, alg, sink);
     }
 
-    /// Model-tuned gather: linear outside the irregular region, split
-    /// inside it, binomial when the model predicts the tree wins (tiny
-    /// messages).
-    pub fn gather(&self, root: Rank, m: Bytes, emit: impl Sink) {
-        let n = self.model.c.len();
+    /// Model-tuned scatter: emits the chosen algorithm's program.
+    pub fn scatter(&self, root: Rank, m: Bytes, sink: impl Sink) {
+        self.emit(Rooted::Scatter, root, m, sink)
+    }
+
+    /// Model-tuned gather: split inside the irregular region, otherwise
+    /// the chosen algorithm.
+    pub fn gather(&self, root: Rank, m: Bytes, sink: impl Sink) {
         if self.gather_splits(m) {
-            return optimized_gather(n, root, m, &self.model.gather, emit);
+            return optimized_gather(self.n(), root, m, &self.model.gather, sink);
         }
-        match self.pick(Rooted::Gather, root, m) {
-            (Algorithm::Binomial, tree) => binomial_gather(&tree, m, emit),
-            _ => linear_gather(n, root, m, emit),
-        }
+        self.emit(Rooted::Gather, root, m, sink)
     }
 
     /// Model-tuned broadcast: emits the chosen algorithm's program.
-    pub fn bcast(&self, root: Rank, m: Bytes, emit: impl Sink) {
-        match self.pick(Rooted::Bcast, root, m) {
-            (Algorithm::Binomial, tree) => binomial_bcast(&tree, m, emit),
-            _ => linear_bcast(self.model.c.len(), root, m, emit),
-        }
+    pub fn bcast(&self, root: Rank, m: Bytes, sink: impl Sink) {
+        self.emit(Rooted::Bcast, root, m, sink)
     }
 }
 

@@ -21,9 +21,10 @@
 //! counter moves, by that wake.
 
 use cpm_cluster::{ClusterSpec, GroundTruth, MpiProfile};
+use cpm_collectives::cost::{choose, CostModel, Machine, Op, Rooted};
 use cpm_collectives::measure::{collective_times, programs};
 use cpm_collectives::optimized::split_count;
-use cpm_collectives::{select, Algorithm, TunedCollectives};
+use cpm_collectives::{Algorithm, TunedCollectives};
 use cpm_core::matrix::SymMatrix;
 use cpm_core::rank::Rank;
 use cpm_core::tree::BinomialTree;
@@ -608,7 +609,13 @@ fn tuned_dispatch_matches_the_closure_dispatcher_bit_for_bit() {
                 if tuned.gather_splits(m) {
                     return reference::optimized_gather(c, root, m, &tuned.model().gather);
                 }
-                match select::rank_lmo(tuned.model(), select::Rooted::Gather, &tree, m).choice() {
+                let machine = CostModel::Machine(Machine::lmo(tuned.model()));
+                let op = Op {
+                    kind: Rooted::Gather,
+                    root,
+                    m,
+                };
+                match choose(&machine, op) {
                     Algorithm::Binomial => reference::binomial_gather(c, &tree, m),
                     _ => reference::linear_gather(c, root, m),
                 }

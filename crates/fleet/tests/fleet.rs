@@ -493,17 +493,21 @@ fn member_fallbacks_and_refusals_echo_the_client_id() {
     let first = Arc::new(Service::open(&tmp, test_service_cfg(5)).unwrap());
     let (text, _) = member(Arc::clone(&first)).handle_line(&estimate_line(&config_json(&config)));
     assert!(text.starts_with("{\"ok\":true,"), "{text}");
-    // Poison the stored LMO `C[0]` and load it into a fresh member.
+    // Poison the stored Hockney `α(0, 1)` and load it into a fresh member:
+    // a whole-transfer closed form has no clamp, so the prediction is
+    // infinite. (LMO runs on its machine, which clamps, and stays finite.)
     let path = first.registry().path_for(&fp);
     let mut stored = std::fs::read_to_string(&path).unwrap();
-    let start = stored.find("\"c\": [").expect("lmo.c in the store") + "\"c\": [".len();
+    let alpha = stored.find("\"hockney\"").expect("hockney in the store");
+    let start = alpha + stored[alpha..].find("\"data\": [").unwrap() + "\"data\": [".len();
     let end = start + stored[start..].find(',').unwrap();
     stored.replace_range(start..end, "1e999");
     std::fs::write(&path, stored).unwrap();
     drop(first);
     let node = member(Arc::new(Service::open(&tmp, test_service_cfg(5)).unwrap()));
 
-    let (text, _) = node.handle_line(&predict_line(&fp, "nf-7"));
+    let hockney = predict_line(&fp, "nf-7").replace("\"lmo\"", "\"hockney\"");
+    let (text, _) = node.handle_line(&hockney);
     assert_eq!(
         text,
         "{\"ok\":false,\"id\":\"nf-7\",\"error\":\"serialization failure\"}"

@@ -118,6 +118,17 @@ pub struct Lineage {
     pub residual_after: ResidualSummary,
 }
 
+/// `config`, if building its simulator would not panic
+/// ([`ClusterConfig::validate`]); a structured `bad "config"` error if it
+/// would. A request's config must pass here before it reaches the
+/// simulator.
+pub(crate) fn validated(config: &ClusterConfig) -> Result<&ClusterConfig> {
+    config
+        .validate()
+        .map(|()| config)
+        .map_err(|e| ServeError::Protocol(format!("bad \"config\": {e}")))
+}
+
 /// Every model parameter the service can serve for one cluster, as
 /// estimated from simulated communication experiments.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -157,13 +168,7 @@ impl ParamSet {
     /// Runs the full estimation pipeline for `config`: LMO (with gather
     /// empirics), heterogeneous Hockney, LogGP and PLogP.
     pub fn estimate(config: &ClusterConfig, est: &EstimateConfig) -> Result<ParamSet> {
-        // `SimCluster::new` asserts this; a request must not reach it.
-        if !(config.noise_rel.is_finite() && config.noise_rel >= 0.0) {
-            return Err(ServeError::Protocol(format!(
-                "config.noise_rel must be finite and non-negative, got {}",
-                config.noise_rel
-            )));
-        }
+        validated(config)?;
         let sim = SimCluster::from_config(config);
         let err = |e: cpm_core::error::CpmError| ServeError::Estimation(e.to_string());
         let lmo = estimate_lmo_full(&sim, est).map_err(err)?;

@@ -17,18 +17,17 @@ use std::sync::{Arc, Condvar, Mutex as StdMutex};
 use std::time::Instant;
 
 use cpm_cluster::ClusterConfig;
+use cpm_collectives::cost::{cheapest, cost, CostModel, Machine, Op, Rooted};
 use cpm_collectives::TunedCollectives;
 use cpm_core::rank::Rank;
-use cpm_core::tree::BinomialTree;
 use cpm_core::units::Bytes;
 use cpm_estimate::EstimateConfig;
-use cpm_models::collective::{binomial_recursive, binomial_recursive_full};
 use cpm_obs::{Counter, Gauge, Histogram, MetricsRegistry};
 use cpm_stats::hist::{HistSnapshot, LogHistogram};
 use cpm_workload::{ModelSet, Plan, PlanProfile, Trace};
 use parking_lot::{Mutex, RwLock};
 
-use crate::registry::{fingerprint, ParamSet, Registry, Result, ServeError};
+use crate::registry::{fingerprint, validated, ParamSet, Registry, Result, ServeError};
 
 /// Which estimated model answers a query.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -143,6 +142,15 @@ impl Collective {
             Collective::Bcast => "bcast",
         }
     }
+
+    /// The collective as [`cost`] prices it.
+    pub fn rooted(self) -> Rooted {
+        match self {
+            Collective::Scatter => Rooted::Scatter,
+            Collective::Gather => Rooted::Gather,
+            Collective::Bcast => Rooted::Bcast,
+        }
+    }
 }
 
 /// The algorithm variant being predicted.
@@ -171,6 +179,14 @@ impl Algorithm {
         match self {
             Algorithm::Linear => "linear",
             Algorithm::Binomial => "binomial",
+        }
+    }
+
+    /// The algorithm below the wire (`cpm_collectives::Algorithm`).
+    pub fn below(self) -> cpm_collectives::Algorithm {
+        match self {
+            Algorithm::Linear => cpm_collectives::Algorithm::Linear,
+            Algorithm::Binomial => cpm_collectives::Algorithm::Binomial,
         }
     }
 }
@@ -1152,6 +1168,7 @@ impl Service {
                     .into(),
             ));
         };
+        let config = validated(config)?;
         trace
             .validate()
             .map_err(|e| ServeError::Protocol(format!("bad trace: {e}")))?;
@@ -1198,6 +1215,7 @@ impl Service {
                     .into(),
             ));
         };
+        let config = validated(config)?;
         trace
             .validate()
             .map_err(|e| ServeError::Protocol(format!("bad trace: {e}")))?;
@@ -1292,7 +1310,8 @@ impl Service {
     }
 
     /// Model-based algorithm selection: predicts both algorithms for the
-    /// collective and returns (choice, linear seconds, binomial seconds).
+    /// collective and returns (choice, linear seconds, binomial seconds),
+    /// the choice made by the chooser's rule (`cpm_collectives::cost`).
     pub fn select(
         &self,
         cluster: &ClusterRef,
@@ -1325,17 +1344,15 @@ impl Service {
                 },
             )?
             .seconds;
-        let choice = if linear <= binomial {
-            Algorithm::Linear
-        } else {
-            Algorithm::Binomial
-        };
+        let choice = cheapest([(Algorithm::Linear, linear), (Algorithm::Binomial, binomial)]);
         Ok((choice, linear, binomial))
     }
 }
 
-/// Computes a prediction from an estimated parameter set. Pure — all
-/// caching and estimation happen above this.
+/// Computes a prediction from an estimated parameter set: the one
+/// [`cost`] of the collective under the model (the model's machine for LMO,
+/// its closed form for the whole-transfer models). Pure — all caching and
+/// estimation happen above this.
 pub fn compute(ps: &ParamSet, q: &Query) -> Result<f64> {
     let mut sp = cpm_obs::span("model.compute");
     sp.field_str("collective", q.collective.as_str());
@@ -1346,33 +1363,22 @@ pub fn compute(ps: &ParamSet, q: &Query) -> Result<f64> {
             q.root
         )));
     }
-    let root = Rank(q.root);
-    let m = q.m;
-    let tree = || BinomialTree::new(n, root);
-    let seconds = match (q.model, q.collective, q.algorithm) {
-        (ModelKind::Lmo, Collective::Scatter, Algorithm::Linear) => ps.lmo.linear_scatter(root, m),
-        (ModelKind::Lmo, Collective::Scatter, Algorithm::Binomial) => {
-            ps.lmo.binomial_scatter(&tree(), m)
-        }
-        (ModelKind::Lmo, Collective::Gather, Algorithm::Linear) => {
-            ps.lmo.linear_gather(root, m).expected
-        }
-        (ModelKind::Lmo, Collective::Gather, Algorithm::Binomial) => {
-            // Mirror image of binomial scatter in the LMO formulation.
-            ps.lmo.binomial_scatter(&tree(), m)
-        }
-        (ModelKind::Lmo, Collective::Bcast, Algorithm::Linear) => ps.lmo.linear_scatter(root, m),
-        (ModelKind::Lmo, Collective::Bcast, Algorithm::Binomial) => {
-            binomial_recursive_full(&ps.lmo, &tree(), m)
-        }
-        (ModelKind::Hockney, _, Algorithm::Linear) => ps.hockney.linear_serial(root, m),
-        (ModelKind::Hockney, _, Algorithm::Binomial) => binomial_recursive(&ps.hockney, &tree(), m),
-        (ModelKind::Loggp, _, Algorithm::Linear) => ps.loggp.linear(m),
-        (ModelKind::Loggp, _, Algorithm::Binomial) => binomial_recursive(&ps.loggp, &tree(), m),
-        (ModelKind::Plogp, _, Algorithm::Linear) => ps.plogp.linear(m),
-        (ModelKind::Plogp, _, Algorithm::Binomial) => binomial_recursive(&ps.plogp, &tree(), m),
+    let op = Op {
+        kind: q.collective.rooted(),
+        root: Rank(q.root),
+        m: q.m,
     };
-    Ok(seconds)
+    Ok(cost(&cost_model(ps, q.model), op, q.algorithm.below()))
+}
+
+/// How `model` prices a collective under the parameter set.
+fn cost_model(ps: &ParamSet, model: ModelKind) -> CostModel<'_> {
+    match model {
+        ModelKind::Lmo => CostModel::Machine(Machine::lmo(&ps.lmo)),
+        ModelKind::Hockney => CostModel::Hockney(&ps.hockney),
+        ModelKind::Loggp => CostModel::Loggp(&ps.loggp),
+        ModelKind::Plogp => CostModel::Plogp(&ps.plogp),
+    }
 }
 
 #[cfg(test)]

@@ -20,7 +20,7 @@ use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use cpm_cluster::{ClusterConfig, ClusterSpec};
+use cpm_cluster::{ClusterConfig, ClusterSpec, Topology};
 use cpm_estimate::EstimateConfig;
 use cpm_serve::{
     handle_line, ClusterRef, LineHandler, ModelKind, ParamSet, Server, ServerHandle, Service,
@@ -83,6 +83,26 @@ fn corpus_requests() -> Vec<String> {
     c.push("{\"verb\":\"estimate\"}".into());
     c.push("{\"verb\":\"estimate\",\"config\":{}}".into());
     c.push("{\"verb\":\"estimate\",\"config\":7}".into());
+    // Configs the simulator would assert on: a level tree short of the
+    // spec, an empty one, a two-switch split outside the cluster.
+    let four = ClusterConfig::ideal(ClusterSpec::homogeneous(4), 17);
+    for config in [
+        ClusterConfig {
+            spec: ClusterSpec::homogeneous(6),
+            ..ClusterConfig::hierarchical(2, 2, 17)
+        },
+        ClusterConfig {
+            topology: Topology::Hierarchical { levels: Vec::new() },
+            ..four.clone()
+        },
+        ClusterConfig {
+            topology: Topology::two_switch(0, 11.7e6),
+            ..four.clone()
+        },
+    ] {
+        let config = serde_json::to_string(&config).unwrap();
+        c.push(format!("{{\"verb\":\"estimate\",\"config\":{config}}}"));
+    }
     c.push(predict(",\"m\":1024"));
     c.push(predict(",\"m\":1024"));
     c.push(format!(

@@ -502,6 +502,51 @@ fn handle_line_within_a_second(service: &Arc<Service>, line: &str) -> Result<Str
         .expect("the request was answered within 1 s")
 }
 
+/// A level tree that does not cover the cluster, an empty one, or a
+/// two-switch split outside it used to panic the estimator (the reactor
+/// answered `"internal error"`); `ClusterConfig::validate` refuses each
+/// with a structured `bad "config"` error, in process and over the wire.
+#[test]
+fn a_config_the_simulator_would_assert_on_is_a_structured_error() {
+    let store = std::env::temp_dir().join(format!("cpm-serve-badcfg-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&store);
+    let mut server = start_server(&store);
+    let six = ClusterConfig {
+        spec: ClusterSpec::homogeneous(6),
+        ..ClusterConfig::hierarchical(2, 2, 3)
+    };
+    let flat = ClusterConfig::ideal(ClusterSpec::homogeneous(4), 3);
+    let no_levels = ClusterConfig {
+        topology: cpm_cluster::Topology::Hierarchical { levels: Vec::new() },
+        ..flat.clone()
+    };
+    let split = ClusterConfig {
+        topology: cpm_cluster::Topology::two_switch(4, 1e7),
+        ..flat
+    };
+    for (config, why) in [
+        (six, "covers 4 ranks but the cluster has 6"),
+        (no_levels, "at least one level"),
+        (split, "both sides"),
+    ] {
+        let config = serde_json::to_string(&config).unwrap();
+        for verb in ["estimate", "plan\",\"fidelity\":\"des"] {
+            let line = format!(
+                "{{\"verb\":\"{verb}\",\"config\":{config},\"trace\":{{\"trace\":\"cpm-workload\",\
+                 \"version\":1,\"name\":\"x\",\"n\":2,\"ops\":[]}}}}"
+            );
+            let answer = handle_line_within_a_second(server.service(), &line)
+                .expect("a structured error, not a panic");
+            assert!(answer.contains("bad \\\"config\\\": "), "{answer}");
+            assert!(answer.contains(why), "{answer}");
+            let answer = request_within_a_second(server.addr(), &line);
+            assert_eq!(answer.get("ok"), Some(&Value::Bool(false)));
+        }
+    }
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&store);
+}
+
 /// A negative or non-finite `noise_rel` used to panic in `SimCluster::new`
 /// with the fingerprint's single-flight marker still in place, so the
 /// next request for it waited forever. It is a structured error now, the
@@ -538,19 +583,24 @@ fn a_bad_noise_rel_is_a_structured_error_every_time() {
     let _ = std::fs::remove_dir_all(&store);
 }
 
-/// An estimate that panics (here: a level tree that does not cover the
-/// cluster, which `SimCluster::with_topology` asserts) costs that request
-/// and nothing else: the leader's single-flight marker is removed on
-/// unwind, so the next request for the same fingerprint is answered —
-/// here by failing the same way — instead of waiting on it forever.
+/// An estimate that panics (here: an explicit ground truth whose link
+/// matrices cover fewer nodes than its processor vectors, which the
+/// simulator indexes past) costs that request and nothing else: the
+/// leader's single-flight marker is removed on unwind, so the next request
+/// for the same fingerprint is answered — here by failing the same way —
+/// instead of waiting on it forever.
 #[test]
 fn a_panicking_estimate_releases_its_fingerprint() {
     let store = std::env::temp_dir().join(format!("cpm-serve-unwind-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&store);
     let mut server = start_server(&store);
+    let mut truth = ClusterConfig::ideal(ClusterSpec::homogeneous(3), 3).ground_truth();
+    truth.c.push(truth.c[0]);
+    truth.t.push(truth.t[0]);
     let config = ClusterConfig {
-        spec: ClusterSpec::homogeneous(6),
-        ..ClusterConfig::hierarchical(2, 2, 3)
+        spec: ClusterSpec::homogeneous(4),
+        truth: cpm_cluster::config::TruthSource::Explicit(truth),
+        ..ClusterConfig::ideal(ClusterSpec::homogeneous(4), 3)
     };
     let line = format!(
         "{{\"verb\":\"estimate\",\"config\":{}}}",

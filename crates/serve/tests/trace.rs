@@ -271,12 +271,14 @@ fn serialization_failure_fallback_echoes_the_client_id() {
 
     let (store, service) = open_service("nonfinite");
     let fp = primed_fingerprint(&service, 47);
-    // Poison the stored set: the first LMO `C` becomes 1e999, which the
+    // Poison the stored set: the first Hockney `α` becomes 1e999, which the
     // parser reads as infinity. A fresh service over the same store loads
-    // it, and every LMO prediction through that node is infinite.
+    // it, and every Hockney prediction from rank 0 through that node is
+    // infinite. (LMO runs on its machine, which clamps, and stays finite.)
     let path = service.registry().path_for(&fp);
     let mut text = std::fs::read_to_string(&path).unwrap();
-    let start = text.find("\"c\": [").expect("lmo.c in the store") + "\"c\": [".len();
+    let alpha = text.find("\"hockney\"").expect("hockney in the store");
+    let start = alpha + text[alpha..].find("\"data\": [").unwrap() + "\"data\": [".len();
     let end = start + text[start..].find(',').unwrap();
     text.replace_range(start..end, "1e999");
     std::fs::write(&path, text).unwrap();
@@ -286,7 +288,7 @@ fn serialization_failure_fallback_echoes_the_client_id() {
 
     let predict = |id: &str| {
         format!(
-            "{{\"verb\":\"predict\",\"id\":{id},\"fingerprint\":\"{fp}\",\"model\":\"lmo\",\
+            "{{\"verb\":\"predict\",\"id\":{id},\"fingerprint\":\"{fp}\",\"model\":\"hockney\",\
              \"collective\":\"scatter\",\"algorithm\":\"linear\",\"m\":1024}}"
         )
     };
@@ -304,7 +306,7 @@ fn serialization_failure_fallback_echoes_the_client_id() {
     // One poisoned element withdraws the whole batch line — with its id.
     let batch = format!(
         "{{\"verb\":\"batch\",\"id\":\"nf-b\",\"requests\":[{},{}]}}",
-        predict("1").replace("\"lmo\"", "\"hockney\""),
+        predict("1").replace("\"hockney\"", "\"lmo\""),
         predict("2")
     );
     let (text, _) = handler.handle_line(&batch);
@@ -313,7 +315,7 @@ fn serialization_failure_fallback_echoes_the_client_id() {
         "{\"ok\":false,\"id\":\"nf-b\",\"error\":\"serialization failure\"}"
     );
     // The other model families never touch the poisoned parameter.
-    let (text, _) = handler.handle_line(&predict("3").replace("\"lmo\"", "\"hockney\""));
+    let (text, _) = handler.handle_line(&predict("3").replace("\"hockney\"", "\"lmo\""));
     assert!(
         text.starts_with("{\"ok\":true,\"id\":3,\"seconds\":"),
         "{text}"

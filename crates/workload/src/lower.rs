@@ -3,21 +3,18 @@
 //! Every trace op expands into [`ScriptOp`]s appended to each participating
 //! rank's program. The collective algorithms are **not written here**:
 //! each is one function in `cpm-collectives` that emits its program into a
-//! sink, the same function the observation harness times, and [`lower`] is
-//! the sink that appends to the rank's program and records which trace op
-//! the primitive implements. The programs are in the script kernel's own
+//! sink, the same function the observation harness times (a rooted one
+//! through `cpm_collectives::cost::emit_rooted`, as the model's machine
+//! does), and [`lower`] is the sink that appends to the rank's program and
+//! records which trace op the primitive implements. The programs are in the script kernel's own
 //! vocabulary, so [`mod@crate::plan`] and [`mod@crate::replay`] hand
 //! [`Lowered::per_rank`] to the kernel as it is: one description per
 //! algorithm, one lowering, one machine. Only blocking primitives are
 //! emitted — no collective a trace can name uses `Isend`/`WaitSend`.
 
-use cpm_collectives::{
-    binomial_bcast, binomial_gather, binomial_reduce, binomial_scatter, linear_bcast,
-    linear_gather, linear_reduce, linear_scatter, ring_allgather, rotation_alltoall,
-    two_phase_bcast, two_phase_reduce,
-};
+use cpm_collectives::cost::emit_rooted;
+use cpm_collectives::{ring_allgather, rotation_alltoall};
 use cpm_core::rank::Rank;
-use cpm_core::tree::BinomialTree;
 use cpm_vmpi::ScriptOp;
 
 use crate::trace::{OpKind, Trace};
@@ -73,78 +70,42 @@ pub fn lower(trace: &Trace, choices: &[Option<Algorithm>]) -> Lowered {
             per_rank[rank.idx()].push(prim);
             op_of[rank.idx()].push(idx);
         };
-        let choice = choices.get(idx).copied().flatten();
-        let tree = |root: &Rank| BinomialTree::new(n, *root);
-        algorithms[idx] = match (&op.kind, choice.unwrap_or(Algorithm::Linear)) {
-            (OpKind::P2p { src, dst, m }, _) => {
+        if let Some(rooted) = op.kind.rooted() {
+            let choice = choices.get(idx).copied().flatten();
+            let alg = choice.unwrap_or(Algorithm::Linear);
+            algorithms[idx] = Some(emit_rooted(n, rooted, alg, emit));
+            continue;
+        }
+        algorithms[idx] = match &op.kind {
+            OpKind::P2p { src, dst, m } => {
                 emit(*src, ScriptOp::send(*dst, *m));
                 emit(*dst, ScriptOp::recv(*src));
                 None
             }
-            (OpKind::Scatter { root, m }, Algorithm::Binomial) => {
-                binomial_scatter(&tree(root), *m, emit);
-                Some(Algorithm::Binomial)
-            }
-            (OpKind::Scatter { root, m }, _) => {
-                linear_scatter(n, *root, *m, emit);
-                Some(Algorithm::Linear)
-            }
-            (OpKind::Bcast { root, m }, Algorithm::Binomial) => {
-                binomial_bcast(&tree(root), *m, emit);
-                Some(Algorithm::Binomial)
-            }
-            (OpKind::Bcast { root, m }, Algorithm::TwoPhase { intra })
-                if intra > 0 && intra < n =>
-            {
-                two_phase_bcast(n, *root, *m, intra, emit);
-                Some(Algorithm::TwoPhase { intra })
-            }
-            (OpKind::Bcast { root, m }, _) => {
-                linear_bcast(n, *root, *m, emit);
-                Some(Algorithm::Linear)
-            }
-            (OpKind::Gather { root, m }, Algorithm::Binomial) => {
-                binomial_gather(&tree(root), *m, emit);
-                Some(Algorithm::Binomial)
-            }
-            (OpKind::Gather { root, m }, _) => {
-                linear_gather(n, *root, *m, emit);
-                Some(Algorithm::Linear)
-            }
-            (OpKind::Reduce { root, m, gamma }, Algorithm::Binomial) => {
-                binomial_reduce(&tree(root), *m, *gamma, emit);
-                Some(Algorithm::Binomial)
-            }
-            (OpKind::Reduce { root, m, gamma }, Algorithm::TwoPhase { intra })
-                if intra > 0 && intra < n =>
-            {
-                two_phase_reduce(n, *root, *m, *gamma, intra, emit);
-                Some(Algorithm::TwoPhase { intra })
-            }
-            (OpKind::Reduce { root, m, gamma }, _) => {
-                linear_reduce(n, *root, *m, *gamma, emit);
-                Some(Algorithm::Linear)
-            }
-            (OpKind::Allgather { m }, _) => {
+            OpKind::Allgather { m } => {
                 ring_allgather(n, *m, emit);
                 Some(Algorithm::Ring)
             }
-            (OpKind::Alltoall { m }, _) => {
+            OpKind::Alltoall { m } => {
                 rotation_alltoall(n, *m, emit);
                 Some(Algorithm::Rotation)
             }
-            (OpKind::Compute { ranks, seconds }, _) => {
+            OpKind::Compute { ranks, seconds } => {
                 for r in ranks {
                     emit(*r, ScriptOp::Compute { secs: *seconds });
                 }
                 None
             }
-            (OpKind::Barrier, _) => {
+            OpKind::Barrier => {
                 for r in 0..n as u32 {
                     emit(Rank(r), ScriptOp::Barrier);
                 }
                 None
             }
+            OpKind::Scatter { .. }
+            | OpKind::Gather { .. }
+            | OpKind::Bcast { .. }
+            | OpKind::Reduce { .. } => unreachable!("rooted ops are emitted above"),
         };
     }
     Lowered {

@@ -2,19 +2,24 @@
 //!
 //! [`plan`] chooses an algorithm per collective op, lowers the trace into
 //! per-rank programs ([`mod@crate::lower`]) and runs them through the same
-//! script kernel as [`mod@crate::replay`] — on a noise-free, ideal-profile,
-//! single-switch `SimCluster` built from the *model's* parameters instead
-//! of ground truth. There is no second simulator: what the model predicts
-//! is what the one machine does when the model is its truth.
+//! script kernel as [`mod@crate::replay`] — on a noise-free, single-switch
+//! `SimCluster` built from the *model's* parameters instead of ground
+//! truth. There is no second simulator: what the model predicts is what
+//! the one machine does when the model is its truth.
 //!
-//! * **Extended LMO** names exactly the resources the kernel serializes in
-//!   its regular regime: a blocking send occupies the sender's tx engine
-//!   for `C_i + M·t_i`, the message takes `L_ij` to reach the wire, waits
-//!   for earlier transfers on the same connection, streams for `M/β_ij`,
-//!   and occupies the receiver's rx engine for `C_j + M·t_j` in arrival
-//!   order — so the model's `(C, t, L, β)` *are* the cluster. On an ideal
-//!   cluster planned under its own truth, plan and replay agree to the
-//!   bit, structurally. Hierarchical LMO runs through its lossless fold
+//! * **Extended LMO** names exactly the resources the kernel serializes:
+//!   a blocking send occupies the sender's tx engine for `C_i + M·t_i`,
+//!   the message takes `L_ij` to reach the wire, waits for earlier
+//!   transfers on the same connection, streams for `M/β_ij`, and occupies
+//!   the receiver's rx engine for `C_j + M·t_j` in arrival order — so the
+//!   model's `(C, t, L, β)` *are* the cluster. The model's estimated
+//!   `M1`/`M2` ride on its MPI profile (escalations and the leap off):
+//!   at `M ≥ M2` a receiver admits one large transfer at a time and a
+//!   blocking send returns at its admission, as eq. (5) serializes large
+//!   gathers. This is `cpm_collectives::cost::Machine`, the same machine
+//!   [`choose`] prices candidates on. On a noise-free cluster planned under
+//!   its own truth, plan and replay agree to the bit wherever no
+//!   escalation can fire. Hierarchical LMO runs through its lossless fold
 //!   into the flat extended model.
 //! * **Hockney / LogGP / PLogP** cannot separate the contributions of the
 //!   processors and the network (the paper's central criticism), so the
@@ -29,12 +34,13 @@
 //! wire and rx slots, receive matches, per-primitive windows): binding
 //! predecessors walked back from the rank that realizes the makespan.
 
+use std::collections::HashMap;
+
 use cpm_cluster::{GroundTruth, MpiProfile};
-use cpm_collectives::select::{self, Rooted};
+use cpm_collectives::cost::{self, clamp, CostModel, Machine, Op, Rooted};
 use cpm_core::matrix::SymMatrix;
 use cpm_core::rank::Rank;
 use cpm_core::traits::PointToPoint;
-use cpm_core::tree::BinomialTree;
 use cpm_core::units::Bytes;
 use cpm_models::{HierLmo, HockneyHet, LmoExtended, LogGp, PLogP};
 use cpm_netsim::{PairTable, SimCluster, TraceEvent};
@@ -42,7 +48,7 @@ use cpm_vmpi::{ScriptOp, ScriptOutcome};
 
 use crate::lower::{lower, Algorithm, Lowered};
 use crate::replay::run_lowered;
-use crate::trace::{OpKind, Trace, TraceOp, WorkloadError, MAX_DURATION};
+use crate::trace::{OpKind, Trace, WorkloadError};
 
 /// The model a plan is evaluated under.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -128,6 +134,18 @@ impl PlanModel {
             PlanModel::Hockney(_) => ModelKind::Hockney,
             PlanModel::Loggp(_) => ModelKind::Loggp,
             PlanModel::Plogp(_) => ModelKind::Plogp,
+        }
+    }
+
+    /// How this model prices a rooted collective (`cpm_collectives::cost`):
+    /// for the separable models, the machine the plan also runs on.
+    pub fn cost_model(&self) -> CostModel<'_> {
+        match self {
+            PlanModel::Lmo(l) => CostModel::Machine(Machine::lmo(l)),
+            PlanModel::LmoHier(h) => CostModel::Machine(Machine::hier(h)),
+            PlanModel::Hockney(h) => CostModel::Hockney(h),
+            PlanModel::Loggp(g) => CostModel::Loggp(g),
+            PlanModel::Plogp(p) => CostModel::Plogp(p),
         }
     }
 
@@ -349,53 +367,16 @@ impl Plan {
     }
 }
 
-/// The one clamp between a model and the machine. The kernel's clock is
-/// finite by construction (`Time::from_secs` asserts it) and must never
-/// run backwards, where the hand-written planner this replaced silently
-/// computed garbage; so a degenerate fit — a negative `L`, a Hockney
-/// `α < 0`, a NaN — charges zero, and an absurdly large one
-/// [`MAX_DURATION`], instead of panicking. Values in range pass through
-/// bit for bit. (`f64::clamp` would keep a NaN; `max` drops it.)
-#[allow(clippy::manual_clamp)]
-fn clamp(secs: f64) -> f64 {
-    secs.max(0.0).min(MAX_DURATION)
-}
-
-/// A model set up on the one machine: the noise-free, ideal-profile,
-/// single-switch [`SimCluster`] whose "ground truth" is the model, so a
-/// plan is [`run_lowered`] on the model's parameters exactly as a replay
-/// is [`run_lowered`] on the cluster's. The second half is the model
-/// itself when it cannot separate the processors from the network
-/// (Hockney, LogGP, PLogP): the cluster then charges nothing and
+/// The cluster a whole-transfer model runs on: it charges nothing itself,
 /// [`charge_whole_transfers`] puts `T(src, dst, M)` on the sender.
-fn model_cluster(model: &PlanModel) -> (SimCluster, Option<&dyn PointToPoint>) {
-    // A rate is clamped through the wire time it produces: none or a
-    // negative one charges zero (β = ∞), a vanishing one is capped.
-    let floor = 1.0 / MAX_DURATION;
-    let separable = |l: &LmoExtended| GroundTruth {
-        c: l.c.iter().map(|&c| clamp(c)).collect(),
-        t: l.t.iter().map(|&t| clamp(t)).collect(),
-        l: l.l.map(|&lat| clamp(lat)),
-        beta: l
-            .beta
-            .map(|&b| if b > 0.0 { b.max(floor) } else { f64::INFINITY }),
+fn transfer_cluster(n: usize) -> SimCluster {
+    let truth = GroundTruth {
+        c: vec![0.0; n],
+        t: vec![0.0; n],
+        l: SymMatrix::filled(n, 0.0),
+        beta: SymMatrix::filled(n, f64::INFINITY),
     };
-    let n = model.as_p2p().n();
-    let (truth, whole) = match model {
-        PlanModel::Lmo(l) => (separable(l), None),
-        // Lossless: the fold has identical point-to-point times.
-        PlanModel::LmoHier(h) => (separable(&h.to_extended()), None),
-        m => (
-            GroundTruth {
-                c: vec![0.0; n],
-                t: vec![0.0; n],
-                l: SymMatrix::filled(n, 0.0),
-                beta: SymMatrix::filled(n, f64::INFINITY),
-            },
-            Some(m.as_p2p()),
-        ),
-    };
-    (SimCluster::new(truth, MpiProfile::ideal(), 0.0, 0), whole)
+    SimCluster::new(truth, MpiProfile::ideal(), 0.0, 0)
 }
 
 /// Hockney, LogGP and PLogP cannot separate the contributions of the
@@ -421,88 +402,43 @@ fn charge_whole_transfers(mut lowered: Lowered, p2p: &dyn PointToPoint) -> Lower
     lowered
 }
 
-/// Evaluates one op in isolation under `alg` on the one machine (untraced)
-/// — the arbiter the hierarchical chooser ranks candidates with (closed
-/// forms for two-phase schedules would drift from the lowering; the
-/// machine cannot).
-fn eval_single_op(cluster: &SimCluster, op: &TraceOp, alg: Algorithm) -> f64 {
-    let t = Trace {
-        name: "probe".into(),
-        n: cluster.n(),
-        ops: vec![op.clone()],
-    };
-    run_lowered(cluster, &lower(&t, &[Some(alg)]), false).map_or(f64::INFINITY, |out| out.end_time)
-}
-
-/// Level-aware algorithm choice: per rooted collective, the machine-exact
-/// argmin over linear, binomial and (for bcast/reduce) the leader-based
-/// two-phase schedule with the model's natural intra-group size.
-/// `cluster` is the hierarchical model's [`model_cluster`].
-fn choose_hier(trace: &Trace, hier: &HierLmo, cluster: &SimCluster) -> Vec<Option<Algorithm>> {
-    let n = trace.n;
-    let intra = hier.intra_size();
-    let two_phase = (intra > 1 && intra < n).then_some(Algorithm::TwoPhase { intra });
-    let argmin = |op: &TraceOp, candidates: &[Algorithm]| {
-        let costed = candidates
-            .iter()
-            .map(|&a| (eval_single_op(cluster, op, a), a));
-        costed.min_by(|a, b| a.0.total_cmp(&b.0)).map(|(_, a)| a)
-    };
-    trace
-        .ops
-        .iter()
-        .map(|op| match &op.kind {
-            OpKind::Scatter { .. } | OpKind::Gather { .. } => {
-                argmin(op, &[Algorithm::Linear, Algorithm::Binomial])
-            }
-            OpKind::Bcast { .. } | OpKind::Reduce { .. } => {
-                let mut candidates = vec![Algorithm::Linear, Algorithm::Binomial];
-                candidates.extend(two_phase);
-                argmin(op, &candidates)
-            }
-            OpKind::Allgather { .. } => Some(Algorithm::Ring),
-            OpKind::Alltoall { .. } => Some(Algorithm::Rotation),
-            _ => None,
-        })
-        .collect()
-}
-
-/// Chooses the algorithm per collective op under `model` — the same
-/// linear-vs-binomial comparisons `TunedCollectives` and
-/// `cpm_collectives::select` make per collective, applied op by op. Under
-/// [`PlanModel::LmoHier`] the comparison is machine-exact and extends to
-/// the leader-based two-phase schedules (see [`Algorithm::TwoPhase`]).
+/// Chooses the algorithm per collective op under `model`: per rooted op,
+/// the argmin of `cpm_collectives::cost` over the model's candidates
+/// (linear, binomial, and under [`PlanModel::LmoHier`] the leader-based
+/// two-phase schedule) — the same chooser `TunedCollectives`, the service's
+/// `select` and `cpm predict` use.
 pub fn choose(trace: &Trace, model: &PlanModel) -> Vec<Option<Algorithm>> {
-    match model {
-        PlanModel::LmoHier(h) => choose_hier(trace, h, &model_cluster(model).0),
-        flat => choose_flat(trace, flat),
-    }
+    let mut costs = None;
+    choose_by(trace, |op| {
+        cost::choose(costs.get_or_insert_with(|| model.cost_model()), op)
+    })
 }
 
-/// [`choose`] for the flat models: the closed-form linear-vs-binomial
-/// comparisons of `cpm_collectives::select` — the LMO ones are what
-/// `TunedCollectives` dispatches on, the whole-transfer models rank by the
-/// serial sum against the recursion.
-fn choose_flat(trace: &Trace, model: &PlanModel) -> Vec<Option<Algorithm>> {
-    let rooted = |kind: Rooted, root: &Rank, m: &Bytes| {
-        let tree = BinomialTree::new(trace.n, *root);
-        let prediction = match model {
-            PlanModel::Lmo(l) => select::rank_lmo(l, kind, &tree, *m),
-            _ => select::rank_generic(model.as_p2p(), kind, &tree, *m),
+/// [`choose`] with `pick` choosing for each rooted op — built lazily by
+/// the callers, since a separable model's machine copies its parameters.
+/// A trace repeats its collectives, so each distinct one is picked once.
+pub(crate) fn choose_by(
+    trace: &Trace,
+    mut pick: impl FnMut(Op) -> Algorithm,
+) -> Vec<Option<Algorithm>> {
+    let mut picked = HashMap::new();
+    let key = |op: Op| {
+        let (kind, gamma) = match op.kind {
+            Rooted::Scatter => (0u8, 0.0),
+            Rooted::Gather => (1, 0.0),
+            Rooted::Bcast => (2, 0.0),
+            Rooted::Reduce { gamma } => (3, gamma),
         };
-        Some(prediction.choice())
+        (kind, gamma.to_bits(), op.root, op.m)
     };
     trace
         .ops
         .iter()
-        .map(|op| match &op.kind {
-            OpKind::Scatter { root, m } => rooted(Rooted::Scatter, root, m),
-            OpKind::Bcast { root, m } => rooted(Rooted::Bcast, root, m),
-            OpKind::Gather { root, m } => rooted(Rooted::Gather, root, m),
-            OpKind::Reduce { root, m, gamma } => rooted(Rooted::Reduce { gamma: *gamma }, root, m),
-            OpKind::Allgather { .. } => Some(Algorithm::Ring),
-            OpKind::Alltoall { .. } => Some(Algorithm::Rotation),
-            _ => None,
+        .map(|op| match (op.kind.rooted(), &op.kind) {
+            (Some(rooted), _) => Some(*picked.entry(key(rooted)).or_insert_with(|| pick(rooted))),
+            (None, OpKind::Allgather { .. }) => Some(Algorithm::Ring),
+            (None, OpKind::Alltoall { .. }) => Some(Algorithm::Rotation),
+            (None, _) => None,
         })
         .collect()
 }
@@ -515,6 +451,8 @@ enum At {
     Rx(usize),
     /// At the end of a message's wire slot.
     Wire(usize),
+    /// At the start of a message's wire slot: its admission.
+    Admitted(usize),
 }
 
 /// The critical path as a pure function of a traced kernel run: the
@@ -523,8 +461,11 @@ enum At {
 /// the makespan — a receive that waited binds to its message (rx slot ←
 /// wire slot ← latency ← tx slot ← the sender's program), a resource that
 /// was still busy (`>`; a tie keeps the message chain) binds to its
-/// previous occupant, a barrier binds everyone to its latest arriver —
-/// and renders the chain in time order. Term names carry the level of the
+/// previous occupant — for a wire slot, the connection's previous transfer
+/// or, for a large message, the previous large transfer into the receiver
+/// (its ingress admits one at a time) — a large send that was held binds
+/// to its admission, a barrier binds everyone to its latest arriver — and
+/// renders the chain in time order. Term names carry the level of the
 /// pair under a hierarchical model.
 fn critical_path(
     trace: &Trace,
@@ -545,6 +486,8 @@ fn critical_path(
     let (mut wire_at, mut rx_at) = (vec![0; msgs], vec![0; msgs]);
     let (mut prev_wire, mut prev_rx) = (vec![None; msgs], vec![None; msgs]);
     let (mut last_wire, mut last_rx) = (PairTable::<Option<usize>>::new(n), vec![None; n]);
+    let (mut prev_ingress, mut last_large) = (vec![None; msgs], vec![None; n]);
+    let mut sent: Vec<Vec<(usize, usize)>> = vec![Vec::new(); n];
     let mut received: Vec<Vec<(usize, usize)>> = vec![Vec::new(); n];
     let mut cursor = vec![0usize; n];
     let mut next = |r: usize, want: fn(&ScriptOp) -> bool| {
@@ -555,13 +498,20 @@ fn critical_path(
     };
     for (i, ev) in events.iter().enumerate() {
         match *ev {
-            TraceEvent::TxSlot { src, .. } => {
+            TraceEvent::TxSlot { msg, src, .. } => {
+                let k = next(src.idx(), |p| matches!(p, ScriptOp::Send { .. }));
                 tx_at.push(i);
-                send_k.push(next(src.idx(), |p| matches!(p, ScriptOp::Send { .. })));
+                send_k.push(k);
+                sent[src.idx()].push((k, msg));
             }
             TraceEvent::Wire { msg, src, dst, .. } => {
                 wire_at[msg] = i;
                 prev_wire[msg] = last_wire.slot(src.idx(), dst.idx()).replace(msg);
+                if let TraceEvent::TxSlot { bytes, .. } = events[tx_at[msg]] {
+                    if cluster.profile.is_large(bytes) {
+                        prev_ingress[msg] = last_large[dst.idx()].replace(msg);
+                    }
+                }
             }
             TraceEvent::RxSlot { msg, dst, .. } => {
                 rx_at[msg] = i;
@@ -629,8 +579,16 @@ fn critical_path(
                     }
                     ScriptOp::Send { dst, bytes } => match whole {
                         None => {
-                            step(r, op, "tx", windows[r][k], engine_terms(me, bytes));
-                            before
+                            let at = sent[r].binary_search_by_key(&k, |&(k, _)| k);
+                            let msg = sent[r][at.expect("a completed send was posted")].1;
+                            // A large send is held until the receiver's
+                            // ingress admits it.
+                            if windows[r][k].1 > span(tx_at[msg]).1 {
+                                At::Admitted(msg)
+                            } else {
+                                step(r, op, "tx", windows[r][k], engine_terms(me, bytes));
+                                before
+                            }
                         }
                         // The charge in front of the send is the transfer,
                         // split into the model's zero-byte time (`alpha`,
@@ -686,11 +644,23 @@ fn critical_path(
                 let wire = bytes as f64 / *truth.beta.get(src, dst);
                 let terms = vec![(link_term("beta", src, dst), wire)];
                 step(src.idx(), op, "wire", span(wire_at[msg]), terms);
+                At::Admitted(msg)
+            }
+            // The wire slot started at the arrival, unless the connection
+            // or (large messages) the receiver's ingress was still busy.
+            At::Admitted(msg) => {
+                let (src, dst, bytes, op) = posted(msg);
                 let (tx, lat) = (span(tx_at[msg]), *truth.l.get(src, dst));
                 let arrival = tx.1 + lat;
-                match prev_wire[msg] {
-                    Some(p) if span(wire_at[p]).1 > arrival => At::Wire(p),
-                    _ => {
+                let busy = [prev_wire[msg], prev_ingress[msg]]
+                    .into_iter()
+                    .flatten()
+                    .map(|p| (span(wire_at[p]).1, p))
+                    .filter(|&(end, _)| end > arrival)
+                    .max_by(|a, b| a.0.total_cmp(&b.0));
+                match busy {
+                    Some((_, p)) => At::Wire(p),
+                    None => {
                         let terms = vec![(link_term("L", src, dst), lat)];
                         step(src.idx(), op, "latency", (tx.1, arrival), terms);
                         step(src.idx(), op, "tx", tx, engine_terms(src, bytes));
@@ -770,15 +740,19 @@ pub fn plan_profiled(
         PlanModel::LmoHier(h) => Some(h),
         _ => None,
     };
+    let costs = model.cost_model();
+    let transfers;
     let (cluster, whole, lowered) = {
         let mut sp = cpm_obs::span("plan.lower");
         sp.field_u64("ops", trace.ops.len() as u64);
-        let (cluster, whole) = model_cluster(model);
-        let choices = match hier {
-            Some(h) => choose_hier(trace, h, &cluster),
-            None => choose_flat(trace, model),
+        let (cluster, whole) = match &costs {
+            CostModel::Machine(machine) => (machine.cluster(), None),
+            _ => {
+                transfers = transfer_cluster(model_n);
+                (&transfers, Some(model.as_p2p()))
+            }
         };
-        let lowered = lower(trace, &choices);
+        let lowered = lower(trace, &choose_by(trace, |op| cost::choose(&costs, op)));
         let lowered = match whole {
             Some(p2p) => charge_whole_transfers(lowered, p2p),
             None => lowered,
@@ -788,7 +762,7 @@ pub fn plan_profiled(
     profile.lower_ns = elapsed_ns(t_lower);
     let t_analyze = std::time::Instant::now();
     let sp_analyze = cpm_obs::span("plan.analyze");
-    let out = run_lowered(&cluster, &lowered, true)?;
+    let out = run_lowered(cluster, &lowered, true)?;
 
     let ops: Vec<OpReport> = trace
         .ops
@@ -828,7 +802,7 @@ pub fn plan_profiled(
         model: model.kind(),
         trace_hash: trace.hash(),
         makespan: out.end_time,
-        critical_path: critical_path(trace, &lowered, &out, (&cluster, whole), hier),
+        critical_path: critical_path(trace, &lowered, &out, (cluster, whole), hier),
         ops,
         phases,
     };
@@ -900,31 +874,6 @@ mod tests {
         };
         let p = plan(&t, &PlanModel::Loggp(g.clone())).unwrap();
         assert!((p.makespan - g.time(m)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn linear_scatter_plan_matches_the_closed_form_shape() {
-        // The machine's linear scatter under LMO: root tx slots serialize,
-        // tails overlap. The closed-form eq. (4) is exactly that, so the
-        // machine must land between the serial part and the full formula.
-        let n = 8;
-        let model = lmo(n);
-        let m = 16 * 1024u64;
-        let t = Trace {
-            name: "sc".into(),
-            n,
-            ops: vec![TraceOp {
-                id: 0,
-                phase: "s".into(),
-                kind: OpKind::Scatter { root: Rank(0), m },
-            }],
-        };
-        let pm = PlanModel::Lmo(model.clone());
-        let got = eval_single_op(&model_cluster(&pm).0, &t.ops[0], Algorithm::Linear);
-        let formula = model.linear_scatter(Rank(0), m);
-        let serial = (n as f64 - 1.0) * (model.c[0] + m as f64 * model.t[0]);
-        assert!(got >= serial, "{got} vs serial {serial}");
-        assert!(got <= formula * 1.0 + 1e-12, "{got} vs eq4 {formula}");
     }
 
     #[test]
@@ -1073,10 +1022,10 @@ mod tests {
         let choices = choose(&t, &PlanModel::LmoHier(h.clone()));
         assert_eq!(choices[0], Some(Algorithm::TwoPhase { intra: 8 }));
         // The machine confirms: two-phase strictly beats the flat binomial.
-        let flat = PlanModel::Lmo(h.to_extended());
-        let cluster = model_cluster(&flat).0;
-        let two = eval_single_op(&cluster, &t.ops[0], Algorithm::TwoPhase { intra: 8 });
-        let bin = eval_single_op(&cluster, &t.ops[0], Algorithm::Binomial);
+        let costs = CostModel::Machine(Machine::hier(&h));
+        let op = t.ops[0].kind.rooted().unwrap();
+        let two = cost::cost(&costs, op, Algorithm::TwoPhase { intra: 8 });
+        let bin = cost::cost(&costs, op, Algorithm::Binomial);
         assert!(two < bin, "two-phase {two} vs binomial {bin}");
     }
 
@@ -1100,19 +1049,20 @@ mod tests {
     }
 
     fn assert_path_explains(p: &Plan, what: &str) {
-        let cp = &p.critical_path;
+        assert_explains(&p.critical_path, p.makespan, what);
+    }
+
+    fn assert_explains(cp: &CriticalPath, makespan: f64, what: &str) {
         let rel = |a: f64, b: f64| (a - b).abs() / b.abs().max(1e-30);
         assert!(
-            rel(cp.seconds, p.makespan) < 1e-9,
-            "{what}: path {} vs makespan {}",
-            cp.seconds,
-            p.makespan
+            rel(cp.seconds, makespan) < 1e-9,
+            "{what}: path {} vs makespan {makespan}",
+            cp.seconds
         );
         let term_sum: f64 = cp.terms.iter().map(|(_, v)| v).sum();
         assert!(
-            rel(term_sum, p.makespan) < 1e-9,
-            "{what}: terms {term_sum} vs makespan {}",
-            p.makespan
+            rel(term_sum, makespan) < 1e-9,
+            "{what}: terms {term_sum} vs makespan {makespan}"
         );
         // The chain is gap-free: starts at 0, each step starts where its
         // predecessor ends, and it ends at the makespan.
@@ -1131,7 +1081,59 @@ mod tests {
             );
             at = s.end;
         }
-        assert!(rel(at, p.makespan) < 1e-9, "{what}: chain ends at {at}");
+        assert!(rel(at, makespan) < 1e-9, "{what}: chain ends at {at}");
+    }
+
+    /// At `M ≥ M2` the receiver's ingress admits one transfer at a time
+    /// and a blocking send returns at its admission. Three senders gather
+    /// 16 KiB (M2 = 4 KiB) into rank 0, then compute for a second each: the
+    /// last one admitted finishes last, and its path runs back through its
+    /// held send to its admission, through the two transfers the ingress
+    /// admitted first, to the first sender's tx slot.
+    #[test]
+    fn large_fan_ins_bind_to_the_ingress_and_the_admission() {
+        let n = 4;
+        let mut model = lmo(n);
+        model.gather = GatherEmpirics {
+            m1: 1024,
+            m2: 4096,
+            ..GatherEmpirics::none()
+        };
+        let machine = Machine::lmo(&model);
+        let op = |id, kind| TraceOp {
+            id,
+            phase: "p".into(),
+            kind,
+        };
+        let t = Trace {
+            name: "fan-in".into(),
+            n,
+            ops: vec![
+                op(
+                    0,
+                    OpKind::Gather {
+                        root: Rank(0),
+                        m: 16 * 1024,
+                    },
+                ),
+                op(
+                    1,
+                    OpKind::Compute {
+                        ranks: vec![Rank(1), Rank(2), Rank(3)],
+                        seconds: 1.0,
+                    },
+                ),
+            ],
+        };
+        let lowered = lower(&t, &[Some(Algorithm::Linear), None]);
+        let out = run_lowered(machine.cluster(), &lowered, true).unwrap();
+        let cp = critical_path(&t, &lowered, &out, (machine.cluster(), None), None);
+        assert_explains(&cp, out.end_time, "held fan-in");
+        let kinds: Vec<&str> = cp.steps.iter().map(|s| s.kind).collect();
+        assert_eq!(kinds, ["tx", "latency", "wire", "wire", "compute"]);
+        let senders: Vec<usize> = cp.steps.iter().map(|s| s.rank).collect();
+        assert_eq!(senders[0], senders[2]);
+        assert!(senders[2] != senders[3] && senders[3] != senders[4]);
     }
 
     #[test]

@@ -11,13 +11,15 @@
 //! residuals per op; the point-to-point residuals are shaped for
 //! `cpm-drift`'s `observe` verb.
 
+use cpm_collectives::cost::{self, CostModel, Machine};
 use cpm_core::units::Bytes;
+use cpm_models::HierLmo;
 use cpm_netsim::SimCluster;
 use cpm_vmpi::{ScriptOp, ScriptOutcome};
 use serde_json::Value;
 
 use crate::lower::{lower, Algorithm, Lowered};
-use crate::plan::{Plan, PlanModel};
+use crate::plan::Plan;
 use crate::trace::{OpKind, Trace, WorkloadError};
 
 /// Observed window of one op.
@@ -87,17 +89,17 @@ impl ReplayReport {
 /// On a hierarchical topology the choices are level-aware (the chooser's
 /// menu includes leader-based two-phase schedules).
 pub fn truth_choices(cluster: &SimCluster, trace: &Trace) -> Vec<Option<Algorithm>> {
-    let truth = match cpm_models::HierLmo::from_truth(&cluster.truth, &cluster.topology) {
-        Some(h) => PlanModel::LmoHier(h),
-        None => PlanModel::Lmo(cpm_models::LmoExtended::new(
-            cluster.truth.c.clone(),
-            cluster.truth.t.clone(),
-            cluster.truth.l.clone(),
-            cluster.truth.beta.clone(),
-            cpm_models::GatherEmpirics::none(),
-        )),
-    };
-    crate::plan::choose(trace, &truth)
+    let mut costs = None;
+    crate::plan::choose_by(trace, |op| {
+        let costs = costs.get_or_insert_with(|| {
+            let truth = &cluster.truth;
+            CostModel::Machine(match HierLmo::from_truth(truth, &cluster.topology) {
+                Some(h) => Machine::hier(&h),
+                None => Machine::truth(truth),
+            })
+        });
+        cost::choose(costs, op)
+    })
 }
 
 /// Replays `trace` on `cluster` with the given per-op algorithm choices

@@ -23,6 +23,7 @@
 
 use std::fmt;
 
+use cpm_collectives::cost::{Op, Rooted, MAX_DURATION};
 use cpm_core::rank::Rank;
 use cpm_core::units::Bytes;
 use serde_json::Value;
@@ -54,13 +55,6 @@ impl fmt::Display for WorkloadError {
 }
 
 impl std::error::Error for WorkloadError {}
-
-/// The longest single duration the simulator's kernel is asked to charge,
-/// seconds: absurd as a time, yet small enough that neither `M·t`, `M/β`
-/// nor any sum over a run leaves the finite floats its clock lives in.
-/// Trace durations beyond it are invalid; model parameters are clamped to
-/// it (see `plan`).
-pub(crate) const MAX_DURATION: f64 = 1e200;
 
 /// One communication (or local) operation.
 #[derive(Clone, Debug, PartialEq)]
@@ -140,6 +134,18 @@ impl OpKind {
             OpKind::Compute { .. } => "compute",
             OpKind::Barrier => "barrier",
         }
+    }
+
+    /// The op as a rooted collective to price and emit, if it is one.
+    pub fn rooted(&self) -> Option<Op> {
+        let (kind, root, m) = match *self {
+            OpKind::Scatter { root, m } => (Rooted::Scatter, root, m),
+            OpKind::Gather { root, m } => (Rooted::Gather, root, m),
+            OpKind::Bcast { root, m } => (Rooted::Bcast, root, m),
+            OpKind::Reduce { root, m, gamma } => (Rooted::Reduce { gamma }, root, m),
+            _ => return None,
+        };
+        Some(Op { kind, root, m })
     }
 
     /// The ranks that execute at least one primitive of this op.

@@ -37,6 +37,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use cpm::cluster::ClusterConfig;
+use cpm::collectives::cost::{cheapest, cost, CostModel, Machine, Op, Rooted};
 use cpm::collectives::measure;
 use cpm::core::units::{format_bytes, Bytes};
 use cpm::core::Rank;
@@ -132,13 +133,15 @@ USAGE: cpm predict --model-file model.json --op scatter|gather|bcast --m BYTES
                    [--root R] [--alg linear|binomial|two-phase]
 
 Predicts a collective's execution time from a previously estimated model
-file (see `cpm estimate --out`).
+file (see `cpm estimate --out`) — the same cost the service serves: the
+model's machine for lmo and lmo-hier (plus eq. (5)'s expected escalation
+for a linear gather in [M1, M2)), the model's closed form for hockney,
+loggp and plogp. The output also reports which algorithm the model
+selects for this message size, with every candidate's time.
 
-With an lmo-hier model file, --op bcast predicts the level-aware
-broadcast: --alg two-phase is the leader-based two-phase algorithm
-(binomial over node leaders, then fan-out inside each node), and the
-output also reports which algorithm the model selects for this message
-size (linear, binomial or two-phase).",
+With an lmo-hier model file, --op bcast also offers --alg two-phase: the
+leader-based two-phase algorithm (binomial over node leaders, then
+fan-out inside each node).",
         run: cmd_predict,
     },
     CommandSpec {
@@ -709,6 +712,7 @@ fn cluster_from(opts: &Opts) -> Result<(ClusterConfig, SimCluster), String> {
                 .map_err(|e| format!("--noise-seed: {e}"))?,
         );
     }
+    config.validate().map_err(|e| format!("bad config: {e}"))?;
     let sim = SimCluster::from_config(&config);
     Ok((config, sim))
 }
@@ -910,60 +914,57 @@ fn cmd_predict(opts: &Opts) -> Result<(), String> {
     let json = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     let file: ModelFile = serde_json::from_str(&json).map_err(|e| e.to_string())?;
     let m = parse_bytes(opts, "m")?;
-    let op = opts.get("op").ok_or("--op is required (scatter|gather)")?;
+    let op = opts
+        .get("op")
+        .ok_or("--op is required (scatter|gather|bcast)")?;
+    let kind = match op.as_str() {
+        "scatter" => Rooted::Scatter,
+        "gather" => Rooted::Gather,
+        "bcast" => Rooted::Bcast,
+        other => return Err(format!("unknown op {other:?} (scatter|gather|bcast)")),
+    };
     let root = Rank(
         opts.get("root")
             .map(|s| s.parse::<u32>().map_err(|e| e.to_string()))
             .transpose()?
             .unwrap_or(0),
     );
+    let model = match &file {
+        ModelFile::Lmo(l) => CostModel::Machine(Machine::lmo(l)),
+        ModelFile::LmoHier(h) => CostModel::Machine(Machine::hier(h)),
+        ModelFile::Hockney(h) => CostModel::Hockney(h),
+        ModelFile::Loggp(g) => CostModel::Loggp(g),
+        ModelFile::Plogp(p) => CostModel::Plogp(p),
+    };
+    if root.idx() >= model.n() {
+        return Err(format!(
+            "--root {root} out of range for {} ranks",
+            model.n()
+        ));
+    }
+    let priced: Vec<_> = model
+        .candidates(kind)
+        .map(|alg| (alg, cost(&model, Op { kind, root, m }, alg)))
+        .collect();
     let alg = opts.get("alg").map(String::as_str).unwrap_or("linear");
-    let prediction = match (&file, op.as_str()) {
-        (ModelFile::Lmo(model), "scatter") if alg == "binomial" => {
-            let tree = cpm::core::BinomialTree::new(model.c.len(), root);
-            model.binomial_scatter(&tree, m)
-        }
-        (ModelFile::Lmo(model), "scatter") => model.linear_scatter(root, m),
-        (ModelFile::Lmo(model), "gather") => model.linear_gather(root, m).expected,
-        (ModelFile::Hockney(model), "scatter" | "gather") => model.linear_serial(root, m),
-        (ModelFile::Loggp(model), "scatter" | "gather") => model.linear(m),
-        (ModelFile::Plogp(model), "scatter" | "gather") => model.linear(m),
-        (ModelFile::LmoHier(model), "bcast") => match alg {
-            "linear" => cpm::collectives::hier::linear_bcast_time(model, root, m),
-            "binomial" => cpm::collectives::hier::binomial_bcast_time(model, root, m),
-            "two-phase" => cpm::collectives::hier::two_phase_bcast_time(model, root, m),
-            other => {
-                return Err(format!(
-                    "unknown --alg {other:?} (linear|binomial|two-phase)"
-                ))
-            }
-        },
-        (ModelFile::LmoHier(model), "scatter") if alg == "binomial" => {
-            let flat = model.to_extended();
-            let tree = cpm::core::BinomialTree::new(flat.c.len(), root);
-            flat.binomial_scatter(&tree, m)
-        }
-        (ModelFile::LmoHier(model), "scatter") => model.to_extended().linear_scatter(root, m),
-        (ModelFile::LmoHier(model), "gather") => {
-            model.to_extended().linear_gather(root, m).expected
-        }
-        (_, other) => return Err(format!("unknown op {other:?}")),
+    let Some(&(_, seconds)) = priced.iter().find(|(a, _)| a.as_str() == alg) else {
+        let offered: Vec<&str> = priced.iter().map(|(a, _)| a.as_str()).collect();
+        return Err(format!(
+            "--alg {alg:?} is not offered for {op} under this model ({})",
+            offered.join("|")
+        ));
     };
     println!(
         "predicted {alg} {op} of {} from root {root}: {:.3} ms",
         format_bytes(m),
-        prediction * 1e3
+        seconds * 1e3
     );
-    if let (ModelFile::LmoHier(model), "bcast") = (&file, op.as_str()) {
-        let p = cpm::collectives::hier::predict_bcast_hier(model, root, m);
-        println!(
-            "selected: {} (linear {:.3} ms, binomial {:.3} ms, two-phase {:.3} ms)",
-            p.best().as_str(),
-            p.linear * 1e3,
-            p.binomial * 1e3,
-            p.two_phase * 1e3
-        );
-    }
+    let each: Vec<String> = priced
+        .iter()
+        .map(|(a, secs)| format!("{} {:.3} ms", a.as_str(), secs * 1e3))
+        .collect();
+    let selected = cheapest(priced.iter().copied());
+    println!("selected: {} ({})", selected.as_str(), each.join(", "));
     Ok(())
 }
 

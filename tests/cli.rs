@@ -96,6 +96,122 @@ fn estimate_hockney_then_predict() {
     let _ = std::fs::remove_dir_all(dir);
 }
 
+/// `cpm predict` prices the algorithm it is asked for, through the same
+/// cost the service serves: `--alg` moves the number for a gather under
+/// LMO and under Hockney, a flat model file answers `bcast`, and an
+/// algorithm the model does not offer is refused.
+#[test]
+fn predict_prices_the_requested_algorithm() {
+    let dir = std::env::temp_dir().join(format!("cpm-cli-alg-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let ms = |out: &str| -> f64 {
+        let line = out.lines().find(|l| l.starts_with("predicted")).unwrap();
+        let value = line.rsplit(": ").next().unwrap();
+        value.trim_end_matches(" ms").parse().unwrap()
+    };
+    for model in ["lmo", "hockney"] {
+        let file = dir.join(format!("{model}.json"));
+        let file = file.to_str().unwrap();
+        run_ok(&[
+            "estimate",
+            "--model",
+            model,
+            "--profile",
+            "ideal",
+            "--out",
+            file,
+        ]);
+        let predict = |op: &str, alg: &str| {
+            run_ok(&[
+                "predict",
+                "--model-file",
+                file,
+                "--op",
+                op,
+                "--m",
+                "16K",
+                "--alg",
+                alg,
+            ])
+        };
+        let linear = predict("gather", "linear");
+        let binomial = predict("gather", "binomial");
+        assert!(
+            linear.contains("predicted linear gather of 16KB"),
+            "{linear}"
+        );
+        assert!(
+            binomial.contains("predicted binomial gather of 16KB"),
+            "{binomial}"
+        );
+        assert_ne!(ms(&linear), ms(&binomial), "{model}: {linear} / {binomial}");
+        assert!(linear.contains("selected: "), "{linear}");
+        let bcast = predict("bcast", "binomial");
+        assert!(
+            bcast.contains("predicted binomial bcast of 16KB"),
+            "{bcast}"
+        );
+        let refused = cpm()
+            .args([
+                "predict",
+                "--model-file",
+                file,
+                "--op",
+                "bcast",
+                "--m",
+                "1K",
+            ])
+            .args(["--alg", "two-phase"])
+            .output()
+            .unwrap();
+        assert!(
+            !refused.status.success(),
+            "{model}: two-phase on a flat model"
+        );
+        assert!(String::from_utf8_lossy(&refused.stderr).contains("not offered"));
+    }
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// A level tree that does not cover the spec is refused with a one-line
+/// error instead of panicking the simulator.
+#[test]
+fn a_config_the_simulator_would_assert_on_is_refused() {
+    let dir = std::env::temp_dir().join(format!("cpm-cli-badcfg-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let cfg = dir.join("hier.json");
+    run_ok(&[
+        "spec",
+        "--nodes",
+        "2",
+        "--cores",
+        "2",
+        "--out",
+        cfg.to_str().unwrap(),
+    ]);
+    let json = std::fs::read_to_string(&cfg).unwrap();
+    let six = json.replacen("\"count\": 4", "\"count\": 6", 1);
+    assert_ne!(six, json, "the spec's node count is rewritten");
+    std::fs::write(&cfg, six).unwrap();
+    let out = cpm()
+        .args([
+            "estimate",
+            "--model",
+            "lmo",
+            "--config",
+            cfg.to_str().unwrap(),
+        ])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains("bad config: hierarchical level tree covers 4 ranks"),
+        "{err}"
+    );
+    let _ = std::fs::remove_dir_all(dir);
+}
+
 #[test]
 fn workload_gen_predict_run_compare_pipeline() {
     let dir = std::env::temp_dir().join(format!("cpm-cli-wl-{}", std::process::id()));
