@@ -76,6 +76,15 @@ run_named replay_scale_cases_reproduce_to_the_bit -p cpm-workload --test pinned_
 run_named noisy_gather_trace_reproduces_to_the_bit -p cpm-workload --test pinned_runs
 run_named thousand_rank_replay_under_budget -p cpm-workload --test pinned_runs --release
 run_named engine::tests::pool_slots_equals_peak_pending -p cpm-des --lib
+# Plan at replay speed: the streamed trace hash is the tree's hash on every
+# trace; a plan is the same from a shared or a rebuilt model, to the bit.
+for t in canonical_workloads_hash_as_their_value_trees \
+         every_kind_and_every_float_class_hashes_as_its_tree \
+         generated_traces_hash_as_their_value_trees; do
+  run_named "$t" -p cpm-workload --test trace_hash
+done
+run_named plans_are_the_same_however_often_and_from_whichever_copy -p cpm-workload --test plan_exact
+run_named a_model_changed_after_a_plan_plans_as_its_new_self -p cpm-workload --test plan_exact
 run_named script::tests::pending_events_stay_bounded_by_the_ranks -p cpm-netsim --lib
 run_named scatter::tests::binomial_emitters_are_linear_in_the_ranks -p cpm-collectives --lib
 run_named script::tests::nonblocking_exchange_matches_the_threaded_one_exactly -p cpm-netsim --lib
@@ -112,6 +121,18 @@ echo "== one event queue (no calendar, no slot pool, no fallback left to name)"
 if ls crates/des/src/calendar.rs crates/des/src/pool.rs 2>/dev/null \
   || grep -rnw 'heap_fallback' crates src examples tests benchmark README.md DESIGN.md; then
   echo "cpm-des is one binary heap: calendar.rs, pool.rs and heap_fallback must stay gone"; exit 1
+fi
+
+echo "== no pop observer in the event queue (a traced kernel run counts what it fires)"
+if grep -rni 'observer' crates/des/src; then
+  echo "cpm-des has no observer API: the netsim kernel counts DesEventCounts in its own dispatch"; exit 1
+fi
+
+echo "== Trace::hash streams the canonical text (no Value tree)"
+TRACE_HASH="$(sed -n '/    pub fn hash(&self) -> String {/,/^    }$/p' crates/workload/src/trace.rs)"
+[ -n "$TRACE_HASH" ] || { echo "Trace::hash not found in crates/workload/src/trace.rs"; exit 1; }
+if grep -n 'to_value' <<<"$TRACE_HASH"; then
+  echo "Trace::hash must stream through cpm_core::CanonHasher, not hash Trace::to_value"; exit 1
 fi
 
 echo "== the figure binaries reproduce their committed JSON byte for byte"

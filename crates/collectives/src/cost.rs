@@ -33,23 +33,9 @@ use crate::{
     Sink,
 };
 
-/// The longest single duration the simulator's kernel is asked to charge,
-/// seconds: absurd as a time, yet small enough that neither `M·t`, `M/β`
-/// nor any sum over a run leaves the finite floats its clock lives in.
-/// Trace durations beyond it are invalid; model parameters are clamped to
-/// it ([`clamp`]).
-pub const MAX_DURATION: f64 = 1e200;
-
-/// The one clamp between a model and the machine. The kernel's clock is
-/// finite by construction (`Time::from_secs` asserts it) and must never
-/// run backwards, so a degenerate fit — a negative `L`, a Hockney
-/// `α < 0`, a NaN — charges zero, and an absurdly large one
-/// [`MAX_DURATION`], instead of panicking. Values in range pass through
-/// bit for bit. (`f64::clamp` would keep a NaN; `max` drops it.)
-#[allow(clippy::manual_clamp)]
-pub fn clamp(secs: f64) -> f64 {
-    secs.max(0.0).min(MAX_DURATION)
-}
+/// The kernel's clamp and its bound, re-exported for the callers that
+/// price a model's times before the kernel charges them.
+pub use cpm_netsim::{clamp, MAX_DURATION};
 
 /// A rooted collective, as a cost sees it.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -124,10 +110,12 @@ pub fn emit_rooted(n: usize, op: Op, alg: Algorithm, sink: impl Sink) -> Algorit
 
 /// A separable model set up as the one machine: the noise-free,
 /// single-switch [`SimCluster`] whose ground truth is the model's
-/// `(C, t, L, β)` (through [`clamp`]) and whose profile carries the model's
-/// `M1`/`M2` with escalations and the leap off — `MpiProfile::ideal()`
-/// when the model has no gather empirics. The workload planner runs whole
-/// traces on [`Machine::cluster`]; [`cost`] runs one collective.
+/// `(C, t, L, β)` — the model's own link matrices, shared, not copied; the
+/// kernel charges every parameter through [`clamp`] — and whose profile
+/// carries the model's `M1`/`M2` with escalations and the leap off
+/// (`MpiProfile::ideal()` when the model has no gather empirics). The
+/// workload planner runs whole traces on [`Machine::cluster`]; [`cost`]
+/// runs one collective.
 #[derive(Clone, Debug)]
 pub struct Machine {
     cluster: SimCluster,
@@ -167,14 +155,11 @@ impl Machine {
         beta: &SymMatrix<f64>,
         gather: GatherEmpirics,
     ) -> Self {
-        // A rate is clamped through the wire time it produces: none or a
-        // negative one charges zero (β = ∞), a vanishing one is capped.
-        let floor = 1.0 / MAX_DURATION;
         let truth = GroundTruth {
-            c: c.iter().map(|&c| clamp(c)).collect(),
-            t: t.iter().map(|&t| clamp(t)).collect(),
-            l: l.map(|&lat| clamp(lat)),
-            beta: beta.map(|&b| if b > 0.0 { b.max(floor) } else { f64::INFINITY }),
+            c: c.to_vec(),
+            t: t.to_vec(),
+            l: l.clone(),
+            beta: beta.clone(),
         };
         let profile = MpiProfile {
             m1: gather.m1,

@@ -33,7 +33,7 @@ pub mod traits;
 pub mod tree;
 pub mod units;
 
-pub use canon::canonical_hash;
+pub use canon::{canonical_hash, CanonHasher};
 pub use error::CpmError;
 pub use matrix::SymMatrix;
 pub use rank::{pairs, triplets, Rank};

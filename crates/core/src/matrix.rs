@@ -4,8 +4,15 @@
 //! parameters live in a [`SymMatrix`] which stores only the strict upper
 //! triangle. The diagonal (a link from a node to itself) does not exist and
 //! access to it panics.
+//!
+//! The links are shared copy-on-write: cloning a matrix is O(1), and a
+//! clone is copied only when one side writes. A simulated cluster built
+//! from a model's parameters therefore holds the model's own `L` and `β`,
+//! however many ranks there are.
 
-use serde::{Deserialize, Serialize};
+use std::sync::Arc;
+
+use serde::{Deserialize, Deserializer, Serialize, Serializer, Value};
 
 use crate::rank::Rank;
 
@@ -19,12 +26,12 @@ use crate::rank::Rank;
 /// assert_eq!(*beta.get(Rank(3), Rank(0)), 5.0e6); // order-insensitive
 /// assert_eq!(beta.len(), 6);                      // C(4,2) links
 /// ```
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SymMatrix<T> {
     n: usize,
     /// Strict upper triangle in row-major order:
     /// `(0,1), (0,2), …, (0,n-1), (1,2), …`
-    data: Vec<T>,
+    data: Arc<[T]>,
 }
 
 impl<T: Clone> SymMatrix<T> {
@@ -32,8 +39,20 @@ impl<T: Clone> SymMatrix<T> {
     pub fn filled(n: usize, fill: T) -> Self {
         SymMatrix {
             n,
-            data: vec![fill; n * n.saturating_sub(1) / 2],
+            data: std::iter::repeat_n(fill, n * n.saturating_sub(1) / 2).collect(),
         }
+    }
+
+    /// Mutable access to link `(i, j)` (copies the links first if a clone
+    /// still shares them).
+    pub fn get_mut(&mut self, i: Rank, j: Rank) -> &mut T {
+        let k = self.index(i, j);
+        &mut Arc::make_mut(&mut self.data)[k]
+    }
+
+    /// Sets the value for link `(i, j)`.
+    pub fn set(&mut self, i: Rank, j: Rank, v: T) {
+        *self.get_mut(i, j) = v;
     }
 }
 
@@ -46,7 +65,10 @@ impl<T> SymMatrix<T> {
                 data.push(f(Rank::from(i), Rank::from(j)));
             }
         }
-        SymMatrix { n, data }
+        SymMatrix {
+            n,
+            data: data.into(),
+        }
     }
 
     /// Number of nodes.
@@ -82,18 +104,6 @@ impl<T> SymMatrix<T> {
         &self.data[self.index(i, j)]
     }
 
-    /// Mutable access to link `(i, j)`.
-    pub fn get_mut(&mut self, i: Rank, j: Rank) -> &mut T {
-        let k = self.index(i, j);
-        &mut self.data[k]
-    }
-
-    /// Sets the value for link `(i, j)`.
-    pub fn set(&mut self, i: Rank, j: Rank, v: T) {
-        let k = self.index(i, j);
-        self.data[k] = v;
-    }
-
     /// Iterates over `((i, j), &value)` for every link `i < j`.
     pub fn iter(&self) -> impl Iterator<Item = ((Rank, Rank), &T)> {
         let n = self.n;
@@ -108,6 +118,32 @@ impl<T> SymMatrix<T> {
             n: self.n,
             data: self.data.iter().map(f).collect(),
         }
+    }
+}
+
+/// The serialized form: `{"n": …, "data": [upper triangle]}`.
+impl<T: Serialize> Serialize for SymMatrix<T> {
+    fn serialize<S: Serializer>(&self, s: S) -> Result<S::Ok, S::Error> {
+        let field = |v: Result<Value, serde::ValueError>| v.map_err(serde::ser::Error::custom);
+        s.serialize_value(Value::Map(vec![
+            ("n".to_string(), field(serde::to_value(&self.n))?),
+            ("data".to_string(), field(serde::to_value(&self.data[..]))?),
+        ]))
+    }
+}
+
+impl<'de, T: for<'a> Deserialize<'a>> Deserialize<'de> for SymMatrix<T> {
+    fn deserialize<D: Deserializer<'de>>(d: D) -> Result<Self, D::Error> {
+        #[derive(Deserialize)]
+        struct Stored<T> {
+            n: usize,
+            data: Vec<T>,
+        }
+        let Stored { n, data } = Stored::deserialize(d)?;
+        Ok(SymMatrix {
+            n,
+            data: data.into(),
+        })
     }
 }
 
@@ -127,7 +163,7 @@ impl SymMatrix<f64> {
         assert_eq!(self.n, other.n);
         self.data
             .iter()
-            .zip(&other.data)
+            .zip(other.data.iter())
             .map(|(a, b)| ((a - b) / b).abs())
             .fold(0.0, f64::max)
     }
@@ -217,6 +253,29 @@ mod tests {
         let empty = SymMatrix::<f64>::filled(1, 0.0);
         assert_eq!(empty.mean(), None);
         assert!(empty.is_empty());
+    }
+
+    #[test]
+    fn clones_share_links_until_one_side_writes() {
+        let a = SymMatrix::from_fn(4, |i, j| (i.0 * 10 + j.0) as f64);
+        let mut b = a.clone();
+        assert!(Arc::ptr_eq(&a.data, &b.data));
+        b.set(Rank(0), Rank(1), -1.0);
+        assert!(!Arc::ptr_eq(&a.data, &b.data));
+        assert_eq!(*a.get(Rank(0), Rank(1)), 1.0);
+        assert_eq!(*b.get(Rank(0), Rank(1)), -1.0);
+        assert_eq!(*b.get(Rank(2), Rank(3)), 23.0);
+    }
+
+    #[test]
+    fn serializes_as_size_and_upper_triangle() {
+        let a = SymMatrix::from_fn(3, |i, j| (i.0 + j.0) as f64);
+        let v = serde::to_value(&a).unwrap();
+        let mut text = String::new();
+        serde::json::write_value(&mut text, &v).unwrap();
+        assert_eq!(text, r#"{"n":3,"data":[1.0,2.0,3.0]}"#);
+        let back: SymMatrix<f64> = serde::from_value(v).unwrap();
+        assert_eq!(back, a);
     }
 
     #[test]

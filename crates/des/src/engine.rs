@@ -52,10 +52,6 @@ impl<K, E> Ord for Item<K, E> {
     }
 }
 
-/// A recording hook invoked on every fired event (see
-/// [`Engine::set_observer`]).
-pub type PopObserver<K, E> = Box<dyn FnMut(&K, &E)>;
-
 /// A discrete-event scheduler: schedule `(time, payload)` pairs, pop
 /// them back in deterministic `(time, tie)` order.
 ///
@@ -77,10 +73,6 @@ pub struct Engine<K: DesTime, E> {
     fuzz_seed: Option<u64>,
     fired: u64,
     peak_pending: usize,
-    /// Recording hook called on every pop, after ordering is resolved
-    /// but before the event is handed to the caller. `None` (the
-    /// default) costs one branch per pop.
-    observer: Option<PopObserver<K, E>>,
 }
 
 impl<K: DesTime, E> Engine<K, E> {
@@ -92,7 +84,6 @@ impl<K: DesTime, E> Engine<K, E> {
             fuzz_seed: None,
             fired: 0,
             peak_pending: 0,
-            observer: None,
         }
     }
 
@@ -102,30 +93,6 @@ impl<K: DesTime, E> Engine<K, E> {
         let mut e = Self::new();
         e.fuzz_seed = Some(seed);
         e
-    }
-
-    /// An engine with a recording hook installed from the start: `f` is
-    /// called for every fired event, in pop order, with the event's time
-    /// and payload. Observation never changes scheduling — the observer
-    /// runs after ordering is resolved, and an engine without one pays
-    /// only an `Option` check per pop (the obs-overhead gate relies on
-    /// that).
-    pub fn with_observer(f: impl FnMut(&K, &E) + 'static) -> Self {
-        let mut e = Self::new();
-        e.set_observer(f);
-        e
-    }
-
-    /// Installs (or replaces) the recording hook; see
-    /// [`Engine::with_observer`].
-    pub fn set_observer(&mut self, f: impl FnMut(&K, &E) + 'static) {
-        self.observer = Some(Box::new(f));
-    }
-
-    /// Removes the recording hook, returning pops to the unobserved
-    /// fast path.
-    pub fn clear_observer(&mut self) {
-        self.observer = None;
     }
 
     /// Schedules `event` at `at` (pure FIFO among same-time events when
@@ -146,9 +113,6 @@ impl<K: DesTime, E> Engine<K, E> {
     pub fn pop(&mut self) -> Option<(K, E)> {
         let Item { at, event, .. } = self.heap.pop()?;
         self.fired += 1;
-        if let Some(obs) = self.observer.as_mut() {
-            obs(&at, &event);
-        }
         Some((at, event))
     }
 
@@ -265,57 +229,6 @@ mod tests {
         assert_eq!(run(1), run(1));
         assert_eq!(run(2), run(2));
         assert_ne!(run(1), run(2));
-    }
-
-    #[test]
-    fn observer_sees_every_fired_event_in_pop_order() {
-        use std::cell::RefCell;
-        use std::rc::Rc;
-        let seen: Rc<RefCell<Vec<(u64, u32)>>> = Rc::new(RefCell::new(Vec::new()));
-        let sink = Rc::clone(&seen);
-        let mut e: Engine<u64, u32> = Engine::with_observer(move |at, ev| {
-            sink.borrow_mut().push((*at, *ev));
-        });
-        e.schedule(5, 50);
-        e.schedule(1, 10);
-        e.schedule(3, 30);
-        let popped: Vec<(u64, u32)> = std::iter::from_fn(|| e.pop()).collect();
-        assert_eq!(popped, vec![(1, 10), (3, 30), (5, 50)]);
-        assert_eq!(*seen.borrow(), popped, "observer mirrors pop order");
-    }
-
-    #[test]
-    fn observer_does_not_perturb_ordering_or_stats() {
-        let run = |observed: bool| -> (Vec<(u64, u32)>, EngineStats) {
-            let mut e: Engine<u64, u32> = Engine::with_fuzz(0xBEEF);
-            if observed {
-                e.set_observer(|_, _| {});
-            }
-            for i in 0..300u32 {
-                e.schedule((i / 9) as u64, i);
-            }
-            let order = std::iter::from_fn(|| e.pop()).collect();
-            (order, e.stats())
-        };
-        let (plain, plain_stats) = run(false);
-        let (observed, observed_stats) = run(true);
-        assert_eq!(plain, observed, "observation must not reorder events");
-        assert_eq!(plain_stats, observed_stats);
-    }
-
-    #[test]
-    fn clear_observer_stops_recording() {
-        use std::cell::Cell;
-        use std::rc::Rc;
-        let count = Rc::new(Cell::new(0u32));
-        let sink = Rc::clone(&count);
-        let mut e: Engine<u64, ()> = Engine::with_observer(move |_, _| sink.set(sink.get() + 1));
-        e.schedule(1, ());
-        e.schedule(2, ());
-        let _ = e.pop();
-        e.clear_observer();
-        let _ = e.pop();
-        assert_eq!(count.get(), 1);
     }
 
     /// Pops interleaved with schedules at and after the clock: the total

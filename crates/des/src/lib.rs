@@ -24,11 +24,6 @@
 //!   stays total, time order is untouched, and same-time events are
 //!   permuted deterministically per seed — "does the answer depend on tie
 //!   order?" becomes a property test.
-//! * **Recording hook.** [`Engine::with_observer`] installs a callback
-//!   that sees every fired event in pop order (the seam the netsim
-//!   kernel uses for DES timeline capture). Observation never changes
-//!   scheduling, and an engine without an observer pays one branch per
-//!   pop.
 //!
 //! # Why not a calendar queue
 //!
@@ -57,5 +52,5 @@
 mod engine;
 mod key;
 
-pub use engine::{Engine, EngineStats, PopObserver};
+pub use engine::{Engine, EngineStats};
 pub use key::DesTime;

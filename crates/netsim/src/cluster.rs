@@ -1,6 +1,27 @@
 //! The simulated cluster: ground truth + irregularity profile + noise.
 
 use cpm_cluster::{ClusterConfig, GroundTruth, MpiProfile, Topology};
+use cpm_core::rank::Rank;
+
+/// The longest single duration the kernel is asked to charge, seconds:
+/// absurd as a time, yet small enough that neither `M·t`, `M/β` nor any
+/// sum over a run leaves the finite floats its clock lives in. Trace
+/// durations beyond it are invalid; parameters are clamped to it
+/// ([`clamp`]).
+pub const MAX_DURATION: f64 = 1e200;
+
+/// The one clamp between a parameter and the kernel's clock, applied
+/// wherever the kernel reads `C`, `t` or `L` ([`SimCluster::engine`],
+/// [`SimCluster::latency`]). The clock is finite by construction
+/// (`Time::from_secs` asserts it) and must never run backwards, so a
+/// degenerate value — a negative `L`, a Hockney `α < 0`, a NaN — charges
+/// zero, and an absurdly large one [`MAX_DURATION`], instead of
+/// panicking. Values in range pass through bit for bit. (`f64::clamp`
+/// would keep a NaN; `max` drops it.)
+#[allow(clippy::manual_clamp)]
+pub fn clamp(secs: f64) -> f64 {
+    secs.max(0.0).min(MAX_DURATION)
+}
 
 /// Everything the kernel needs to simulate one cluster.
 #[derive(Clone, Debug)]
@@ -104,6 +125,29 @@ impl SimCluster {
     /// Number of nodes.
     pub fn n(&self) -> usize {
         self.truth.n()
+    }
+
+    /// Rank `p`'s engine parameters `(C_p, t_p)` as the kernel charges
+    /// them: through [`clamp`].
+    pub fn engine(&self, p: usize) -> (f64, f64) {
+        (clamp(self.truth.c[p]), clamp(self.truth.t[p]))
+    }
+
+    /// The latency `L_ij` the kernel charges: through [`clamp`].
+    pub fn latency(&self, i: Rank, j: Rank) -> f64 {
+        clamp(*self.truth.l.get(i, j))
+    }
+
+    /// The rate `β_ij` the kernel charges, clamped through the wire time it
+    /// produces: none or a negative one charges zero (`β = ∞`), a vanishing
+    /// one is capped at `1 / MAX_DURATION`.
+    pub fn rate(&self, i: Rank, j: Rank) -> f64 {
+        let beta = *self.truth.beta.get(i, j);
+        if beta > 0.0 {
+            beta.max(1.0 / MAX_DURATION)
+        } else {
+            f64::INFINITY
+        }
     }
 
     /// The same cluster with a different stochastic seed — used to vary

@@ -39,10 +39,10 @@ pub struct Event {
     pub kind: EventKind,
 }
 
-/// Per-kind counts of fired kernel events, captured through the DES
-/// engine's recording hook ([`cpm_des::Engine::with_observer`]). Traced
-/// runs expose these so timeline consumers can cross-check the semantic
-/// trace against what the scheduler actually fired.
+/// Per-kind counts of fired kernel events, counted by the kernel as it
+/// dispatches them (traced runs only). Traced runs expose these so
+/// timeline consumers can cross-check the semantic trace against what the
+/// scheduler actually fired.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DesEventCounts {
     /// `Wake` events fired.
@@ -61,7 +61,7 @@ impl DesEventCounts {
         self.wakes + self.arrivals + self.transfers + self.delivers
     }
 
-    /// Folds one observed event into the counts.
+    /// Folds one fired event into the counts.
     pub fn observe(&mut self, kind: &EventKind) {
         match kind {
             EventKind::Wake(_) => self.wakes += 1,
@@ -122,14 +122,6 @@ impl EventQueue {
     pub fn stats(&self) -> EngineStats {
         self.engine.stats()
     }
-
-    /// Installs a recording hook that sees every popped event (fire time
-    /// plus kind) in fire order — a pass-through to
-    /// [`cpm_des::Engine::set_observer`]. Observation never changes
-    /// scheduling; a queue without an observer pays one branch per pop.
-    pub fn set_observer(&mut self, mut f: impl FnMut(Time, &EventKind) + 'static) {
-        self.engine.set_observer(move |at, kind| f(*at, kind));
-    }
 }
 
 impl Default for EventQueue {
@@ -181,28 +173,6 @@ mod tests {
         assert_eq!(q.pop().unwrap().at, Time::from_secs(5.0));
         assert!(q.is_empty());
         assert_eq!(q.len(), 0);
-    }
-
-    #[test]
-    fn observer_counts_every_fired_event() {
-        use std::cell::RefCell;
-        use std::rc::Rc;
-        let counts = Rc::new(RefCell::new(DesEventCounts::default()));
-        let mut q = EventQueue::new();
-        let hook = Rc::clone(&counts);
-        q.set_observer(move |_, kind| hook.borrow_mut().observe(kind));
-        q.push(Time::from_secs(1.0), EventKind::Wake(0));
-        q.push(Time::from_secs(2.0), EventKind::Arrive(0));
-        q.push(Time::from_secs(3.0), EventKind::TransferDone(0));
-        q.push(Time::from_secs(4.0), EventKind::Deliver(0));
-        q.push(Time::from_secs(5.0), EventKind::Wake(1));
-        while q.pop().is_some() {}
-        let c = *counts.borrow();
-        assert_eq!(c.wakes, 2);
-        assert_eq!(c.arrivals, 1);
-        assert_eq!(c.transfers, 1);
-        assert_eq!(c.delivers, 1);
-        assert_eq!(c.total(), 5);
     }
 
     #[test]

@@ -24,9 +24,7 @@
 //! `r₁`. Summed over a lone transfer this is exactly the extended LMO
 //! point-to-point time `C_i + L_ij + C_j + M(t_i + 1/β_ij + t_j)`.
 
-use std::cell::RefCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::rc::Rc;
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
@@ -237,7 +235,7 @@ pub(crate) struct KernelOut {
     pub(crate) trace: Option<Trace>,
     /// Per-rank op windows for scripted ranks (empty for threaded ranks).
     pub(crate) windows: Vec<Vec<(f64, f64)>>,
-    /// DES engine event counts from the recording hook (traced runs only).
+    /// Per-kind counts of the events the kernel fired (traced runs only).
     pub(crate) des_events: Option<DesEventCounts>,
 }
 
@@ -249,8 +247,15 @@ pub(crate) fn run_scripts_kernel<'c>(
     traced: bool,
 ) -> Result<KernelOut> {
     let (_sys_tx, sys_rx) = unbounded::<(ProcId, Syscall)>();
+    // The log holds three slots per send and one match per receive:
+    // reserving them spares a large traced run its regrowth copies.
+    let logged = traced.then(|| scripts.iter().map(ScriptProc::logged_events).sum());
     let ports = scripts.into_iter().map(ProcPort::Script).collect();
-    Kernel::new(cluster, ports, sys_rx, traced).run()
+    let mut kernel = Kernel::new(cluster, ports, sys_rx, traced);
+    if let (Some(trace), Some(logged)) = (&mut kernel.trace, logged) {
+        trace.events.reserve(logged);
+    }
+    kernel.run()
 }
 
 struct Kernel<'c> {
@@ -293,10 +298,9 @@ struct Kernel<'c> {
     finish_times: Vec<Time>,
     stats: SimStats,
     trace: Option<Trace>,
-    /// Per-kind DES event counts, filled by the engine's recording hook
-    /// (traced runs only; `None` means the hook is not installed and pops
-    /// pay a single untaken branch).
-    des_counts: Option<Rc<RefCell<DesEventCounts>>>,
+    /// Per-kind counts of fired events, kept by the dispatch loop (traced
+    /// runs only; `None` costs an untaken branch per event).
+    des_counts: Option<DesEventCounts>,
     /// Per-message local send-completion time (end of the tx slot) —
     /// what `WaitSend` waits for.
     send_local_done: Vec<Time>,
@@ -310,18 +314,9 @@ impl<'c> Kernel<'c> {
         traced: bool,
     ) -> Self {
         let n = ports.len();
-        let mut q = EventQueue::with_fuzz(cl.fuzz_seed);
-        let des_counts = if traced {
-            let counts = Rc::new(RefCell::new(DesEventCounts::default()));
-            let hook = Rc::clone(&counts);
-            q.set_observer(move |_, kind| hook.borrow_mut().observe(kind));
-            Some(counts)
-        } else {
-            None
-        };
         Kernel {
             cl,
-            q,
+            q: EventQueue::with_fuzz(cl.fuzz_seed),
             msgs: Vec::new(),
             mailbox: vec![Vec::new(); n],
             procs: ports
@@ -353,7 +348,7 @@ impl<'c> Kernel<'c> {
             finish_times: vec![Time::ZERO; n],
             stats: SimStats::default(),
             trace: traced.then(Trace::default),
-            des_counts,
+            des_counts: traced.then(DesEventCounts::default),
             send_local_done: Vec::new(),
         }
     }
@@ -376,9 +371,8 @@ impl<'c> Kernel<'c> {
         block_sender: bool,
     ) -> MsgId {
         let t0 = self.procs[p].local;
-        let truth = &self.cl.truth;
-        let cpu = truth.c[p] + bytes as f64 * truth.t[p];
-        let dur = self.noisy(cpu) + self.cl.profile.leap_stall(bytes);
+        let (c, t) = self.cl.engine(p);
+        let dur = self.noisy(c + bytes as f64 * t) + self.cl.profile.leap_stall(bytes);
         let s0 = self.tx_free[p].max(t0);
         let s1 = s0 + Time::from_secs(dur);
         self.tx_free[p] = s1;
@@ -404,7 +398,7 @@ impl<'c> Kernel<'c> {
             start: s0.secs(),
             end: s1.secs(),
         });
-        let mut lat = self.noisy(*self.cl.truth.l.get(Rank::from(p), dst));
+        let mut lat = self.noisy(self.cl.latency(Rank::from(p), dst));
         if self.cl.topology.crosses(p, dst.idx()) {
             if let Some((_, uplink_lat)) = self.cl.topology.uplink() {
                 lat += uplink_lat;
@@ -430,6 +424,9 @@ impl<'c> Kernel<'c> {
             debug_assert!(ev.at >= self.now, "virtual time must not run backwards");
             self.now = ev.at;
             self.stats.events += 1;
+            if let Some(counts) = &mut self.des_counts {
+                counts.observe(&ev.kind);
+            }
             match ev.kind {
                 EventKind::Wake(p) => self.wake(p)?,
                 EventKind::Arrive(m) => self.arrive(m),
@@ -466,7 +463,7 @@ impl<'c> Kernel<'c> {
             stats: self.stats,
             trace: self.trace,
             windows,
-            des_events: self.des_counts.as_ref().map(|c| *c.borrow()),
+            des_events: self.des_counts,
         })
     }
 
@@ -634,7 +631,7 @@ impl<'c> Kernel<'c> {
         let j = view.dst.idx();
         let crossing = self.cl.topology.crosses(view.src.idx(), view.dst.idx());
         let beta = {
-            let access = *self.cl.truth.beta.get(view.src, view.dst);
+            let access = self.cl.rate(view.src, view.dst);
             match (crossing, self.cl.topology.uplink()) {
                 (true, Some((uplink_beta, _))) => access.min(uplink_beta),
                 _ => access,
@@ -705,9 +702,8 @@ impl<'c> Kernel<'c> {
             .expect("a finishing transfer was crossing the ingress");
         self.inbound[j].swap_remove(crossing);
 
-        let truth = &self.cl.truth;
-        let cpu = truth.c[j] + view.bytes as f64 * truth.t[j];
-        let dur = self.noisy(cpu);
+        let (c, t) = self.cl.engine(j);
+        let dur = self.noisy(c + view.bytes as f64 * t);
         let r0 = self.rx_free[j].max(self.now);
         let r1 = r0 + Time::from_secs(dur);
         self.rx_free[j] = r1;

@@ -81,7 +81,7 @@ pub mod proc;
 pub mod script;
 pub mod trace;
 
-pub use cluster::SimCluster;
+pub use cluster::{clamp, SimCluster, MAX_DURATION};
 pub use event::DesEventCounts;
 pub use kernel::{simulate, simulate_mpmd, simulate_traced, SimOutcome, SimStats};
 pub use msg::{MsgView, Tag};

@@ -120,8 +120,8 @@ pub struct ScriptOutcome {
     /// Semantic kernel trace (tx slots, wire crossings, rx slots) —
     /// `Some` only for [`run_script_traced`] runs.
     pub trace: Option<Trace>,
-    /// Per-kind DES engine event counts captured via the engine's
-    /// recording hook — `Some` only for [`run_script_traced`] runs.
+    /// Per-kind counts of the events the kernel fired — `Some` only for
+    /// [`run_script_traced`] runs.
     pub des_events: Option<DesEventCounts>,
 }
 
@@ -143,6 +143,20 @@ impl<'a> ScriptProc<'a> {
             started: false,
             windows,
         }
+    }
+
+    /// How many events a traced run logs for this program: a `TxSlot`, a
+    /// `Wire` and an `RxSlot` per send, a `Received` per receive (barrier
+    /// releases aside).
+    pub(crate) fn logged_events(&self) -> usize {
+        self.ops
+            .iter()
+            .map(|op| match op {
+                ScriptOp::Send { .. } | ScriptOp::Isend { .. } => 3,
+                ScriptOp::Recv { .. } => 1,
+                _ => 0,
+            })
+            .sum()
     }
 
     /// Called on every kernel grant of this rank: closes the in-flight
@@ -190,9 +204,9 @@ pub fn run_script(cluster: &SimCluster, programs: &[Vec<ScriptOp>]) -> Result<Sc
 }
 
 /// [`run_script`] with recording enabled: the outcome additionally carries
-/// the kernel's semantic trace and the DES engine's per-kind event counts.
-/// Virtual timings are identical to the untraced path — recording is a
-/// pop-side observer, never a scheduling input.
+/// the kernel's semantic trace and its per-kind event counts. Virtual
+/// timings are identical to the untraced path — recording reads what the
+/// kernel does, never a scheduling input.
 ///
 /// # Errors
 /// Returns a simulation error on deadlock (e.g. a `Recv` nobody answers).
@@ -514,7 +528,7 @@ mod tests {
         assert_eq!(
             counts.total() as usize,
             traced.stats.events,
-            "observer sees exactly the events the kernel processed"
+            "the counts cover exactly the events the kernel processed"
         );
     }
 

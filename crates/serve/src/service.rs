@@ -24,7 +24,7 @@ use cpm_core::units::Bytes;
 use cpm_estimate::EstimateConfig;
 use cpm_obs::{Counter, Gauge, Histogram, MetricsRegistry};
 use cpm_stats::hist::{HistSnapshot, LogHistogram};
-use cpm_workload::{ModelSet, Plan, PlanProfile, Trace};
+use cpm_workload::{Plan, PlanModel, PlanProfile, Trace};
 use parking_lot::{Mutex, RwLock};
 
 use crate::registry::{fingerprint, validated, ParamSet, Registry, Result, ServeError};
@@ -43,16 +43,6 @@ pub enum ModelKind {
 }
 
 impl ModelKind {
-    /// The equivalent model selector in `cpm-workload`'s planner.
-    pub fn workload(self) -> cpm_workload::ModelKind {
-        match self {
-            ModelKind::Lmo => cpm_workload::ModelKind::Lmo,
-            ModelKind::Hockney => cpm_workload::ModelKind::Hockney,
-            ModelKind::Loggp => cpm_workload::ModelKind::Loggp,
-            ModelKind::Plogp => cpm_workload::ModelKind::Plogp,
-        }
-    }
-
     /// Parses the wire name (`lmo|hockney|loggp|plogp`).
     pub fn parse(s: &str) -> Result<Self> {
         match s {
@@ -1107,13 +1097,7 @@ impl Service {
                 cached: true,
             });
         }
-        let models = ModelSet {
-            lmo: ps.lmo.clone(),
-            hockney: ps.hockney.clone(),
-            loggp: ps.loggp.clone(),
-            plogp: ps.plogp.clone(),
-        };
-        let (plan, profile) = cpm_workload::plan_profiled(trace, &models.get(model.workload()))
+        let (plan, profile) = cpm_workload::plan_profiled(trace, &plan_model(&ps, model))
             .map_err(|e| ServeError::Protocol(format!("plan failed: {e}")))?;
         let body = render_plan(&plan)?;
         // Counted only once the evaluation succeeded, so error paths are
@@ -1369,6 +1353,17 @@ pub fn compute(ps: &ParamSet, q: &Query) -> Result<f64> {
         m: q.m,
     };
     Ok(cost(&cost_model(ps, q.model), op, q.algorithm.below()))
+}
+
+/// The model a `plan` of the parameter set evaluates under: the one family
+/// asked for, cloned once out of the set (its link matrices are shared).
+fn plan_model(ps: &ParamSet, model: ModelKind) -> PlanModel {
+    match model {
+        ModelKind::Lmo => PlanModel::Lmo(ps.lmo.clone()),
+        ModelKind::Hockney => PlanModel::Hockney(ps.hockney.clone()),
+        ModelKind::Loggp => PlanModel::Loggp(ps.loggp.clone()),
+        ModelKind::Plogp => PlanModel::Plogp(ps.plogp.clone()),
+    }
 }
 
 /// How `model` prices a collective under the parameter set.

@@ -127,7 +127,7 @@ fn assert_cost_is_the_plan(model: &PlanModel, g: &GatherEmpirics, what: &str) {
                 let plan = cpm_workload::plan(&trace, model).unwrap();
                 let chosen = choose(&costs, op);
                 assert_eq!(
-                    plan.ops[0].algorithm.as_deref(),
+                    plan.ops[0].algorithm,
                     Some(chosen.as_str()),
                     "{what} {op:?}"
                 );

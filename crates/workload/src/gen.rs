@@ -275,7 +275,7 @@ mod tests {
             .filter(|o| matches!(o.kind, OpKind::Bcast { .. }))
             .count();
         assert_eq!((reduces, bcasts), (3, 3));
-        assert_eq!(t.phases().len(), 3);
+        assert_eq!(t.phase_index().0.len(), 3);
     }
 
     #[test]

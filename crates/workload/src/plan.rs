@@ -34,7 +34,9 @@
 //! wire and rx slots, receive matches, per-primitive windows): binding
 //! predecessors walked back from the rank that realizes the makespan.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use cpm_cluster::{GroundTruth, MpiProfile};
 use cpm_collectives::cost::{self, clamp, CostModel, Machine, Op, Rooted};
@@ -199,12 +201,12 @@ impl ModelSet {
 pub struct OpReport {
     /// The trace op id.
     pub id: u64,
-    /// The op's phase label.
-    pub phase: String,
+    /// The op's phase label (shared with its [`PhaseReport`]).
+    pub phase: Arc<str>,
     /// The op kind name (`"p2p"`, `"scatter"`, ...).
-    pub kind: String,
+    pub kind: &'static str,
     /// Chosen algorithm for collective ops.
-    pub algorithm: Option<String>,
+    pub algorithm: Option<&'static str>,
     /// Earliest predicted activity of the op (seconds from t=0).
     pub start: f64,
     /// Latest predicted activity of the op.
@@ -215,7 +217,7 @@ pub struct OpReport {
 #[derive(Clone, Debug, PartialEq)]
 pub struct PhaseReport {
     /// The phase label.
-    pub phase: String,
+    pub phase: Arc<str>,
     /// Earliest predicted activity in the phase, seconds from t=0.
     pub start: f64,
     /// Latest predicted activity in the phase.
@@ -240,8 +242,12 @@ pub struct CpStep {
     /// Model-term attribution of `end - start`: `C`/`t`/`L`/`beta` under
     /// LMO (`L[<level>]`/`beta[<level>]` under the hierarchical model),
     /// `alpha`/`beta` under whole-transfer models, plus `compute`.
-    pub terms: Vec<(String, f64)>,
+    pub terms: Vec<(Term, f64)>,
 }
+
+/// A model-term name in a critical path: static, except the per-level
+/// link terms of a hierarchical model.
+pub type Term = Cow<'static, str>;
 
 /// The longest dependency chain behind a plan's makespan: the sequence of
 /// resource occupancies in which every step begins exactly where its
@@ -258,7 +264,7 @@ pub struct CriticalPath {
     /// The chain in time order; `steps[k].start == steps[k-1].end`.
     pub steps: Vec<CpStep>,
     /// Term attribution summed over the steps, in first-seen order.
-    pub terms: Vec<(String, f64)>,
+    pub terms: Vec<(Term, f64)>,
 }
 
 impl CriticalPath {
@@ -280,7 +286,7 @@ impl CriticalPath {
                         Value::Map(
                             s.terms
                                 .iter()
-                                .map(|(k, v)| (k.clone(), Value::F64(*v)))
+                                .map(|(k, v)| (k.to_string(), Value::F64(*v)))
                                 .collect(),
                         ),
                     ),
@@ -294,7 +300,7 @@ impl CriticalPath {
                 Value::Map(
                     self.terms
                         .iter()
-                        .map(|(k, v)| (k.clone(), Value::F64(*v)))
+                        .map(|(k, v)| (k.to_string(), Value::F64(*v)))
                         .collect(),
                 ),
             ),
@@ -330,11 +336,11 @@ impl Plan {
             .map(|o| {
                 let mut entries = vec![
                     ("id".to_string(), Value::U64(o.id)),
-                    ("phase".to_string(), Value::Str(o.phase.clone())),
-                    ("kind".to_string(), Value::Str(o.kind.clone())),
+                    ("phase".to_string(), Value::Str(o.phase.to_string())),
+                    ("kind".to_string(), Value::Str(o.kind.to_string())),
                 ];
-                if let Some(a) = &o.algorithm {
-                    entries.push(("algorithm".to_string(), Value::Str(a.clone())));
+                if let Some(a) = o.algorithm {
+                    entries.push(("algorithm".to_string(), Value::Str(a.to_string())));
                 }
                 entries.push(("start".to_string(), Value::F64(o.start)));
                 entries.push(("end".to_string(), Value::F64(o.end)));
@@ -346,7 +352,7 @@ impl Plan {
             .iter()
             .map(|p| {
                 Value::Map(vec![
-                    ("phase".to_string(), Value::Str(p.phase.clone())),
+                    ("phase".to_string(), Value::Str(p.phase.to_string())),
                     ("start".to_string(), Value::F64(p.start)),
                     ("end".to_string(), Value::F64(p.end)),
                     ("seconds".to_string(), Value::F64(p.end - p.start)),
@@ -415,8 +421,9 @@ pub fn choose(trace: &Trace, model: &PlanModel) -> Vec<Option<Algorithm>> {
 }
 
 /// [`choose`] with `pick` choosing for each rooted op — built lazily by
-/// the callers, since a separable model's machine copies its parameters.
-/// A trace repeats its collectives, so each distinct one is picked once.
+/// the callers, since a trace without a rooted collective needs no
+/// machine. A trace repeats its collectives, so each distinct one is
+/// picked once.
 pub(crate) fn choose_by(
     trace: &Trace,
     mut pick: impl FnMut(Op) -> Algorithm,
@@ -455,6 +462,32 @@ enum At {
     Admitted(usize),
 }
 
+/// One message of a traced run, as the critical-path walk reads it: 32
+/// bytes of 32-bit indices, because the pass that builds them is bound by
+/// memory traffic.
+#[derive(Clone, Copy)]
+struct Msg {
+    /// Where its `TxSlot`, `Wire` and `RxSlot` events are in the trace.
+    tx: u32,
+    wire: u32,
+    rx: u32,
+    /// The posting `Send`'s index in the sender's program.
+    k: u32,
+    /// The message that held its connection's wire before it, or [`NONE`].
+    prev_wire: u32,
+    /// The large message its receiver's ingress admitted before it, or
+    /// [`NONE`].
+    prev_ingress: u32,
+    /// The message its receiver's rx engine processed before it, or
+    /// [`NONE`].
+    prev_rx: u32,
+    /// Whether the receiver's ingress admits it alone (`M ≥ M2`).
+    large: bool,
+}
+
+/// No message: a [`Msg`] field with no predecessor.
+const NONE: u32 = u32::MAX;
+
 /// The critical path as a pure function of a traced kernel run: the
 /// per-primitive windows plus the trace's tx/wire/rx slots and receive
 /// matches. Walks binding predecessors back from the rank that realizes
@@ -475,75 +508,120 @@ fn critical_path(
     hier: Option<&HierLmo>,
 ) -> CriticalPath {
     let events = out.trace.as_ref().map_or(&[][..], |t| &t.events);
-    let (truth, windows, n) = (&cluster.truth, &out.windows, lowered.n);
+    let (windows, n) = (&out.windows, lowered.n);
 
-    // One pass over the trace, indexed by message id: where each slot's
-    // event is, which `Send` posted it, and who held its connection and
-    // its rx engine before. Scripted ranks are sequential, so a rank's
-    // j-th TxSlot is its j-th Send and its j-th Received its j-th Recv.
-    let msgs = out.stats.msgs_sent;
-    let (mut tx_at, mut send_k) = (Vec::with_capacity(msgs), Vec::with_capacity(msgs));
-    let (mut wire_at, mut rx_at) = (vec![0; msgs], vec![0; msgs]);
-    let (mut prev_wire, mut prev_rx) = (vec![None; msgs], vec![None; msgs]);
-    let (mut last_wire, mut last_rx) = (PairTable::<Option<usize>>::new(n), vec![None; n]);
-    let (mut prev_ingress, mut last_large) = (vec![None; msgs], vec![None; n]);
-    let mut sent: Vec<Vec<(usize, usize)>> = vec![Vec::new(); n];
-    let mut received: Vec<Vec<(usize, usize)>> = vec![Vec::new(); n];
+    // One pass over the trace builds one record per message (ids are
+    // assigned in TxSlot order) and, for every Send and Recv primitive,
+    // the message it posted or matched: `msg_of[base[r] + k]`. Scripted
+    // ranks are sequential, so a rank's slots and matches come in program
+    // order and one cursor per rank finds their primitives.
+    let base: Vec<usize> = std::iter::once(0)
+        .chain(lowered.per_rank.iter().scan(0, |at, p| {
+            *at += p.len();
+            Some(*at)
+        }))
+        .collect();
+    // Every index a `Msg` stores — event, message, primitive — is below
+    // these two counts.
+    assert!(
+        events.len().max(base[n]) < NONE as usize,
+        "a traced run indexes below 2^32 - 1"
+    );
+    let mut msg_of = vec![NONE; base[n]];
     let mut cursor = vec![0usize; n];
-    let mut next = |r: usize, want: fn(&ScriptOp) -> bool| {
-        let ahead = lowered.per_rank[r][cursor[r]..].iter().position(want);
+    let mut handled = |r: usize, msg: usize, send: bool| {
+        let ahead = lowered.per_rank[r][cursor[r]..]
+            .iter()
+            .position(|p| match p {
+                ScriptOp::Send { .. } => send,
+                ScriptOp::Recv { .. } => !send,
+                _ => false,
+            });
         let k = cursor[r] + ahead.expect("a traced slot has its primitive");
         cursor[r] = k + 1;
-        k
+        msg_of[base[r] + k] = msg as u32;
+        k as u32
     };
-    for (i, ev) in events.iter().enumerate() {
+    let mut msgs: Vec<Msg> = Vec::with_capacity(out.stats.msgs_sent);
+    let mut last_wire = PairTable::<Option<u32>>::new(n);
+    let (mut last_rx, mut last_large) = (vec![NONE; n], vec![NONE; n]);
+    for (at, ev) in events.iter().enumerate() {
+        let at = at as u32;
         match *ev {
-            TraceEvent::TxSlot { msg, src, .. } => {
-                let k = next(src.idx(), |p| matches!(p, ScriptOp::Send { .. }));
-                tx_at.push(i);
-                send_k.push(k);
-                sent[src.idx()].push((k, msg));
+            TraceEvent::TxSlot {
+                msg, src, bytes, ..
+            } => {
+                debug_assert_eq!(msg, msgs.len(), "messages are numbered as posted");
+                let k = handled(src.idx(), msg, true);
+                msgs.push(Msg {
+                    tx: at,
+                    wire: NONE,
+                    rx: NONE,
+                    k,
+                    prev_wire: NONE,
+                    prev_ingress: NONE,
+                    prev_rx: NONE,
+                    large: cluster.profile.is_large(bytes),
+                });
             }
             TraceEvent::Wire { msg, src, dst, .. } => {
-                wire_at[msg] = i;
-                prev_wire[msg] = last_wire.slot(src.idx(), dst.idx()).replace(msg);
-                if let TraceEvent::TxSlot { bytes, .. } = events[tx_at[msg]] {
-                    if cluster.profile.is_large(bytes) {
-                        prev_ingress[msg] = last_large[dst.idx()].replace(msg);
-                    }
+                let m = &mut msgs[msg];
+                m.wire = at;
+                let last = last_wire.slot(src.idx(), dst.idx());
+                m.prev_wire = last.replace(msg as u32).unwrap_or(NONE);
+                if m.large {
+                    m.prev_ingress = std::mem::replace(&mut last_large[dst.idx()], msg as u32);
                 }
             }
             TraceEvent::RxSlot { msg, dst, .. } => {
-                rx_at[msg] = i;
-                prev_rx[msg] = last_rx[dst.idx()].replace(msg);
+                let m = &mut msgs[msg];
+                m.rx = at;
+                m.prev_rx = std::mem::replace(&mut last_rx[dst.idx()], msg as u32);
             }
             TraceEvent::Received { msg, by, .. } => {
-                let k = next(by.idx(), |p| matches!(p, ScriptOp::Recv { .. }));
-                received[by.idx()].push((k, msg));
+                handled(by.idx(), msg, false);
             }
             TraceEvent::BarrierRelease { .. } => {}
         }
     }
-    let span = |at: usize| match events[at] {
+    let msg_at = |r: usize, k: usize| msg_of[base[r] + k] as usize;
+    let msg = |i: u32| &msgs[i as usize];
+    let span = |at: u32| match events[at as usize] {
         TraceEvent::TxSlot { start, end, .. }
         | TraceEvent::Wire { start, end, .. }
         | TraceEvent::RxSlot { start, end, .. } => (start, end),
         _ => unreachable!("only slot events are indexed"),
     };
-    let posted = |msg: usize| match events[tx_at[msg]] {
+    // Who sent a message where, its size, and the trace op it implements.
+    let posted = |m: &Msg| match events[m.tx as usize] {
         TraceEvent::TxSlot {
             src, dst, bytes, ..
-        } => (src, dst, bytes, lowered.op_of[src.idx()][send_k[msg]]),
-        _ => unreachable!("tx_at indexes TxSlot events"),
+        } => (src, dst, bytes, lowered.op_of[src.idx()][m.k as usize]),
+        _ => unreachable!("Msg::tx indexes a TxSlot event"),
     };
 
-    let link_term = |name: &str, src: Rank, dst: Rank| match hier {
-        Some(h) => format!("{name}[{}]", h.levels[h.level_of(src, dst)].name),
-        None => name.to_string(),
+    // Per level of a hierarchical model, its latency and bandwidth terms.
+    let levels: Vec<[Term; 2]> = hier.map_or_else(Vec::new, |h| {
+        h.levels
+            .iter()
+            .map(|l| {
+                [
+                    Term::Owned(format!("L[{}]", l.name)),
+                    Term::Owned(format!("beta[{}]", l.name)),
+                ]
+            })
+            .collect()
+    });
+    let link_term = |which: usize, src: Rank, dst: Rank| match hier {
+        Some(h) => levels[h.level_of(src, dst)][which].clone(),
+        None => Term::Borrowed(["L", "beta"][which]),
     };
     let engine_terms = |rank: Rank, bytes: Bytes| {
-        let (c, t) = (truth.c[rank.idx()], truth.t[rank.idx()]);
-        vec![("C".to_string(), c), ("t".to_string(), bytes as f64 * t)]
+        let (c, t) = cluster.engine(rank.idx());
+        vec![
+            (Term::Borrowed("C"), c),
+            (Term::Borrowed("t"), bytes as f64 * t),
+        ]
     };
 
     // Steps are collected walking backwards, then reversed.
@@ -573,17 +651,16 @@ fn critical_path(
                 match lowered.per_rank[r][k] {
                     ScriptOp::Compute { .. } => {
                         let w = windows[r][k];
-                        let terms = vec![("compute".to_string(), w.1 - w.0)];
+                        let terms = vec![(Term::Borrowed("compute"), w.1 - w.0)];
                         step(r, op, "compute", w, terms);
                         before
                     }
                     ScriptOp::Send { dst, bytes } => match whole {
                         None => {
-                            let at = sent[r].binary_search_by_key(&k, |&(k, _)| k);
-                            let msg = sent[r][at.expect("a completed send was posted")].1;
+                            let msg = msg_at(r, k);
                             // A large send is held until the receiver's
                             // ingress admits it.
-                            if windows[r][k].1 > span(tx_at[msg]).1 {
+                            if windows[r][k].1 > span(msgs[msg].tx).1 {
                                 At::Admitted(msg)
                             } else {
                                 step(r, op, "tx", windows[r][k], engine_terms(me, bytes));
@@ -599,8 +676,10 @@ fn critical_path(
                             let alpha =
                                 clamp(p2p.p2p(me, dst, 0)).min(clamp(p2p.p2p(me, dst, bytes)));
                             let beta = (w.1 - w.0) - alpha;
-                            let terms =
-                                vec![("alpha".to_string(), alpha), ("beta".to_string(), beta)];
+                            let terms = vec![
+                                (Term::Borrowed("alpha"), alpha),
+                                (Term::Borrowed("beta"), beta),
+                            ];
                             step(r, op, "p2p", w, terms);
                             At::Rank(r, k - 1)
                         }
@@ -608,12 +687,12 @@ fn critical_path(
                     // A receive that waited (`>`) binds to its message;
                     // otherwise the rank's own chain continues.
                     ScriptOp::Recv { .. } => {
-                        let match_at = received[r].binary_search_by_key(&k, |&(k, _)| k);
-                        let msg = received[r][match_at.expect("a completed receive matched")].1;
-                        if span(rx_at[msg]).1 <= windows[r][k].0 {
+                        let msg = msg_at(r, k);
+                        let m = &msgs[msg];
+                        if span(m.rx).1 <= windows[r][k].0 {
                             before
                         } else if whole.is_some() {
-                            At::Rank(posted(msg).0.idx(), send_k[msg] + 1)
+                            At::Rank(posted(m).0.idx(), m.k as usize + 1)
                         } else {
                             At::Rx(msg)
                         }
@@ -630,41 +709,43 @@ fn critical_path(
                     }
                 }
             }
-            At::Rx(msg) => {
-                let (_, dst, bytes, op) = posted(msg);
-                let terms = engine_terms(dst, bytes);
-                step(dst.idx(), op, "rx", span(rx_at[msg]), terms);
-                match prev_rx[msg] {
-                    Some(p) if span(rx_at[p]).1 > span(wire_at[msg]).1 => At::Rx(p),
-                    _ => At::Wire(msg),
+            At::Rx(i) => {
+                let m = &msgs[i];
+                let (_, dst, bytes, op) = posted(m);
+                step(dst.idx(), op, "rx", span(m.rx), engine_terms(dst, bytes));
+                match m.prev_rx {
+                    p if p != NONE && span(msg(p).rx).1 > span(m.wire).1 => At::Rx(p as usize),
+                    _ => At::Wire(i),
                 }
             }
-            At::Wire(msg) => {
-                let (src, dst, bytes, op) = posted(msg);
-                let wire = bytes as f64 / *truth.beta.get(src, dst);
-                let terms = vec![(link_term("beta", src, dst), wire)];
-                step(src.idx(), op, "wire", span(wire_at[msg]), terms);
-                At::Admitted(msg)
+            At::Wire(i) => {
+                let m = &msgs[i];
+                let (src, dst, bytes, op) = posted(m);
+                let wire = bytes as f64 / cluster.rate(src, dst);
+                let terms = vec![(link_term(1, src, dst), wire)];
+                step(src.idx(), op, "wire", span(m.wire), terms);
+                At::Admitted(i)
             }
             // The wire slot started at the arrival, unless the connection
             // or (large messages) the receiver's ingress was still busy.
-            At::Admitted(msg) => {
-                let (src, dst, bytes, op) = posted(msg);
-                let (tx, lat) = (span(tx_at[msg]), *truth.l.get(src, dst));
+            At::Admitted(i) => {
+                let m = &msgs[i];
+                let (src, dst, bytes, op) = posted(m);
+                let (tx, lat) = (span(m.tx), cluster.latency(src, dst));
                 let arrival = tx.1 + lat;
-                let busy = [prev_wire[msg], prev_ingress[msg]]
+                let busy = [m.prev_wire, m.prev_ingress]
                     .into_iter()
-                    .flatten()
-                    .map(|p| (span(wire_at[p]).1, p))
+                    .filter(|&p| p != NONE)
+                    .map(|p| (span(msg(p).wire).1, p))
                     .filter(|&(end, _)| end > arrival)
                     .max_by(|a, b| a.0.total_cmp(&b.0));
                 match busy {
-                    Some((_, p)) => At::Wire(p),
+                    Some((_, p)) => At::Wire(p as usize),
                     None => {
-                        let terms = vec![(link_term("L", src, dst), lat)];
+                        let terms = vec![(link_term(0, src, dst), lat)];
                         step(src.idx(), op, "latency", (tx.1, arrival), terms);
                         step(src.idx(), op, "tx", tx, engine_terms(src, bytes));
-                        At::Rank(src.idx(), send_k[msg])
+                        At::Rank(src.idx(), m.k as usize)
                     }
                 }
             }
@@ -672,7 +753,7 @@ fn critical_path(
     }
     steps.reverse();
 
-    let mut terms: Vec<(String, f64)> = Vec::new();
+    let mut terms: Vec<(Term, f64)> = Vec::new();
     let mut seconds = 0.0;
     for s in &steps {
         seconds += s.end - s.start;
@@ -764,36 +845,39 @@ pub fn plan_profiled(
     let sp_analyze = cpm_obs::span("plan.analyze");
     let out = run_lowered(cluster, &lowered, true)?;
 
+    // One pass over the ops: each op's report, and its phase's span.
+    let (names, phase_of) = trace.phase_index();
+    let names: Vec<Arc<str>> = names.into_iter().map(Arc::from).collect();
+    let mut spans = vec![(f64::INFINITY, f64::NEG_INFINITY); names.len()];
     let ops: Vec<OpReport> = trace
         .ops
         .iter()
+        .zip(phase_of)
         .zip(lowered.op_windows(&out.windows))
         .zip(&lowered.algorithms)
-        .map(|((op, window), algorithm)| {
+        .map(|(((op, phase), window), algorithm)| {
             let (start, end) = window.unwrap_or((0.0, 0.0));
+            let span = &mut spans[phase];
+            *span = (span.0.min(start), span.1.max(end));
             OpReport {
                 id: op.id,
-                phase: op.phase.clone(),
-                kind: op.kind.name().to_string(),
-                algorithm: algorithm.map(|a| a.as_str().to_string()),
+                phase: Arc::clone(&names[phase]),
+                kind: op.kind.name(),
+                algorithm: algorithm.map(|a| a.as_str()),
                 start,
                 end,
             }
         })
         .collect();
-
-    let phases = trace
-        .phases()
+    let phases = names
         .into_iter()
-        .map(|phase| {
-            let (mut start, mut end) = (f64::INFINITY, f64::NEG_INFINITY);
-            for o in ops.iter().filter(|o| o.phase == phase) {
-                start = start.min(o.start);
-                end = end.max(o.end);
-            }
-            if start > end {
-                (start, end) = (0.0, 0.0);
-            }
+        .zip(spans)
+        .map(|(phase, (start, end))| {
+            let (start, end) = if start > end {
+                (0.0, 0.0)
+            } else {
+                (start, end)
+            };
             PhaseReport { phase, start, end }
         })
         .collect();
@@ -1197,7 +1281,7 @@ mod tests {
             .critical_path
             .terms
             .iter()
-            .map(|(n, _)| n.as_str())
+            .map(|(n, _)| n.as_ref())
             .collect();
         assert!(
             names

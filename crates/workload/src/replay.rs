@@ -112,12 +112,12 @@ pub fn replay(
     replay_inner(cluster, trace, choices, false).map(|(report, _)| report)
 }
 
-/// [`replay`] with the DES recording hook enabled: returns the report plus
+/// [`replay`] with kernel recording enabled: returns the report plus
 /// a Perfetto-loadable Chrome trace of the simulated execution — one
 /// thread track per rank carrying its send/recv/compute/barrier windows,
 /// ranks grouped into one process per level-0 block (node) on hierarchical
-/// topologies. Virtual timings are identical to [`replay`]; recording is a
-/// pop-side observer on the event queue, never a scheduling input.
+/// topologies. Virtual timings are identical to [`replay`]; recording is
+/// never a scheduling input.
 pub fn replay_traced(
     cluster: &SimCluster,
     trace: &Trace,
@@ -432,8 +432,8 @@ pub fn compare(trace: &Trace, plan: &Plan, replay: &ReplayReport) -> CompareRepo
             let observed = o.end - o.start;
             OpResidual {
                 id: p.id,
-                phase: p.phase.clone(),
-                kind: p.kind.clone(),
+                phase: p.phase.to_string(),
+                kind: p.kind.to_string(),
                 predicted,
                 observed,
                 rel: rel(predicted, observed),
@@ -568,11 +568,11 @@ mod tests {
             assert!(s.get("dur").and_then(Value::as_f64).unwrap() >= 0.0);
             assert!(s.get("args").and_then(|a| a.get("phase")).is_some());
         }
-        let des = tl.get("desEvents").expect("DES observer counts present");
+        let des = tl.get("desEvents").expect("DES event counts present");
         assert_eq!(
             des.get("total").and_then(Value::as_u64),
             Some(report.events as u64),
-            "observer sees exactly the events the kernel processed"
+            "the counts cover exactly the events the kernel processed"
         );
     }
 

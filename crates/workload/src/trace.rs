@@ -21,9 +21,11 @@
 //! hash equally regardless of field order in their serialized form, and
 //! the JSON-lines and single-object forms hash identically.
 
+use std::collections::HashMap;
 use std::fmt;
 
 use cpm_collectives::cost::{Op, Rooted, MAX_DURATION};
+use cpm_core::canon::{CanonHasher, Fields};
 use cpm_core::rank::Rank;
 use cpm_core::units::Bytes;
 use serde_json::Value;
@@ -262,6 +264,46 @@ impl TraceOp {
         Value::Map(entries)
     }
 
+    /// Writes [`TraceOp::to_value`]'s entries into a canonical hash, keys
+    /// in byte order: `dst < gamma < id < m < op < phase < ranks < root <
+    /// seconds < src`.
+    fn canon(&self, o: &mut Fields<'_>) {
+        let rank = |r: &Rank| u64::from(r.0);
+        let common = |o: &mut Fields<'_>, m: Option<Bytes>| {
+            o.u64("id", self.id);
+            if let Some(m) = m {
+                o.u64("m", m);
+            }
+            o.str("op", self.kind.name());
+            o.str("phase", &self.phase);
+        };
+        match &self.kind {
+            OpKind::P2p { src, dst, m } => {
+                o.u64("dst", rank(dst));
+                common(o, Some(*m));
+                o.u64("src", rank(src));
+            }
+            OpKind::Scatter { root, m }
+            | OpKind::Gather { root, m }
+            | OpKind::Bcast { root, m } => {
+                common(o, Some(*m));
+                o.u64("root", rank(root));
+            }
+            OpKind::Reduce { root, m, gamma } => {
+                o.f64("gamma", *gamma);
+                common(o, Some(*m));
+                o.u64("root", rank(root));
+            }
+            OpKind::Allgather { m } | OpKind::Alltoall { m } => common(o, Some(*m)),
+            OpKind::Compute { ranks, seconds } => {
+                common(o, None);
+                o.key("ranks").seq(ranks, |h, r| h.u64(rank(r)));
+                o.f64("seconds", *seconds);
+            }
+            OpKind::Barrier => common(o, None),
+        }
+    }
+
     /// Parses one trace line.
     pub fn from_value(v: &Value) -> Result<TraceOp, WorkloadError> {
         let id = u64_field(v, "id")?;
@@ -426,9 +468,19 @@ impl Trace {
     /// The [`cpm_core::canonical_hash`] of [`Trace::to_value`] — the
     /// construction the `cpm-serve` registry fingerprint uses — so it is
     /// invariant under field reordering and under the JSON-lines vs
-    /// single-object representation.
+    /// single-object representation. The canonical text is streamed into
+    /// the hash, keys in byte order, without building the tree.
     pub fn hash(&self) -> String {
-        cpm_core::canonical_hash(&self.to_value())
+        let mut h = CanonHasher::new();
+        h.object(|o| {
+            o.u64("n", self.n as u64);
+            o.str("name", &self.name);
+            o.key("ops")
+                .seq(&self.ops, |h, op| h.object(|o| op.canon(o)));
+            o.str("trace", TRACE_FORMAT);
+            o.u64("version", TRACE_VERSION);
+        });
+        h.finish()
     }
 
     /// Checks that the trace is executable: at least two processes, all
@@ -440,9 +492,12 @@ impl Trace {
             return invalid(format!("trace needs n >= 2 processes, got {}", self.n));
         }
         let in_range = |r: Rank| (r.idx()) < self.n;
+        // Ids that only increase are unique: only a trace numbered out of
+        // order pays for a set.
+        let increasing = self.ops.windows(2).all(|w| w[0].id < w[1].id);
         let mut seen = std::collections::HashSet::new();
         for op in &self.ops {
-            if !seen.insert(op.id) {
+            if !increasing && !seen.insert(op.id) {
                 return invalid(format!("duplicate op id {}", op.id));
             }
             let ctx = |msg: String| format!("op {}: {msg}", op.id);
@@ -506,15 +561,25 @@ impl Trace {
         Ok(())
     }
 
-    /// Phase labels in first-appearance order.
-    pub fn phases(&self) -> Vec<String> {
-        let mut out: Vec<String> = Vec::new();
+    /// Phase labels in first-appearance order, and for each op the index
+    /// of its label among them — one pass over the ops.
+    pub fn phase_index(&self) -> (Vec<&str>, Vec<usize>) {
+        let mut names: Vec<&str> = Vec::new();
+        let mut index: HashMap<&str, usize> = HashMap::new();
+        let mut of = Vec::with_capacity(self.ops.len());
         for op in &self.ops {
-            if !out.contains(&op.phase) {
-                out.push(op.phase.clone());
-            }
+            let phase = op.phase.as_str();
+            // Ops of one phase mostly come in runs: reuse the last label.
+            let i = match of.last() {
+                Some(&i) if names[i] == phase => i,
+                _ => *index.entry(phase).or_insert_with(|| {
+                    names.push(phase);
+                    names.len() - 1
+                }),
+            };
+            of.push(i);
         }
-        out
+        (names, of)
     }
 }
 

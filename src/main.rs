@@ -506,8 +506,8 @@ same lowering the predictor evaluates analytically) and prints the
 observed schedule as JSON: per-op windows, makespan, message counts.
 Deterministic for a fixed trace and cluster seed.
 
---trace-out FILE additionally records the simulated execution through the
-DES engine's observer hook and writes it as Chrome trace-event JSON
+--trace-out FILE additionally records the simulated execution as the
+kernel runs it and writes it as Chrome trace-event JSON
 (loadable in https://ui.perfetto.dev): one thread track per rank carrying
 its send/recv/compute/barrier windows in virtual microseconds; on a
 hierarchical cluster (--cores) rank tracks group into one process per
