@@ -99,6 +99,20 @@ for t in lmo_cost_is_the_plan_of_the_one_op_trace_plus_the_escalation_term \
 done
 # The resident parameter sets are bounded; an evicted one comes back from disk.
 run_named service::tests::an_evicted_parameter_set_is_loaded_back_unchanged -p cpm-serve --lib
+# Under load: pipelined clients get in-order answers and tracing costs
+# <= 5 % of throughput; one record costs < 100 ns (both timed optimized);
+# a loaded server's and a fleet's expositions parse; a killed leader loses
+# nothing and keeps p99 < 200 ms; a routed trace merges spans from several
+# nodes; a stationary stream raises no drift alarm; concurrent cold
+# queries estimate once.
+run_named pipelined_clients_get_in_order_answers_and_tracing_stays_under_five_percent -p cpm-serve --test reactor --release
+run_named recorder::tests::one_record_costs_under_a_hundred_nanoseconds -p cpm-obs --lib --release
+run_named request_ids_metrics_and_spans_flow_through_the_reactor -p cpm-serve --test reactor
+run_named stats_text_is_a_valid_prometheus_exposition_covering_fleet -p cpm-fleet --test fleet
+run_named killing_a_leader_mid_load_loses_nothing -p cpm-fleet --test failover
+run_named routed_trace_links_router_leader_and_follower_spans -p cpm-fleet --test fleet
+run_named monitor::tests::stationary_observations_raise_nothing -p cpm-drift --lib
+run_named service::tests::concurrent_cold_queries_estimate_exactly_once -p cpm-serve --lib
 rm -f "$ORACLE_LOG"
 
 echo "== no thread-backed ranks outside crates/vmpi and crates/netsim (tests/ keep them as the oracle)"
@@ -121,6 +135,14 @@ echo "== one event queue (no calendar, no slot pool, no fallback left to name)"
 if ls crates/des/src/calendar.rs crates/des/src/pool.rs 2>/dev/null \
   || grep -rnw 'heap_fallback' crates src examples tests benchmark README.md DESIGN.md; then
   echo "cpm-des is one binary heap: calendar.rs, pool.rs and heap_fallback must stay gone"; exit 1
+fi
+
+echo "== one harness: the ledger measures, named tests gate (no load generator, no Criterion)"
+# shellcheck disable=SC2046
+if [ -d vendor/criterion ] \
+  || grep -nE '^\[\[bench\]\]|criterion' $(git ls-files --cached --others --exclude-standard '*Cargo.toml') \
+  || grep -nw 'load''gen' ci.sh README.md DESIGN.md .claude/skills/verify/SKILL.md; then
+  echo "vendor/criterion, [[bench]] stanzas, criterion and the load generator must stay gone"; exit 1
 fi
 
 echo "== no pop observer in the event queue (a traced kernel run counts what it fires)"
@@ -147,12 +169,6 @@ rm -rf "$FIG_TMP"
 
 echo "== drift loop tests"
 cargo test -p cpm-drift -q
-
-echo "== drift ingest bench (smoke)"
-cargo bench -p cpm-bench --bench drift -- --test
-
-echo "== flight-recorder bench (smoke + <100ns/record gate)"
-cargo bench -p cpm-bench --bench obs -- --test
 
 echo "== DES engine tests (one heap against a sorted-Vec model, schedule fuzzing)"
 cargo test -p cpm-des -q
@@ -193,21 +209,8 @@ echo "== reactor tests (event loop, framing, pipelining, idle reaping, handler-p
 cargo test -p cpm-reactor -q
 cargo test -p cpm-serve --test reactor -q
 
-echo "== serve loadgen gate (pipelined in-order answers, tracing overhead, exposition grammar)"
-./target/release/loadgen --clients 16 --requests 150 --workers 2 --pipeline 8 \
-  --out "$WL_TMP/serve_load.json" --obs-overhead-max 5.0
-
 echo "== fleet tests (ring rebalancing proptest, replication, leader failover)"
 cargo test -p cpm-fleet -q
-
-echo "== fleet loadgen smoke (3 nodes, 64 Zipf tenants, kill a replica, zero errors)"
-./target/release/loadgen --tenants 64 --zipf 1.1 --clients 8 --requests 100 \
-  --fleet 3 --replication 2 --kill-node 1 --p99-max-ms 200 \
-  --out "$WL_TMP/fleet_load.json"
-grep -q '"errors": 0' "$WL_TMP/fleet_load.json"
-
-echo "== fleet trace smoke (one traced request; merged dump spans >=2 distinct nodes)"
-./target/release/loadgen --trace-fleet 3
 
 echo "== the --engine knob is gone (strict flag allowlist: exit 2)"
 "$CPM" serve --engine pool >/dev/null 2>&1 && rc=0 || rc=$?

@@ -9,17 +9,19 @@
 
 use cpm_bench::{Figure, PaperContext, Series};
 use cpm_core::units::{format_bytes, Bytes};
-use cpm_workload::{choose, compare, gen, plan, ModelKind, ModelSet};
+use cpm_workload::{choose, compare, gen, plan, ModelKind, PlanModel};
 
 fn main() {
     let ctx = PaperContext::from_env();
     let n = ctx.sim.truth.c.len();
-    let models = ModelSet {
-        lmo: ctx.lmo.clone(),
-        hockney: ctx.hockney_het.clone(),
-        loggp: ctx.loggp.clone(),
-        plogp: ctx.plogp.clone(),
-    };
+    // The four flat models, in reporting order; LMO first.
+    let models = [
+        PlanModel::Lmo(ctx.lmo.clone()),
+        PlanModel::Hockney(ctx.hockney_het.clone()),
+        PlanModel::Loggp(ctx.loggp.clone()),
+        PlanModel::Plogp(ctx.plogp.clone()),
+    ];
+    let lmo = &models[0];
 
     // Sizes on both sides of the LAM escalation band (M1 ≈ 4 KB,
     // M2 ≈ 65 KB): inside it the DES makespan is stochastic and no
@@ -39,10 +41,9 @@ fn main() {
         for &m in &sizes {
             let trace = gen::canonical(kind, n, m, iters).expect("canonical kind");
             let mut errs = Vec::new();
-            for mk in ModelKind::ALL {
-                let pm = models.get(mk);
-                let p = plan(&trace, &pm).expect("plan");
-                let r = replay_checked(&ctx, &trace, &pm);
+            for pm in &models {
+                let p = plan(&trace, pm).expect("plan");
+                let r = replay_checked(&ctx, &trace, pm);
                 let c = compare(&trace, &p, &r);
                 errs.push(c.rel_error.abs());
             }
@@ -80,20 +81,19 @@ fn main() {
             .iter()
             .map(|&m| {
                 let t = gen::pipeline(n, m, micro_batches, stage_secs);
-                let pm = models.get(ModelKind::Lmo);
-                let r = cpm_workload::replay(&ctx.sim, &t, &choose(&t, &pm)).expect("replay");
+                let r = cpm_workload::replay(&ctx.sim, &t, &choose(&t, lmo)).expect("replay");
                 (m, r.makespan)
             })
             .collect(),
     });
-    for mk in ModelKind::ALL {
+    for pm in &models {
         fig.push(Series {
-            label: label_of(mk).into(),
+            label: label_of(pm.kind()).into(),
             points: sweep
                 .iter()
                 .map(|&m| {
                     let t = gen::pipeline(n, m, micro_batches, stage_secs);
-                    (m, plan(&t, &models.get(mk)).expect("plan").makespan)
+                    (m, plan(&t, pm).expect("plan").makespan)
                 })
                 .collect(),
         });
@@ -103,10 +103,11 @@ fn main() {
     println!();
     let observed = fig.series[0].clone();
     println!("{:<18} {:>16}", "pipeline sweep", "mean |rel err|");
-    for mk in ModelKind::ALL {
-        let s = fig.series.iter().find(|s| s.label == label_of(mk)).unwrap();
+    for pm in &models {
+        let label = label_of(pm.kind());
+        let s = fig.series.iter().find(|s| s.label == label).unwrap();
         let err = s.mean_rel_error_vs(&observed).unwrap();
-        println!("{:<18} {:>15.1}%", label_of(mk), err * 100.0);
+        println!("{:<18} {:>15.1}%", label, err * 100.0);
     }
 
     fig.save(cpm_bench::output::results_dir())
@@ -138,7 +139,7 @@ fn hierarchical_row(iters: usize) {
     use cpm_cluster::ClusterConfig;
     use cpm_models::HierLmo;
     use cpm_netsim::SimCluster;
-    use cpm_workload::{replay, PlanModel};
+    use cpm_workload::replay;
 
     let (nodes, cores) = (4usize, 8usize);
     let config = ClusterConfig::hierarchical(nodes, cores, 2009);
@@ -210,7 +211,7 @@ fn hierarchical_row(iters: usize) {
 fn replay_checked(
     ctx: &PaperContext,
     trace: &cpm_workload::Trace,
-    pm: &cpm_workload::PlanModel,
+    pm: &PlanModel,
 ) -> cpm_workload::ReplayReport {
     cpm_workload::replay(&ctx.sim, trace, &choose(trace, pm)).expect("replay")
 }

@@ -46,9 +46,9 @@
 //! The common-case write is wait-free: one `fetch_add`, one uncontended
 //! CAS, a fence, ~a dozen `Relaxed` stores and one `Release` store, plus
 //! a monotonic clock read — comfortably inside the 100 ns budget enforced
-//! by the `obs` Criterion bench. The worst case (lapping a preempted
-//! writer) is bounded by the claim spin limit, after which the record is
-//! dropped rather than blocking.
+//! by the release-built test `one_record_costs_under_a_hundred_nanoseconds`.
+//! The worst case (lapping a preempted writer) is bounded by the claim
+//! spin limit, after which the record is dropped rather than blocking.
 
 use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
 use std::sync::OnceLock;
@@ -656,5 +656,35 @@ mod tests {
         rec.set_enabled(true);
         rec.instant("n", "", 0);
         assert_eq!(rec.snapshot().len(), 1);
+    }
+
+    /// The recorder sits inside every served request, so one record —
+    /// claim a sequence number, stamp the slot, store the payload,
+    /// release — must stay under 100 ns for tracing to be affordable
+    /// always-on. The budget is generous against the measured tens of ns:
+    /// it catches an accidental lock or allocation, not machine noise.
+    /// A long loop amortizes the clock reads; unoptimized builds are not
+    /// timed.
+    #[test]
+    fn one_record_costs_under_a_hundred_nanoseconds() {
+        const BUDGET_NS: f64 = 100.0;
+        let rec = Recorder::new(1 << 16);
+        let n = 1_000_000u64;
+        let t0 = Instant::now();
+        for i in 0..n {
+            rec.instant(
+                std::hint::black_box("gate.instant"),
+                "i",
+                std::hint::black_box(i),
+            );
+        }
+        let per_record_ns = t0.elapsed().as_nanos() as f64 / n as f64;
+        assert_eq!(rec.recorded(), n);
+        if !cfg!(debug_assertions) {
+            assert!(
+                per_record_ns < BUDGET_NS,
+                "recording one instant costs {per_record_ns:.1} ns, budget {BUDGET_NS} ns"
+            );
+        }
     }
 }

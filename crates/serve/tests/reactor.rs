@@ -1,13 +1,14 @@
 //! End-to-end tests of the server on the reactor and of the binary wire
-//! framing: pipelined requests answer in order, both framings produce
-//! identical answers, idle connections are reaped (including
-//! slowloris-style trickles), request ids / metrics / trace spans flow
-//! through the reactor, and the bad-frame answers are pinned byte for
-//! byte.
+//! framing: pipelined requests answer in order, alone and under many
+//! pipelining clients, where the flight recorder must cost under 5 % of
+//! throughput; both framings produce identical answers, idle connections
+//! are reaped (including slowloris-style trickles), request ids /
+//! metrics / trace spans flow through the reactor, and the bad-frame
+//! answers are pinned byte for byte.
 
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use cpm_cluster::{ClusterConfig, ClusterSpec};
@@ -64,6 +65,10 @@ fn request_binary(addr: SocketAddr, payload: &str) -> Value {
     stream.read_exact(&mut buf).unwrap();
     serde_json::from_str(std::str::from_utf8(&buf).unwrap()).unwrap()
 }
+
+/// Held by every test that reads or toggles the process-wide flight
+/// recorder, so one test's recorder-off run cannot hide another's spans.
+static RECORDER: Mutex<()> = Mutex::new(());
 
 fn ok(v: &Value) -> bool {
     matches!(v.get("ok"), Some(Value::Bool(true)))
@@ -132,6 +137,116 @@ fn reactor_answers_pipelined_requests_in_order() {
         );
     }
     server.shutdown();
+    let _ = std::fs::remove_dir_all(store);
+}
+
+/// One loaded run against a fresh 2-shard server over `store` whose cache
+/// is warm for every size: each of `CLIENTS` clients keeps `DEPTH` tagged
+/// predicts in flight on one connection (the window topped up in one
+/// write) and thinks `THINK` between answers. Every answer must be `ok`
+/// and come back in request order, and the loaded server's exposition
+/// must parse. Returns requests per second.
+fn loaded_run(store: &std::path::Path) -> f64 {
+    const CLIENTS: usize = 16;
+    const REQUESTS: usize = 150;
+    const DEPTH: usize = 8;
+    const THINK: Duration = Duration::from_micros(200);
+    const SIZES: [u64; 4] = [1024, 4096, 16384, 65536];
+    let mut server = start_server(store, None);
+    let addr = server.addr();
+    let fp = primed_fingerprint(addr, 89);
+    let predict = |m: u64, id: &str| {
+        format!(
+            "{{\"verb\":\"predict\",\"id\":\"{id}\",\"fingerprint\":\"{fp}\",\
+             \"model\":\"lmo\",\"collective\":\"scatter\",\"algorithm\":\"binomial\",\"m\":{m}}}"
+        )
+    };
+    for m in SIZES {
+        let primed = request(addr, &predict(m, "prime"));
+        assert!(ok(&primed), "{primed:?}");
+    }
+
+    let barrier = Arc::new(Barrier::new(CLIENTS + 1));
+    let clients: Vec<_> = (0..CLIENTS)
+        .map(|c| {
+            let lines: Vec<String> = (0..REQUESTS)
+                .map(|r| predict(SIZES[r % SIZES.len()], &format!("c{c}-{r}")) + "\n")
+                .collect();
+            let barrier = Arc::clone(&barrier);
+            std::thread::spawn(move || {
+                let stream = TcpStream::connect(addr).unwrap();
+                stream.set_nodelay(true).unwrap();
+                let mut writer = stream.try_clone().unwrap();
+                let mut reader = BufReader::new(stream);
+                let (mut sent, mut line) = (0, String::new());
+                barrier.wait();
+                for received in 0..REQUESTS {
+                    let window = (received + DEPTH).min(REQUESTS);
+                    if sent < window {
+                        writer
+                            .write_all(lines[sent..window].concat().as_bytes())
+                            .unwrap();
+                        sent = window;
+                    }
+                    line.clear();
+                    assert!(reader.read_line(&mut line).unwrap() > 0, "lost answer");
+                    let v: Value = serde_json::from_str(line.trim_end()).unwrap();
+                    assert!(ok(&v), "{line}");
+                    assert_eq!(
+                        v.get("id").and_then(Value::as_str),
+                        Some(format!("c{c}-{received}").as_str()),
+                        "pipelined answers out of order"
+                    );
+                    std::thread::sleep(THINK);
+                }
+            })
+        })
+        .collect();
+    barrier.wait();
+    let t0 = Instant::now();
+    for client in clients {
+        client.join().expect("client panicked");
+    }
+    let rps = (CLIENTS * REQUESTS) as f64 / t0.elapsed().as_secs_f64();
+
+    let stats = request(addr, "{\"verb\":\"stats\",\"format\":\"text\"}");
+    let text = stats.get("text").and_then(Value::as_str).unwrap();
+    assert!(
+        cpm_obs::validate_exposition(text).unwrap() > 0,
+        "invalid exposition:\n{text}"
+    );
+    server.shutdown();
+    rps
+}
+
+/// Sixteen pipelining clients (depth 8) on two shards get every answer,
+/// in order, and turning the flight recorder on costs at most 5 % of
+/// their throughput. A single off/on pair jitters above the bound, so
+/// the modes run interleaved, best of three each: noise only ever slows
+/// a run down, so each mode's fastest run is the stable estimate of its
+/// rate. Unoptimized builds are not timed.
+#[test]
+fn pipelined_clients_get_in_order_answers_and_tracing_stays_under_five_percent() {
+    let _recorder = RECORDER.lock().unwrap_or_else(PoisonError::into_inner);
+    let store = fresh_store("load");
+    let rec = cpm_obs::Recorder::global();
+    let (mut off_rps, mut on_rps) = (0.0f64, 0.0f64);
+    for _ in 0..3 {
+        rec.set_enabled(false);
+        off_rps = off_rps.max(loaded_run(&store));
+        rec.set_enabled(true);
+        on_rps = on_rps.max(loaded_run(&store));
+    }
+    let overhead_pct = (off_rps - on_rps) / off_rps * 100.0;
+    eprintln!(
+        "tracing overhead {overhead_pct:.2} % (on {on_rps:.0} req/s, off {off_rps:.0} req/s)"
+    );
+    if !cfg!(debug_assertions) {
+        assert!(
+            overhead_pct <= 5.0,
+            "tracing costs {overhead_pct:.2} % of throughput, budget 5 %"
+        );
+    }
     let _ = std::fs::remove_dir_all(store);
 }
 
@@ -269,6 +384,7 @@ fn idle_connections_are_reaped() {
 
 #[test]
 fn request_ids_metrics_and_spans_flow_through_the_reactor() {
+    let _recorder = RECORDER.lock().unwrap_or_else(PoisonError::into_inner);
     let store = fresh_store("obs");
     let mut server = start_server(&store, None);
     let addr = server.addr();

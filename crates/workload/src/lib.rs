@@ -48,8 +48,8 @@ pub mod trace;
 
 pub use lower::{lower, Algorithm, Lowered};
 pub use plan::{
-    choose, plan, plan_profiled, CpStep, CriticalPath, ModelKind, ModelSet, OpReport, PhaseReport,
-    Plan, PlanModel, PlanProfile, Term,
+    choose, plan, plan_profiled, CpStep, CriticalPath, ModelKind, OpReport, PhaseReport, Plan,
+    PlanModel, PlanProfile, Term,
 };
 pub use replay::{
     compare, replay, replay_traced, truth_choices, CompareReport, OpResidual, P2pObservation,

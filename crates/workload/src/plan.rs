@@ -69,9 +69,8 @@ pub enum ModelKind {
 }
 
 impl ModelKind {
-    /// The flat models every [`ModelSet`] stores, in reporting order.
-    /// `LmoHier` is deliberately excluded: it needs a topology, so it is
-    /// built per-cluster rather than stored in a set.
+    /// The flat models, in reporting order. `LmoHier` is deliberately
+    /// excluded: it needs a topology, so it is built per-cluster.
     pub const ALL: [ModelKind; 4] = [
         ModelKind::Lmo,
         ModelKind::Hockney,
@@ -158,40 +157,6 @@ impl PlanModel {
             PlanModel::Hockney(m) => m,
             PlanModel::Loggp(m) => m,
             PlanModel::Plogp(m) => m,
-        }
-    }
-}
-
-/// All four parameterized models for one cluster, as `cpm-serve` stores
-/// them.
-#[derive(Clone, Debug)]
-pub struct ModelSet {
-    /// The extended-LMO parameter set.
-    pub lmo: LmoExtended,
-    /// The per-pair Hockney fit.
-    pub hockney: HockneyHet,
-    /// The LogGP fit.
-    pub loggp: LogGp,
-    /// The PLogP fit.
-    pub plogp: PLogP,
-}
-
-impl ModelSet {
-    /// The concrete model of the requested family (cloned out).
-    ///
-    /// # Panics
-    /// Panics for [`ModelKind::LmoHier`]: hierarchical models carry a
-    /// topology and are built per-cluster (see `cpm_models::HierLmo`), not
-    /// stored in a flat set.
-    pub fn get(&self, kind: ModelKind) -> PlanModel {
-        match kind {
-            ModelKind::Lmo => PlanModel::Lmo(self.lmo.clone()),
-            ModelKind::LmoHier => {
-                panic!("ModelSet stores only flat models; build PlanModel::LmoHier from a HierLmo")
-            }
-            ModelKind::Hockney => PlanModel::Hockney(self.hockney.clone()),
-            ModelKind::Loggp => PlanModel::Loggp(self.loggp.clone()),
-            ModelKind::Plogp => PlanModel::Plogp(self.plogp.clone()),
         }
     }
 }

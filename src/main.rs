@@ -1651,6 +1651,16 @@ fn cmd_workload_gen(opts: &Opts) -> Result<(), String> {
         .map(|s| s.parse::<usize>().map_err(|e| format!("--iters: {e}")))
         .transpose()?
         .unwrap_or(2);
+    // The generators assume what every consumer of a trace checks: refuse a
+    // rank count no trace may have, in the validator's words, before
+    // generating or writing anything.
+    Trace {
+        name: kind.to_string(),
+        n,
+        ops: Vec::new(),
+    }
+    .validate()
+    .map_err(|e| e.to_string())?;
     let trace = workload::gen::canonical(kind, n, m, iters)
         .ok_or_else(|| format!("unknown kind {kind:?} (train|pipeline|moe|halo)"))?;
     let text = trace.to_jsonl();

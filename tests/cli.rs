@@ -252,6 +252,42 @@ fn workload_gen_predict_run_compare_pipeline() {
     let _ = std::fs::remove_dir_all(dir);
 }
 
+/// A trace no consumer would accept is refused at generation, for every
+/// kind: exit 1, the validator's message, nothing on stdout and no file
+/// written.
+#[test]
+fn workload_gen_refuses_fewer_than_two_ranks() {
+    let dir = std::env::temp_dir().join(format!("cpm-cli-wl-small-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    for kind in ["train", "pipeline", "moe", "halo"] {
+        for n in ["0", "1"] {
+            let file = dir.join(format!("{kind}{n}.jsonl"));
+            for out_flag in [&[][..], &["--out", file.to_str().unwrap()][..]] {
+                let out = cpm()
+                    .args(["workload", "gen", "--kind", kind, "--nodes", n])
+                    .args(out_flag)
+                    .output()
+                    .unwrap();
+                assert_eq!(out.status.code(), Some(1), "{kind} --nodes {n}");
+                assert!(out.stdout.is_empty(), "{kind} --nodes {n} wrote a trace");
+                let err = String::from_utf8_lossy(&out.stderr);
+                assert!(
+                    err.contains(&format!(
+                        "invalid trace: trace needs n >= 2 processes, got {n}"
+                    )),
+                    "{err}"
+                );
+            }
+            assert!(
+                !file.exists(),
+                "{kind} --nodes {n} wrote {}",
+                file.display()
+            );
+        }
+    }
+    let _ = std::fs::remove_dir_all(dir);
+}
+
 #[test]
 fn workload_family_help_and_flag_allowlist() {
     // Per-command --help exits 0 and documents the verb.
