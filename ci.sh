@@ -112,6 +112,8 @@ run_named stats_text_is_a_valid_prometheus_exposition_covering_fleet -p cpm-flee
 run_named killing_a_leader_mid_load_loses_nothing -p cpm-fleet --test failover
 run_named routed_trace_links_router_leader_and_follower_spans -p cpm-fleet --test fleet
 run_named monitor::tests::stationary_observations_raise_nothing -p cpm-drift --lib
+# One envelope: a drift verb joins the trace its request carries.
+run_named serve_ext::tests::drift_verbs_join_the_wire_trace -p cpm-drift --lib
 run_named service::tests::concurrent_cold_queries_estimate_exactly_once -p cpm-serve --lib
 rm -f "$ORACLE_LOG"
 
@@ -135,6 +137,22 @@ echo "== one event queue (no calendar, no slot pool, no fallback left to name)"
 if ls crates/des/src/calendar.rs crates/des/src/pool.rs 2>/dev/null \
   || grep -rnw 'heap_fallback' crates src examples tests benchmark README.md DESIGN.md; then
   echo "cpm-des is one binary heap: calendar.rs, pool.rs and heap_fallback must stay gone"; exit 1
+fi
+
+echo "== one verb table (no verb dispatched by name) and one scan per request line"
+# Non-test code only: each file up to its #[cfg(test)] module.
+non_test() { for f in "$@"; do sed '/^#\[cfg(test)\]/,$d' "$f" | sed "s|^|$f: |"; done; }
+VERB_NAMES="$(sed -n 's/^    [A-Z][A-Za-z]* = "\([a-z-]*\)",.*/\1/p' crates/serve/src/service.rs)"
+[ "$(wc -l <<<"$VERB_NAMES")" -ge 13 ] || { echo "the verb table in crates/serve/src/service.rs was not found"; exit 1; }
+VERB_MATCH="$(sed 's/.*/Some\("&"\)|"&" =>/' <<<"$VERB_NAMES" | paste -sd'|')"
+SERVE_SIDE="$(find crates/serve/src crates/drift/src crates/fleet/src -name '*.rs' | sort) src/main.rs"
+# shellcheck disable=SC2086
+if non_test $SERVE_SIDE | grep -E "$VERB_MATCH"; then
+  echo "a wire verb is matched by name: match on cpm_serve::Verb, declared once in its table"; exit 1
+fi
+# shellcheck disable=SC2086
+if non_test $SERVE_SIDE | grep -vE '^crates/(serve/src/protocol|fleet/src/router)\.rs: ' | grep -F 'Fields::scan('; then
+  echo "only the envelope (protocol.rs) and the router scan a request line"; exit 1
 fi
 
 echo "== one harness: the ledger measures, named tests gate (no load generator, no Criterion)"

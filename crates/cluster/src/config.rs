@@ -106,11 +106,14 @@ impl ClusterConfig {
         }
     }
 
-    /// Checks what building the simulator would otherwise assert, so a
-    /// config from a file or a request is refused instead of panicking: a
-    /// finite, non-negative noise level; a two-switch split that leaves
-    /// nodes on both sides; a hierarchical level tree that is non-empty and
-    /// covers exactly the cluster's ranks.
+    /// Checks what building the simulator would otherwise assert or
+    /// compute nonsense from, so a config from a file or a request is
+    /// refused instead of panicking: a finite, non-negative noise level;
+    /// profile bounds that are ordered, finite and non-negative, with
+    /// probabilities in `[0, 1]`; an explicit truth whose link matrices
+    /// match its processor vectors; a two-switch split that leaves nodes on
+    /// both sides; a hierarchical level tree that is non-empty and covers
+    /// exactly the cluster's ranks.
     pub fn validate(&self) -> Result<(), String> {
         if !(self.noise_rel.is_finite() && self.noise_rel >= 0.0) {
             return Err(format!(
@@ -118,9 +121,19 @@ impl ClusterConfig {
                 self.noise_rel
             ));
         }
+        self.validate_profile()?;
         let n = match &self.truth {
             TruthSource::Seed(_) => self.spec.n_nodes(),
-            TruthSource::Explicit(g) => g.n(),
+            TruthSource::Explicit(g) => {
+                let sizes = [g.c.len(), g.t.len(), g.l.n(), g.beta.n()];
+                if sizes.iter().any(|&k| k != sizes[0]) {
+                    return Err(format!(
+                        "explicit truth sizes differ: c {}, t {}, l {}, beta {}",
+                        sizes[0], sizes[1], sizes[2], sizes[3]
+                    ));
+                }
+                g.n()
+            }
         };
         match &self.topology {
             Topology::SingleSwitch => Ok(()),
@@ -144,6 +157,33 @@ impl ClusterConfig {
                 }
             }
         }
+    }
+
+    fn validate_profile(&self) -> Result<(), String> {
+        let p = &self.profile;
+        if p.m1 > p.m2 {
+            return Err(format!("profile m1 {} exceeds m2 {}", p.m1, p.m2));
+        }
+        let (lo, hi) = (p.escalation_min, p.escalation_max);
+        if !(lo.is_finite() && hi.is_finite() && 0.0 <= lo && lo <= hi) {
+            return Err(format!(
+                "profile escalation delays must be finite with 0 <= min <= max, got [{lo}, {hi}]"
+            ));
+        }
+        let (lo, hi) = (p.escalation_p_min, p.escalation_p_max);
+        if !(0.0 <= lo && lo <= hi && hi <= 1.0) {
+            return Err(format!(
+                "profile escalation probabilities must satisfy 0 <= p_min <= p_max <= 1, \
+                 got [{lo}, {hi}]"
+            ));
+        }
+        if !(p.leap_delay.is_finite() && p.leap_delay >= 0.0) {
+            return Err(format!(
+                "profile leap_delay must be finite and non-negative, got {}",
+                p.leap_delay
+            ));
+        }
+        Ok(())
     }
 
     /// Serializes to pretty JSON.
@@ -224,6 +264,58 @@ mod tests {
             ..ClusterConfig::paper_lam(1)
         };
         assert!(noisy.validate().unwrap_err().contains("noise_rel"));
+    }
+
+    /// The config `field` sets up, refused with a message naming `why`.
+    fn refused(why: &str, field: impl FnOnce(&mut ClusterConfig)) {
+        let mut config = ClusterConfig::paper_lam(1);
+        field(&mut config);
+        let err = config.validate().unwrap_err();
+        assert!(err.contains(why), "{err}");
+    }
+
+    #[test]
+    fn validate_refuses_inverted_thresholds() {
+        refused("m1 66561 exceeds m2 66560", |c| {
+            c.profile.m1 = c.profile.m2 + 1
+        });
+    }
+
+    #[test]
+    fn validate_refuses_bad_escalation_delays() {
+        refused("escalation delays", |c| c.profile.escalation_min = 0.3);
+        refused("escalation delays", |c| c.profile.escalation_min = -0.1);
+        refused("escalation delays", |c| {
+            c.profile.escalation_max = f64::INFINITY
+        });
+        refused("escalation delays", |c| c.profile.escalation_min = f64::NAN);
+    }
+
+    #[test]
+    fn validate_refuses_bad_escalation_probabilities() {
+        refused("probabilities", |c| c.profile.escalation_p_min = 0.2);
+        refused("probabilities", |c| c.profile.escalation_p_min = -0.01);
+        refused("probabilities", |c| c.profile.escalation_p_max = 1.5);
+        refused("probabilities", |c| c.profile.escalation_p_max = f64::NAN);
+    }
+
+    #[test]
+    fn validate_refuses_a_bad_leap_delay() {
+        refused("leap_delay", |c| c.profile.leap_delay = -1e-3);
+        refused("leap_delay", |c| c.profile.leap_delay = f64::NAN);
+    }
+
+    #[test]
+    fn validate_refuses_an_explicit_truth_of_mismatched_sizes() {
+        refused("c 17, t 17, l 16, beta 16", |c| {
+            let mut truth = c.ground_truth();
+            truth.c.push(truth.c[0]);
+            truth.t.push(truth.t[0]);
+            c.truth = TruthSource::Explicit(truth);
+        });
+        let mut explicit = ClusterConfig::paper_lam(1);
+        explicit.truth = TruthSource::Explicit(explicit.ground_truth());
+        assert_eq!(explicit.validate(), Ok(()));
     }
 
     #[test]

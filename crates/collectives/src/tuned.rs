@@ -8,13 +8,9 @@
 //! wants faster collectives constructs [`TunedCollectives`] from an
 //! estimated model and calls `scatter`/`gather`/`bcast`.
 
-use cpm_core::error::CpmError;
 use cpm_core::rank::Rank;
 use cpm_core::units::Bytes;
-use cpm_estimate::lmo::estimate_lmo_full;
-use cpm_estimate::EstimateConfig;
 use cpm_models::LmoExtended;
-use cpm_netsim::SimCluster;
 
 use crate::cost::{choose, emit_rooted, CostModel, Machine, Op, Rooted};
 use crate::optimized::optimized_gather;
@@ -38,14 +34,6 @@ impl TunedCollectives {
     pub fn new(model: LmoExtended) -> Self {
         let costs = CostModel::Machine(Machine::lmo(&model));
         TunedCollectives { model, costs }
-    }
-
-    /// The one-call convenience path: runs the LMO estimation experiments
-    /// on `sim` and builds the dispatcher from the fitted model. Prefer
-    /// [`TunedCollectives::new`] with registry-sourced parameters when the
-    /// cluster has been estimated before — estimation is expensive.
-    pub fn from_estimation(sim: &SimCluster, est: &EstimateConfig) -> Result<Self, CpmError> {
-        Ok(Self::new(estimate_lmo_full(sim, est)?.model))
     }
 
     /// The estimated model backing the decisions.
@@ -199,24 +187,6 @@ mod tests {
         let t = tuned(&cl);
         assert!(!t.gather_splits(2 * KIB));
         assert!(!t.gather_splits(100 * KIB));
-    }
-
-    #[test]
-    fn from_estimation_matches_prefitted_construction() {
-        let cl = cluster(MpiProfile::ideal());
-        let est = EstimateConfig {
-            reps: 1,
-            ..EstimateConfig::with_seed(3)
-        };
-        let t = TunedCollectives::from_estimation(&cl, &est).unwrap();
-        assert_eq!(t.model().c.len(), cl.n());
-        // The estimating path is just `new` over the fitted model.
-        let refit = TunedCollectives::new(t.model().clone());
-        let m = 8 * KIB;
-        assert_eq!(
-            t.scatter_choice(Rank(0), m),
-            refit.scatter_choice(Rank(0), m)
-        );
     }
 
     #[test]

@@ -11,23 +11,25 @@
 //! - `drift-status` — the full staleness report for a fingerprint:
 //!   `{"verb":"drift-status","fingerprint":F}`.
 //!
-//! Every other verb is delegated verbatim to the core protocol, so a
-//! drift-enabled server is a strict superset of a plain one.
+//! It answers them through the serve protocol's envelope, from the fields
+//! the envelope already scanned; every other verb goes on to the core
+//! protocol, so a drift-enabled server is a strict superset of a plain one.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use cpm_core::rank::Rank;
 use cpm_obs::{Counter, Gauge};
-use cpm_serve::service::{ClusterRef, Service, Verb};
-use cpm_serve::{Fields, LineHandler, Response, ServeError};
+use cpm_serve::protocol::{text, uint};
+use cpm_serve::{
+    obj, Answer, ClusterRef, Fields, LineHandler, Metrics, Response, Result, ServeError, Service,
+    Verb,
+};
 use parking_lot::Mutex;
 use serde_json::Value;
 
 use crate::monitor::{DriftConfig, DriftMonitor, ScoreEntry};
 use crate::observe::Observation;
-
-type SResult<T> = std::result::Result<T, ServeError>;
 
 /// A [`LineHandler`] adding drift verbs on top of the core protocol.
 ///
@@ -50,38 +52,16 @@ fn bad(msg: impl Into<String>) -> ServeError {
     ServeError::Protocol(msg.into())
 }
 
-fn str_field<'a>(v: &'a Value, key: &str) -> SResult<&'a str> {
-    v.get(key)
-        .and_then(Value::as_str)
-        .ok_or_else(|| bad(format!("missing or non-string field {key:?}")))
-}
-
-fn u64_field(v: &Value, key: &str) -> SResult<u64> {
-    v.get(key)
-        .and_then(Value::as_u64)
-        .ok_or_else(|| bad(format!("missing or non-integer field {key:?}")))
-}
-
-fn rank_field(v: &Value, key: &str) -> SResult<Rank> {
-    let raw = u64_field(v, key)?;
-    u32::try_from(raw)
+fn rank_field(raw: Option<&str>, key: &str) -> Result<Rank> {
+    u32::try_from(uint(raw, key)?)
         .map(Rank)
         .map_err(|_| bad(format!("field {key:?} is not a valid rank")))
 }
 
-fn f64_field(v: &Value, key: &str) -> SResult<f64> {
-    v.get(key)
+fn f64_field(raw: Option<&str>, key: &str) -> Result<f64> {
+    raw.and_then(serde_json::raw_number)
         .and_then(|x| x.as_f64().or_else(|| x.as_u64().map(|u| u as f64)))
         .ok_or_else(|| bad(format!("missing or non-numeric field {key:?}")))
-}
-
-fn obj(entries: Vec<(&str, Value)>) -> Value {
-    Value::Map(
-        entries
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
 }
 
 fn score_json(e: &ScoreEntry) -> Value {
@@ -123,7 +103,7 @@ impl DriftService {
     }
 
     /// Runs `f` against the (lazily created) monitor for `fp`.
-    fn with_monitor<T>(&self, fp: &str, f: impl FnOnce(&mut DriftMonitor) -> T) -> SResult<T> {
+    fn with_monitor<T>(&self, fp: &str, f: impl FnOnce(&mut DriftMonitor) -> T) -> Result<T> {
         let mut monitors = self.monitors.lock();
         if !monitors.contains_key(fp) {
             let ps = self
@@ -135,17 +115,22 @@ impl DriftService {
         Ok(f(monitors.get_mut(fp).expect("just inserted")))
     }
 
-    fn handle_observe(&self, v: &Value, w: &mut Response) -> SResult<()> {
-        let fp = str_field(v, "fingerprint")?;
-        let m = u64_field(v, "m")?;
-        let seconds = f64_field(v, "seconds")?;
-        let obs = match str_field(v, "kind")? {
-            "p2p" => Observation::p2p(rank_field(v, "src")?, rank_field(v, "dst")?, m, seconds),
-            "gather" => Observation::gather(rank_field(v, "root")?, m, seconds),
+    fn handle_observe(&self, f: &Fields, w: &mut Response) -> Result<()> {
+        let fp = text(f.fingerprint, "fingerprint")?;
+        let m = uint(f.m, "m")?;
+        let seconds = f64_field(f.seconds, "seconds")?;
+        let obs = match &*text(f.kind, "kind")? {
+            "p2p" => Observation::p2p(
+                rank_field(f.src, "src")?,
+                rank_field(f.dst, "dst")?,
+                m,
+                seconds,
+            ),
+            "gather" => Observation::gather(rank_field(f.root, "root")?, m, seconds),
             other => return Err(bad(format!("unknown kind {other:?} (p2p|gather)"))),
         };
         let (event, staleness) =
-            self.with_monitor(fp, |mon| (mon.observe(&obs), mon.staleness().overall))?;
+            self.with_monitor(&fp, |mon| (mon.observe(&obs), mon.staleness().overall))?;
         // Counted after the fallible monitor lookup: a rejected
         // observation (unknown fingerprint, bad kind) is not an ingest.
         self.observations.inc();
@@ -160,15 +145,15 @@ impl DriftService {
                 ])
             })
             .collect();
-        w.str("fingerprint", fp);
+        w.str("fingerprint", &fp);
         w.value("events", &Value::Seq(events));
         w.f64("staleness", staleness);
         Ok(())
     }
 
-    fn handle_status(&self, v: &Value, w: &mut Response) -> SResult<()> {
-        let fp = str_field(v, "fingerprint")?;
-        let report = self.with_monitor(fp, |mon| mon.staleness())?;
+    fn handle_status(&self, f: &Fields, w: &mut Response) -> Result<()> {
+        let fp = text(f.fingerprint, "fingerprint")?;
+        let report = self.with_monitor(&fp, |mon| mon.staleness())?;
         let links: Vec<Value> = report
             .links
             .iter()
@@ -182,7 +167,7 @@ impl DriftService {
                 ])
             })
             .collect();
-        w.str("fingerprint", fp);
+        w.str("fingerprint", &fp);
         w.u64("observations", report.observations);
         w.f64("staleness", report.overall);
         w.value("links", &Value::Seq(links));
@@ -192,44 +177,16 @@ impl DriftService {
 }
 
 impl LineHandler for DriftService {
-    fn handle_line(&self, line: &str) -> (String, bool) {
-        let start = std::time::Instant::now();
-        // A scan, not a parse: every line that is not a drift verb —
-        // malformed ones included — goes to the core protocol untouched,
-        // which owns its response (id echo, latency attribution, errors).
-        let scanned = Fields::scan(line).ok();
-        let verb = match scanned.as_ref().and_then(Fields::verb).as_deref() {
-            Some("observe") => Verb::Observe,
-            Some("drift-status") => Verb::DriftStatus,
-            _ => return self.service.handle_line(line),
-        };
-        // Mirror the core protocol's request-id handling so drift-verb
-        // spans and responses are attributable the same way.
-        let id = scanned.and_then(|fields| fields.client_id());
-        let _ctx = cpm_obs::ctx::with_request(
-            cpm_obs::next_request_id(),
-            id.as_ref().map(cpm_serve::id_tag).unwrap_or_default(),
-        );
-        let mut w = Response::ok(&id);
-        let outcome = {
-            let mut sp = cpm_obs::span("serve.request");
-            sp.field_str("verb", verb.as_str());
-            // The drift verbs read a handful of their own fields: a tree
-            // of the (already validated) line is the simple way to them.
-            serde_json::from_str::<Value>(line)
-                .map_err(|e| bad(format!("bad json: {e}")))
-                .and_then(|v| match verb {
-                    Verb::Observe => self.handle_observe(&v, &mut w),
-                    _ => self.handle_status(&v, &mut w),
-                })
-        };
-        let text = match outcome {
-            Ok(()) => w.finish(),
-            Err(e) => Response::error(&id, e),
-        };
-        let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        self.service.metrics().record_verb_latency(verb, ns);
-        (text, false)
+    fn answer(&self, verb: Verb, fields: &Fields, w: &mut Response) -> Answer {
+        match verb {
+            Verb::Observe => self.handle_observe(fields, w).into(),
+            Verb::DriftStatus => self.handle_status(fields, w).into(),
+            _ => self.service.answer(verb, fields, w),
+        }
+    }
+
+    fn metrics(&self) -> &Metrics {
+        self.service.metrics()
     }
 }
 
@@ -331,6 +288,38 @@ mod tests {
         );
         assert_eq!(ok_flag(&v), Some(false));
         assert!(matches!(v.get("id"), Some(Value::Str(s)) if s == "d-10"));
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    /// A drift verb carrying a wire trace context (a routed `observe`
+    /// does) records its spans under that trace, parented on the sender's
+    /// span, like every other verb.
+    #[test]
+    fn drift_verbs_join_the_wire_trace() {
+        let (dir, ds, fp) = drift_service("ctx");
+        let recorder = cpm_obs::Recorder::global();
+        recorder.set_enabled(true);
+        for (trace, verb, rest) in [
+            (
+                0x0d41_f700_0000_0001_u64,
+                "observe",
+                ",\"kind\":\"p2p\",\"src\":0,\"dst\":1,\"m\":1024,\"seconds\":1e-3",
+            ),
+            (0x0d41_f700_0000_0002_u64, "drift-status", ""),
+        ] {
+            let line = format!(
+                "{{\"verb\":\"{verb}\",\"ctx\":{{\"trace\":\"{}\",\"parent\":\"00000000000000a7\"}},\
+                 \"fingerprint\":\"{fp}\"{rest}}}",
+                cpm_obs::wire::hex16(trace)
+            );
+            assert_eq!(ok_flag(&parsed(&ds, &line)), Some(true), "{line}");
+            let joined = recorder
+                .snapshot()
+                .into_iter()
+                .filter(|r| r.trace_id == trace && r.name == "serve.request")
+                .any(|r| r.parent_span == 0xa7 && r.sval == verb);
+            assert!(joined, "{verb}: no serve.request span in trace {trace:x}");
+        }
         let _ = std::fs::remove_dir_all(dir);
     }
 

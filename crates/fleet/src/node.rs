@@ -1,7 +1,8 @@
 //! The node side of the fleet: replication fan-out and fleet verbs.
 //!
 //! [`FleetNode`] wraps any [`LineHandler`] (typically the drift-enabled
-//! handler) and adds the fleet vocabulary:
+//! handler) and adds the fleet vocabulary, answered through the serve
+//! protocol's envelope from the fields it already scanned:
 //!
 //! - `fleet-install` — apply a parameter set replicated by a peer at
 //!   its already-assigned version (never re-fans-out, so replication
@@ -25,13 +26,14 @@ use std::sync::Arc;
 
 use cpm_obs::{Counter, Gauge, Histogram};
 use cpm_reactor::{ClientConfig, ClientPool};
-use cpm_serve::service::Verb;
-use cpm_serve::{Fields, LineHandler, ParamSet, Response, ServeError, Service};
+use cpm_serve::{
+    obj, Answer, Fields, LineHandler, Metrics, ParamSet, Response, ServeError, Service, Verb,
+};
 use serde_json::Value;
 
 use crate::map::{FleetMap, NodeInfo};
 use crate::ring::Ring;
-use crate::util::{append_members, field, obj, resolve_addr, SResult};
+use crate::util::{field, merged_trace, resolve_addr};
 
 /// Per-peer replication state: a pooled connection plus push/ack
 /// accounting, all registered in the node's unified metrics registry.
@@ -127,7 +129,8 @@ impl Replicator {
             Err(_) => return,
         };
         let line = format!(
-            "{{\"verb\":\"fleet-install\",\"from\":{:?},\"set\":{set_json}}}",
+            "{{\"verb\":\"{}\",\"from\":{:?},\"set\":{set_json}}}",
+            Verb::FleetInstall.as_str(),
             self.name
         );
         for (idx, peer) in self
@@ -245,8 +248,9 @@ impl FleetNode {
         &self.service
     }
 
-    fn handle_install(&self, line: &str, w: &mut Response) -> SResult<()> {
-        let set = field(line, "set")
+    fn handle_install(&self, fields: &Fields, w: &mut Response) -> cpm_serve::Result<()> {
+        let set = fields
+            .set
             .ok_or_else(|| ServeError::Protocol("missing field \"set\"".into()))?;
         let ps: ParamSet =
             serde_json::from_str(set).map_err(|e| ServeError::Protocol(e.to_string()))?;
@@ -310,25 +314,22 @@ impl FleetNode {
         ])
     }
 
-    /// Delegates `stats` to the wrapped handler and splices the fleet
-    /// section onto the end of the JSON response. Text-format stats need
-    /// no help: the `cpm_fleet_*` metrics live in the same unified
-    /// registry the exposition renders.
-    fn handle_stats(&self, line: &str) -> (String, bool) {
-        let (mut text, shutdown) = self.inner.handle_line(line);
-        // Every JSON answer has `"ok"`; the text exposition travels in
-        // `"text"`.
-        if field(&text, "ok").is_some() && field(&text, "text").is_none() {
-            if let Ok(fleet) = serde_json::to_string(&self.fleet_section()) {
-                append_members(&mut text, &format!("\"fleet\":{fleet}"));
-            }
+    /// Answers `stats` with the wrapped handler, then adds the fleet
+    /// section to a JSON answer. Text-format stats need no help: the
+    /// `cpm_fleet_*` metrics live in the same unified registry the
+    /// exposition renders.
+    fn handle_stats(&self, fields: &Fields, w: &mut Response) -> Answer {
+        let answer = self.inner.answer(Verb::Stats, fields, w);
+        let text = fields.format.and_then(serde_json::raw_str).as_deref() == Some("text");
+        if matches!(answer, Answer::Done(_)) && !text {
+            w.value("fleet", &self.fleet_section());
         }
-        (text, shutdown)
+        answer
     }
 
     /// Shard-aware `estimate`: owners estimate (and fan out), everyone
     /// else refuses with the owner list so the caller can re-aim.
-    fn check_estimate_ownership(&self, config: Option<&str>) -> SResult<()> {
+    fn check_estimate_ownership(&self, config: Option<&str>) -> cpm_serve::Result<()> {
         let config =
             config.ok_or_else(|| ServeError::Protocol("estimate requires \"config\"".into()))?;
         let fp = cpm_serve::fingerprint_json(config)?;
@@ -343,101 +344,34 @@ impl FleetNode {
             owners.join(", ")
         )))
     }
-
-    /// Fleet-wide `trace`: merge this node's flight recorder with a raw
-    /// dump fanned out to every peer, rendered as one Chrome trace with
-    /// a process track per node.
-    ///
-    /// Before observability v2 a `trace` sent to a fleet member dumped
-    /// that single node's recorder only — replication spans ended at
-    /// the local `fleet.replicate` push and the peer's install side was
-    /// invisible. Any member now answers with the merged fleet view;
-    /// `"raw":true` keeps the old single-node machine-readable dump
-    /// (and is what the fan-out itself uses, so collection never
-    /// recurses).
-    fn handle_trace(&self, fields: &Fields) -> String {
-        let id = fields.client_id();
-        let last = crate::util::last_of(fields);
-        let raw_line = crate::util::raw_trace_line(last);
-        let mut nodes = vec![(self.name.clone(), crate::util::own_records(last))];
-        let mut missing = Vec::new();
-        for peer in &self.replicator.peers {
-            match peer
-                .pool
-                .call(&raw_line)
-                .ok()
-                .as_deref()
-                .and_then(crate::util::decode_raw_trace)
-            {
-                Some(records) => nodes.push((peer.info.name.clone(), records)),
-                None => missing.push(Value::Str(peer.info.name.clone())),
-            }
-        }
-        let total: usize = nodes.iter().map(|(_, r)| r.len()).sum();
-        let mut w = Response::ok(&id);
-        w.u64("nodes", nodes.len() as u64);
-        w.u64("records", total as u64);
-        w.value("missing", &Value::Seq(missing));
-        w.value("trace", &cpm_obs::chrome::chrome_trace_fleet(&nodes));
-        w.finish()
-    }
 }
 
 impl LineHandler for FleetNode {
-    fn handle_line(&self, line: &str) -> (String, bool) {
-        let start = std::time::Instant::now();
-        // One scan tells this node what it needs (the verb, the routing
-        // fields); whatever it does not answer itself goes on as text.
-        let Ok(fields) = Fields::scan(line) else {
-            return self.inner.handle_line(line);
-        };
-        let verb = match fields.verb().as_deref() {
-            Some("stats") => return self.handle_stats(line),
-            Some("trace") if fields.raw != Some("true") => {
-                return (self.handle_trace(&fields), false);
+    fn answer(&self, verb: Verb, fields: &Fields, w: &mut Response) -> Answer {
+        match verb {
+            Verb::Stats => self.handle_stats(fields, w),
+            // Any member answers with the merged fleet view; `"raw":true`
+            // keeps the single-node dump, which is what the fan-out itself
+            // sends, so collection never recurses.
+            Verb::Trace if fields.raw != Some("true") => {
+                let peers = self.replicator.peers.iter().map(|p| (&p.info, &p.pool));
+                merged_trace(&self.name, peers, fields, w);
+                Answer::Done(false)
             }
-            Some("estimate") => {
-                return match self.check_estimate_ownership(fields.config) {
-                    Ok(()) => self.inner.handle_line(line),
-                    Err(e) => (Response::error(&fields.client_id(), e), false),
-                };
+            Verb::Estimate => match self.check_estimate_ownership(fields.config) {
+                Ok(()) => self.inner.answer(verb, fields, w),
+                Err(e) => Answer::Refused(e),
+            },
+            Verb::FleetInstall => self.handle_install(fields, w).into(),
+            Verb::FleetInfo => {
+                self.handle_info(w);
+                Answer::Done(false)
             }
-            Some("fleet-install") => Verb::FleetInstall,
-            Some("fleet-info") => Verb::FleetInfo,
-            _ => return self.inner.handle_line(line),
-        };
-        // Mirror the core protocol's request-id handling so fleet-verb
-        // spans and responses are attributable the same way.
-        let id = fields.client_id();
-        let _ctx = cpm_obs::ctx::with_request(
-            cpm_obs::next_request_id(),
-            id.as_ref().map(cpm_serve::id_tag).unwrap_or_default(),
-        );
-        // Join the caller's distributed trace (a replicating leader
-        // stamps its pushes) or root a fresh one, so install spans link
-        // back across nodes in merged fleet dumps.
-        let (trace_id, parent_span) = fields
-            .trace_ctx()
-            .unwrap_or_else(|| (cpm_obs::ctx::next_span_id(), 0));
-        let _tctx = cpm_obs::ctx::with_trace(trace_id, parent_span);
-        let mut w = Response::ok(&id);
-        let outcome = {
-            let mut sp = cpm_obs::span("serve.request");
-            sp.field_str("verb", verb.as_str());
-            match verb {
-                Verb::FleetInstall => self.handle_install(line, &mut w),
-                _ => {
-                    self.handle_info(&mut w);
-                    Ok(())
-                }
-            }
-        };
-        let text = match outcome {
-            Ok(()) => w.finish(),
-            Err(e) => Response::error(&id, e),
-        };
-        let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        self.service.metrics().record_verb_latency(verb, ns);
-        (text, false)
+            _ => self.inner.answer(verb, fields, w),
+        }
+    }
+
+    fn metrics(&self) -> &Metrics {
+        self.service.metrics()
     }
 }

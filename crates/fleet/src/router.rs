@@ -1,8 +1,9 @@
 //! The fleet's front door: a routing line handler on the reactor.
 //!
-//! The [`Router`] owns no parameter sets. It hashes each request's
-//! cluster fingerprint onto the ring, forwards the line to the owning
-//! node over a pooled connection, and relays the response untouched —
+//! The [`Router`] owns no parameter sets. It looks each request's verb up
+//! in the verb table ([`Verb::route`]); an owner-routed verb's cluster
+//! fingerprint is hashed onto the ring, the line forwarded to the owning
+//! node over a pooled connection, and the response relayed untouched —
 //! the fast path is scan-route-relay: the line is scanned for its routing
 //! fields, never parsed into a tree, and forwarded as received; with the
 //! flight recorder on, each forward attempt splices its span in front as
@@ -28,12 +29,12 @@ use std::time::Duration;
 
 use cpm_obs::{Counter, Histogram, MetricsRegistry};
 use cpm_reactor::{ClientConfig, ClientPool};
-use cpm_serve::{Fields, LineHandler, Response};
+use cpm_serve::{obj, Fields, Response, Route, Verb};
 use serde_json::Value;
 
 use crate::map::{FleetMap, NodeInfo};
 use crate::ring::Ring;
-use crate::util::{append_members, field, obj, resolve_addr};
+use crate::util::{append_members, field, merged_trace, resolve_addr};
 
 /// Router tuning.
 #[derive(Clone, Debug)]
@@ -72,9 +73,9 @@ struct Upstream {
     errors: Counter,
 }
 
-/// The routing line handler. Serve it on the reactor with
-/// [`crate::serve_router`], or embed it anywhere a [`LineHandler`]
-/// fits (it implements [`cpm_reactor::Handler`] too).
+/// The routing handler. Serve it on the reactor with
+/// [`crate::serve_router`], or embed it anywhere a
+/// [`cpm_reactor::Handler`] fits.
 pub struct Router {
     map: FleetMap,
     ring: Ring,
@@ -279,7 +280,11 @@ impl Router {
         }
         for (chain, idxs) in &groups {
             let group: Vec<&str> = idxs.iter().map(|&i| items[i]).collect();
-            let sub_line = format!("{{\"verb\":\"batch\",\"requests\":[{}]}}", group.join(","));
+            let sub_line = format!(
+                "{{\"verb\":\"{}\",\"requests\":[{}]}}",
+                Verb::Batch.as_str(),
+                group.join(",")
+            );
             match self.call_chain(chain, &sub_line) {
                 Ok((resp, rank)) => {
                     let responses = field(&resp, "responses")
@@ -344,30 +349,24 @@ impl Router {
     /// into one multi-process Chrome trace with cross-node flow arrows,
     /// and reports how many nodes answered.
     fn collect_trace(&self, fields: &Fields, id: &Option<Value>) -> String {
-        let last = crate::util::last_of(fields);
-        let raw_line = crate::util::raw_trace_line(last);
-        let mut nodes: Vec<(String, Vec<cpm_obs::OwnedRecord>)> =
-            vec![("router".to_string(), crate::util::own_records(last))];
-        let mut missing = Vec::new();
-        for up in &self.upstreams {
-            match up
-                .pool
-                .call(&raw_line)
-                .ok()
-                .as_deref()
-                .and_then(crate::util::decode_raw_trace)
-            {
-                Some(records) => nodes.push((up.info.name.clone(), records)),
-                None => missing.push(Value::Str(up.info.name.clone())),
-            }
-        }
-        let records: usize = nodes.iter().map(|(_, r)| r.len()).sum();
         let mut w = Response::ok(id);
-        w.u64("nodes", nodes.len() as u64);
-        w.u64("records", records as u64);
-        w.value("missing", &Value::Seq(missing));
-        w.value("trace", &cpm_obs::chrome::chrome_trace_fleet(&nodes));
+        let upstreams = self.upstreams.iter().map(|u| (&u.info, &u.pool));
+        merged_trace("router", upstreams, fields, &mut w);
         w.finish()
+    }
+
+    /// The verbs the router answers itself: `stats`, `shutdown` and
+    /// `fleet-info`.
+    fn answer_locally(&self, verb: Verb, fields: &Fields, id: &Option<Value>) -> (String, bool) {
+        match verb {
+            Verb::Stats => (self.handle_stats(fields, id), false),
+            Verb::Shutdown => {
+                let mut w = Response::ok(id);
+                w.bool("shutting_down", true);
+                (w.finish(), true)
+            }
+            _ => (self.handle_info(id), false),
+        }
     }
 
     fn handle_info(&self, id: &Option<Value>) -> String {
@@ -398,48 +397,26 @@ impl Router {
             .trace_ctx()
             .unwrap_or_else(|| (cpm_obs::ctx::next_span_id(), 0));
         let _tctx = cpm_obs::ctx::with_trace(trace_id, parent_span);
-        let verb = fields.verb().unwrap_or_default();
+        let name = fields.verb().unwrap_or_default();
+        let verb = Verb::parse(&name);
         let mut sp = cpm_obs::span("router.request");
-        sp.field_str(
-            "verb",
-            match &*verb {
-                "predict" => "predict",
-                "select" => "select",
-                "estimate" => "estimate",
-                "plan" => "plan",
-                "batch" => "batch",
-                "history" => "history",
-                "stats" => "stats",
-                "trace" => "trace",
-                "observe" => "observe",
-                "drift-status" => "drift-status",
-                "fleet-info" => "fleet-info",
-                "shutdown" => "shutdown",
-                _ => "other",
+        sp.field_str("verb", verb.map_or("other", Verb::as_str));
+        let out = match verb {
+            None if name.is_empty() => (Response::error(&id, "missing verb"), false),
+            None => (
+                Response::error(&id, format!("unknown verb {name:?}")),
+                false,
+            ),
+            Some(verb) => match verb.route() {
+                Route::Owner => (self.route_single(&fields, line, &id), false),
+                Route::Split => (self.route_batch(&fields, &id), false),
+                Route::FanOut => (self.collect_trace(&fields, &id), false),
+                Route::Local => self.answer_locally(verb, &fields, &id),
+                Route::NodeOnly => (
+                    Response::error(&id, format!("{name} is node-to-node, not routable")),
+                    false,
+                ),
             },
-        );
-        let out = match &*verb {
-            "" => (Response::error(&id, "missing verb"), false),
-            "stats" => (self.handle_stats(&fields, &id), false),
-            "fleet-info" => (self.handle_info(&id), false),
-            "shutdown" => {
-                let mut w = Response::ok(&id);
-                w.bool("shutting_down", true);
-                (w.finish(), true)
-            }
-            "batch" => (self.route_batch(&fields, &id), false),
-            "trace" => (self.collect_trace(&fields, &id), false),
-            "fleet-install" => (
-                Response::error(&id, "fleet-install is node-to-node, not routable"),
-                false,
-            ),
-            "predict" | "select" | "estimate" | "plan" | "history" | "observe" | "drift-status" => {
-                (self.route_single(&fields, line, &id), false)
-            }
-            other => (
-                Response::error(&id, format!("unknown verb {other:?}")),
-                false,
-            ),
         };
         let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
         self.latency.record(ns);
@@ -448,12 +425,6 @@ impl Router {
 }
 
 const NO_ROUTING_KEY: &str = "request carries neither \"fingerprint\" nor \"config\"";
-
-impl LineHandler for Router {
-    fn handle_line(&self, line: &str) -> (String, bool) {
-        self.handle(line)
-    }
-}
 
 impl cpm_reactor::Handler for Router {
     fn handle(&self, payload: &str) -> (String, bool) {

@@ -3,21 +3,11 @@
 use std::net::{SocketAddr, ToSocketAddrs};
 
 use cpm_obs::OwnedRecord;
-use cpm_serve::ServeError;
+use cpm_reactor::ClientPool;
+use cpm_serve::{Fields, Response};
 use serde_json::Value;
 
-/// Result alias matching the serve protocol's error type.
-pub type SResult<T> = std::result::Result<T, ServeError>;
-
-/// Builds a JSON object from `(key, value)` pairs.
-pub fn obj(entries: Vec<(&str, Value)>) -> Value {
-    Value::Map(
-        entries
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect(),
-    )
-}
+use crate::map::NodeInfo;
 
 /// The first top-level member `key` of a JSON object, as written; `None`
 /// when `text` is not a JSON object or has no such member.
@@ -58,8 +48,40 @@ pub fn with_ctx(line: &str, parent_span: u64) -> Option<String> {
     ))
 }
 
+/// A fleet-wide `trace`: the records of this process (as node `own`)
+/// merged with a raw dump fanned out to every peer, written into `w` as
+/// one Chrome trace with a process track per node and cross-node flow
+/// arrows, plus the peers that did not answer.
+pub fn merged_trace<'a>(
+    own: &str,
+    peers: impl Iterator<Item = (&'a NodeInfo, &'a ClientPool)>,
+    fields: &Fields,
+    w: &mut Response,
+) {
+    let last = last_of(fields);
+    let raw_line = raw_trace_line(last);
+    let mut nodes = vec![(own.to_string(), own_records(last))];
+    let mut missing = Vec::new();
+    for (info, pool) in peers {
+        match pool
+            .call(&raw_line)
+            .ok()
+            .as_deref()
+            .and_then(decode_raw_trace)
+        {
+            Some(records) => nodes.push((info.name.clone(), records)),
+            None => missing.push(Value::Str(info.name.clone())),
+        }
+    }
+    let records: usize = nodes.iter().map(|(_, r)| r.len()).sum();
+    w.u64("nodes", nodes.len() as u64);
+    w.u64("records", records as u64);
+    w.value("missing", &Value::Seq(missing));
+    w.value("trace", &cpm_obs::chrome::chrome_trace_fleet(&nodes));
+}
+
 /// The `"last"` bound of a `trace` request (newest N records), if any.
-pub fn last_of(fields: &cpm_serve::Fields) -> Option<usize> {
+fn last_of(fields: &Fields) -> Option<usize> {
     let n = serde_json::raw_number(fields.last?)?.as_u64()?;
     Some(n as usize)
 }
@@ -75,16 +97,17 @@ pub fn resolve_addr(addr: &str) -> Result<SocketAddr, String> {
 /// The raw flight-recorder dump request the fleet trace collectors fan
 /// out to members (`raw` keeps the records machine-readable instead of
 /// the single-node Chrome rendering).
-pub fn raw_trace_line(last: Option<usize>) -> String {
+fn raw_trace_line(last: Option<usize>) -> String {
+    let verb = cpm_serve::Verb::Trace.as_str();
     match last {
-        Some(n) => format!("{{\"verb\":\"trace\",\"raw\":true,\"last\":{n}}}"),
-        None => "{\"verb\":\"trace\",\"raw\":true}".to_string(),
+        Some(n) => format!("{{\"verb\":\"{verb}\",\"raw\":true,\"last\":{n}}}"),
+        None => format!("{{\"verb\":\"{verb}\",\"raw\":true}}"),
     }
 }
 
 /// Decodes a raw trace response (`{"ok":true,"records":[...]}`) into
 /// owned records; `None` for errors or unrecognized shapes.
-pub fn decode_raw_trace(resp: &str) -> Option<Vec<OwnedRecord>> {
+fn decode_raw_trace(resp: &str) -> Option<Vec<OwnedRecord>> {
     let v = serde_json::from_str::<Value>(resp).ok()?;
     if v.get("ok") != Some(&Value::Bool(true)) {
         return None;
@@ -97,7 +120,7 @@ pub fn decode_raw_trace(resp: &str) -> Option<Vec<OwnedRecord>> {
 
 /// This process's own flight-recorder records, oldest first, optionally
 /// clipped to the last `n` — the local leg of a fleet trace merge.
-pub fn own_records(last: Option<usize>) -> Vec<OwnedRecord> {
+fn own_records(last: Option<usize>) -> Vec<OwnedRecord> {
     let mut records = cpm_obs::Recorder::global().snapshot();
     if let Some(n) = last {
         let len = records.len();

@@ -310,16 +310,6 @@ impl LmoExtended {
         });
         HockneyHet::new(alpha, beta)
     }
-
-    /// Drops the latency separation, folding `L_ij` halves into the fixed
-    /// processing delays — the best the *original* five-parameter model can
-    /// represent this cluster (useful for ablation).
-    pub fn to_original_averaging_latency(&self) -> LmoOriginal {
-        let n = self.c.len();
-        let mean_l = self.l.mean().unwrap_or(0.0);
-        let c = (0..n).map(|i| self.c[i] + mean_l / 2.0).collect();
-        LmoOriginal::new(c, self.t.clone(), self.beta.clone())
-    }
 }
 
 impl PointToPoint for LmoExtended {
@@ -437,16 +427,6 @@ mod tests {
                 assert!((a - b).abs() < 1e-15, "({i},{j},{msg})");
             }
         }
-    }
-
-    #[test]
-    fn original_projection_preserves_mean_p2p() {
-        let m = model();
-        let o = m.to_original_averaging_latency();
-        // With uniform L the projection is exact.
-        let a = m.time(Rank(1), Rank(2), 5000);
-        let b = o.time(Rank(1), Rank(2), 5000);
-        assert!((a - b).abs() < 1e-15);
     }
 
     #[test]

@@ -123,11 +123,6 @@ impl Poll {
         self.epoll.modify(fd, interest.mask(), token.0)
     }
 
-    /// Drops a registration (closing the fd does this implicitly).
-    pub fn deregister(&self, fd: RawFd) -> io::Result<()> {
-        self.epoll.delete(fd)
-    }
-
     /// Waits for events, blocking at most `timeout` (`None` = forever).
     pub fn poll(&self, events: &mut Events, timeout: Option<Duration>) -> io::Result<()> {
         let timeout_ms = match timeout {

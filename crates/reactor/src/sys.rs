@@ -26,7 +26,6 @@ pub const EPOLLRDHUP: u32 = 0x2000;
 pub const EPOLLET: u32 = 1 << 31;
 
 const EPOLL_CTL_ADD: c_int = 1;
-const EPOLL_CTL_DEL: c_int = 2;
 const EPOLL_CTL_MOD: c_int = 3;
 const EPOLL_CLOEXEC: c_int = 0o2000000;
 const EFD_CLOEXEC: c_int = 0o2000000;
@@ -85,12 +84,6 @@ impl EpollFd {
     /// Re-arms an existing registration with a new mask/cookie.
     pub fn modify(&self, fd: RawFd, events: u32, data: u64) -> io::Result<()> {
         self.ctl(EPOLL_CTL_MOD, fd, events, data)
-    }
-
-    /// Removes a registration. The kernel also drops registrations
-    /// automatically when the fd's last open handle closes.
-    pub fn delete(&self, fd: RawFd) -> io::Result<()> {
-        self.ctl(EPOLL_CTL_DEL, fd, 0, 0)
     }
 
     fn ctl(&self, op: c_int, fd: RawFd, events: u32, data: u64) -> io::Result<()> {

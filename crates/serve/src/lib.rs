@@ -13,10 +13,13 @@
 //!   and a versioned on-disk store of estimated [`registry::ParamSet`]s;
 //! - [`service`] — the estimate-once prediction service: sharded LRU cache,
 //!   single-flight estimation dedup, service metrics with per-verb latency
-//!   histograms;
-//! - [`protocol`] — the JSON-lines request/response vocabulary, including
-//!   the `batch` verb (many requests per round trip) and the extended
-//!   `stats` verb (latency quantiles, text exposition);
+//!   histograms, and the verb table ([`Verb`]): every wire verb declared
+//!   once, with how the router treats it, whether a batch may carry it
+//!   and which cluster key it takes;
+//! - [`protocol`] — the JSON-lines request/response vocabulary and the one
+//!   request envelope every serving layer shares, including the `batch`
+//!   verb (many requests per round trip) and the extended `stats` verb
+//!   (latency quantiles, text exposition);
 //! - [`server`] — the TCP server: the protocol seam ([`LineHandler`])
 //!   on the `cpm-reactor` epoll event loop (all connections multiplexed
 //!   over `workers` shards, pipelined, backpressured), which negotiates
@@ -33,7 +36,8 @@ pub mod server;
 pub mod service;
 
 pub use protocol::{
-    handle_line, id_tag, parse_request, BatchItem, Fields, Request, Response, MAX_BATCH,
+    handle_line, id_tag, obj, parse_request, Answer, BatchItem, Fields, Request, Response,
+    MAX_BATCH,
 };
 pub use registry::{
     fingerprint, fingerprint_json, Lineage, ParamSet, Registry, ResidualSummary, Result,
@@ -43,6 +47,7 @@ pub use server::{
     Engine, LineHandler, Server, ServerHandle, DEFAULT_IDLE_TIMEOUT, DEFAULT_WORKERS, MAX_LINE,
 };
 pub use service::{
-    Algorithm, ClusterRef, Collective, Fidelity, Metrics, MetricsSnapshot, ModelKind,
-    PlannedWorkload, Prediction, PublishHook, Query, Service, ServiceConfig, Verb, VERBS,
+    Algorithm, ClusterKey, ClusterRef, Collective, Fidelity, Layer, Metrics, MetricsSnapshot,
+    ModelKind, PlannedWorkload, Prediction, PublishHook, Query, Route, Service, ServiceConfig,
+    Verb, VERBS,
 };

@@ -5,38 +5,8 @@
 //! Malformed requests produce `{"ok": false, "error": "..."}` on that
 //! line and do not terminate the connection.
 //!
-//! Verbs:
-//!
-//! - `predict` — one prediction. Identifies the cluster either by
-//!   embedded `"config"` (estimated on first sight) or by
-//!   `"fingerprint"` (must already be known).
-//! - `select` — predict both algorithms of a collective and report the
-//!   faster one.
-//! - `estimate` — force the parameter set for a config to exist,
-//!   returning estimation statistics.
-//! - `plan` — critical-path prediction of a whole workload trace: per-op
-//!   algorithm choices, per-phase breakdown, and end-to-end makespan,
-//!   cached by `(fingerprint, param_version, model, trace hash)`.
-//!   `"fidelity":"des"` answers with a full discrete-event replay on the
-//!   embedded config instead (identical to `cpm workload run`); the
-//!   default `"analytic"` is the cached critical-path evaluation.
-//! - `batch` — an array of predict/select/plan requests answered in one
-//!   round trip (each element independently; one bad element does not
-//!   fail the batch).
-//! - `history` — list the retained registry versions for a fingerprint,
-//!   with lineage (what triggered each republish and the residuals
-//!   before/after re-estimation).
-//! - `stats` — service counters plus per-verb latency quantiles
-//!   (p50/p95/p99); `"format":"text"` returns the unified metrics
-//!   registry's Prometheus-style text exposition instead.
-//! - `trace` — dump the flight recorder as Chrome trace-event JSON
-//!   (loadable in `about:tracing`/Perfetto); `"last": N` bounds the dump
-//!   to the newest N records. `"raw": true` returns the records
-//!   themselves (the [`cpm_obs::OwnedRecord`] encoding) instead of a
-//!   rendered trace — the form the fleet trace collector ships between
-//!   nodes before merging.
-//! - `shutdown` — stop the server after responding (the worker pool
-//!   drains in-flight requests first).
+//! The verbs are declared once, in the verb table ([`Verb`]). A core
+//! verb decodes into a [`Request`], whose variants document its fields.
 //!
 //! # Request ids
 //!
@@ -69,8 +39,15 @@
 //! [`Request`] is decoded from those spans in place; only a sub-document
 //! a verb really consumes is parsed into a tree — `config`, `trace`, and
 //! nothing else. The answer is streamed by a [`Response`] straight into
-//! the output line. Wrappers around the core protocol (drift, fleet node,
-//! router) use the same two pieces, so every hop scans and none re-parses.
+//! the output line.
+//!
+//! Every serving layer — the core, the drift extension, a fleet node —
+//! shares one request envelope, [`LineHandler::handle_line`]'s default:
+//! the scan, the client id, the request and trace context, the
+//! `serve.request` span, the verb, the [`Response`] and the verb's
+//! latency. A layer answers through [`LineHandler::answer`] from the
+//! scanned [`Fields`], and hands on every verb it does not answer, so a
+//! line is scanned once per process.
 
 use std::borrow::Cow;
 use std::fmt::{self, Write as _};
@@ -79,8 +56,10 @@ use cpm_cluster::ClusterConfig;
 use serde_json::Value;
 
 use crate::registry::{Result, ServeError};
+use crate::server::LineHandler;
 use crate::service::{
-    render_members, Algorithm, ClusterRef, Collective, Fidelity, ModelKind, Query, Service, Verb,
+    render_members, Algorithm, ClusterRef, Collective, Fidelity, Layer, Metrics, ModelKind, Query,
+    Service, Verb,
 };
 
 /// A parsed request.
@@ -163,25 +142,10 @@ pub enum Request {
 pub struct BatchItem {
     /// The sub-request's client id, if it carried one.
     pub id: Option<Value>,
+    /// The sub-request's verb, which its latency is recorded under.
+    pub verb: Verb,
     /// The sub-request itself.
     pub request: Request,
-}
-
-impl Request {
-    /// The verb this request is recorded under in the latency histograms.
-    pub fn verb(&self) -> Verb {
-        match self {
-            Request::Predict { .. } => Verb::Predict,
-            Request::Select { .. } => Verb::Select,
-            Request::Estimate { .. } => Verb::Estimate,
-            Request::Plan { .. } => Verb::Plan,
-            Request::Batch { .. } => Verb::Batch,
-            Request::History { .. } => Verb::History,
-            Request::Stats { .. } => Verb::Stats,
-            Request::Trace { .. } => Verb::Trace,
-            Request::Shutdown => Verb::Shutdown,
-        }
-    }
 }
 
 fn bad(msg: impl Into<String>) -> ServeError {
@@ -229,11 +193,16 @@ request_fields!(
     requests,
     format,
     last,
-    raw
+    raw,
+    kind,
+    src,
+    dst,
+    seconds,
+    set
 );
 
 /// A required string field.
-fn text<'a>(raw: Option<&'a str>, key: &str) -> Result<Cow<'a, str>> {
+pub fn text<'a>(raw: Option<&'a str>, key: &str) -> Result<Cow<'a, str>> {
     raw.and_then(serde_json::raw_str)
         .ok_or_else(|| bad(format!("missing or non-string field {key:?}")))
 }
@@ -251,7 +220,7 @@ fn as_u64(raw: &str) -> Option<u64> {
 }
 
 /// A required non-negative integer field.
-fn uint(raw: Option<&str>, key: &str) -> Result<u64> {
+pub fn uint(raw: Option<&str>, key: &str) -> Result<u64> {
     raw.and_then(as_u64)
         .ok_or_else(|| bad(format!("missing or non-integer field {key:?}")))
 }
@@ -329,11 +298,23 @@ impl<'a> Fields<'a> {
         }
     }
 
-    /// Decodes the typed request. Fields are checked in a fixed order, so
-    /// a request wrong in several ways always reports the same one.
+    /// The request's verb, looked up in the verb table.
+    pub fn parse_verb(&self) -> Result<Verb> {
+        let name = text(self.verb, "verb")?;
+        Verb::parse(&name).ok_or_else(|| unknown_verb(&name))
+    }
+
+    /// Decodes the typed request.
     pub fn parse(&self) -> Result<Request> {
-        match &*text(self.verb, "verb")? {
-            "predict" => Ok(Request::Predict {
+        self.request(self.parse_verb()?)
+    }
+
+    /// Decodes the typed request of a core verb. Fields are checked in a
+    /// fixed order, so a request wrong in several ways always reports the
+    /// same one.
+    pub fn request(&self, verb: Verb) -> Result<Request> {
+        match verb {
+            Verb::Predict => Ok(Request::Predict {
                 cluster: self.cluster()?,
                 query: Query {
                     model: ModelKind::parse(&text(self.model, "model")?)?,
@@ -343,20 +324,20 @@ impl<'a> Fields<'a> {
                     root: self.root()?,
                 },
             }),
-            "select" => Ok(Request::Select {
+            Verb::Select => Ok(Request::Select {
                 cluster: self.cluster()?,
                 model: ModelKind::parse(&text(self.model, "model")?)?,
                 collective: Collective::parse(&text(self.collective, "collective")?)?,
                 m: uint(self.m, "m")?,
                 root: self.root()?,
             }),
-            "estimate" => {
+            Verb::Estimate => {
                 let ClusterRef::Config(config) = self.cluster()? else {
                     return Err(bad("estimate requires an embedded \"config\""));
                 };
                 Ok(Request::Estimate { config })
             }
-            "plan" => {
+            Verb::Plan => {
                 // The hierarchical model is not one of the registry's
                 // flat parameter families — it is derived per request
                 // from an embedded hierarchical config.
@@ -383,7 +364,7 @@ impl<'a> Fields<'a> {
                     trace: Box::new(trace),
                 })
             }
-            "batch" => {
+            Verb::Batch => {
                 let items = self
                     .requests
                     .and_then(serde_json::raw_elements)
@@ -404,25 +385,24 @@ impl<'a> Fields<'a> {
                         // An element goes the way of a whole line.
                         let nth = |e: ServeError| bad(format!("batch request {i}: {e}"));
                         let fields = Fields::scan(item).map_err(nth)?;
-                        match fields.parse().map_err(nth)? {
-                            request @ (Request::Predict { .. }
-                            | Request::Select { .. }
-                            | Request::Plan { .. }) => Ok(BatchItem {
-                                id: fields.client_id(),
-                                request,
-                            }),
-                            _ => Err(bad(format!(
-                                "batch request {i}: only predict|select|plan may be batched"
-                            ))),
+                        let verb = fields.parse_verb().map_err(nth)?;
+                        let request = fields.request(verb).map_err(nth)?;
+                        if !verb.batchable() {
+                            return Err(bad(format!(
+                                "batch request {i}: only {} may be batched",
+                                Verb::list(Verb::batchable)
+                            )));
                         }
+                        let id = fields.client_id();
+                        Ok(BatchItem { id, verb, request })
                     })
                     .collect::<Result<Vec<BatchItem>>>()?;
                 Ok(Request::Batch { requests })
             }
-            "history" => Ok(Request::History {
+            Verb::History => Ok(Request::History {
                 fingerprint: text(self.fingerprint, "fingerprint")?.into_owned(),
             }),
-            "stats" => {
+            Verb::Stats => {
                 let text = match self.format.map(serde_json::raw_str) {
                     None => false,
                     Some(Some(s)) if s == "json" => false,
@@ -431,7 +411,7 @@ impl<'a> Fields<'a> {
                 };
                 Ok(Request::Stats { text })
             }
-            "trace" => {
+            Verb::Trace => {
                 let last = match self.last {
                     None => None,
                     Some(raw) => Some(
@@ -448,13 +428,22 @@ impl<'a> Fields<'a> {
                 };
                 Ok(Request::Trace { last, raw })
             }
-            "shutdown" => Ok(Request::Shutdown),
-            other => Err(bad(format!(
-                "unknown verb {other:?} (expected predict|select|estimate|plan|batch|\
-                 history|stats|trace|shutdown)"
-            ))),
+            Verb::Shutdown => Ok(Request::Shutdown),
+            // Another layer's verb: the core does not know it.
+            Verb::Observe | Verb::DriftStatus | Verb::FleetInstall | Verb::FleetInfo => {
+                Err(unknown_verb(verb.as_str()))
+            }
         }
     }
+}
+
+/// The core's answer to a verb it does not serve: the core verbs, listed
+/// from the table.
+fn unknown_verb(name: &str) -> ServeError {
+    bad(format!(
+        "unknown verb {name:?} (expected {})",
+        Verb::list(|v| v.layer() == Layer::Core)
+    ))
 }
 
 /// Parses one request line.
@@ -467,7 +456,8 @@ pub fn parse_request(line: &str) -> Result<Request> {
 /// length cap [`crate::server::MAX_LINE`] already bounds the payload).
 pub const MAX_BATCH: usize = 1024;
 
-fn obj(entries: Vec<(&str, Value)>) -> Value {
+/// Builds a JSON object from `(key, value)` pairs.
+pub fn obj(entries: Vec<(&str, Value)>) -> Value {
     Value::Map(
         entries
             .into_iter()
@@ -720,14 +710,14 @@ fn respond(service: &Service, req: &Request, w: &mut Response) -> Result<()> {
                     .as_ref()
                     .map(|id| cpm_obs::ctx::with_request(cpm_obs::next_request_id(), id_tag(id)));
                 let mut sp = cpm_obs::span("serve.subrequest");
-                sp.field_str("verb", item.request.verb().as_str());
+                sp.field_str("verb", item.verb.as_str());
                 let start = std::time::Instant::now();
                 let mark = w.out.len();
                 w.open(true, &item.id);
                 let outcome = respond(service, &item.request, w);
                 service
                     .metrics()
-                    .record_verb_latency(item.request.verb(), elapsed_ns(start));
+                    .record_verb_latency(item.verb, elapsed_ns(start));
                 if let Err(e) = outcome {
                     w.out.truncate(mark);
                     w.open(false, &item.id);
@@ -802,16 +792,60 @@ fn elapsed_ns(start: std::time::Instant) -> u64 {
     u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// Handles one raw request line end to end. Returns the response line
-/// (no trailing newline) and whether the server should shut down.
-///
-/// Successfully parsed requests are timed (parse + respond + serialize)
-/// into the per-verb latency histograms of [`Service::metrics`]; lines
-/// that fail to parse are not attributed to any verb. The client id is
-/// echoed into the response — error responses included — whenever the
-/// line decoded as a JSON object, even if the request inside it was
-/// invalid.
+/// How one layer answered one request (see [`LineHandler::answer`]).
+#[derive(Debug)]
+pub enum Answer {
+    /// Answered into the response; `true` asks the server to shut down.
+    Done(bool),
+    /// Failed while executing: an error response, timed under the verb.
+    Failed(ServeError),
+    /// Refused before executing — a field did not decode, or no layer
+    /// answers the verb: an error response, timed under no verb.
+    Refused(ServeError),
+}
+
+impl From<Result<()>> for Answer {
+    fn from(outcome: Result<()>) -> Answer {
+        match outcome {
+            Ok(()) => Answer::Done(false),
+            Err(e) => Answer::Failed(e),
+        }
+    }
+}
+
+/// The core protocol: decode the typed request, execute it.
+impl LineHandler for Service {
+    fn answer(&self, verb: Verb, fields: &Fields, w: &mut Response) -> Answer {
+        match fields.request(verb) {
+            Ok(req) => match respond(self, &req, w) {
+                Ok(()) => Answer::Done(matches!(req, Request::Shutdown)),
+                Err(e) => Answer::Failed(e),
+            },
+            Err(e) => Answer::Refused(e),
+        }
+    }
+
+    fn metrics(&self) -> &Metrics {
+        Service::metrics(self)
+    }
+}
+
+/// Handles one raw request line end to end with the core protocol.
+/// Returns the response line (no trailing newline) and whether the server
+/// should shut down.
 pub fn handle_line(service: &Service, line: &str) -> (String, bool) {
+    envelope(service, line)
+}
+
+/// The request envelope every serving layer shares (see the module docs):
+/// scans `line` once and lets `handler` answer the verb.
+///
+/// Answered requests are timed (scan + decode + execute + serialize) into
+/// the per-verb latency histograms of [`LineHandler::metrics`]; refused
+/// ones are not attributed to any verb. The client id is echoed into the
+/// response — error responses included — whenever the line decoded as a
+/// JSON object, even if the request inside it was invalid.
+pub(crate) fn envelope<H: LineHandler + ?Sized>(handler: &H, line: &str) -> (String, bool) {
     let start = std::time::Instant::now();
     let scanned = Fields::scan(line);
     let id = scanned.as_ref().ok().and_then(Fields::client_id);
@@ -834,22 +868,21 @@ pub fn handle_line(service: &Service, line: &str) -> (String, bool) {
     // writing — everything attributed to this verb's latency histogram
     // except the scan above.
     let mut sp = cpm_obs::span("serve.request");
-    let mut verb = None;
-    let (text, shutdown) = match scanned.and_then(|fields| fields.parse()) {
-        Ok(req) => {
-            verb = Some(req.verb());
-            sp.field_str("verb", req.verb().as_str());
+    let (text, shutdown, timed) = match scanned.and_then(|f| Ok((f.parse_verb()?, f))) {
+        Ok((verb, fields)) => {
+            sp.field_str("verb", verb.as_str());
             let mut w = Response::ok(&id);
-            match respond(service, &req, &mut w) {
-                Ok(()) => (w.finish(), matches!(req, Request::Shutdown)),
-                Err(e) => (Response::error(&id, e), false),
+            match handler.answer(verb, &fields, &mut w) {
+                Answer::Done(shutdown) => (w.finish(), shutdown, Some(verb)),
+                Answer::Failed(e) => (Response::error(&id, e), false, Some(verb)),
+                Answer::Refused(e) => (Response::error(&id, e), false, None),
             }
         }
-        Err(e) => (Response::error(&id, e), false),
+        Err(e) => (Response::error(&id, e), false, None),
     };
     drop(sp);
-    if let Some(verb) = verb {
-        service
+    if let Some(verb) = timed {
+        handler
             .metrics()
             .record_verb_latency(verb, elapsed_ns(start));
     }

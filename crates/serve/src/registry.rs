@@ -359,7 +359,7 @@ impl Registry {
     }
 
     /// Loads one archived version of a fingerprint, if still in the ring.
-    pub fn load_version(&self, fp: &str, version: u64) -> Result<Option<ParamSet>> {
+    fn load_version(&self, fp: &str, version: u64) -> Result<Option<ParamSet>> {
         let path = self.path_for_version(fp, version);
         let json = match fs::read_to_string(&path) {
             Ok(j) => j,

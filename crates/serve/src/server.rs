@@ -34,26 +34,29 @@ use std::time::Duration;
 
 use cpm_reactor::Telemetry;
 
-use crate::protocol::handle_line;
+use crate::protocol::{envelope, Answer, Fields, Response};
 use crate::registry::Result;
-use crate::service::Service;
+use crate::service::{Metrics, Service, Verb};
 
-/// Processes one request line into one response line.
-///
-/// The server is generic over this so extensions (e.g. cpm-drift's
-/// `observe`/`drift-status` verbs) can wrap the core [`Service`] protocol
-/// with extra verbs while reusing the same connection handling. The
-/// returned bool requests server shutdown.
+/// One serving layer: the core protocol over [`Service`], or an extension
+/// wrapped around the layer below it (cpm-drift's verbs, a fleet node's).
+/// A layer implements [`LineHandler::answer`] and keeps the default
+/// [`LineHandler::handle_line`], the one request envelope (see
+/// [`crate::protocol`]).
 pub trait LineHandler: Send + Sync + 'static {
     /// Produces the response line (no trailing newline) for `line`, and
     /// whether the server should begin a graceful shutdown afterwards.
-    fn handle_line(&self, line: &str) -> (String, bool);
-}
-
-impl LineHandler for Service {
     fn handle_line(&self, line: &str) -> (String, bool) {
-        handle_line(self, line)
+        envelope(self, line)
     }
+
+    /// Answers one scanned request whose verb is `verb`, streaming the
+    /// answer's fields into `w` (whose `"ok"` head is written), or hands
+    /// it to the layer below.
+    fn answer(&self, verb: Verb, fields: &Fields, w: &mut Response) -> Answer;
+
+    /// The metrics the envelope times each verb into.
+    fn metrics(&self) -> &Metrics;
 }
 
 /// Default number of event-loop shards.

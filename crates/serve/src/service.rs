@@ -23,7 +23,7 @@ use cpm_core::rank::Rank;
 use cpm_core::units::Bytes;
 use cpm_estimate::EstimateConfig;
 use cpm_obs::{Counter, Gauge, Histogram, MetricsRegistry};
-use cpm_stats::hist::{HistSnapshot, LogHistogram};
+use cpm_stats::hist::HistSnapshot;
 use cpm_workload::{Plan, PlanModel, PlanProfile, Trace};
 use parking_lot::{Mutex, RwLock};
 
@@ -355,82 +355,138 @@ impl Drop for Lead<'_> {
     }
 }
 
-/// A protocol verb, as tracked by the per-verb latency histograms.
-///
-/// Covers the core vocabulary plus the drift-extension verbs so one
-/// histogram array describes the whole wire surface of a drift-enabled
-/// server.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum Verb {
-    /// `predict` — one collective prediction.
-    Predict,
-    /// `select` — model-based algorithm selection.
-    Select,
-    /// `estimate` — force estimation of an embedded config.
-    Estimate,
-    /// `plan` — critical-path prediction of a workload trace.
-    Plan,
-    /// `batch` — an array of predict/select/plan requests in one round trip.
-    Batch,
-    /// `history` — registry version lineage.
-    History,
-    /// `stats` — service counters and latency histograms.
-    Stats,
-    /// `observe` — drift-extension: ingest one measured transfer time.
-    Observe,
-    /// `drift-status` — drift-extension: staleness report.
-    DriftStatus,
-    /// `trace` — flight-recorder dump as Chrome trace-event JSON.
-    Trace,
-    /// `shutdown` — stop the server.
-    Shutdown,
-    /// `fleet-install` — fleet-extension: apply a replicated parameter
-    /// set at its already-assigned version (follower side).
-    FleetInstall,
-    /// `fleet-info` — fleet-extension: node role and shard topology.
-    FleetInfo,
+/// Declares the verb table: one row per wire verb, and nothing else in
+/// the workspace writes a verb's name. A row yields the [`Verb`] variant,
+/// its place in [`VERBS`] and its columns, which `Verb`'s methods read.
+macro_rules! verbs {
+    ($(
+        $(#[doc = $doc:literal])*
+        $verb:ident = $name:literal, $route:ident, $batchable:literal, $key:ident, $layer:ident;
+    )+) => {
+        /// A wire verb: one row of the verb table.
+        #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+        pub enum Verb {
+            $($(#[doc = $doc])* $verb,)+
+        }
+
+        /// Every verb, in table order — also the wire-stable reporting
+        /// order of the latency histograms (new verbs are appended, never
+        /// inserted).
+        pub const VERBS: [Verb; [$(Verb::$verb),+].len()] = [$(Verb::$verb),+];
+
+        const ROWS: [(&str, Route, bool, ClusterKey, Layer); VERBS.len()] =
+            [$(($name, Route::$route, $batchable, ClusterKey::$key, Layer::$layer)),+];
+    };
 }
 
-/// Every tracked verb, in wire-stable reporting order (new verbs are
-/// appended, never inserted, so positional consumers stay valid).
-pub const VERBS: [Verb; 13] = [
-    Verb::Predict,
-    Verb::Select,
-    Verb::Estimate,
-    Verb::Plan,
-    Verb::Batch,
-    Verb::History,
-    Verb::Stats,
-    Verb::Observe,
-    Verb::DriftStatus,
-    Verb::Trace,
-    Verb::Shutdown,
-    Verb::FleetInstall,
-    Verb::FleetInfo,
-];
+verbs! {
+    //                             route     batch  cluster key          layer
+    /// One collective prediction.
+    Predict = "predict",           Owner,    true,  ConfigOrFingerprint, Core;
+    /// Model-based algorithm selection.
+    Select = "select",             Owner,    true,  ConfigOrFingerprint, Core;
+    /// Force estimation of an embedded config.
+    Estimate = "estimate",         Owner,    false, ConfigOrFingerprint, Core;
+    /// Critical-path prediction of a workload trace.
+    Plan = "plan",                 Owner,    true,  ConfigOrFingerprint, Core;
+    /// An array of batchable requests in one round trip.
+    Batch = "batch",               Split,    false, Neither,             Core;
+    /// Registry version lineage.
+    History = "history",           Owner,    false, Fingerprint,         Core;
+    /// Service counters and latency histograms.
+    Stats = "stats",               Local,    false, Neither,             Core;
+    /// Ingest one measured transfer time.
+    Observe = "observe",           Owner,    false, Fingerprint,         Drift;
+    /// Staleness report of a fingerprint's drift monitor.
+    DriftStatus = "drift-status",  Owner,    false, Fingerprint,         Drift;
+    /// Flight-recorder dump as Chrome trace-event JSON.
+    Trace = "trace",               FanOut,   false, Neither,             Core;
+    /// Stop the server.
+    Shutdown = "shutdown",         Local,    false, Neither,             Core;
+    /// Apply a replicated parameter set at its assigned version.
+    FleetInstall = "fleet-install", NodeOnly, false, Neither,            Fleet;
+    /// Node role and shard topology.
+    FleetInfo = "fleet-info",      Local,    false, Neither,             Fleet;
+}
+
+/// How the fleet router treats a verb (the table's route column).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Route {
+    /// Forwarded to the owners of the request's cluster, leader first,
+    /// failing over to the replicas.
+    Owner,
+    /// Split by owner into per-shard sub-batches (`batch`).
+    Split,
+    /// Fanned out to every member and merged (`trace`).
+    FanOut,
+    /// Answered by the router itself.
+    Local,
+    /// Sent node to node only; the router refuses it.
+    NodeOnly,
+}
+
+/// The cluster key a request carries (the table's key column).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ClusterKey {
+    /// No cluster.
+    Neither,
+    /// A `"fingerprint"` the registry already knows.
+    Fingerprint,
+    /// An embedded `"config"` or a `"fingerprint"`.
+    ConfigOrFingerprint,
+}
+
+/// The serving layer that answers a verb (the table's layer column).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Layer {
+    /// The core protocol over [`Service`].
+    Core,
+    /// The drift extension (`cpm-drift`).
+    Drift,
+    /// A fleet node (`cpm-fleet`).
+    Fleet,
+}
 
 impl Verb {
     /// The verb's wire name.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Verb::Predict => "predict",
-            Verb::Select => "select",
-            Verb::Estimate => "estimate",
-            Verb::Plan => "plan",
-            Verb::Batch => "batch",
-            Verb::History => "history",
-            Verb::Stats => "stats",
-            Verb::Observe => "observe",
-            Verb::DriftStatus => "drift-status",
-            Verb::Trace => "trace",
-            Verb::Shutdown => "shutdown",
-            Verb::FleetInstall => "fleet-install",
-            Verb::FleetInfo => "fleet-info",
-        }
+    pub const fn as_str(self) -> &'static str {
+        ROWS[self as usize].0
     }
 
-    fn index(self) -> usize {
-        VERBS.iter().position(|v| *v == self).unwrap()
+    /// How the fleet router treats the verb.
+    pub const fn route(self) -> Route {
+        ROWS[self as usize].1
+    }
+
+    /// Whether a `batch` may carry the verb.
+    pub const fn batchable(self) -> bool {
+        ROWS[self as usize].2
+    }
+
+    /// The cluster key a request of this verb carries.
+    pub const fn cluster_key(self) -> ClusterKey {
+        ROWS[self as usize].3
+    }
+
+    /// The serving layer that answers the verb.
+    pub const fn layer(self) -> Layer {
+        ROWS[self as usize].4
+    }
+
+    /// The verb named `name`, if any.
+    pub fn parse(name: &str) -> Option<Verb> {
+        VERBS.into_iter().find(|v| v.as_str() == name)
+    }
+
+    /// The names of the verbs `keep` selects, in table order, joined by
+    /// `|` — how errors and help texts list verbs.
+    pub fn list(keep: impl Fn(Verb) -> bool) -> String {
+        let names: Vec<&str> = VERBS
+            .into_iter()
+            .filter(|v| keep(*v))
+            .map(Verb::as_str)
+            .collect();
+        names.join("|")
     }
 }
 
@@ -697,22 +753,16 @@ impl Metrics {
 
     /// Records one request's end-to-end handling latency under its verb.
     pub fn record_verb_latency(&self, verb: Verb, ns: u64) {
-        self.latency[verb.index()].record(ns);
-    }
-
-    /// The latency histogram of one verb (e.g. to merge into an
-    /// aggregator, or to snapshot for quantiles).
-    pub fn verb_latency(&self, verb: Verb) -> &LogHistogram {
-        self.latency[verb.index()].inner()
+        self.latency[verb as usize].record(ns);
     }
 
     /// Snapshots every verb histogram that has recorded at least one
     /// request, in [`VERBS`] order.
     pub fn latency_snapshot(&self) -> Vec<(Verb, HistSnapshot)> {
         VERBS
-            .iter()
-            .filter(|v| self.latency[v.index()].inner().count() > 0)
-            .map(|v| (*v, self.latency[v.index()].snapshot()))
+            .into_iter()
+            .filter(|v| self.latency[*v as usize].inner().count() > 0)
+            .map(|v| (v, self.latency[v as usize].snapshot()))
             .collect()
     }
 
@@ -925,6 +975,16 @@ impl Service {
     /// Resolves the parameter set for a cluster, estimating at most once
     /// per fingerprint across all threads (single-flight).
     pub fn param_set(&self, cluster: &ClusterRef) -> Result<Arc<ParamSet>> {
+        self.param_set_with(cluster, ParamSet::estimate)
+    }
+
+    /// [`Service::param_set`] with the estimator as a seam, so a test can
+    /// make an estimate panic.
+    fn param_set_with(
+        &self,
+        cluster: &ClusterRef,
+        estimate: impl Fn(&ClusterConfig, &EstimateConfig) -> Result<ParamSet>,
+    ) -> Result<Arc<ParamSet>> {
         let fp = cluster.resolve_fingerprint();
         let _sp = cpm_obs::span("service.param_set");
         loop {
@@ -968,7 +1028,7 @@ impl Service {
             // restarted service finds it and lineage has a real parent.
             let outcome = {
                 let _sp = cpm_obs::span("service.estimate");
-                ParamSet::estimate(config, &self.cfg.est).and_then(|ps| self.registry.publish(ps))
+                estimate(config, &self.cfg.est).and_then(|ps| self.registry.publish(ps))
             };
             let outcome = outcome.map(Arc::new);
             if let Ok(ps) = &outcome {
@@ -1275,16 +1335,6 @@ impl Service {
         })
     }
 
-    /// Answers a batch of queries against one cluster. Each query is
-    /// answered independently; one bad query does not fail the batch.
-    pub fn predict_batch(
-        &self,
-        cluster: &ClusterRef,
-        queries: &[Query],
-    ) -> Vec<Result<Prediction>> {
-        queries.iter().map(|q| self.predict(cluster, q)).collect()
-    }
-
     /// Builds a model-tuned collective dispatcher from this cluster's
     /// registered parameters, estimating them first only if the cluster
     /// has never been seen (by this service or any prior one sharing the
@@ -1545,9 +1595,100 @@ mod tests {
         let _ = std::fs::remove_dir_all(dir);
     }
 
+    /// An estimate that panics costs that request and nothing else: the
+    /// leader's single-flight marker is removed on unwind, so the next
+    /// request for the same fingerprint is answered — here by panicking
+    /// the same way — instead of waiting on it forever. The panic comes
+    /// from the estimator seam: every config the estimator used to panic
+    /// on is refused by `ClusterConfig::validate` before it gets there.
     #[test]
-    fn batch_answers_every_query_and_select_agrees_with_predict() {
-        let (dir, service) = test_service("batch");
+    fn a_panicking_estimate_releases_its_fingerprint() {
+        use crate::protocol::{Answer, Fields, Request, Response};
+        use crate::server::{LineHandler, Server};
+        use std::io::{BufRead, BufReader, Write};
+        use std::time::Duration;
+
+        fn panicking(_: &ClusterConfig, _: &EstimateConfig) -> Result<ParamSet> {
+            panic!("the estimator panics")
+        }
+        /// The core protocol, estimating through the panicking seam.
+        struct PanickingEstimates(Arc<Service>);
+        impl LineHandler for PanickingEstimates {
+            fn answer(&self, verb: Verb, fields: &Fields, w: &mut Response) -> Answer {
+                match fields.request(verb) {
+                    Ok(Request::Estimate { config }) => self
+                        .0
+                        .param_set_with(&ClusterRef::Config(config), panicking)
+                        .map(drop)
+                        .into(),
+                    _ => self.0.answer(verb, fields, w),
+                }
+            }
+            fn metrics(&self) -> &Metrics {
+                self.0.metrics()
+            }
+        }
+        /// One round trip, answered within a second.
+        fn request(addr: std::net::SocketAddr, line: &str) -> String {
+            let stream = std::net::TcpStream::connect(addr).unwrap();
+            stream
+                .set_read_timeout(Some(Duration::from_secs(1)))
+                .unwrap();
+            writeln!(&stream, "{line}").unwrap();
+            let mut answer = String::new();
+            BufReader::new(stream)
+                .read_line(&mut answer)
+                .unwrap_or_else(|e| panic!("no answer within 1 s to {line}: {e}"));
+            answer.trim_end().to_string()
+        }
+
+        let (dir, service) = test_service("unwind");
+        let service = Arc::new(service);
+        let handler = Arc::new(PanickingEstimates(Arc::clone(&service)));
+        let ClusterRef::Config(config) = small_cluster() else {
+            unreachable!()
+        };
+        let line = format!(
+            "{{\"verb\":\"estimate\",\"config\":{}}}",
+            serde_json::to_string(config.as_ref()).unwrap()
+        );
+        // In process, on a thread of its own, so a wedged fingerprint
+        // fails the test after a second instead of hanging it.
+        for _ in 0..2 {
+            let (tx, rx) = std::sync::mpsc::channel();
+            let (handler, line) = (Arc::clone(&handler), line.clone());
+            std::thread::spawn(move || {
+                let answer = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    handler.handle_line(&line).0
+                }));
+                let _ = tx.send(answer.is_err());
+            });
+            assert!(
+                rx.recv_timeout(Duration::from_secs(1))
+                    .expect("the request was answered within 1 s"),
+                "this estimate is expected to panic"
+            );
+        }
+        // Over the wire the reactor answers the panic, every time.
+        let mut server = Server::bind_with(Arc::clone(&service), handler, "127.0.0.1:0")
+            .unwrap()
+            .workers(1)
+            .spawn();
+        for _ in 0..2 {
+            assert_eq!(
+                request(server.addr(), &line),
+                "{\"ok\":false,\"error\":\"internal error\"}"
+            );
+        }
+        // The shard that caught the panics still serves.
+        assert!(request(server.addr(), "{\"verb\":\"stats\"}").starts_with("{\"ok\":true"));
+        server.shutdown();
+        let _ = std::fs::remove_dir_all(dir);
+    }
+
+    #[test]
+    fn select_agrees_with_predict() {
+        let (dir, service) = test_service("select");
         let cluster = small_cluster();
         let queries: Vec<Query> = [Algorithm::Linear, Algorithm::Binomial]
             .into_iter()
@@ -1559,15 +1700,14 @@ mod tests {
                 root: 0,
             })
             .collect();
-        let batch: Vec<f64> = service
-            .predict_batch(&cluster, &queries)
-            .into_iter()
-            .map(|r| r.unwrap().seconds)
+        let predicted: Vec<f64> = queries
+            .iter()
+            .map(|q| service.predict(&cluster, q).unwrap().seconds)
             .collect();
         let (choice, linear, binomial) = service
             .select(&cluster, ModelKind::Lmo, Collective::Scatter, 64 * 1024, 0)
             .unwrap();
-        assert_eq!(batch, vec![linear, binomial]);
+        assert_eq!(predicted, vec![linear, binomial]);
         let expected = if linear <= binomial {
             Algorithm::Linear
         } else {

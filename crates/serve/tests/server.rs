@@ -582,49 +582,3 @@ fn a_bad_noise_rel_is_a_structured_error_every_time() {
     server.shutdown();
     let _ = std::fs::remove_dir_all(&store);
 }
-
-/// An estimate that panics (here: an explicit ground truth whose link
-/// matrices cover fewer nodes than its processor vectors, which the
-/// simulator indexes past) costs that request and nothing else: the
-/// leader's single-flight marker is removed on unwind, so the next request
-/// for the same fingerprint is answered — here by failing the same way —
-/// instead of waiting on it forever.
-#[test]
-fn a_panicking_estimate_releases_its_fingerprint() {
-    let store = std::env::temp_dir().join(format!("cpm-serve-unwind-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&store);
-    let mut server = start_server(&store);
-    let mut truth = ClusterConfig::ideal(ClusterSpec::homogeneous(3), 3).ground_truth();
-    truth.c.push(truth.c[0]);
-    truth.t.push(truth.t[0]);
-    let config = ClusterConfig {
-        spec: ClusterSpec::homogeneous(4),
-        truth: cpm_cluster::config::TruthSource::Explicit(truth),
-        ..ClusterConfig::ideal(ClusterSpec::homogeneous(4), 3)
-    };
-    let line = format!(
-        "{{\"verb\":\"estimate\",\"config\":{}}}",
-        serde_json::to_string(&config).unwrap()
-    );
-    for _ in 0..2 {
-        assert!(
-            handle_line_within_a_second(server.service(), &line).is_err(),
-            "this config is expected to panic the estimator"
-        );
-    }
-    for _ in 0..2 {
-        let answer = request_within_a_second(server.addr(), &line);
-        assert_eq!(answer.get("ok"), Some(&Value::Bool(false)));
-        assert_eq!(
-            answer.get("error").and_then(Value::as_str),
-            Some("internal error")
-        );
-    }
-    // The shard that caught the panics still serves.
-    assert!(ok(&request_within_a_second(
-        server.addr(),
-        "{\"verb\":\"stats\"}"
-    )));
-    server.shutdown();
-    let _ = std::fs::remove_dir_all(&store);
-}

@@ -3,11 +3,10 @@
 //! Model-based algorithm selection ultimately asks "is algorithm A faster
 //! than algorithm B on this cluster?" — a two-sample problem. Welch's
 //! t-test (unequal variances) answers it without assuming the two
-//! algorithms' timing noise matches. The significance decision reuses the
-//! Student-t critical values of [`crate::tdist`].
+//! algorithms' timing noise matches: its statistic and degrees of freedom
+//! go with the Student-t critical values of [`crate::tdist`].
 
 use crate::summary::Summary;
-use crate::tdist::t_critical;
 
 /// Result of Welch's two-sample t-test.
 ///
@@ -16,7 +15,7 @@ use crate::tdist::t_critical;
 /// let linear   = [1.0, 1.1, 0.9, 1.0, 1.05];
 /// let binomial = [2.0, 2.1, 1.9, 2.0, 2.05];
 /// let w = WelchTest::run(&linear, &binomial).unwrap();
-/// assert!(w.first_is_faster(0.99));
+/// assert!(w.t < 0.0 && w.mean_diff < 0.0);
 /// ```
 #[derive(Clone, Copy, Debug)]
 pub struct WelchTest {
@@ -60,19 +59,6 @@ impl WelchTest {
         let df =
             pooled * pooled / (va * va / (na - 1.0) + vb * vb / (nb - 1.0)).max(f64::MIN_POSITIVE);
         Some(WelchTest { t, df, mean_diff })
-    }
-
-    /// `true` when the two means differ at the given confidence level
-    /// (two-sided).
-    pub fn significant(&self, confidence: f64) -> bool {
-        let df = (self.df.floor() as usize).max(1);
-        self.t.abs() > t_critical(confidence, df)
-    }
-
-    /// `true` when the *first* sample's mean is significantly smaller
-    /// (one-sided reading of the two-sided critical value — conservative).
-    pub fn first_is_faster(&self, confidence: f64) -> bool {
-        self.t < 0.0 && self.significant(confidence)
     }
 }
 
@@ -170,8 +156,6 @@ mod tests {
         let b: Vec<f64> = (0..20).map(|i| 2.0 + 0.01 * (i % 3) as f64).collect();
         let w = WelchTest::run(&a, &b).unwrap();
         assert!(w.t < 0.0, "a is smaller");
-        assert!(w.significant(0.99));
-        assert!(w.first_is_faster(0.99));
         assert!((w.mean_diff + 1.0).abs() < 0.02);
     }
 
@@ -181,8 +165,6 @@ mod tests {
         let b = a.clone();
         let w = WelchTest::run(&a, &b).unwrap();
         assert_eq!(w.t, 0.0);
-        assert!(!w.significant(0.95));
-        assert!(!w.first_is_faster(0.95));
     }
 
     #[test]
@@ -191,7 +173,6 @@ mod tests {
         let b = vec![2.0; 5];
         let w = WelchTest::run(&a, &b).unwrap();
         assert_eq!(w.t, f64::NEG_INFINITY);
-        assert!(w.first_is_faster(0.9999));
     }
 
     #[test]

@@ -116,7 +116,7 @@ impl CusumConfig {
     }
 
     /// Siegmund's approximation of the one-sided in-control ARL.
-    pub fn siegmund_arl(k: f64, h: f64) -> f64 {
+    fn siegmund_arl(k: f64, h: f64) -> f64 {
         let a = k * (h + 1.166);
         ((2.0 * a).exp() - 2.0 * a - 1.0) / (2.0 * k * k)
     }

@@ -18,7 +18,7 @@
 //! cpm observe   --op scatter|gather|bcast|alltoall --m BYTES
 //!               [--alg linear|binomial] [--reps N] [--config FILE]
 //! cpm serve     [--store DIR] [--addr HOST:PORT] [--seed N] [--reps N]
-//! cpm query     [--addr HOST:PORT] [--verb predict|...|observe|drift-status|history] ...
+//! cpm query     [--addr HOST:PORT] [--verb VERB] ...
 //! cpm drift replay|watch  [--store DIR] [--schedule FILE] [--epochs N] [--obs N]
 //! cpm drift report        [--store DIR] [--fingerprint FP | --config FILE]
 //! cpm workload gen|predict|run|compare  [--trace FILE|-] [--model M] [--nodes N]
@@ -50,7 +50,10 @@ use cpm::estimate::{
 use cpm::fleet::{serve_router, FleetMap, FleetNode, Router, RouterConfig};
 use cpm::models::{HierLmo, HockneyHet, LmoExtended, LogGp, PLogP};
 use cpm::netsim::{DriftChange, DriftSchedule, DriftShape, DriftTarget, SimCluster};
-use cpm::serve::{fingerprint, LineHandler, ResidualSummary, Server, Service, ServiceConfig};
+use cpm::serve::{
+    fingerprint, ClusterKey, LineHandler, ResidualSummary, Route, Server, Service, ServiceConfig,
+    Verb,
+};
 use cpm::stats::Summary;
 use cpm::workload::{self, PlanModel, Trace};
 use serde::{Deserialize, Serialize};
@@ -79,7 +82,15 @@ struct CommandSpec {
 const COMMANDS: &[CommandSpec] = &[
     CommandSpec {
         name: "spec",
-        flags: &["profile", "seed", "noise-seed", "out", "config", "nodes", "cores"],
+        flags: &[
+            "profile",
+            "seed",
+            "noise-seed",
+            "out",
+            "config",
+            "nodes",
+            "cores",
+        ],
         help: "\
 USAGE: cpm spec [--profile lam|mpich|ideal] [--seed N] [--noise-seed N]
                 [--nodes N --cores K] [--config FILE] [--out config.json]
@@ -275,7 +286,7 @@ stops it.",
         ],
         help: "\
 USAGE: cpm query [--addr HOST:PORT]
-                 [--verb predict|select|estimate|plan|observe|drift-status|history|stats|trace|shutdown]
+                 [--verb VERBS]
                  [--model lmo|hockney|loggp|plogp|lmo-hier] [--collective scatter|gather|bcast]
                  [--alg linear|binomial] [--m BYTES] [--root R]
                  [--config FILE | --fingerprint FP]
@@ -284,15 +295,16 @@ USAGE: cpm query [--addr HOST:PORT]
                  [--format json|text] [--batch FILE|-] [--wire jsonl|binary]
 
 Sends one request to a running `cpm serve` (default 127.0.0.1:7971) and
-prints the JSON response. predict/select/estimate/plan identify the
-cluster by an embedded --config file or by --fingerprint; stats and
-shutdown need neither. --verb stats reports cache counters plus per-verb
+prints the JSON response; --verb defaults to predict.
+predict/select/estimate/plan identify the cluster by an embedded --config
+file or by --fingerprint; stats and shutdown need neither. --verb stats reports cache counters plus per-verb
 latency quantiles; --format text renders it as a Prometheus-style
 exposition instead of JSON. The drift verbs take --fingerprint: observe
 ingests one measured transfer time (--kind p2p with --src/--dst, or
 --kind gather with --root, plus --m and --seconds) and reports any drift
 events it raises; drift-status prints the staleness report; history lists
-parameter versions with their re-estimation lineage.
+parameter versions with their re-estimation lineage. fleet-info reports
+a fleet member's (or router's) role and shard topology.
 
 --verb plan submits a workload trace (--trace FILE, or stdin for `-`; see
 `cpm workload gen`) and returns the server's plan: per-op algorithm
@@ -438,9 +450,10 @@ The same trace is the payload of the serve `plan` verb (`cpm query --verb
 plan --trace FILE`): the request embeds the trace JSON plus two optional
 string fields, \"model\" (lmo, the default | hockney | loggp | plogp |
 lmo-hier) and \"fidelity\". \"fidelity\" picks the planning machine:
-\"analytic\" (the default) evaluates the model's closed forms along the
-critical path, \"des\" replays the trace on the server's discrete-event
-simulator; any other value is rejected with a structured error.",
+\"analytic\" (the default) runs the trace on the model's machine (the
+simulator under the model's parameters) and reports its critical path,
+\"des\" replays the trace on the server's discrete-event simulator of the
+cluster itself; any other value is rejected with a structured error.",
         run: cmd_workload_gen,
     },
     CommandSpec {
@@ -546,40 +559,36 @@ the drift monitor).",
 
 fn main() -> ExitCode {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
-    // `drift` is a command family: fold the subcommand into the name so it
-    // resolves against the COMMANDS table like any other command.
-    if args.first().map(String::as_str) == Some("drift") {
-        match args.get(1) {
+    // A command family (the first word of the COMMANDS names that have
+    // two) folds its subcommand into the name, so it resolves against the
+    // COMMANDS table like any other command.
+    let family = args.first().cloned().unwrap_or_default();
+    let members: Vec<&CommandSpec> = COMMANDS
+        .iter()
+        .filter(|s| s.name.split_once(' ').is_some_and(|(f, _)| f == family))
+        .collect();
+    if !members.is_empty() {
+        match args.get(1).map(String::as_str) {
+            Some("--help" | "-h") => {
+                for spec in members {
+                    println!("{}\n", synopsis(spec.help));
+                }
+                println!("Run `cpm {family} <subcommand> --help` for details.");
+                return ExitCode::SUCCESS;
+            }
             Some(sub) if !sub.starts_with('-') => {
                 let sub = args.remove(1);
-                args[0] = format!("drift {sub}");
+                args[0] = format!("{family} {sub}");
             }
             _ => {
-                eprintln!("error: drift needs a subcommand (replay|watch|report)\n{USAGE}");
-                return ExitCode::from(2);
-            }
-        }
-    }
-    if args.first().map(String::as_str) == Some("workload") {
-        match args.get(1) {
-            Some(sub) if !sub.starts_with('-') => {
-                let sub = args.remove(1);
-                args[0] = format!("workload {sub}");
-            }
-            _ => {
-                eprintln!("error: workload needs a subcommand (gen|predict|run|compare)\n{USAGE}");
-                return ExitCode::from(2);
-            }
-        }
-    }
-    if args.first().map(String::as_str) == Some("fleet") {
-        match args.get(1) {
-            Some(sub) if !sub.starts_with('-') => {
-                let sub = args.remove(1);
-                args[0] = format!("fleet {sub}");
-            }
-            _ => {
-                eprintln!("error: fleet needs a subcommand (init|route)\n{USAGE}");
+                let subs: Vec<&str> = members
+                    .iter()
+                    .map(|s| &s.name[family.len() + 1..])
+                    .collect();
+                eprintln!(
+                    "error: {family} needs a subcommand ({})\n{USAGE}",
+                    subs.join("|")
+                );
                 return ExitCode::from(2);
             }
         }
@@ -596,14 +605,15 @@ fn main() -> ExitCode {
         eprintln!("error: unknown command {cmd:?}\n{USAGE}");
         return ExitCode::from(2);
     };
+    let help = spec.help.replace("VERBS", &query_verbs());
     if rest.iter().any(|a| a == "--help" || a == "-h") {
-        println!("{}", spec.help);
+        println!("{help}");
         return ExitCode::SUCCESS;
     }
     let opts = match parse_opts(rest, spec.flags) {
         Ok(o) => o,
         Err(e) => {
-            eprintln!("error: {e}\n{}", spec.help);
+            eprintln!("error: {e}\n{help}");
             return ExitCode::from(2);
         }
     };
@@ -614,6 +624,17 @@ fn main() -> ExitCode {
             ExitCode::FAILURE
         }
     }
+}
+
+/// A help text's USAGE block: everything before its first blank line.
+fn synopsis(help: &str) -> &str {
+    help.split("\n\n").next().unwrap_or(help)
+}
+
+/// The verbs `cpm query --verb` sends: every verb but the node-to-node
+/// ones.
+fn query_verbs() -> String {
+    Verb::list(|v| v.route() != Route::NodeOnly)
 }
 
 const USAGE: &str = "\
@@ -631,8 +652,7 @@ USAGE:
                 [--alg linear|binomial] [--reps N] [--config FILE]
   cpm serve     [--store DIR] [--addr HOST:PORT] [--seed N] [--reps N]
                 [--fleet MAP.json --node NAME]
-  cpm query     [--addr HOST:PORT] [--verb predict|select|estimate|plan|observe|
-                drift-status|history|stats|trace|shutdown] [--model M] [--collective C]
+  cpm query     [--addr HOST:PORT] [--verb VERB] [--model M] [--collective C]
                 [--alg A] [--m BYTES] [--root R] [--config FILE | --fingerprint FP]
                 [--trace FILE|-] [--fidelity analytic|des]
                 [--kind p2p|gather] [--src R] [--dst R] [--seconds T]
@@ -693,11 +713,7 @@ fn cluster_from(opts: &Opts) -> Result<(ClusterConfig, SimCluster), String> {
         let json = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
         ClusterConfig::from_json(&json).map_err(|e| e.to_string())?
     } else {
-        let seed = opts
-            .get("seed")
-            .map(|s| s.parse::<u64>().map_err(|e| e.to_string()))
-            .transpose()?
-            .unwrap_or(2009);
+        let seed = seed(opts, 2009)?;
         let profile = opts.get("profile").map(String::as_str).unwrap_or("lam");
         match profile {
             "lam" => ClusterConfig::paper_lam(seed),
@@ -706,15 +722,24 @@ fn cluster_from(opts: &Opts) -> Result<(ClusterConfig, SimCluster), String> {
             other => return Err(format!("unknown profile {other:?}")),
         }
     };
-    if let Some(raw) = opts.get("noise-seed") {
-        config.noise_seed = Some(
-            raw.parse::<u64>()
-                .map_err(|e| format!("--noise-seed: {e}"))?,
-        );
-    }
+    apply_noise_seed(opts, &mut config)?;
     config.validate().map_err(|e| format!("bad config: {e}"))?;
     let sim = SimCluster::from_config(&config);
     Ok((config, sim))
+}
+
+/// `--seed`, or `default` when it is absent.
+fn seed(opts: &Opts, default: u64) -> Result<u64, String> {
+    opts.get("seed")
+        .map_or(Ok(default), |s| s.parse::<u64>().map_err(|e| e.to_string()))
+}
+
+/// `--noise-seed`, when given, re-draws only the measurement noise.
+fn apply_noise_seed(opts: &Opts, config: &mut ClusterConfig) -> Result<(), String> {
+    if let Some(raw) = opts.get("noise-seed") {
+        config.noise_seed = Some(raw.parse().map_err(|e| format!("--noise-seed: {e}"))?);
+    }
+    Ok(())
 }
 
 fn parse_bytes(opts: &Opts, key: &str) -> Result<Bytes, String> {
@@ -724,38 +749,38 @@ fn parse_bytes(opts: &Opts, key: &str) -> Result<Bytes, String> {
     cpm::core::units::parse_bytes(raw).map_err(|e| format!("--{key}: {e}"))
 }
 
+/// `--nodes` or `--cores`, when given: a count of at least 2.
+fn dim(opts: &Opts, key: &str) -> Result<Option<usize>, String> {
+    let Some(raw) = opts.get(key) else {
+        return Ok(None);
+    };
+    let v = raw.parse::<usize>().map_err(|e| format!("--{key}: {e}"))?;
+    if v < 2 {
+        return Err(format!("--{key} must be at least 2"));
+    }
+    Ok(Some(v))
+}
+
+/// A cluster sized by `--nodes`/`--cores`. `--config` and `--profile`
+/// select a cluster too, so beside them it is refused rather than one of
+/// them ignored.
+fn sized(opts: &Opts, mut config: ClusterConfig) -> Result<(ClusterConfig, SimCluster), String> {
+    if opts.contains_key("config") || opts.contains_key("profile") {
+        return Err("give either --nodes/--cores or --config/--profile, not both".into());
+    }
+    apply_noise_seed(opts, &mut config)?;
+    let sim = SimCluster::from_config(&config);
+    Ok((config, sim))
+}
+
 fn cmd_spec(opts: &Opts) -> Result<(), String> {
-    let (config, sim) = if opts.contains_key("nodes") || opts.contains_key("cores") {
-        if opts.contains_key("config") {
-            return Err("give either --nodes/--cores or --config, not both".into());
-        }
-        let dim = |key: &str| -> Result<usize, String> {
-            let raw = opts
-                .get(key)
-                .ok_or_else(|| "a hierarchical spec needs both --nodes and --cores".to_string())?;
-            let v = raw.parse::<usize>().map_err(|e| format!("--{key}: {e}"))?;
-            if v < 2 {
-                return Err(format!("--{key} must be at least 2"));
-            }
-            Ok(v)
-        };
-        let (nodes, cores) = (dim("nodes")?, dim("cores")?);
-        let seed = opts
-            .get("seed")
-            .map(|s| s.parse::<u64>().map_err(|e| e.to_string()))
-            .transpose()?
-            .unwrap_or(2009);
-        let mut config = ClusterConfig::hierarchical(nodes, cores, seed);
-        if let Some(raw) = opts.get("noise-seed") {
-            config.noise_seed = Some(
-                raw.parse::<u64>()
-                    .map_err(|e| format!("--noise-seed: {e}"))?,
-            );
-        }
-        let sim = SimCluster::from_config(&config);
-        (config, sim)
-    } else {
-        cluster_from(opts)?
+    let (config, sim) = match (dim(opts, "nodes")?, dim(opts, "cores")?) {
+        (None, None) => cluster_from(opts)?,
+        (Some(nodes), Some(cores)) => sized(
+            opts,
+            ClusterConfig::hierarchical(nodes, cores, seed(opts, 2009)?),
+        )?,
+        _ => return Err("a hierarchical spec needs both --nodes and --cores".into()),
     };
     let levels = config.topology.levels();
     let unit = if levels.is_empty() { "nodes" } else { "ranks" };
@@ -1015,11 +1040,7 @@ const DEFAULT_ADDR: &str = "127.0.0.1:7971";
 fn cmd_serve(opts: &Opts) -> Result<(), String> {
     let store = opts.get("store").map(String::as_str).unwrap_or("cpm-store");
     let addr = opts.get("addr").map(String::as_str).unwrap_or(DEFAULT_ADDR);
-    let seed = opts
-        .get("seed")
-        .map(|s| s.parse::<u64>().map_err(|e| e.to_string()))
-        .transpose()?
-        .unwrap_or(0x5e71);
+    let seed = seed(opts, 0x5e71)?;
     let mut est = EstimateConfig::with_seed(seed);
     if let Some(reps) = opts.get("reps") {
         est.reps = reps.parse::<usize>().map_err(|e| e.to_string())?;
@@ -1407,13 +1428,17 @@ fn cmd_drift_report(opts: &Opts) -> Result<(), String> {
 
 /// Builds the request object for `cpm query` from command-line flags.
 fn build_query_request(opts: &Opts) -> Result<Value, String> {
-    let verb = opts.get("verb").map(String::as_str).unwrap_or("predict");
+    let name = opts
+        .get("verb")
+        .map_or(Verb::Predict.as_str(), String::as_str);
+    let verb = Verb::parse(name)
+        .filter(|v| v.route() != Route::NodeOnly)
+        .ok_or_else(|| format!("unknown verb {name:?} (expected {})", query_verbs()))?;
     let mut entries: Vec<(String, Value)> =
-        vec![("verb".to_string(), Value::Str(verb.to_string()))];
+        vec![("verb".to_string(), Value::Str(name.to_string()))];
     let mut push = |k: &str, v: Value| entries.push((k.to_string(), v));
-    let needs_cluster = matches!(verb, "predict" | "select" | "estimate" | "plan");
-    if needs_cluster {
-        match (opts.get("config"), opts.get("fingerprint")) {
+    match verb.cluster_key() {
+        ClusterKey::ConfigOrFingerprint => match (opts.get("config"), opts.get("fingerprint")) {
             (Some(path), None) => {
                 let json = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
                 let config: Value =
@@ -1424,17 +1449,18 @@ fn build_query_request(opts: &Opts) -> Result<Value, String> {
             (Some(_), Some(_)) => {
                 return Err("give either --config or --fingerprint, not both".into())
             }
-            (None, None) => return Err(format!("{verb} needs --config FILE or --fingerprint FP")),
+            (None, None) => return Err(format!("{name} needs --config FILE or --fingerprint FP")),
+        },
+        ClusterKey::Fingerprint => {
+            let fp = opts
+                .get("fingerprint")
+                .ok_or_else(|| format!("{name} needs --fingerprint FP"))?;
+            push("fingerprint", Value::Str(fp.clone()));
         }
-    }
-    if matches!(verb, "observe" | "drift-status" | "history") {
-        let fp = opts
-            .get("fingerprint")
-            .ok_or_else(|| format!("{verb} needs --fingerprint FP"))?;
-        push("fingerprint", Value::Str(fp.clone()));
+        ClusterKey::Neither => {}
     }
     match verb {
-        "observe" => {
+        Verb::Observe => {
             let kind = opts.get("kind").cloned().unwrap_or_else(|| "p2p".into());
             push("kind", Value::Str(kind.clone()));
             push("m", Value::U64(parse_bytes(opts, "m")?));
@@ -1461,7 +1487,7 @@ fn build_query_request(opts: &Opts) -> Result<Value, String> {
                 other => return Err(format!("unknown --kind {other:?} (p2p|gather)")),
             }
         }
-        "predict" | "select" => {
+        Verb::Predict | Verb::Select => {
             push(
                 "model",
                 Value::Str(opts.get("model").cloned().unwrap_or_else(|| "lmo".into())),
@@ -1474,7 +1500,7 @@ fn build_query_request(opts: &Opts) -> Result<Value, String> {
                         .unwrap_or_else(|| "scatter".into()),
                 ),
             );
-            if verb == "predict" {
+            if verb == Verb::Predict {
                 push(
                     "algorithm",
                     Value::Str(opts.get("alg").cloned().unwrap_or_else(|| "linear".into())),
@@ -1488,7 +1514,7 @@ fn build_query_request(opts: &Opts) -> Result<Value, String> {
                 );
             }
         }
-        "stats" => {
+        Verb::Stats => {
             if let Some(format) = opts.get("format") {
                 if !matches!(format.as_str(), "json" | "text") {
                     return Err(format!("unknown --format {format:?} (json|text)"));
@@ -1496,7 +1522,7 @@ fn build_query_request(opts: &Opts) -> Result<Value, String> {
                 push("format", Value::Str(format.clone()));
             }
         }
-        "trace" => {
+        Verb::Trace => {
             if let Some(last) = opts.get("last") {
                 push(
                     "last",
@@ -1504,7 +1530,7 @@ fn build_query_request(opts: &Opts) -> Result<Value, String> {
                 );
             }
         }
-        "plan" => {
+        Verb::Plan => {
             let trace = read_trace(opts)?;
             push("trace", trace.to_value());
             if let Some(model) = opts.get("model") {
@@ -1514,13 +1540,7 @@ fn build_query_request(opts: &Opts) -> Result<Value, String> {
                 push("fidelity", Value::Str(fidelity.clone()));
             }
         }
-        "estimate" | "drift-status" | "history" | "shutdown" => {}
-        other => {
-            return Err(format!(
-                "unknown verb {other:?} (expected predict|select|estimate|plan|observe|\
-                 drift-status|history|stats|trace|shutdown)"
-            ))
-        }
+        _ => {}
     }
     Ok(Value::Map(entries))
 }
@@ -1530,37 +1550,16 @@ fn build_query_request(opts: &Opts) -> Result<Value, String> {
 /// --cores K` a hierarchical N×K cluster; otherwise the shared
 /// --config/--profile selection applies.
 fn workload_cluster(opts: &Opts) -> Result<SimCluster, String> {
-    if let Some(raw) = opts.get("nodes") {
-        let n = raw.parse::<usize>().map_err(|e| format!("--nodes: {e}"))?;
-        if n < 2 {
-            return Err("--nodes must be at least 2".into());
+    let seed = seed(opts, 2009)?;
+    let config = match (dim(opts, "nodes")?, dim(opts, "cores")?) {
+        (None, None) => return cluster_from(opts).map(|(_, sim)| sim),
+        (Some(n), None) => ClusterConfig::ideal(cpm::cluster::ClusterSpec::homogeneous(n), seed),
+        (Some(n), Some(k)) => ClusterConfig::hierarchical(n, k, seed),
+        (None, Some(_)) => {
+            return Err("--cores needs --nodes (a hierarchical N-node, K-core cluster)".into())
         }
-        let seed = opts
-            .get("seed")
-            .map(|s| s.parse::<u64>().map_err(|e| e.to_string()))
-            .transpose()?
-            .unwrap_or(2009);
-        let mut config = if let Some(raw) = opts.get("cores") {
-            let k = raw.parse::<usize>().map_err(|e| format!("--cores: {e}"))?;
-            if k < 2 {
-                return Err("--cores must be at least 2".into());
-            }
-            ClusterConfig::hierarchical(n, k, seed)
-        } else {
-            ClusterConfig::ideal(cpm::cluster::ClusterSpec::homogeneous(n), seed)
-        };
-        if let Some(raw) = opts.get("noise-seed") {
-            config.noise_seed = Some(
-                raw.parse::<u64>()
-                    .map_err(|e| format!("--noise-seed: {e}"))?,
-            );
-        }
-        Ok(SimCluster::from_config(&config))
-    } else if opts.contains_key("cores") {
-        Err("--cores needs --nodes (a hierarchical N-node, K-core cluster)".into())
-    } else {
-        cluster_from(opts).map(|(_, sim)| sim)
-    }
+    };
+    sized(opts, config).map(|(_, sim)| sim)
 }
 
 /// Reads a JSON-lines trace from `--trace FILE`, or stdin for `-` (the
@@ -1821,7 +1820,7 @@ fn query_batch(addr: &str, path: &str, binary: bool) -> Result<(), String> {
         return Err("the batch file contains no request lines".into());
     }
     let batch = Value::Map(vec![
-        ("verb".to_string(), Value::Str("batch".to_string())),
+        ("verb".to_string(), Value::Str(Verb::Batch.as_str().into())),
         ("requests".to_string(), Value::Seq(requests)),
     ]);
     let (raw, parsed) = send_query_wire(addr, &batch, binary)?;
@@ -1874,14 +1873,9 @@ fn cmd_query(opts: &Opts) -> Result<(), String> {
 /// loaded into a trace viewer, and occasionally eyeballed).
 fn cmd_trace(opts: &Opts) -> Result<(), String> {
     let addr = opts.get("addr").map(String::as_str).unwrap_or(DEFAULT_ADDR);
-    let mut entries = vec![("verb".to_string(), Value::Str("trace".to_string()))];
-    if let Some(last) = opts.get("last") {
-        entries.push((
-            "last".to_string(),
-            Value::U64(last.parse::<u64>().map_err(|e| format!("--last: {e}"))?),
-        ));
-    }
-    let (raw, parsed) = send_query(addr, &Value::Map(entries))?;
+    let mut request = opts.clone();
+    request.insert("verb".into(), Verb::Trace.as_str().into());
+    let (raw, parsed) = send_query(addr, &build_query_request(&request)?)?;
     if !is_ok(&parsed) {
         println!("{raw}");
         return Err("trace request failed".into());

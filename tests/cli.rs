@@ -309,6 +309,77 @@ fn workload_family_help_and_flag_allowlist() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("subcommand"));
 }
 
+/// `--help` right after a family name lists the family's subcommands and
+/// exits 0; a bare family name still exits 2.
+#[test]
+fn family_help_lists_subcommands() {
+    for (family, subs) in [
+        ("workload", &["gen", "predict", "run", "compare"][..]),
+        ("drift", &["replay", "watch", "report"][..]),
+        ("fleet", &["init", "route"][..]),
+    ] {
+        for flag in ["--help", "-h"] {
+            let out = cpm().args([family, flag]).output().unwrap();
+            assert!(out.status.success(), "{family} {flag} failed");
+            let text = String::from_utf8_lossy(&out.stdout);
+            for sub in subs {
+                assert!(text.contains(&format!("cpm {family} {sub}")), "{text}");
+            }
+        }
+        let out = cpm().arg(family).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "bare {family}");
+        assert!(String::from_utf8_lossy(&out.stderr).contains(&subs.join("|")));
+    }
+}
+
+/// `--nodes`/`--cores` and `--config`/`--profile` both pick the cluster;
+/// given together, the command refuses instead of ignoring one.
+#[test]
+fn conflicting_cluster_flags_are_refused() {
+    let dir = std::env::temp_dir().join(format!("cpm-cli-clusterflags-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let trace = dir.join("t.jsonl");
+    let config = dir.join("c.json");
+    let (trace, config) = (trace.to_str().unwrap(), config.to_str().unwrap());
+    run_ok(&["workload", "gen", "--nodes", "4", "--out", trace]);
+    run_ok(&["spec", "--out", config]);
+    for other in [["--profile", "mpich"], ["--config", config]] {
+        for sizes in [&["--nodes", "4"][..], &["--nodes", "2", "--cores", "2"][..]] {
+            let mut runs = vec![["workload", "run", "--trace", trace].to_vec()];
+            runs.push(["workload", "predict", "--reps", "1", "--trace", trace].to_vec());
+            if sizes.contains(&"--cores") {
+                runs.push(["spec"].to_vec());
+            }
+            for run in runs {
+                let out = cpm().args(&run).args(sizes).args(other).output().unwrap();
+                assert_eq!(out.status.code(), Some(1), "{run:?} {sizes:?} {other:?}");
+                let err = String::from_utf8_lossy(&out.stderr);
+                assert!(
+                    err.contains("give either --nodes/--cores or --config/--profile, not both"),
+                    "{err}"
+                );
+            }
+        }
+    }
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// `cpm query --help` names every verb a client may send: all of the
+/// verb table but the node-to-node ones.
+#[test]
+fn query_help_names_every_client_verb() {
+    let help = run_ok(&["query", "--help"]);
+    for verb in cpm::serve::VERBS {
+        if verb.route() != cpm::serve::Route::NodeOnly {
+            assert!(
+                help.contains(verb.as_str()),
+                "{} missing:\n{help}",
+                verb.as_str()
+            );
+        }
+    }
+}
+
 #[test]
 fn bad_invocations_fail_cleanly() {
     // Unknown command.
