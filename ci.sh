@@ -94,9 +94,12 @@ run_named script::tests::nonblocking_exchange_matches_the_threaded_one_exactly -
 for t in lmo_cost_is_the_plan_of_the_one_op_trace_plus_the_escalation_term \
          predict_compute_select_and_the_dispatcher_all_read_the_one_cost \
          the_papers_gather_result_survives \
-         large_fan_ins_plan_as_they_replay_and_their_paths_explain; do
+         large_fan_ins_plan_as_they_replay_and_their_paths_explain \
+         a_served_lmo_hier_plan_is_the_direct_plan; do
   run_named "$t" -p cpm-serve --test one_answer
 done
+# The README's protocol verb table is the verb table.
+run_named readme_verb_table_matches_the_verb_table -p cpm-serve --test readme
 # The resident parameter sets are bounded; an evicted one comes back from disk.
 run_named service::tests::an_evicted_parameter_set_is_loaded_back_unchanged -p cpm-serve --lib
 # Under load: pipelined clients get in-order answers and tracing costs
@@ -153,6 +156,21 @@ fi
 # shellcheck disable=SC2086
 if non_test $SERVE_SIDE | grep -vE '^crates/(serve/src/protocol|fleet/src/router)\.rs: ' | grep -F 'Fields::scan('; then
   echo "only the envelope (protocol.rs) and the router scan a request line"; exit 1
+fi
+
+echo "== one model vocabulary (one ModelKind, whole-transfer costs built from the plan model, one plan entry)"
+MODEL_SIDE="$(find crates/*/src src examples -name '*.rs' | sort)"
+# shellcheck disable=SC2086
+KINDS="$(non_test $MODEL_SIDE | grep -cE 'enum ModelKind\b' || true)"
+[ "$KINDS" -eq 1 ] || { echo "want one enum ModelKind (cpm_workload's), found $KINDS"; exit 1; }
+# shellcheck disable=SC2086
+if non_test $MODEL_SIDE | grep -vE '^crates/(collectives/src/cost|workload/src/plan)\.rs: ' \
+  | grep -E 'CostModel::(Hockney|Loggp|Plogp)\b'; then
+  echo "a whole-transfer CostModel is built only by PlanModel::into_cost_model (and cost.rs)"; exit 1
+fi
+# shellcheck disable=SC2086
+if non_test $MODEL_SIDE | grep -E 'fn plan_hier\b'; then
+  echo "lmo-hier is a case of Service::plan, not a second plan entry"; exit 1
 fi
 
 echo "== one harness: the ledger measures, named tests gate (no load generator, no Criterion)"

@@ -17,7 +17,6 @@
 //!   message for broadcast/reduce), plus a reduce's combines.
 
 use cpm_cluster::{GroundTruth, MpiProfile};
-use cpm_core::matrix::SymMatrix;
 use cpm_core::rank::Rank;
 use cpm_core::traits::PointToPoint;
 use cpm_core::tree::BinomialTree;
@@ -127,40 +126,16 @@ pub struct Machine {
 impl Machine {
     /// The machine of a flat extended-LMO parameter set.
     pub fn lmo(model: &LmoExtended) -> Self {
-        Machine::new(
-            &model.c,
-            &model.t,
-            &model.l,
-            &model.beta,
-            model.gather.clone(),
-        )
+        Machine::from(model.clone())
     }
 
     /// The machine of a cluster's own ground truth, without empirics: the
     /// LMO model a dispatcher that knew the truth would rank candidates on.
     pub fn truth(truth: &GroundTruth) -> Self {
-        Machine::new(
-            &truth.c,
-            &truth.t,
-            &truth.l,
-            &truth.beta,
-            GatherEmpirics::none(),
-        )
+        Machine::new(truth.clone(), GatherEmpirics::none())
     }
 
-    fn new(
-        c: &[f64],
-        t: &[f64],
-        l: &SymMatrix<f64>,
-        beta: &SymMatrix<f64>,
-        gather: GatherEmpirics,
-    ) -> Self {
-        let truth = GroundTruth {
-            c: c.to_vec(),
-            t: t.to_vec(),
-            l: l.clone(),
-            beta: beta.clone(),
-        };
+    fn new(truth: GroundTruth, gather: GatherEmpirics) -> Self {
         let profile = MpiProfile {
             m1: gather.m1,
             m2: gather.m2,
@@ -180,7 +155,7 @@ impl Machine {
         let (n, intra) = (model.n(), model.intra_size());
         Machine {
             intra: (intra > 1 && intra < n).then_some(intra),
-            ..Machine::lmo(&model.to_extended())
+            ..Machine::from(model.to_extended())
         }
     }
 
@@ -212,22 +187,39 @@ impl Machine {
     }
 }
 
+/// The machine of a flat extended-LMO parameter set, taking the set's
+/// parameters over instead of copying them.
+impl From<LmoExtended> for Machine {
+    fn from(model: LmoExtended) -> Self {
+        let LmoExtended {
+            c,
+            t,
+            l,
+            beta,
+            gather,
+        } = model;
+        Machine::new(GroundTruth { c, t, l, beta }, gather)
+    }
+}
+
 /// A model ready to price rooted collectives. (Built once per question
-/// and never stored in bulk, so the machine is held inline.)
+/// and never stored in bulk, so the machine is held inline. The
+/// whole-transfer models share their link matrices and size functions
+/// with the set they came from, so holding them costs no copy.)
 #[allow(clippy::large_enum_variant)]
 #[derive(Clone, Debug)]
-pub enum CostModel<'a> {
+pub enum CostModel {
     /// LMO or hierarchical LMO: priced on the model's machine.
     Machine(Machine),
     /// Heterogeneous Hockney: closed forms.
-    Hockney(&'a HockneyHet),
+    Hockney(HockneyHet),
     /// LogGP: closed forms.
-    Loggp(&'a LogGp),
+    Loggp(LogGp),
     /// PLogP: closed forms.
-    Plogp(&'a PLogP),
+    Plogp(PLogP),
 }
 
-impl CostModel<'_> {
+impl CostModel {
     /// Number of ranks the model describes.
     pub fn n(&self) -> usize {
         match self {
@@ -260,13 +252,13 @@ impl CostModel<'_> {
 ///
 /// # Panics
 /// Panics if the root is out of range.
-pub fn cost(model: &CostModel<'_>, op: Op, alg: Algorithm) -> f64 {
+pub fn cost(model: &CostModel, op: Op, alg: Algorithm) -> f64 {
     let alg = effective(model.n(), op.kind, alg);
     match model {
         CostModel::Machine(machine) => machine.run(op, alg) + machine.escalation(op, alg),
-        CostModel::Hockney(h) => closed_form(*h, &|| h.linear_serial(op.root, op.m), op, alg),
-        CostModel::Loggp(g) => closed_form(*g, &|| g.linear(op.m), op, alg),
-        CostModel::Plogp(p) => closed_form(*p, &|| p.linear(op.m), op, alg),
+        CostModel::Hockney(h) => closed_form(h, &|| h.linear_serial(op.root, op.m), op, alg),
+        CostModel::Loggp(g) => closed_form(g, &|| g.linear(op.m), op, alg),
+        CostModel::Plogp(p) => closed_form(p, &|| p.linear(op.m), op, alg),
     }
 }
 
@@ -312,7 +304,7 @@ pub fn cheapest<A>(priced: impl IntoIterator<Item = (A, f64)>) -> A {
 
 /// The algorithm `model` predicts fastest for `op`: [`cheapest`] over its
 /// [`CostModel::candidates`], each priced by [`cost`].
-pub fn choose(model: &CostModel<'_>, op: Op) -> Algorithm {
+pub fn choose(model: &CostModel, op: Op) -> Algorithm {
     cheapest(
         model
             .candidates(op.kind)
@@ -333,7 +325,7 @@ mod tests {
     fn whole_transfer_bcast_is_the_full_message_recursion() {
         for n in [2usize, 4, 7, 16] {
             let h = HockneyHet::new(SymMatrix::filled(n, 90e-6), SymMatrix::filled(n, 1e-7));
-            let model = CostModel::Hockney(&h);
+            let model = CostModel::Hockney(h.clone());
             let root = Rank(1 % n as u32);
             let op = |kind| Op {
                 kind,

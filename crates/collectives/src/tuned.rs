@@ -25,7 +25,7 @@ use crate::{Algorithm, Sink};
 #[derive(Clone, Debug)]
 pub struct TunedCollectives {
     model: LmoExtended,
-    costs: CostModel<'static>,
+    costs: CostModel,
 }
 
 impl TunedCollectives {

@@ -663,27 +663,38 @@ mod tests {
     /// release — must stay under 100 ns for tracing to be affordable
     /// always-on. The budget is generous against the measured tens of ns:
     /// it catches an accidental lock or allocation, not machine noise.
-    /// A long loop amortizes the clock reads; unoptimized builds are not
-    /// timed.
+    /// The million records are timed as nine equal batches and the median
+    /// batch is judged: a lock or an allocation slows every batch, while a
+    /// neighbour's burst on a shared host slows only some. Long batches
+    /// amortize the clock reads; unoptimized builds are not timed.
     #[test]
     fn one_record_costs_under_a_hundred_nanoseconds() {
         const BUDGET_NS: f64 = 100.0;
+        const BATCHES: u64 = 9;
         let rec = Recorder::new(1 << 16);
-        let n = 1_000_000u64;
-        let t0 = Instant::now();
-        for i in 0..n {
-            rec.instant(
-                std::hint::black_box("gate.instant"),
-                "i",
-                std::hint::black_box(i),
-            );
-        }
-        let per_record_ns = t0.elapsed().as_nanos() as f64 / n as f64;
+        let per_batch = 1_000_000u64.div_ceil(BATCHES);
+        let mut batch_ns: Vec<f64> = (0..BATCHES)
+            .map(|b| {
+                let t0 = Instant::now();
+                for i in b * per_batch..(b + 1) * per_batch {
+                    rec.instant(
+                        std::hint::black_box("gate.instant"),
+                        "i",
+                        std::hint::black_box(i),
+                    );
+                }
+                t0.elapsed().as_nanos() as f64 / per_batch as f64
+            })
+            .collect();
+        batch_ns.sort_by(f64::total_cmp);
+        let per_record_ns = batch_ns[batch_ns.len() / 2];
+        let n = BATCHES * per_batch;
         assert_eq!(rec.recorded(), n);
         if !cfg!(debug_assertions) {
             assert!(
                 per_record_ns < BUDGET_NS,
-                "recording one instant costs {per_record_ns:.1} ns, budget {BUDGET_NS} ns"
+                "recording one instant costs {per_record_ns:.1} ns in the median batch \
+                 (batches {batch_ns:.1?}), budget {BUDGET_NS} ns"
             );
         }
     }

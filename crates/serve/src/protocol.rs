@@ -58,8 +58,8 @@ use serde_json::Value;
 use crate::registry::{Result, ServeError};
 use crate::server::LineHandler;
 use crate::service::{
-    render_members, Algorithm, ClusterRef, Collective, Fidelity, Layer, Metrics, ModelKind, Query,
-    Service, Verb,
+    render_members, unknown_model, Algorithm, ClusterRef, Collective, Fidelity, Layer, Metrics,
+    ModelKind, Query, Service, Verb,
 };
 
 /// A parsed request.
@@ -94,15 +94,11 @@ pub enum Request {
     Plan {
         /// The cluster to plan against.
         cluster: ClusterRef,
-        /// Model family whose parameters the plan runs on (analytic
-        /// fidelity only).
+        /// Model the plan runs on (analytic fidelity only; at DES fidelity
+        /// the replay is hierarchy-aware by construction). `lmo-hier`
+        /// plans under per-level parameters derived from an embedded
+        /// hierarchical config, with level-aware (two-phase) candidates.
         model: ModelKind,
-        /// `true` when the request named the hierarchical model
-        /// (`"model":"lmo-hier"`): the plan is evaluated under per-level
-        /// parameters derived from an embedded hierarchical config, with
-        /// level-aware (two-phase) algorithm candidates. Ignored at DES
-        /// fidelity, where the replay is hierarchy-aware by construction.
-        hier: bool,
         /// Analytic critical-path evaluation, or full DES replay.
         fidelity: Fidelity,
         /// The submitted trace.
@@ -150,6 +146,14 @@ pub struct BatchItem {
 
 fn bad(msg: impl Into<String>) -> ServeError {
     ServeError::Protocol(msg.into())
+}
+
+/// A model `predict` and `select` take: one a parameter set holds
+/// (`lmo-hier` is planned only).
+fn flat_model(name: &str) -> Result<ModelKind> {
+    ModelKind::parse(name)
+        .filter(|kind| *kind != ModelKind::LmoHier)
+        .ok_or_else(|| unknown_model(name))
 }
 
 macro_rules! request_fields {
@@ -317,7 +321,7 @@ impl<'a> Fields<'a> {
             Verb::Predict => Ok(Request::Predict {
                 cluster: self.cluster()?,
                 query: Query {
-                    model: ModelKind::parse(&text(self.model, "model")?)?,
+                    model: flat_model(&text(self.model, "model")?)?,
                     collective: Collective::parse(&text(self.collective, "collective")?)?,
                     algorithm: Algorithm::parse(&text(self.algorithm, "algorithm")?)?,
                     m: uint(self.m, "m")?,
@@ -326,7 +330,7 @@ impl<'a> Fields<'a> {
             }),
             Verb::Select => Ok(Request::Select {
                 cluster: self.cluster()?,
-                model: ModelKind::parse(&text(self.model, "model")?)?,
+                model: flat_model(&text(self.model, "model")?)?,
                 collective: Collective::parse(&text(self.collective, "collective")?)?,
                 m: uint(self.m, "m")?,
                 root: self.root()?,
@@ -338,13 +342,9 @@ impl<'a> Fields<'a> {
                 Ok(Request::Estimate { config })
             }
             Verb::Plan => {
-                // The hierarchical model is not one of the registry's
-                // flat parameter families — it is derived per request
-                // from an embedded hierarchical config.
-                let (model, hier) = match optional_text(self.model, "model")?.as_deref() {
-                    None => (ModelKind::Lmo, false),
-                    Some("lmo-hier") => (ModelKind::Lmo, true),
-                    Some(s) => (ModelKind::parse(s)?, false),
+                let model = match optional_text(self.model, "model")? {
+                    None => ModelKind::Lmo,
+                    Some(s) => ModelKind::parse(&s).ok_or_else(|| unknown_model(&s))?,
                 };
                 let fidelity = match optional_text(self.fidelity, "fidelity")? {
                     None => Fidelity::Analytic,
@@ -359,7 +359,6 @@ impl<'a> Fields<'a> {
                 Ok(Request::Plan {
                     cluster: self.cluster()?,
                     model,
-                    hier,
                     fidelity,
                     trace: Box::new(trace),
                 })
@@ -631,15 +630,10 @@ fn respond(service: &Service, req: &Request, w: &mut Response) -> Result<()> {
         Request::Plan {
             cluster,
             model,
-            hier,
             fidelity: Fidelity::Analytic,
             trace,
         } => {
-            let planned = if *hier {
-                service.plan_hier(cluster, trace)?
-            } else {
-                service.plan(cluster, trace, *model)?
-            };
+            let planned = service.plan(cluster, trace, *model)?;
             w.str("fingerprint", &planned.fingerprint);
             w.u64("param_version", planned.param_version);
             w.str("fidelity", Fidelity::Analytic.as_str());

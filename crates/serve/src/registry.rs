@@ -19,8 +19,11 @@ use cpm_estimate::lmo::estimate_lmo_full;
 use cpm_estimate::{estimate_hockney_het, estimate_loggp, estimate_plogp, EstimateConfig};
 use cpm_models::{HockneyHet, LmoExtended, LogGp, PLogP};
 use cpm_netsim::SimCluster;
+use cpm_workload::{ModelKind, PlanModel};
 use serde::{Deserialize, Serialize};
 use serde_json::Value;
+
+use crate::service::unknown_model;
 
 /// On-disk format version; bumping it invalidates (ignores) older entries.
 pub const FORMAT_VERSION: u32 = 1;
@@ -196,6 +199,21 @@ impl ParamSet {
     /// Number of nodes the parameters describe.
     pub fn n(&self) -> usize {
         self.lmo.c.len()
+    }
+
+    /// The set's model of a flat `kind` — the one map from a kind to its
+    /// model, which `predict`, `select` and `plan` all read. Its link
+    /// matrices and size functions are shared with the set, not copied.
+    /// `lmo-hier` is not in a set: it is derived from a hierarchical
+    /// config.
+    pub fn model(&self, kind: ModelKind) -> Result<PlanModel> {
+        Ok(match kind {
+            ModelKind::Lmo => PlanModel::Lmo(self.lmo.clone()),
+            ModelKind::Hockney => PlanModel::Hockney(self.hockney.clone()),
+            ModelKind::Loggp => PlanModel::Loggp(self.loggp.clone()),
+            ModelKind::Plogp => PlanModel::Plogp(self.plogp.clone()),
+            ModelKind::LmoHier => return Err(unknown_model(kind.as_str())),
+        })
     }
 }
 

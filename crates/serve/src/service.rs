@@ -17,11 +17,12 @@ use std::sync::{Arc, Condvar, Mutex as StdMutex};
 use std::time::Instant;
 
 use cpm_cluster::ClusterConfig;
-use cpm_collectives::cost::{cheapest, cost, CostModel, Machine, Op, Rooted};
+use cpm_collectives::cost::{cheapest, cost, Op, Rooted};
 use cpm_collectives::TunedCollectives;
 use cpm_core::rank::Rank;
 use cpm_core::units::Bytes;
 use cpm_estimate::EstimateConfig;
+use cpm_models::HierLmo;
 use cpm_obs::{Counter, Gauge, Histogram, MetricsRegistry};
 use cpm_stats::hist::HistSnapshot;
 use cpm_workload::{Plan, PlanModel, PlanProfile, Trace};
@@ -29,42 +30,17 @@ use parking_lot::{Mutex, RwLock};
 
 use crate::registry::{fingerprint, validated, ParamSet, Registry, Result, ServeError};
 
-/// Which estimated model answers a query.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum ModelKind {
-    /// The paper's heterogeneous LMO model.
-    Lmo,
-    /// Hockney's latency/bandwidth model.
-    Hockney,
-    /// LogGP with a distinct gap per byte for large messages.
-    Loggp,
-    /// Parameterized LogP: piecewise per-size overheads and gaps.
-    Plogp,
-}
+/// Which model answers a query: the workspace's one model vocabulary.
+/// `predict` and `select` take the four flat models a [`ParamSet`]
+/// holds; `plan` also takes `lmo-hier`, derived from an embedded
+/// hierarchical config.
+pub use cpm_workload::ModelKind;
 
-impl ModelKind {
-    /// Parses the wire name (`lmo|hockney|loggp|plogp`).
-    pub fn parse(s: &str) -> Result<Self> {
-        match s {
-            "lmo" => Ok(ModelKind::Lmo),
-            "hockney" => Ok(ModelKind::Hockney),
-            "loggp" => Ok(ModelKind::Loggp),
-            "plogp" => Ok(ModelKind::Plogp),
-            other => Err(ServeError::Protocol(format!(
-                "unknown model {other:?} (expected lmo|hockney|loggp|plogp)"
-            ))),
-        }
-    }
-
-    /// The wire name (the inverse of [`ModelKind::parse`]).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            ModelKind::Lmo => "lmo",
-            ModelKind::Hockney => "hockney",
-            ModelKind::Loggp => "loggp",
-            ModelKind::Plogp => "plogp",
-        }
-    }
+/// The refusal of a model name the verb does not take.
+pub(crate) fn unknown_model(name: &str) -> ServeError {
+    ServeError::Protocol(format!(
+        "unknown model {name:?} (expected lmo|hockney|loggp|plogp)"
+    ))
 }
 
 /// How a `plan` request evaluates the submitted trace.
@@ -1087,13 +1063,7 @@ impl Service {
             self.metrics.stored.inc();
         }
         self.params.write().insert(fp.clone(), Arc::clone(&ps));
-        let all = [
-            ModelKind::Lmo,
-            ModelKind::Hockney,
-            ModelKind::Loggp,
-            ModelKind::Plogp,
-        ];
-        self.invalidate(&fp, &all);
+        self.invalidate(&fp, &ModelKind::ALL);
         Ok((ps, true))
     }
 
@@ -1126,6 +1096,13 @@ impl Service {
     /// identical submission against unchanged parameters is served
     /// without re-evaluating the trace. Republishing the cluster's
     /// parameters (drift refit) invalidates the cached plans.
+    ///
+    /// `lmo-hier` plans under per-level parameters built from the embedded
+    /// config's ground truth and level tree, with the level-aware chooser
+    /// (which also considers leader-based two-phase broadcast/reduce).
+    /// Never cached: the model is derived from the config itself, not from
+    /// the registry's flat parameter sets, so there is no `param_version`
+    /// to key on (the response reports version 0).
     pub fn plan(
         &self,
         cluster: &ClusterRef,
@@ -1134,6 +1111,17 @@ impl Service {
     ) -> Result<PlannedWorkload> {
         let mut sp = cpm_obs::span("service.plan");
         sp.field_str("model", model.as_str());
+        if model == ModelKind::LmoHier {
+            let plan = self.evaluate(trace, &PlanModel::LmoHier(hier_model(cluster, trace)?))?;
+            return Ok(PlannedWorkload {
+                body: render_plan(&plan)?,
+                plan: Arc::new(plan),
+                fingerprint: cluster.resolve_fingerprint(),
+                param_version: 0,
+                trace_hash: trace.hash(),
+                cached: false,
+            });
+        }
         trace
             .validate()
             .map_err(|e| ServeError::Protocol(format!("bad trace: {e}")))?;
@@ -1157,14 +1145,11 @@ impl Service {
                 cached: true,
             });
         }
-        let (plan, profile) = cpm_workload::plan_profiled(trace, &plan_model(&ps, model))
-            .map_err(|e| ServeError::Protocol(format!("plan failed: {e}")))?;
+        let plan = self.evaluate(trace, &ps.model(model)?)?;
         let body = render_plan(&plan)?;
         // Counted only once the evaluation succeeded, so error paths are
         // not misreported as plan-cache misses.
         self.metrics.plan_misses.inc();
-        self.metrics.observe_plan_profile(&profile);
-        self.metrics.observe_plan_critical(&plan);
         let plan = Arc::new(plan);
         {
             let mut plans = self.plans.lock();
@@ -1194,47 +1179,14 @@ impl Service {
         })
     }
 
-    /// Answers a `plan` request under the hierarchical LMO model
-    /// (`"model":"lmo-hier"`): builds per-level parameters from the
-    /// embedded config's ground truth and its level tree, then evaluates
-    /// the critical path with the level-aware chooser, which also
-    /// considers leader-based two-phase broadcast/reduce schedules. Never
-    /// cached: the model is derived from the config itself, not from the
-    /// registry's flat parameter sets, so there is no `param_version` to
-    /// key on (the response reports version 0).
-    pub fn plan_hier(&self, cluster: &ClusterRef, trace: &Trace) -> Result<PlannedWorkload> {
-        let mut sp = cpm_obs::span("service.plan_hier");
-        sp.field_u64("ranks", trace.n as u64);
-        let Some(config) = cluster.config() else {
-            return Err(ServeError::Protocol(
-                "model \"lmo-hier\" requires an embedded \"config\" \
-                 (the per-level model is derived from its topology)"
-                    .into(),
-            ));
-        };
-        let config = validated(config)?;
-        trace
-            .validate()
-            .map_err(|e| ServeError::Protocol(format!("bad trace: {e}")))?;
-        let truth = config.ground_truth();
-        let Some(h) = cpm_models::HierLmo::from_truth(&truth, &config.topology) else {
-            return Err(ServeError::Protocol(
-                "model \"lmo-hier\" requires a hierarchical topology in the embedded config".into(),
-            ));
-        };
-        let (plan, profile) =
-            cpm_workload::plan_profiled(trace, &cpm_workload::PlanModel::LmoHier(h))
-                .map_err(|e| ServeError::Protocol(format!("plan failed: {e}")))?;
+    /// Evaluates the trace's critical path under `model`, recording the
+    /// planner's phase times and the plan's critical-path terms.
+    fn evaluate(&self, trace: &Trace, model: &PlanModel) -> Result<Plan> {
+        let (plan, profile) = cpm_workload::plan_profiled(trace, model)
+            .map_err(|e| ServeError::Protocol(format!("plan failed: {e}")))?;
         self.metrics.observe_plan_profile(&profile);
         self.metrics.observe_plan_critical(&plan);
-        Ok(PlannedWorkload {
-            body: render_plan(&plan)?,
-            plan: Arc::new(plan),
-            fingerprint: cluster.resolve_fingerprint(),
-            param_version: 0,
-            trace_hash: trace.hash(),
-            cached: false,
-        })
+        Ok(plan)
     }
 
     /// Answers a `plan` request at DES fidelity: replays the trace on the
@@ -1402,28 +1354,32 @@ pub fn compute(ps: &ParamSet, q: &Query) -> Result<f64> {
         root: Rank(q.root),
         m: q.m,
     };
-    Ok(cost(&cost_model(ps, q.model), op, q.algorithm.below()))
+    Ok(cost(
+        &ps.model(q.model)?.into_cost_model(),
+        op,
+        q.algorithm.below(),
+    ))
 }
 
-/// The model a `plan` of the parameter set evaluates under: the one family
-/// asked for, cloned once out of the set (its link matrices are shared).
-fn plan_model(ps: &ParamSet, model: ModelKind) -> PlanModel {
-    match model {
-        ModelKind::Lmo => PlanModel::Lmo(ps.lmo.clone()),
-        ModelKind::Hockney => PlanModel::Hockney(ps.hockney.clone()),
-        ModelKind::Loggp => PlanModel::Loggp(ps.loggp.clone()),
-        ModelKind::Plogp => PlanModel::Plogp(ps.plogp.clone()),
-    }
-}
-
-/// How `model` prices a collective under the parameter set.
-fn cost_model(ps: &ParamSet, model: ModelKind) -> CostModel<'_> {
-    match model {
-        ModelKind::Lmo => CostModel::Machine(Machine::lmo(&ps.lmo)),
-        ModelKind::Hockney => CostModel::Hockney(&ps.hockney),
-        ModelKind::Loggp => CostModel::Loggp(&ps.loggp),
-        ModelKind::Plogp => CostModel::Plogp(&ps.plogp),
-    }
+/// The hierarchical model of a `plan` request: per-level parameters from
+/// the embedded config's ground truth over its level tree.
+fn hier_model(cluster: &ClusterRef, trace: &Trace) -> Result<HierLmo> {
+    let Some(config) = cluster.config() else {
+        return Err(ServeError::Protocol(
+            "model \"lmo-hier\" requires an embedded \"config\" \
+             (the per-level model is derived from its topology)"
+                .into(),
+        ));
+    };
+    let config = validated(config)?;
+    trace
+        .validate()
+        .map_err(|e| ServeError::Protocol(format!("bad trace: {e}")))?;
+    HierLmo::from_truth(&config.ground_truth(), &config.topology).ok_or_else(|| {
+        ServeError::Protocol(
+            "model \"lmo-hier\" requires a hierarchical topology in the embedded config".into(),
+        )
+    })
 }
 
 #[cfg(test)]
@@ -1750,14 +1706,14 @@ mod tests {
     }
 
     #[test]
-    fn plan_hier_uses_the_level_model_and_requires_a_hierarchical_config() {
+    fn lmo_hier_plans_use_the_level_model_and_require_a_hierarchical_config() {
         let (dir, service) = test_service("hier");
         let trace = cpm_workload::gen::canonical("train", 8, 64 * 1024, 2).unwrap();
 
         // An embedded hierarchical config plans under the per-level model.
         let cluster = ClusterRef::Config(Box::new(ClusterConfig::hierarchical(4, 2, 7)));
-        let planned = service.plan_hier(&cluster, &trace).unwrap();
-        assert_eq!(planned.plan.model, cpm_workload::ModelKind::LmoHier);
+        let planned = service.plan(&cluster, &trace, ModelKind::LmoHier).unwrap();
+        assert_eq!(planned.plan.model, ModelKind::LmoHier);
         assert!(planned.plan.makespan > 0.0);
         assert!(!planned.cached);
 
@@ -1768,12 +1724,14 @@ mod tests {
 
         // A fingerprint-only reference cannot carry the level tree.
         let by_fp = ClusterRef::Fingerprint(planned.fingerprint.clone());
-        let err = service.plan_hier(&by_fp, &trace).unwrap_err();
+        let err = service
+            .plan(&by_fp, &trace, ModelKind::LmoHier)
+            .unwrap_err();
         assert!(matches!(err, ServeError::Protocol(_)), "{err}");
         assert!(err.to_string().contains("embedded"), "{err}");
 
         // A flat embedded config is rejected with a topology error.
-        let err = service.plan_hier(&flat, &trace).unwrap_err();
+        let err = service.plan(&flat, &trace, ModelKind::LmoHier).unwrap_err();
         assert!(err.to_string().contains("hierarchical topology"), "{err}");
         let _ = std::fs::remove_dir_all(dir);
     }

@@ -12,7 +12,7 @@
 use std::sync::OnceLock;
 
 use cpm_cluster::{ClusterConfig, ClusterSpec, MpiProfile};
-use cpm_collectives::cost::{choose, cost, CostModel, Machine, Op, Rooted};
+use cpm_collectives::cost::{choose, cost, CostModel, Op, Rooted};
 use cpm_collectives::{Algorithm, TunedCollectives};
 use cpm_core::rank::Rank;
 use cpm_core::units::{Bytes, KIB};
@@ -177,24 +177,6 @@ fn wire(kind: Rooted) -> Option<Collective> {
     }
 }
 
-fn plan_model(ps: &ParamSet, model: ModelKind) -> PlanModel {
-    match model {
-        ModelKind::Lmo => PlanModel::Lmo(ps.lmo.clone()),
-        ModelKind::Hockney => PlanModel::Hockney(ps.hockney.clone()),
-        ModelKind::Loggp => PlanModel::Loggp(ps.loggp.clone()),
-        ModelKind::Plogp => PlanModel::Plogp(ps.plogp.clone()),
-    }
-}
-
-fn cost_model(ps: &ParamSet, model: ModelKind) -> CostModel<'_> {
-    match model {
-        ModelKind::Lmo => CostModel::Machine(Machine::lmo(&ps.lmo)),
-        ModelKind::Hockney => CostModel::Hockney(&ps.hockney),
-        ModelKind::Loggp => CostModel::Loggp(&ps.loggp),
-        ModelKind::Plogp => CostModel::Plogp(&ps.plogp),
-    }
-}
-
 #[test]
 fn predict_compute_select_and_the_dispatcher_all_read_the_one_cost() {
     let (service, sets) = estimated();
@@ -207,8 +189,8 @@ fn predict_compute_select_and_the_dispatcher_all_read_the_one_cost() {
     for (cluster, ps) in sets {
         let tuned = TunedCollectives::new(ps.lmo.clone());
         for model in models {
-            let costs = cost_model(ps, model);
-            let plan_model = plan_model(ps, model);
+            let plan_model = ps.model(model).unwrap();
+            let costs = plan_model.cost_model();
             for kind in KINDS {
                 for root in roots(ps.n()) {
                     for m in sizes(&ps.lmo.gather) {
@@ -425,4 +407,47 @@ fn large_fan_ins_plan_as_they_replay_and_their_paths_explain() {
         let plan = cpm_workload::plan(&trace, &PlanModel::Lmo(lam.lmo.clone())).unwrap();
         assert_path_explains(&plan, &format!("lam m={m}"));
     }
+}
+
+/// A served `lmo-hier` plan is the direct plan under the level model of
+/// the embedded config's ground truth: the makespan and every op's window
+/// and algorithm to the bit, from the service and over the wire.
+#[test]
+fn a_served_lmo_hier_plan_is_the_direct_plan() {
+    let dir = std::env::temp_dir().join(format!("cpm-one-answer-hier-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let service = Service::open(&dir, ServiceConfig::default()).unwrap();
+    let config = ClusterConfig::hierarchical(4, 8, 2009);
+    let trace = cpm_workload::gen::canonical("train", 32, 64 * KIB, 2).unwrap();
+    let h = HierLmo::from_truth(&config.ground_truth(), &config.topology).unwrap();
+    let direct = cpm_workload::plan(&trace, &PlanModel::LmoHier(h)).unwrap();
+    assert!(
+        direct
+            .ops
+            .iter()
+            .any(|op| op.algorithm == Some("two-phase")),
+        "the level model's two-phase schedules are in play"
+    );
+
+    let cluster = ClusterRef::Config(Box::new(config.clone()));
+    let served = service.plan(&cluster, &trace, ModelKind::LmoHier).unwrap();
+    assert_eq!(served.plan.model, ModelKind::LmoHier);
+    assert_eq!(served.plan.makespan.to_bits(), direct.makespan.to_bits());
+    assert_eq!(served.plan.ops.len(), direct.ops.len());
+    for (s, d) in served.plan.ops.iter().zip(&direct.ops) {
+        assert_eq!(s.algorithm, d.algorithm, "op {}", d.id);
+        assert_eq!(s.start.to_bits(), d.start.to_bits(), "op {} start", d.id);
+        assert_eq!(s.end.to_bits(), d.end.to_bits(), "op {} end", d.id);
+    }
+
+    let line = format!(
+        "{{\"verb\":\"plan\",\"model\":\"lmo-hier\",\"config\":{},\"trace\":{}}}",
+        serde_json::to_string(&config).unwrap(),
+        serde_json::to_string(&trace.to_value()).unwrap()
+    );
+    let (answer, _) = cpm_serve::handle_line(&service, &line);
+    let body = serde_json::to_string(&direct.to_value()).unwrap();
+    assert!(answer.starts_with("{\"ok\":true,"), "{answer}");
+    assert!(answer.ends_with(&format!(",{}", &body[1..])), "{answer}");
+    let _ = std::fs::remove_dir_all(dir);
 }

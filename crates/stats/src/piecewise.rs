@@ -7,14 +7,16 @@
 //! extrapolation (paper Section II); [`PiecewiseLinear::needs_refinement`]
 //! implements that consistency test.
 
+use std::sync::Arc;
+
 /// A piecewise-linear function defined by sorted `(x, y)` knots.
 ///
 /// Between knots the function interpolates linearly; outside the knot range
 /// it extrapolates the first/last segment (a constant when there is a single
-/// knot).
+/// knot). Clones share the knots.
 #[derive(Clone, Debug, PartialEq)]
 pub struct PiecewiseLinear {
-    knots: Vec<(f64, f64)>,
+    knots: Arc<[(f64, f64)]>,
 }
 
 impl PiecewiseLinear {
@@ -32,13 +34,15 @@ impl PiecewiseLinear {
         for w in knots.windows(2) {
             assert!(w[0].0 != w[1].0, "duplicate knot at x={}", w[0].0);
         }
-        PiecewiseLinear { knots }
+        PiecewiseLinear {
+            knots: knots.into(),
+        }
     }
 
     /// A constant function.
     pub fn constant(y: f64) -> Self {
         PiecewiseLinear {
-            knots: vec![(0.0, y)],
+            knots: Arc::new([(0.0, y)]),
         }
     }
 
@@ -54,13 +58,12 @@ impl PiecewiseLinear {
 
     /// Inserts (or replaces) a knot.
     pub fn insert(&mut self, x: f64, y: f64) {
-        match self
-            .knots
-            .binary_search_by(|k| k.0.partial_cmp(&x).expect("finite"))
-        {
-            Ok(i) => self.knots[i] = (x, y),
-            Err(i) => self.knots.insert(i, (x, y)),
+        let mut knots = self.knots.to_vec();
+        match knots.binary_search_by(|k| k.0.partial_cmp(&x).expect("finite")) {
+            Ok(i) => knots[i] = (x, y),
+            Err(i) => knots.insert(i, (x, y)),
         }
+        self.knots = knots.into();
     }
 
     /// Evaluates the function at `x`.

@@ -52,7 +52,8 @@ use crate::lower::{lower, Algorithm, Lowered};
 use crate::replay::run_lowered;
 use crate::trace::{OpKind, Trace, WorkloadError};
 
-/// The model a plan is evaluated under.
+/// Which model answers: the workspace's one model vocabulary (the serve
+/// protocol's `model`, the CLI's `--model`, the planner's [`Plan::model`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ModelKind {
     /// The paper's heterogeneous LMO model.
@@ -139,15 +140,22 @@ impl PlanModel {
     }
 
     /// How this model prices a rooted collective (`cpm_collectives::cost`):
-    /// for the separable models, the machine the plan also runs on.
-    pub fn cost_model(&self) -> CostModel<'_> {
+    /// for the separable models, the machine the plan also runs on. The
+    /// one place a model becomes its cost; the machine takes the model's
+    /// parameters over, and the whole-transfer models share theirs.
+    pub fn into_cost_model(self) -> CostModel {
         match self {
-            PlanModel::Lmo(l) => CostModel::Machine(Machine::lmo(l)),
-            PlanModel::LmoHier(h) => CostModel::Machine(Machine::hier(h)),
+            PlanModel::Lmo(l) => CostModel::Machine(Machine::from(l)),
+            PlanModel::LmoHier(h) => CostModel::Machine(Machine::hier(&h)),
             PlanModel::Hockney(h) => CostModel::Hockney(h),
             PlanModel::Loggp(g) => CostModel::Loggp(g),
             PlanModel::Plogp(p) => CostModel::Plogp(p),
         }
+    }
+
+    /// [`PlanModel::into_cost_model`] of a model kept for planning.
+    pub fn cost_model(&self) -> CostModel {
+        self.clone().into_cost_model()
     }
 
     fn as_p2p(&self) -> &dyn PointToPoint {

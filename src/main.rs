@@ -16,7 +16,7 @@
 //! cpm empirics  [--config FILE]
 //! cpm predict   --model-file model.json --op scatter|gather --m BYTES [--root R]
 //! cpm observe   --op scatter|gather|bcast|alltoall --m BYTES
-//!               [--alg linear|binomial] [--reps N] [--config FILE]
+//!               [--alg linear|binomial|rotation] [--reps N] [--config FILE]
 //! cpm serve     [--store DIR] [--addr HOST:PORT] [--seed N] [--reps N]
 //! cpm query     [--addr HOST:PORT] [--verb VERB] ...
 //! cpm drift replay|watch  [--store DIR] [--schedule FILE] [--epochs N] [--obs N]
@@ -37,7 +37,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use cpm::cluster::ClusterConfig;
-use cpm::collectives::cost::{cheapest, cost, CostModel, Machine, Op, Rooted};
+use cpm::collectives::cost::{cheapest, cost, Op, Rooted};
 use cpm::collectives::measure;
 use cpm::core::units::{format_bytes, Bytes};
 use cpm::core::Rank;
@@ -45,7 +45,7 @@ use cpm::drift::{replay, DriftConfig, DriftService, RefitReport, ReplayConfig, R
 use cpm::estimate::lmo::estimate_lmo_full;
 use cpm::estimate::{
     estimate_gather_empirics, estimate_hier_lmo, estimate_hockney_het, estimate_loggp,
-    estimate_plogp, EstimateConfig,
+    estimate_plogp, EstimateConfig, Estimated,
 };
 use cpm::fleet::{serve_router, FleetMap, FleetNode, Router, RouterConfig};
 use cpm::models::{HierLmo, HockneyHet, LmoExtended, LogGp, PLogP};
@@ -55,11 +55,11 @@ use cpm::serve::{
     Verb,
 };
 use cpm::stats::Summary;
-use cpm::workload::{self, PlanModel, Trace};
+use cpm::workload::{self, ModelKind, PlanModel, Trace};
 use serde::{Deserialize, Serialize};
 use serde_json::Value;
 
-/// A persisted, tagged model file.
+/// A persisted model file: a [`PlanModel`] under its variant's tag.
 #[derive(Serialize, Deserialize)]
 #[serde(tag = "model", rename_all = "lowercase")]
 enum ModelFile {
@@ -69,6 +69,18 @@ enum ModelFile {
     Plogp(PLogP),
     #[serde(rename = "lmo-hier")]
     LmoHier(HierLmo),
+}
+
+impl From<ModelFile> for PlanModel {
+    fn from(file: ModelFile) -> Self {
+        match file {
+            ModelFile::Lmo(l) => PlanModel::Lmo(l),
+            ModelFile::Hockney(h) => PlanModel::Hockney(h),
+            ModelFile::Loggp(g) => PlanModel::Loggp(g),
+            ModelFile::Plogp(p) => PlanModel::Plogp(p),
+            ModelFile::LmoHier(h) => PlanModel::LmoHier(h),
+        }
+    }
 }
 
 /// One subcommand: its allowed flags, its help text, its implementation.
@@ -169,11 +181,13 @@ fan-out inside each node).",
         ],
         help: "\
 USAGE: cpm observe --op scatter|gather|bcast|alltoall --m BYTES
-                   [--alg linear|binomial] [--reps N] [--profile lam|mpich|ideal]
-                   [--seed N] [--noise-seed N] [--config FILE]
+                   [--alg linear|binomial|rotation] [--reps N]
+                   [--profile lam|mpich|ideal] [--seed N] [--noise-seed N]
+                   [--config FILE]
 
 Executes the collective on the simulated cluster and reports timing
-statistics over --reps repetitions.",
+statistics over --reps repetitions. --alg defaults to linear; alltoall has
+one algorithm, rotation.",
         run: cmd_observe,
     },
     CommandSpec {
@@ -649,7 +663,7 @@ USAGE:
   cpm predict   --model-file model.json --op scatter|gather|bcast --m BYTES
                 [--root R] [--alg linear|binomial|two-phase]
   cpm observe   --op scatter|gather|bcast|alltoall --m BYTES
-                [--alg linear|binomial] [--reps N] [--config FILE]
+                [--alg linear|binomial|rotation] [--reps N] [--config FILE]
   cpm serve     [--store DIR] [--addr HOST:PORT] [--seed N] [--reps N]
                 [--fleet MAP.json --node NAME]
   cpm query     [--addr HOST:PORT] [--verb VERB] [--model M] [--collective C]
@@ -728,16 +742,25 @@ fn cluster_from(opts: &Opts) -> Result<(ClusterConfig, SimCluster), String> {
     Ok((config, sim))
 }
 
+/// `--<key>` parsed as a `T`, when given; a bad value names its flag.
+fn flag<T: std::str::FromStr>(opts: &Opts, key: &str) -> Result<Option<T>, String>
+where
+    T::Err: std::fmt::Display,
+{
+    opts.get(key)
+        .map(|raw| raw.parse().map_err(|e| format!("--{key}: {e}")))
+        .transpose()
+}
+
 /// `--seed`, or `default` when it is absent.
 fn seed(opts: &Opts, default: u64) -> Result<u64, String> {
-    opts.get("seed")
-        .map_or(Ok(default), |s| s.parse::<u64>().map_err(|e| e.to_string()))
+    Ok(flag(opts, "seed")?.unwrap_or(default))
 }
 
 /// `--noise-seed`, when given, re-draws only the measurement noise.
 fn apply_noise_seed(opts: &Opts, config: &mut ClusterConfig) -> Result<(), String> {
-    if let Some(raw) = opts.get("noise-seed") {
-        config.noise_seed = Some(raw.parse().map_err(|e| format!("--noise-seed: {e}"))?);
+    if let Some(noise_seed) = flag(opts, "noise-seed")? {
+        config.noise_seed = Some(noise_seed);
     }
     Ok(())
 }
@@ -751,14 +774,10 @@ fn parse_bytes(opts: &Opts, key: &str) -> Result<Bytes, String> {
 
 /// `--nodes` or `--cores`, when given: a count of at least 2.
 fn dim(opts: &Opts, key: &str) -> Result<Option<usize>, String> {
-    let Some(raw) = opts.get(key) else {
-        return Ok(None);
-    };
-    let v = raw.parse::<usize>().map_err(|e| format!("--{key}: {e}"))?;
-    if v < 2 {
-        return Err(format!("--{key} must be at least 2"));
+    match flag(opts, key)? {
+        Some(v) if v < 2 => Err(format!("--{key} must be at least 2")),
+        v => Ok(v),
     }
-    Ok(Some(v))
 }
 
 /// A cluster sized by `--nodes`/`--cores`. `--config` and `--profile`
@@ -819,17 +838,39 @@ fn cmd_spec(opts: &Opts) -> Result<(), String> {
     Ok(())
 }
 
+/// `--model`'s model.
+fn model_kind(raw: &str) -> Result<ModelKind, String> {
+    ModelKind::parse(raw)
+        .ok_or_else(|| format!("unknown model {raw:?} (lmo|hockney|loggp|plogp|lmo-hier)"))
+}
+
+/// Estimates `kind`'s parameters on the cluster: the one estimate
+/// dispatch, shared by `cpm estimate` and the workload commands.
+fn estimate(
+    kind: ModelKind,
+    sim: &SimCluster,
+    cfg: &EstimateConfig,
+) -> Result<Estimated<ModelFile>, String> {
+    match kind {
+        ModelKind::Lmo => estimate_lmo_full(sim, cfg).map(|e| e.map(ModelFile::Lmo)),
+        ModelKind::LmoHier => estimate_hier_lmo(sim, cfg).map(|e| e.map(ModelFile::LmoHier)),
+        ModelKind::Hockney => estimate_hockney_het(sim, cfg).map(|e| e.map(ModelFile::Hockney)),
+        ModelKind::Loggp => estimate_loggp(sim, cfg).map(|e| e.map(ModelFile::Loggp)),
+        ModelKind::Plogp => estimate_plogp(sim, cfg).map(|e| e.map(ModelFile::Plogp)),
+    }
+    .map_err(|e| e.to_string())
+}
+
 fn cmd_estimate(opts: &Opts) -> Result<(), String> {
     let (_, sim) = cluster_from(opts)?;
     let which = opts
         .get("model")
         .ok_or("--model is required (lmo|hockney|loggp|plogp|lmo-hier)")?;
-    let cfg = EstimateConfig::with_seed(0xC11);
-    let (file, cost, runs) = match which.as_str() {
-        "lmo" => {
-            let e = estimate_lmo_full(&sim, &cfg).map_err(|e| e.to_string())?;
-            println!("LMO: n = {}", e.model.c.len());
-            for (i, (c, t)) in e.model.c.iter().zip(&e.model.t).enumerate() {
+    let e = estimate(model_kind(which)?, &sim, &EstimateConfig::with_seed(0xC11))?;
+    match &e.model {
+        ModelFile::Lmo(model) => {
+            println!("LMO: n = {}", model.c.len());
+            for (i, (c, t)) in model.c.iter().zip(&model.t).enumerate() {
                 println!(
                     "  node {i:>2}: C = {:7.1} µs   t = {:6.2} ns/B",
                     c * 1e6,
@@ -838,55 +879,41 @@ fn cmd_estimate(opts: &Opts) -> Result<(), String> {
             }
             println!(
                 "  gather empirics: M1 = {}, M2 = {}, p = {:.2}",
-                format_bytes(e.model.gather.m1),
-                format_bytes(e.model.gather.m2),
-                e.model.gather.escalation_probability
+                format_bytes(model.gather.m1),
+                format_bytes(model.gather.m2),
+                model.gather.escalation_probability
             );
-            (ModelFile::Lmo(e.model), e.virtual_cost, e.runs)
         }
-        "hockney" => {
-            let e = estimate_hockney_het(&sim, &cfg).map_err(|e| e.to_string())?;
-            println!(
-                "heterogeneous Hockney: mean α = {:.1} µs, mean β = {:.1} ns/B",
-                e.model.alpha.mean().unwrap_or(0.0) * 1e6,
-                e.model.beta.mean().unwrap_or(0.0) * 1e9
-            );
-            (ModelFile::Hockney(e.model), e.virtual_cost, e.runs)
-        }
-        "loggp" => {
-            let e = estimate_loggp(&sim, &cfg).map_err(|e| e.to_string())?;
-            println!(
-                "LogGP: L = {:.1} µs, o = {:.1} µs, g = {:.1} µs, G = {:.2} ns/B",
-                e.model.l * 1e6,
-                e.model.o * 1e6,
-                e.model.g * 1e6,
-                e.model.big_g * 1e9
-            );
-            (ModelFile::Loggp(e.model), e.virtual_cost, e.runs)
-        }
-        "plogp" => {
-            let e = estimate_plogp(&sim, &cfg).map_err(|e| e.to_string())?;
-            println!(
-                "PLogP: L = {:.1} µs, g knots = {}",
-                e.model.l * 1e6,
-                e.model.g.knots().len()
-            );
-            (ModelFile::Plogp(e.model), e.virtual_cost, e.runs)
-        }
-        "lmo-hier" => {
-            let e = estimate_hier_lmo(&sim, &cfg).map_err(|e| e.to_string())?;
+        ModelFile::Hockney(model) => println!(
+            "heterogeneous Hockney: mean α = {:.1} µs, mean β = {:.1} ns/B",
+            model.alpha.mean().unwrap_or(0.0) * 1e6,
+            model.beta.mean().unwrap_or(0.0) * 1e9
+        ),
+        ModelFile::Loggp(model) => println!(
+            "LogGP: L = {:.1} µs, o = {:.1} µs, g = {:.1} µs, G = {:.2} ns/B",
+            model.l * 1e6,
+            model.o * 1e6,
+            model.g * 1e6,
+            model.big_g * 1e9
+        ),
+        ModelFile::Plogp(model) => println!(
+            "PLogP: L = {:.1} µs, g knots = {}",
+            model.l * 1e6,
+            model.g.knots().len()
+        ),
+        ModelFile::LmoHier(model) => {
             let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
             println!(
                 "hierarchical LMO: n = {} ({} levels)",
-                e.model.n(),
-                e.model.levels.len()
+                model.n(),
+                model.levels.len()
             );
             println!(
                 "  per rank: mean C = {:5.1} µs, mean t = {:5.2} ns/B",
-                mean(&e.model.c) * 1e6,
-                mean(&e.model.t) * 1e9
+                mean(&model.c) * 1e6,
+                mean(&model.t) * 1e9
             );
-            for l in &e.model.levels {
+            for l in &model.levels {
                 println!(
                     "  level {:<6}: arity {:>2}, L = {:5.1} µs, beta = {:6.1} MB/s",
                     l.name,
@@ -895,17 +922,14 @@ fn cmd_estimate(opts: &Opts) -> Result<(), String> {
                     l.beta / 1e6
                 );
             }
-            (ModelFile::LmoHier(e.model), e.virtual_cost, e.runs)
         }
-        other => {
-            return Err(format!(
-                "unknown model {other:?} (lmo|hockney|loggp|plogp|lmo-hier)"
-            ))
-        }
-    };
-    println!("estimation: {runs} runs, {cost:.1} s of virtual cluster time");
+    }
+    println!(
+        "estimation: {} runs, {:.1} s of virtual cluster time",
+        e.runs, e.virtual_cost
+    );
     if let Some(path) = opts.get("out") {
-        let json = serde_json::to_string_pretty(&file).map_err(|e| e.to_string())?;
+        let json = serde_json::to_string_pretty(&e.model).map_err(|e| e.to_string())?;
         std::fs::write(path, json).map_err(|e| e.to_string())?;
         println!("wrote {path}");
     }
@@ -948,19 +972,8 @@ fn cmd_predict(opts: &Opts) -> Result<(), String> {
         "bcast" => Rooted::Bcast,
         other => return Err(format!("unknown op {other:?} (scatter|gather|bcast)")),
     };
-    let root = Rank(
-        opts.get("root")
-            .map(|s| s.parse::<u32>().map_err(|e| e.to_string()))
-            .transpose()?
-            .unwrap_or(0),
-    );
-    let model = match &file {
-        ModelFile::Lmo(l) => CostModel::Machine(Machine::lmo(l)),
-        ModelFile::LmoHier(h) => CostModel::Machine(Machine::hier(h)),
-        ModelFile::Hockney(h) => CostModel::Hockney(h),
-        ModelFile::Loggp(g) => CostModel::Loggp(g),
-        ModelFile::Plogp(p) => CostModel::Plogp(p),
-    };
+    let root = Rank(flag(opts, "root")?.unwrap_or(0));
+    let model = PlanModel::from(file).into_cost_model();
     if root.idx() >= model.n() {
         return Err(format!(
             "--root {root} out of range for {} ranks",
@@ -997,12 +1010,13 @@ fn cmd_observe(opts: &Opts) -> Result<(), String> {
     let (_, sim) = cluster_from(opts)?;
     let m = parse_bytes(opts, "m")?;
     let op = opts.get("op").ok_or("--op is required")?;
-    let alg = opts.get("alg").map(String::as_str).unwrap_or("linear");
-    let reps = opts
-        .get("reps")
-        .map(|s| s.parse::<usize>().map_err(|e| e.to_string()))
-        .transpose()?
-        .unwrap_or(5);
+    let default_alg = if op == "alltoall" {
+        "rotation"
+    } else {
+        "linear"
+    };
+    let alg = opts.get("alg").map_or(default_alg, String::as_str);
+    let reps = flag(opts, "reps")?.unwrap_or(5);
     let root = Rank(0);
     let times = match (op.as_str(), alg) {
         ("scatter", "linear") => measure::linear_scatter_times(&sim, root, m, reps, 1),
@@ -1018,7 +1032,7 @@ fn cmd_observe(opts: &Opts) -> Result<(), String> {
                 cpm::collectives::binomial_bcast(&tree, m, e)
             })
         }
-        ("alltoall", _) => measure::collective_times(&sim, reps, 1, |e| {
+        ("alltoall", "rotation") => measure::collective_times(&sim, reps, 1, |e| {
             cpm::collectives::rotation_alltoall(sim.n(), m, e)
         }),
         (o, a) => return Err(format!("unsupported op/alg {o:?}/{a:?}")),
@@ -1042,29 +1056,20 @@ fn cmd_serve(opts: &Opts) -> Result<(), String> {
     let addr = opts.get("addr").map(String::as_str).unwrap_or(DEFAULT_ADDR);
     let seed = seed(opts, 0x5e71)?;
     let mut est = EstimateConfig::with_seed(seed);
-    if let Some(reps) = opts.get("reps") {
-        est.reps = reps.parse::<usize>().map_err(|e| e.to_string())?;
+    if let Some(reps) = flag(opts, "reps")? {
+        est.reps = reps;
     }
     let cfg = ServiceConfig {
         est,
         ..ServiceConfig::default()
     };
-    let workers = opts
-        .get("workers")
-        .map(|s| s.parse::<usize>().map_err(|e| format!("--workers: {e}")))
-        .transpose()?
-        .unwrap_or(cpm::serve::DEFAULT_WORKERS);
+    let workers = flag(opts, "workers")?.unwrap_or(cpm::serve::DEFAULT_WORKERS);
     if workers == 0 {
         return Err("--workers must be at least 1".into());
     }
-    let idle_timeout = match opts.get("idle-timeout-ms") {
+    let idle_timeout = match flag(opts, "idle-timeout-ms")? {
         None => Some(cpm::serve::DEFAULT_IDLE_TIMEOUT),
-        Some(raw) => {
-            let ms = raw
-                .parse::<u64>()
-                .map_err(|e| format!("--idle-timeout-ms: {e}"))?;
-            (ms > 0).then(|| Duration::from_millis(ms))
-        }
+        Some(ms) => (ms > 0).then(|| Duration::from_millis(ms)),
     };
     let service = Arc::new(Service::open(store, cfg).map_err(|e| e.to_string())?);
     println!(
@@ -1126,19 +1131,8 @@ fn cmd_fleet_init(opts: &Opts) -> Result<(), String> {
         .filter(|s| !s.is_empty())
         .map(String::from)
         .collect();
-    let replication = opts
-        .get("replication")
-        .map(|s| {
-            s.parse::<usize>()
-                .map_err(|e| format!("--replication: {e}"))
-        })
-        .transpose()?
-        .unwrap_or(cpm::fleet::DEFAULT_REPLICATION);
-    let vnodes = opts
-        .get("vnodes")
-        .map(|s| s.parse::<usize>().map_err(|e| format!("--vnodes: {e}")))
-        .transpose()?
-        .unwrap_or(cpm::fleet::DEFAULT_VNODES);
+    let replication = flag(opts, "replication")?.unwrap_or(cpm::fleet::DEFAULT_REPLICATION);
+    let vnodes = flag(opts, "vnodes")?.unwrap_or(cpm::fleet::DEFAULT_VNODES);
     let map = FleetMap::new(&addrs, replication, vnodes);
     map.validate()?;
     let ring = map.ring();
@@ -1174,19 +1168,10 @@ fn cmd_fleet_route(opts: &Opts) -> Result<(), String> {
         .get("addr")
         .map(String::as_str)
         .unwrap_or(DEFAULT_ROUTER_ADDR);
-    let shards = opts
-        .get("shards")
-        .map(|s| s.parse::<usize>().map_err(|e| format!("--shards: {e}")))
-        .transpose()?
-        .unwrap_or(2);
-    let idle_timeout = match opts.get("idle-timeout-ms") {
+    let shards = flag(opts, "shards")?.unwrap_or(2);
+    let idle_timeout = match flag(opts, "idle-timeout-ms")? {
         None => Some(cpm::serve::DEFAULT_IDLE_TIMEOUT),
-        Some(raw) => {
-            let ms = raw
-                .parse::<u64>()
-                .map_err(|e| format!("--idle-timeout-ms: {e}"))?;
-            (ms > 0).then(|| Duration::from_millis(ms))
-        }
+        Some(ms) => (ms > 0).then(|| Duration::from_millis(ms)),
     };
     let (nodes, replication) = (map.nodes.len(), map.effective_replication());
     let router = Router::new(map, RouterConfig::default())?;
@@ -1227,22 +1212,20 @@ fn drift_inputs(opts: &Opts) -> Result<(ClusterConfig, ReplayConfig, DriftSchedu
         },
         ..ReplayConfig::default()
     };
-    if let Some(raw) = opts.get("epochs") {
-        rcfg.epochs = raw.parse::<usize>().map_err(|e| format!("--epochs: {e}"))?;
+    if let Some(epochs) = flag(opts, "epochs")? {
+        rcfg.epochs = epochs;
     }
-    if let Some(raw) = opts.get("epoch-duration") {
-        rcfg.epoch_duration = raw
-            .parse::<f64>()
-            .map_err(|e| format!("--epoch-duration: {e}"))?;
+    if let Some(duration) = flag(opts, "epoch-duration")? {
+        rcfg.epoch_duration = duration;
     }
-    if let Some(raw) = opts.get("obs") {
-        rcfg.obs_per_pair = raw.parse::<usize>().map_err(|e| format!("--obs: {e}"))?;
+    if let Some(obs) = flag(opts, "obs")? {
+        rcfg.obs_per_pair = obs;
     }
     if opts.contains_key("m") {
         rcfg.probe_m = parse_bytes(opts, "m")?;
     }
-    if let Some(raw) = opts.get("reps") {
-        rcfg.est.reps = raw.parse::<usize>().map_err(|e| format!("--reps: {e}"))?;
+    if let Some(reps) = flag(opts, "reps")? {
+        rcfg.est.reps = reps;
     }
     let schedule = match opts.get("schedule") {
         Some(path) => {
@@ -1464,19 +1447,13 @@ fn build_query_request(opts: &Opts) -> Result<Value, String> {
             let kind = opts.get("kind").cloned().unwrap_or_else(|| "p2p".into());
             push("kind", Value::Str(kind.clone()));
             push("m", Value::U64(parse_bytes(opts, "m")?));
-            let seconds = opts
-                .get("seconds")
-                .ok_or("observe needs --seconds T (the measured transfer time)")?
-                .parse::<f64>()
-                .map_err(|e| format!("--seconds: {e}"))?;
+            let seconds: f64 = flag(opts, "seconds")?
+                .ok_or("observe needs --seconds T (the measured transfer time)")?;
             push("seconds", Value::F64(seconds));
             let rank = |key: &str| -> Result<Value, String> {
-                let raw = opts
-                    .get(key)
+                let rank = flag(opts, key)?
                     .ok_or_else(|| format!("observe --kind {kind} needs --{key} R"))?;
-                Ok(Value::U64(
-                    raw.parse::<u64>().map_err(|e| format!("--{key}: {e}"))?,
-                ))
+                Ok(Value::U64(rank))
             };
             match kind.as_str() {
                 "p2p" => {
@@ -1507,11 +1484,8 @@ fn build_query_request(opts: &Opts) -> Result<Value, String> {
                 );
             }
             push("m", Value::U64(parse_bytes(opts, "m")?));
-            if let Some(root) = opts.get("root") {
-                push(
-                    "root",
-                    Value::U64(root.parse::<u64>().map_err(|e| e.to_string())?),
-                );
+            if let Some(root) = flag(opts, "root")? {
+                push("root", Value::U64(root));
             }
         }
         Verb::Stats => {
@@ -1523,11 +1497,8 @@ fn build_query_request(opts: &Opts) -> Result<Value, String> {
             }
         }
         Verb::Trace => {
-            if let Some(last) = opts.get("last") {
-                push(
-                    "last",
-                    Value::U64(last.parse::<u64>().map_err(|e| format!("--last: {e}"))?),
-                );
+            if let Some(last) = flag(opts, "last")? {
+                push("last", Value::U64(last));
             }
         }
         Verb::Plan => {
@@ -1579,41 +1550,16 @@ fn read_trace(opts: &Opts) -> Result<Trace, String> {
 }
 
 /// Estimates the requested model's parameters on the cluster, exactly as
-/// `cpm estimate` would, and wraps them for the workload planner.
+/// `cpm estimate` would, for the workload planner.
 fn workload_model(opts: &Opts, sim: &SimCluster) -> Result<PlanModel, String> {
-    let kind = match opts.get("model") {
-        None => workload::ModelKind::Lmo,
-        Some(raw) => workload::ModelKind::parse(raw)
-            .ok_or_else(|| format!("unknown model {raw:?} (lmo|hockney|loggp|plogp|lmo-hier)"))?,
-    };
+    let kind = opts
+        .get("model")
+        .map_or(Ok(ModelKind::Lmo), |raw| model_kind(raw))?;
     let mut cfg = EstimateConfig::with_seed(0xC11);
-    if let Some(raw) = opts.get("reps") {
-        cfg.reps = raw.parse::<usize>().map_err(|e| format!("--reps: {e}"))?;
+    if let Some(reps) = flag(opts, "reps")? {
+        cfg.reps = reps;
     }
-    let model = match kind {
-        workload::ModelKind::Lmo => PlanModel::Lmo(
-            estimate_lmo_full(sim, &cfg)
-                .map_err(|e| e.to_string())?
-                .model,
-        ),
-        workload::ModelKind::Hockney => PlanModel::Hockney(
-            estimate_hockney_het(sim, &cfg)
-                .map_err(|e| e.to_string())?
-                .model,
-        ),
-        workload::ModelKind::Loggp => {
-            PlanModel::Loggp(estimate_loggp(sim, &cfg).map_err(|e| e.to_string())?.model)
-        }
-        workload::ModelKind::Plogp => {
-            PlanModel::Plogp(estimate_plogp(sim, &cfg).map_err(|e| e.to_string())?.model)
-        }
-        workload::ModelKind::LmoHier => PlanModel::LmoHier(
-            estimate_hier_lmo(sim, &cfg)
-                .map_err(|e| e.to_string())?
-                .model,
-        ),
-    };
-    Ok(model)
+    Ok(estimate(kind, sim, &cfg)?.model.into())
 }
 
 fn print_pretty(v: &Value) -> Result<(), String> {
@@ -1635,21 +1581,13 @@ fn write_stdout(text: &str) -> Result<(), String> {
 
 fn cmd_workload_gen(opts: &Opts) -> Result<(), String> {
     let kind = opts.get("kind").map(String::as_str).unwrap_or("train");
-    let n = opts
-        .get("nodes")
-        .map(|s| s.parse::<usize>().map_err(|e| format!("--nodes: {e}")))
-        .transpose()?
-        .unwrap_or(16);
+    let n = flag(opts, "nodes")?.unwrap_or(16);
     let m = if opts.contains_key("m") {
         parse_bytes(opts, "m")?
     } else {
         16 * 1024
     };
-    let iters = opts
-        .get("iters")
-        .map(|s| s.parse::<usize>().map_err(|e| format!("--iters: {e}")))
-        .transpose()?
-        .unwrap_or(2);
+    let iters = flag(opts, "iters")?.unwrap_or(2);
     // The generators assume what every consumer of a trace checks: refuse a
     // rank count no trace may have, in the validator's words, before
     // generating or writing anything.

@@ -68,6 +68,80 @@ fn observe_supports_all_collectives() {
     }
 }
 
+/// Alltoall has one algorithm, the rotation: it is what `observe` runs and
+/// names, and any other `--alg` is refused.
+#[test]
+fn observe_alltoall_runs_only_the_rotation() {
+    let args = ["observe", "--op", "alltoall", "--m", "2K", "--reps", "2"];
+    for alg in [None, Some("rotation")] {
+        let mut argv = args.to_vec();
+        argv.extend(alg.map(|a| ["--alg", a]).into_iter().flatten());
+        let out = run_ok(&argv);
+        assert!(out.starts_with("alltoall (rotation) of 2KB"), "{out}");
+    }
+    let out = cpm().args(args).args(["--alg", "banana"]).output().unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains("unsupported op/alg \"alltoall\"/\"banana\""),
+        "{err}"
+    );
+}
+
+/// A flag value that does not parse is refused (exit 1) naming its flag.
+#[test]
+fn bad_flag_values_name_their_flag() {
+    let dir = std::env::temp_dir().join(format!("cpm-cli-flags-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let model = dir.join("loggp.json");
+    std::fs::write(
+        &model,
+        r#"{"Loggp":{"l":1e-5,"o":1e-6,"g":1e-6,"big_g":1e-9,"p":4}}"#,
+    )
+    .unwrap();
+    let model = model.to_str().unwrap();
+    let store = dir.join("store");
+    let cases: [&[&str]; 4] = [
+        &["observe", "--op", "scatter", "--m", "1K", "--reps", "x"],
+        &["serve", "--store", store.to_str().unwrap(), "--reps", "x"],
+        &[
+            "query",
+            "--addr",
+            "127.0.0.1:1",
+            "--verb",
+            "predict",
+            "--fingerprint",
+            "f",
+            "--m",
+            "1K",
+            "--root",
+            "x",
+        ],
+        &[
+            "predict",
+            "--model-file",
+            model,
+            "--op",
+            "scatter",
+            "--m",
+            "1K",
+            "--root",
+            "x",
+        ],
+    ];
+    for args in cases {
+        let out = cpm().args(args).output().unwrap();
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        let flag = args[args.len() - 2];
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains(&format!("{flag}: invalid digit found in string")),
+            "{args:?}: {err}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(dir);
+}
+
 #[test]
 fn estimate_hockney_then_predict() {
     let dir = std::env::temp_dir().join(format!("cpm-cli-est-{}", std::process::id()));
